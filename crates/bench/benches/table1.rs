@@ -4,8 +4,9 @@
 //! cache), plus the whole suite as one campaign.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use diode_bench::AnalysisBackend;
 use diode_core::{analyze_program, DiodeConfig};
-use diode_engine::{analyze_program_parallel, CampaignApp, CampaignSpec, SolverCache};
+use diode_engine::{CampaignApp, CampaignSpec, SolverCache};
 
 fn bench_table1(c: &mut Criterion) {
     let apps = diode_apps::all_apps();
@@ -21,8 +22,7 @@ fn bench_table1(c: &mut Criterion) {
         });
         group.bench_function(format!("{}_engine", app.name), |b| {
             b.iter(|| {
-                let analysis =
-                    analyze_program_parallel(&app.program, &app.seed, &app.format, &config, None);
+                let analysis = AnalysisBackend::default().analyze(app, &config);
                 std::hint::black_box(analysis.counts())
             })
         });
@@ -31,8 +31,7 @@ fn bench_table1(c: &mut Criterion) {
                 .clone()
                 .with_query_cache(std::sync::Arc::new(SolverCache::new()));
             b.iter(|| {
-                let analysis =
-                    analyze_program_parallel(&app.program, &app.seed, &app.format, &cached, None);
+                let analysis = AnalysisBackend::default().analyze(app, &cached);
                 std::hint::black_box(analysis.counts())
             })
         });

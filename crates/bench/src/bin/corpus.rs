@@ -26,7 +26,9 @@
 //! decision provenance under `audit/<label>/` next to `witnesses/`
 //! (inspect with the `audit` bin). Every command accepts `--json`
 //! (machine-readable output on stdout), `--sequential`, and
-//! `--threads N`. The store root defaults to `./corpus`.
+//! `--threads N`. The store root defaults to `./corpus`. Per-site
+//! snapshot metadata that earlier versions recorded in suite directories
+//! is ignored: replays warm their snapshot caches from the seed run.
 
 use std::process::ExitCode;
 
@@ -113,11 +115,8 @@ fn scorecard_json(card: &ScoreCard) -> Json {
         .field("perfect", card.is_perfect())
 }
 
-/// Replays a suite — priming the snapshot cache from recorded
-/// `snapshots.json` metadata when present, so candidate testing skips
-/// straight to the recorded divergent suffixes — then records the run's
-/// witnesses and refreshed snapshot metadata. With `audit`, decision
-/// provenance is recorded alongside, under `audit/<label>/`.
+/// Replays a suite, then records the run's witnesses. With `audit`,
+/// decision provenance is recorded alongside, under `audit/<label>/`.
 fn replay_and_record(
     store: &CorpusStore,
     suite: &ReplayableSuite,
@@ -125,11 +124,9 @@ fn replay_and_record(
     backend: AnalysisBackend,
     audit: bool,
 ) -> Result<(CampaignReport, ScoreCard, WitnessSet), CorpusError> {
-    let recorded = store.load_snapshots(suite.id())?;
-    let (report, card) = suite.replay_with(backend.execution_mode(), recorded.as_ref(), audit);
+    let (report, card) = suite.replay_with(backend.execution_mode(), audit);
     let witnesses = suite.witnesses(label, &report);
     store.record_witnesses(&witnesses)?;
-    store.record_snapshots(&suite.snapshot_meta(&report))?;
     if let Some(set) = suite.audit(label, &report) {
         store.record_audit(&set)?;
     }

@@ -21,8 +21,6 @@
 //! * `--bench-replay`    prefix-snapshot benchmark: run the same suite
 //!   with snapshots off and on, require byte-identical reports, and
 //!   emit the wall-time speedup into the `BENCH_engine.json` artifact
-//! * `--no-snapshots`    disable prefix-snapshot re-execution for the
-//!   plain (non-artifact) run
 //! * `--trace PATH`      record a structured `diode-obs` trace of the
 //!   campaign and write it to PATH as versioned JSONL (works in plain
 //!   and artifact modes; fold it with the `profile` bin)
@@ -33,8 +31,6 @@
 //!   solver queries, enforcement steps, and verdict behind every site —
 //!   and write the `diode_audit` document to PATH (plain mode only;
 //!   inspect it with the `audit` bin)
-//! * `--no-cache`        disable the shared solver cache for the plain
-//!   run (isolates solve-phase cost for `profile --diff` attribution)
 //! * `--progress`        stream per-site progress lines to stderr with
 //!   live solver-cache and snapshot hit rates
 //! * `--telemetry PATH`  attach the diode-pulse bus and write the full
@@ -128,8 +124,6 @@ fn main() {
         return;
     }
 
-    let snapshots = !args.iter().any(|a| a == "--no-snapshots");
-    let shared_cache = !args.iter().any(|a| a == "--no-cache");
     let trace_path = flag_str(&args, "--trace");
     let audit_path = flag_str(&args, "--audit");
     let profile = args.iter().any(|a| a == "--profile");
@@ -146,8 +140,6 @@ fn main() {
     let (report, card) = run_campaign_observed(
         &suite,
         backend.execution_mode(),
-        snapshots,
-        shared_cache,
         recorder.clone(),
         progress,
         capture.as_ref().map(|c| c.config.clone()),
@@ -284,35 +276,39 @@ fn config_json(cfg: &SynthConfig) -> Json {
         .field("rng_seed", cfg.rng_seed)
 }
 
+/// Runs the suite with prefix snapshots on or off (`--bench-replay`'s
+/// two arms; every other run keeps them on).
 fn run_campaign(
     suite: &ForgedSuite,
     mode: ExecutionMode,
     snapshots: bool,
-) -> (CampaignReport, ScoreCard) {
-    run_campaign_observed(suite, mode, snapshots, true, None, false, None)
-}
-
-/// [`run_campaign`] with an optional `diode-obs` recorder attached,
-/// optional live per-site progress streaming to stderr, and an optional
-/// diode-pulse telemetry bus.
-#[allow(clippy::too_many_arguments)]
-fn run_campaign_observed(
-    suite: &ForgedSuite,
-    mode: ExecutionMode,
-    snapshots: bool,
-    shared_cache: bool,
-    recorder: Option<Arc<Recorder>>,
-    progress: bool,
-    pulse: Option<PulseConfig>,
 ) -> (CampaignReport, ScoreCard) {
     let mut spec = CampaignSpec {
         mode,
         ..CampaignSpec::from_corpus(suite)
     };
     spec.config.prefix_snapshots = snapshots;
-    spec.shared_cache = shared_cache;
-    spec.recorder = recorder;
-    spec.pulse = pulse;
+    let report = spec.run();
+    let card = score(&report, &suite.oracle);
+    (report, card)
+}
+
+/// Runs the suite with an optional `diode-obs` recorder attached,
+/// optional live per-site progress streaming to stderr, and an optional
+/// diode-pulse telemetry bus.
+fn run_campaign_observed(
+    suite: &ForgedSuite,
+    mode: ExecutionMode,
+    recorder: Option<Arc<Recorder>>,
+    progress: bool,
+    pulse: Option<PulseConfig>,
+) -> (CampaignReport, ScoreCard) {
+    let spec = CampaignSpec {
+        mode,
+        recorder,
+        pulse,
+        ..CampaignSpec::from_corpus(suite)
+    };
     let report = if progress {
         spec.run_with_progress(&LiveProgress)
     } else {
@@ -739,8 +735,6 @@ fn run_artifact(
         let (report, card) = run_campaign_observed(
             suite,
             ExecutionMode::Parallel { threads: None },
-            true,
-            true,
             Some(Arc::clone(&recorder)),
             false,
             Some(capture.config.clone()),

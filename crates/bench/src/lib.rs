@@ -35,10 +35,7 @@ use diode_core::{
     analyze_program, full_path_constraint_satisfiable, success_rate, DiodeConfig, ProgramAnalysis,
     SiteOutcome, SuccessRate,
 };
-use diode_engine::{
-    analyze_program_parallel, CampaignApp, CampaignReport, CampaignSpec, ExecutionMode,
-    SnapshotKeys,
-};
+use diode_engine::{CampaignApp, CampaignReport, CampaignSpec, ExecutionMode, UnitReport};
 use diode_fuzz::{FuzzOutcome, RandomFuzzer, TaintFuzzer};
 use diode_solver::SolverCache;
 use diode_synth::SynthOracle;
@@ -103,7 +100,10 @@ impl AnalysisBackend {
     pub fn analyze(&self, app: &App, config: &DiodeConfig) -> ProgramAnalysis {
         match self {
             AnalysisBackend::Engine { threads } => {
-                analyze_program_parallel(&app.program, &app.seed, &app.format, config, *threads)
+                let report = engine_campaign(std::slice::from_ref(app), config, *threads);
+                let wall_time = report.wall_time;
+                let unit = report.units.into_iter().next().expect("one unit per app");
+                unit_analysis(unit, wall_time)
             }
             AnalysisBackend::Sequential => {
                 analyze_program(&app.program, &app.seed, &app.format, config)
@@ -226,77 +226,72 @@ pub struct Table1Row {
 /// clock, which interleaving makes meaningless per app.
 #[must_use]
 pub fn table1_rows(apps: &[App], config: &DiodeConfig, backend: AnalysisBackend) -> Vec<Table1Row> {
-    let threads = match backend {
-        AnalysisBackend::Sequential => {
-            return apps
-                .iter()
-                .map(|app| {
-                    let analysis = analyze_program(&app.program, &app.seed, &app.format, config);
-                    Table1Row {
-                        app: app.name,
-                        measured: analysis.counts(),
-                        paper: app.expected_counts(),
-                        analysis_time: analysis.analysis_time,
-                        analysis,
-                    }
-                })
-                .collect();
-        }
-        AnalysisBackend::Engine { threads } => threads,
-    };
-    let spec = CampaignSpec {
-        apps: apps
+    let analyses: Vec<ProgramAnalysis> = match backend {
+        AnalysisBackend::Sequential => apps
             .iter()
-            .map(|a| CampaignApp::new(a.name, a.program.clone(), a.format.clone(), a.seed.clone()))
+            .map(|app| analyze_program(&app.program, &app.seed, &app.format, config))
             .collect(),
-        config: config.clone(),
-        mode: ExecutionMode::Parallel { threads },
-        // Respect the caller's cache decision (config.query_cache); an
-        // implicit campaign cache would make backend timings incomparable.
-        shared_cache: false,
-        // Same reasoning for snapshots: honor config.prefix_snapshots
-        // per-site (both backends then behave identically) without an
-        // engine-only shared cache skewing the comparison.
-        shared_snapshots: false,
-        snapshot_cache: None,
-        snapshot_keys: SnapshotKeys::default(),
-        // Table 1 is pure classification; re-validation belongs to the
-        // campaign API's bug-report consumers.
-        verify_exposed: false,
-        recorder: None,
-        pulse: None,
+        AnalysisBackend::Engine { threads } => engine_campaign(apps, config, threads)
+            .units
+            .into_iter()
+            .map(|unit| {
+                let work: Duration = unit
+                    .sites
+                    .iter()
+                    .map(|s| {
+                        s.report.discovery_time
+                            + s.report
+                                .extraction
+                                .as_ref()
+                                .map_or(Duration::ZERO, |e| e.extraction_time)
+                    })
+                    .sum();
+                let analysis_time = unit.identify_time + work;
+                unit_analysis(unit, analysis_time)
+            })
+            .collect(),
     };
-    let report = spec.run();
-    report
-        .units
-        .into_iter()
-        .zip(apps)
-        .map(|(unit, app)| {
-            let work: Duration = unit
-                .sites
-                .iter()
-                .map(|s| {
-                    s.report.discovery_time
-                        + s.report
-                            .extraction
-                            .as_ref()
-                            .map_or(Duration::ZERO, |e| e.extraction_time)
-                })
-                .sum();
-            let analysis_time = unit.identify_time + work;
-            let analysis = ProgramAnalysis {
-                analysis_time,
-                sites: unit.sites.into_iter().map(|s| s.report).collect(),
-            };
-            Table1Row {
-                app: app.name,
-                measured: analysis.counts(),
-                paper: app.expected_counts(),
-                analysis_time,
-                analysis,
-            }
+    apps.iter()
+        .zip(analyses)
+        .map(|(app, analysis)| Table1Row {
+            app: app.name,
+            measured: analysis.counts(),
+            paper: app.expected_counts(),
+            analysis_time: analysis.analysis_time,
+            analysis,
         })
         .collect()
+}
+
+/// Runs `apps` as one engine campaign that behaves like the sequential
+/// `diode-core` path: the caller's config verbatim (its `query_cache` is
+/// the only solver cache, so backend timings stay comparable), no
+/// campaign snapshot cache (with `prefix_snapshots` on, each site uses a
+/// local slot exactly as `analyze_site` does), and no re-validation —
+/// Table 1 and its siblings are pure classification.
+fn engine_campaign(apps: &[App], config: &DiodeConfig, threads: Option<usize>) -> CampaignReport {
+    CampaignSpec {
+        config: config.clone(),
+        mode: ExecutionMode::Parallel { threads },
+        snapshot_cache: None,
+        verify_exposed: false,
+        ..CampaignSpec::new(
+            apps.iter()
+                .map(|a| {
+                    CampaignApp::new(a.name, a.program.clone(), a.format.clone(), a.seed.clone())
+                })
+                .collect(),
+        )
+    }
+    .run()
+}
+
+/// A campaign unit as the [`ProgramAnalysis`] `analyze_program` returns.
+fn unit_analysis(unit: UnitReport, analysis_time: Duration) -> ProgramAnalysis {
+    ProgramAnalysis {
+        analysis_time,
+        sites: unit.sites.into_iter().map(|s| s.report).collect(),
+    }
 }
 
 /// Renders Table 1 with measured-vs-paper columns.

@@ -43,7 +43,9 @@ pub struct SnapshotStats {
     /// Candidate tests actually resumed from a snapshot (hits whose
     /// validation passed). `hits - resumes` counts invalidations.
     pub resumes: u64,
-    /// Prefix snapshots captured.
+    /// Prefix snapshots captured into a slot. A capture that finds its
+    /// slot already holding a snapshot (two identical units warming the
+    /// same slot) is discarded and not counted.
     pub captures: u64,
     /// Stage-2 extractions resumed from a prefix snapshot (the per-site
     /// symbolic seed run replayed only its suffix).
@@ -152,24 +154,12 @@ impl SiteSlot {
         }
     }
 
-    /// The probe result recorded so far, for reports and persisted
-    /// snapshot metadata.
+    /// The probe result recorded so far, for site reports.
     #[must_use]
     pub fn first_divergent_step(&self) -> Option<u64> {
         match &*self.state.lock().unwrap() {
             SlotState::Probed { step } | SlotState::Ready { step, .. } => Some(*step),
             SlotState::Empty | SlotState::Inert => None,
-        }
-    }
-
-    /// Seeds the slot with a probe recorded by an earlier run (corpus
-    /// replay), skipping the probing candidate. No-op unless empty.
-    pub fn prime(&self, first_divergent_step: u64) {
-        let mut state = self.state.lock().unwrap();
-        if matches!(*state, SlotState::Empty) {
-            *state = SlotState::Probed {
-                step: first_divergent_step,
-            };
         }
     }
 
@@ -198,9 +188,9 @@ impl SiteSlot {
         snapshot: Snapshot<Symbolic>,
         extract_safe: bool,
     ) {
-        self.counters.captures.fetch_add(1, Ordering::Relaxed);
         let mut state = self.state.lock().unwrap();
         if matches!(*state, SlotState::Probed { .. } | SlotState::Empty) {
+            self.counters.captures.fetch_add(1, Ordering::Relaxed);
             self.counters.bytes.add(snapshot.approx_bytes());
             *state = SlotState::Ready {
                 step,
@@ -267,9 +257,9 @@ impl SiteSlot {
 
 /// A thread-safe map from `(unit, site label)` to [`SiteSlot`]s, shared
 /// across campaign workers behind an `Arc` (the same discipline as the
-/// solver-query cache). The `unit` key is caller-chosen — campaigns use
-/// `(app index << 32) | seed index` — so snapshots never leak between
-/// workloads whose prefixes have nothing in common.
+/// solver-query cache). The `unit` key is caller-chosen — campaigns use a
+/// fingerprint of the unit's program text and seed bytes — so snapshots
+/// are shared only between workloads whose prefixes are identical.
 #[derive(Debug, Default)]
 pub struct SnapshotCache {
     slots: Mutex<HashMap<(u64, Label), Arc<SiteSlot>>>,
@@ -293,13 +283,6 @@ impl SnapshotCache {
                 .entry((unit, label))
                 .or_insert_with(|| Arc::new(SiteSlot::with_counters(Arc::clone(&self.counters)))),
         )
-    }
-
-    /// Seeds a slot with a probe step recorded by an earlier run (corpus
-    /// snapshot metadata), so the first candidate run captures instead of
-    /// probing.
-    pub fn prime(&self, unit: u64, label: Label, first_divergent_step: u64) {
-        self.slot(unit, label).prime(first_divergent_step);
     }
 
     /// Aggregate counters plus the number of ready snapshots held.
@@ -431,15 +414,5 @@ mod tests {
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.resumes, 1);
         assert_eq!(stats.entries, 0);
-    }
-
-    #[test]
-    fn priming_skips_the_probe_state() {
-        let cache = SnapshotCache::new();
-        cache.prime(0, Label(9), 100);
-        assert!(matches!(
-            cache.slot(0, Label(9)).plan(),
-            TestPlan::Capture(100)
-        ));
     }
 }

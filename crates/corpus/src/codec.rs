@@ -12,7 +12,6 @@ use diode_synth::{
 };
 
 use crate::json::Json;
-use crate::snapmeta::{SnapshotMeta, SnapshotMetaSet};
 use crate::witness::{ScoreSummary, SiteWitness, WitnessSet};
 use crate::CorpusError;
 
@@ -515,67 +514,4 @@ pub fn witness_from_json(doc: &str, v: &Json) -> Result<WitnessSet, CorpusError>
         ));
     }
     Ok(set)
-}
-
-// --------------------------------------------------------------------------
-// snapshots.json
-
-/// Serializes a snapshot-metadata set.
-#[must_use]
-pub fn snapmeta_json(m: &SnapshotMetaSet) -> Json {
-    let sites: Vec<Json> = m
-        .sites
-        .iter()
-        .map(|s| {
-            Json::obj()
-                .field("app", s.app.clone())
-                .field("seed_index", s.seed_index)
-                .field("site", s.site.clone())
-                .field("first_divergent_step", s.first_divergent_step)
-                .field("divergent_bytes", s.divergent_bytes.to_vec())
-                .field("candidates", s.candidates)
-                .field("resumed", s.resumed)
-        })
-        .collect();
-    Json::obj()
-        .field("version", LAYOUT_VERSION)
-        .field("suite_id", m.suite_id.clone())
-        .field("sites", Json::Arr(sites))
-}
-
-/// Parses a snapshot-metadata set.
-pub fn snapmeta_from_json(doc: &str, v: &Json) -> Result<SnapshotMetaSet, CorpusError> {
-    check_version(doc, v)?;
-    let mut sites = Vec::new();
-    for s in need_arr(doc, v, "sites")? {
-        let first_divergent_step = match need(doc, s, "first_divergent_step")? {
-            Json::Null => None,
-            other => Some(
-                other
-                    .as_u64()
-                    .ok_or_else(|| bad(doc, "first_divergent_step is not a u64"))?,
-            ),
-        };
-        let divergent_bytes = need_arr(doc, s, "divergent_bytes")?
-            .iter()
-            .map(|b| {
-                b.as_u64()
-                    .and_then(|n| u32::try_from(n).ok())
-                    .ok_or_else(|| bad(doc, "divergent byte offset is not a u32"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        sites.push(SnapshotMeta {
-            app: need_str(doc, s, "app")?,
-            seed_index: need_usize(doc, s, "seed_index")?,
-            site: need_str(doc, s, "site")?,
-            first_divergent_step,
-            divergent_bytes,
-            candidates: need_u64(doc, s, "candidates")?,
-            resumed: need_u64(doc, s, "resumed")?,
-        });
-    }
-    Ok(SnapshotMetaSet {
-        suite_id: need_str(doc, v, "suite_id")?,
-        sites,
-    })
 }

@@ -67,7 +67,6 @@ use std::path::PathBuf;
 mod audit;
 mod codec;
 pub mod json;
-mod snapmeta;
 mod store;
 mod witness;
 
@@ -77,7 +76,6 @@ pub use audit::{
 };
 pub use codec::LAYOUT_VERSION;
 pub use json::{Json, JsonError};
-pub use snapmeta::{SnapshotMeta, SnapshotMetaSet};
 pub use store::{CorpusStore, ReplayableSuite, SuiteSummary};
 pub use witness::{
     outcome_token, ChangedSite, CorpusDiff, ScoreSummary, SiteKey, SiteWitness, WitnessSet,

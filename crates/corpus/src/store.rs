@@ -11,7 +11,9 @@
 //! ```
 //!
 //! `manifest.json` is written last, so its presence marks a complete
-//! suite; [`CorpusStore::list`] ignores directories without one. Saving
+//! suite; [`CorpusStore::list`] ignores directories without one. Other
+//! files in a suite directory (such as the per-site snapshot metadata
+//! earlier versions recorded next to `witnesses/`) are ignored. Saving
 //! is idempotent: a suite's directory name *is* its content hash, so
 //! re-saving identical content is a no-op and divergent content cannot
 //! collide.
@@ -28,7 +30,6 @@ use diode_synth::{
 use crate::audit::{self, AuditSet};
 use crate::codec;
 use crate::json::Json;
-use crate::snapmeta::SnapshotMetaSet;
 use crate::witness::WitnessSet;
 use crate::CorpusError;
 
@@ -64,25 +65,13 @@ impl ReplayableSuite {
     /// report against the stored oracle.
     #[must_use]
     pub fn replay(&self, mode: ExecutionMode) -> (CampaignReport, ScoreCard) {
-        let spec = CampaignSpec {
-            mode,
-            ..CampaignSpec::from_corpus(self)
-        };
-        let report = spec.run();
-        let card = score(&report, &self.suite.oracle);
-        (report, card)
+        self.replay_with(mode, false)
     }
 
     /// Freezes a replay into a labelled witness set for this suite.
     #[must_use]
     pub fn witnesses(&self, label: &str, report: &CampaignReport) -> WitnessSet {
         WitnessSet::from_report(self.id(), label, report, Some(&self.suite.oracle))
-    }
-
-    /// Freezes a replay's prefix-snapshot telemetry for this suite.
-    #[must_use]
-    pub fn snapshot_meta(&self, report: &CampaignReport) -> SnapshotMetaSet {
-        SnapshotMetaSet::from_report(self.id(), report)
     }
 
     /// Freezes a replay's decision provenance, when the run was audited.
@@ -100,23 +89,16 @@ impl ReplayableSuite {
     /// [`ProvenanceRecord`]: diode_obs::ProvenanceRecord
     #[must_use]
     pub fn replay_audited(&self, mode: ExecutionMode) -> (CampaignReport, ScoreCard) {
-        self.replay_with(mode, None, true)
+        self.replay_with(mode, true)
     }
 
-    /// The general replay: optional snapshot-cache priming and optional
-    /// decision-provenance auditing, composed. Neither observation
-    /// changes outcomes — reports stay byte-identical to a bare
+    /// The general replay, with optional decision-provenance auditing.
+    /// Auditing only observes: reports stay byte-identical to a bare
     /// [`replay`](ReplayableSuite::replay).
     #[must_use]
-    pub fn replay_with(
-        &self,
-        mode: ExecutionMode,
-        meta: Option<&SnapshotMetaSet>,
-        audit: bool,
-    ) -> (CampaignReport, ScoreCard) {
+    pub fn replay_with(&self, mode: ExecutionMode, audit: bool) -> (CampaignReport, ScoreCard) {
         let spec = CampaignSpec {
             mode,
-            snapshot_cache: meta.map(|m| std::sync::Arc::new(m.primed_cache(self))),
             recorder: audit
                 .then(|| std::sync::Arc::new(diode_engine::Recorder::new().with_audit())),
             ..CampaignSpec::from_corpus(self)
@@ -124,21 +106,6 @@ impl ReplayableSuite {
         let report = spec.run();
         let card = score(&report, &self.suite.oracle);
         (report, card)
-    }
-
-    /// [`replay`](ReplayableSuite::replay) with the campaign's snapshot
-    /// cache primed from recorded metadata: every site's divergence
-    /// boundary is installed up front, so the warm-up captures at the
-    /// recorded steps and candidate testing skips straight to the
-    /// recorded divergent suffixes. Results are byte-identical to an
-    /// unprimed replay (priming is a scheduling hint, never an input).
-    #[must_use]
-    pub fn replay_primed(
-        &self,
-        mode: ExecutionMode,
-        meta: &SnapshotMetaSet,
-    ) -> (CampaignReport, ScoreCard) {
-        self.replay_with(mode, Some(meta), false)
     }
 }
 
@@ -433,32 +400,6 @@ impl CorpusStore {
             .join(format!("{}.json", witnesses.label));
         write_file(&path, codec::witness_json(witnesses).to_string().as_bytes())?;
         Ok(path)
-    }
-
-    /// Records a run's prefix-snapshot metadata as `snapshots.json` in
-    /// its suite directory (next to `witnesses/`), overwriting the
-    /// previous record: the file tracks the *latest* known divergence
-    /// boundaries, which a later `corpus replay` primes its snapshot
-    /// cache from. Empty sets (snapshot-free runs) are not written.
-    pub fn record_snapshots(&self, meta: &SnapshotMetaSet) -> Result<Option<PathBuf>, CorpusError> {
-        if meta.is_empty() {
-            return Ok(None);
-        }
-        let id = self.resolve(&meta.suite_id)?;
-        let path = self.suite_dir(&id).join("snapshots.json");
-        write_file(&path, codec::snapmeta_json(meta).to_string().as_bytes())?;
-        Ok(Some(path))
-    }
-
-    /// Loads a suite's recorded snapshot metadata, if any was recorded.
-    pub fn load_snapshots(&self, id: &str) -> Result<Option<SnapshotMetaSet>, CorpusError> {
-        let id = self.resolve(id)?;
-        let path = self.suite_dir(&id).join("snapshots.json");
-        if !path.exists() {
-            return Ok(None);
-        }
-        let doc = read_doc(&path)?;
-        codec::snapmeta_from_json("snapshots.json", &doc).map(Some)
     }
 
     /// Records an audit set as one document per site under

@@ -3,7 +3,7 @@
 
 use std::path::PathBuf;
 
-use diode_corpus::{CorpusDiff, CorpusError, CorpusStore};
+use diode_corpus::{CorpusDiff, CorpusError, CorpusStore, Json, LAYOUT_VERSION};
 use diode_engine::{CampaignApp, CampaignSpec, ExecutionMode};
 use diode_lang::parse;
 use diode_synth::{forge, GroundTruth, SynthConfig};
@@ -237,41 +237,64 @@ fn store_surfaces_typed_errors() {
 }
 
 #[test]
-fn snapshot_metadata_roundtrips_and_primes_replays() {
-    let dir = scratch("snapmeta");
+fn suites_holding_legacy_snapshot_metadata_still_load_list_and_replay() {
+    // Earlier versions recorded per-site snapshot metadata next to
+    // `witnesses/`, and corpora already on disk keep that file. The
+    // store must ignore it: the suite loads, lists (what `corpus ls`
+    // prints), and replays to the recorded witnesses' fingerprint.
+    let dir = scratch("legacy-snapmeta");
     let store = CorpusStore::open(&dir).unwrap();
     let saved = store.forge_and_save(&small_cfg(0xBEEF)).unwrap();
-
-    // Nothing recorded yet.
-    assert!(store.load_snapshots(saved.id()).unwrap().is_none());
-
     let (report, card) = saved.replay(ExecutionMode::default());
-    assert!(card.is_perfect());
-    let meta = saved.snapshot_meta(&report);
-    assert!(
-        !meta.is_empty(),
-        "default replay runs with prefix snapshots on"
-    );
-    assert_eq!(meta.sites.len(), saved.suite.total_sites());
-    store.record_snapshots(&meta).unwrap().expect("written");
+    assert!(card.is_perfect(), "{:?}", card.mismatches);
+    store
+        .record_witnesses(&saved.witnesses("baseline", &report))
+        .unwrap();
 
-    // Round-trip through disk.
-    let loaded = store.load_snapshots(saved.id()).unwrap().expect("recorded");
-    assert_eq!(loaded, meta);
+    // The metadata document exactly as the old layout wrote it.
+    let sites: Vec<Json> = report
+        .units
+        .iter()
+        .flat_map(|u| u.sites.iter().map(move |s| (u, s)))
+        .filter_map(|(u, s)| {
+            let info = s.report.snapshot.as_ref()?;
+            Some(
+                Json::obj()
+                    .field("app", u.app.clone())
+                    .field("seed_index", u.seed_index)
+                    .field("site", s.report.site.clone())
+                    .field("first_divergent_step", info.first_divergent_step)
+                    .field("divergent_bytes", info.divergent_bytes.clone())
+                    .field("candidates", info.candidates)
+                    .field("resumed", info.resumed),
+            )
+        })
+        .collect();
+    assert_eq!(sites.len(), saved.suite.total_sites());
+    let legacy = Json::obj()
+        .field("version", LAYOUT_VERSION)
+        .field("suite_id", saved.id())
+        .field("sites", Json::Arr(sites));
+    let legacy_path = store
+        .suite_dir(saved.id())
+        .join("snapshots")
+        .with_extension("json");
+    std::fs::write(&legacy_path, legacy.to_string()).unwrap();
 
-    // A primed replay skips the probe states and stays byte-identical.
-    let (primed_report, primed_card) = saved.replay_primed(ExecutionMode::default(), &loaded);
-    assert_eq!(
-        report.outcome_fingerprint(),
-        primed_report.outcome_fingerprint(),
-        "priming is a scheduling hint, never an input"
-    );
-    assert_eq!(card.recall(), primed_card.recall());
-    let stats = primed_report.snapshots.expect("snapshots on");
-    assert!(stats.resumes >= 1, "{stats:?}");
-
-    // The refreshed metadata matches what the first run derived.
-    assert_eq!(saved.snapshot_meta(&primed_report), meta);
+    // "Another process" opens the same root.
+    let store2 = CorpusStore::open(&dir).unwrap();
+    let listed = store2.list().unwrap();
+    assert_eq!(listed.len(), 1);
+    assert_eq!(listed[0].id, saved.id());
+    assert_eq!(listed[0].witnesses, vec!["baseline"]);
+    let loaded = store2.load(saved.id()).unwrap();
+    let (rerun, rerun_card) = loaded.replay(ExecutionMode::default());
+    assert!(rerun_card.is_perfect(), "{:?}", rerun_card.mismatches);
+    let recorded = store2.load_witnesses(saved.id(), "baseline").unwrap();
+    let fresh = loaded.witnesses("replay", &rerun);
+    assert_eq!(recorded.fingerprint(), fresh.fingerprint());
+    assert_eq!(recorded.scorecard, fresh.scorecard);
+    assert!(legacy_path.exists(), "replay leaves the old file untouched");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -4,20 +4,22 @@
 //! or more seed inputs) and how to run them; [`CampaignSpec::run`] fans
 //! the work out over the work-stealing scheduler and returns a
 //! [`CampaignReport`] whose per-site outcomes are aggregated in
-//! **site-label order** — byte-identical to what the sequential fallback
+//! **site-label order** — byte-identical to what the sequential path
 //! produces, regardless of thread count or stealing interleavings.
 //!
-//! The campaign installs one shared [`SolverCache`] across every worker
-//! (unless the caller already installed their own, or disabled sharing),
-//! so the repeated φ′∧β queries of enforcement iterations, bug
+//! Each spec holds one handle per cache: `config.query_cache` (a
+//! [`SolverCache`]) and `snapshot_cache` (a prefix [`SnapshotCache`]).
+//! [`CampaignSpec::new`] installs a fresh one of each, shared by every
+//! worker, so the repeated φ′∧β queries of enforcement iterations, bug
 //! verification, and overlapping experiments are answered without
-//! re-blasting; the report surfaces the hit/miss counters.
+//! re-blasting; the report surfaces the hit/miss counters. `None` runs
+//! without that cache.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use diode_core::{analyze_site, analyze_site_with_snapshots, DiodeConfig, ProgramAnalysis};
+use diode_core::{analyze_site_with_snapshots, DiodeConfig};
 use diode_core::{identify_target_sites, identify_target_sites_traced, warm_unit_slots};
 use diode_core::{test_candidate, TargetSite};
 use diode_core::{SiteOutcome, SiteReport, SnapshotCache, SnapshotStats};
@@ -74,8 +76,7 @@ impl CampaignApp {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Fan out over the work-stealing scheduler. `threads: None` uses all
-    /// available cores. Falls back to [`ExecutionMode::Sequential`] when
-    /// the `parallel` feature is disabled.
+    /// available cores.
     Parallel {
         /// Worker count; `None` = all cores.
         threads: Option<usize>,
@@ -107,33 +108,21 @@ pub trait CorpusSuite {
 pub struct CampaignSpec {
     /// The workloads.
     pub apps: Vec<CampaignApp>,
-    /// Per-site analysis configuration (shared by every job).
+    /// Per-site analysis configuration (shared by every job). Its
+    /// `query_cache` is the campaign's solver cache: every job solves
+    /// through it, and `None` solves every query from scratch.
     pub config: DiodeConfig,
     /// Parallel or sequential execution.
     pub mode: ExecutionMode,
-    /// Install one shared solver-query cache across all jobs. Ignored if
-    /// `config.query_cache` is already set (the caller's cache wins).
-    pub shared_cache: bool,
-    /// Share one prefix-[`SnapshotCache`] across all jobs (same `Arc`
-    /// discipline as the solver cache), keyed per `(app, seed, site)` so
-    /// enforcement loops resume candidate runs from stored prefixes and
-    /// the hit/miss/resume counters aggregate campaign-wide. No effect
+    /// The campaign's prefix-snapshot cache, shared by every job (the
+    /// same `Arc` discipline as the solver cache), so enforcement loops
+    /// resume candidate runs from stored prefixes and the
+    /// hit/miss/resume counters aggregate campaign-wide. Units are keyed
+    /// by a fingerprint of their program text and seed bytes, so a cache
+    /// shared across campaigns hands prefixes only to byte-identical
+    /// units. `None` gives each site a local slot instead; no effect
     /// when `config.prefix_snapshots` is off.
-    pub shared_snapshots: bool,
-    /// A caller-provided snapshot cache (e.g. primed from persisted
-    /// corpus snapshot metadata). Wins over `shared_snapshots`; still
-    /// gated by `config.prefix_snapshots`.
     pub snapshot_cache: Option<Arc<SnapshotCache>>,
-    /// How `(app, seed)` units are keyed in the snapshot cache. The
-    /// default, [`SnapshotKeys::Index`], keys by position in the spec —
-    /// correct whenever the cache lives no longer than one campaign.
-    /// [`SnapshotKeys::Content`] keys by a fingerprint of the unit's
-    /// program text and seed bytes instead, which is what makes a cache
-    /// *shared across campaigns* sound: two jobs holding the same app at
-    /// different indices reuse each other's prefixes, while distinct
-    /// programs can never collide on an index. Keying is invisible in
-    /// the report — outcomes are byte-identical either way.
-    pub snapshot_keys: SnapshotKeys,
     /// Re-validate every exposed bug after discovery: re-solve its final
     /// constraint (a guaranteed cache hit when caching is on) and re-run
     /// the triggering input, recording the result per site.
@@ -152,19 +141,6 @@ pub struct CampaignSpec {
     /// stalling a worker, and outcomes are byte-identical with pulse on
     /// or off. `None` leaves the hot path telemetry-free.
     pub pulse: Option<PulseConfig>,
-}
-
-/// Policy for deriving the snapshot-cache key of an `(app, seed)` unit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SnapshotKeys {
-    /// Key by `(app index, seed index)` — the historical scheme, right
-    /// for a cache scoped to one campaign.
-    #[default]
-    Index,
-    /// Key by a content fingerprint of the unit (program text + seed
-    /// bytes), so a cache outliving one campaign (e.g. a resident
-    /// daemon's) hands prefixes only to byte-identical units.
-    Content,
 }
 
 /// Live-telemetry attachment for a campaign: the event bus to publish
@@ -191,17 +167,15 @@ impl PulseConfig {
 
 impl CampaignSpec {
     /// A campaign over `apps` with default policy: parallel on all cores,
-    /// shared solver + snapshot caches, bug verification on.
+    /// a fresh solver cache and a fresh snapshot cache shared by every
+    /// job, bug verification on.
     #[must_use]
     pub fn new(apps: Vec<CampaignApp>) -> Self {
         CampaignSpec {
             apps,
-            config: DiodeConfig::default(),
+            config: DiodeConfig::default().with_query_cache(Arc::new(SolverCache::new())),
             mode: ExecutionMode::default(),
-            shared_cache: true,
-            shared_snapshots: true,
-            snapshot_cache: None,
-            snapshot_keys: SnapshotKeys::default(),
+            snapshot_cache: Some(Arc::new(SnapshotCache::new())),
             verify_exposed: true,
             recorder: None,
             pulse: None,
@@ -228,8 +202,8 @@ impl CampaignSpec {
     #[must_use]
     pub fn run_with_progress(&self, sink: &dyn ProgressSink) -> CampaignReport {
         let start = Instant::now();
-        let (config, cache) = self.effective_config();
-        let snapshots = self.effective_snapshots(&config);
+        let cache = self.config.query_cache.clone();
+        let snapshots = self.effective_snapshots();
         let keys = UnitKeys::new(self);
         let recorder = self.recorder.as_ref().filter(|r| r.is_enabled());
         let pulse = self
@@ -241,21 +215,10 @@ impl CampaignSpec {
             .map(|p| p.spawn_sampler(cache.clone(), snapshots.clone()));
         let done = match self.mode {
             ExecutionMode::Sequential => {
-                self.run_sequential(&config, snapshots.as_deref(), &keys, sink, pulse.as_ref())
+                self.run_sequential(snapshots.as_deref(), &keys, sink, pulse.as_ref())
             }
-            ExecutionMode::Parallel { threads } => {
-                if cfg!(feature = "parallel") {
-                    self.run_parallel(
-                        &config,
-                        snapshots.as_deref(),
-                        &keys,
-                        sink,
-                        threads,
-                        pulse.as_ref(),
-                    )
-                } else {
-                    self.run_sequential(&config, snapshots.as_deref(), &keys, sink, pulse.as_ref())
-                }
+            ExecutionMode::Parallel { .. } => {
+                self.run_parallel(snapshots.as_deref(), &keys, sink, pulse.as_ref())
             }
         };
         if let Some(s) = sampler {
@@ -297,101 +260,49 @@ impl CampaignSpec {
         report
     }
 
-    /// The campaign-wide snapshot cache: the caller's, a fresh shared
-    /// one, or none (sharing off or snapshots disabled in the config).
-    fn effective_snapshots(&self, config: &DiodeConfig) -> Option<Arc<SnapshotCache>> {
-        if !config.prefix_snapshots {
-            return None;
-        }
-        self.snapshot_cache.clone().or_else(|| {
-            self.shared_snapshots
-                .then(|| Arc::new(SnapshotCache::new()))
-        })
-    }
-
-    /// The index-based snapshot-cache unit key of one `(app, seed)`
-    /// workload (the [`SnapshotKeys::Index`] scheme).
-    #[must_use]
-    pub fn unit_key(app: usize, seed: usize) -> u64 {
-        ((app as u64) << 32) | seed as u64
-    }
-
-    /// The content-based snapshot-cache unit key of one `(app, seed)`
-    /// workload (the [`SnapshotKeys::Content`] scheme): an FNV-1a
-    /// fingerprint of the unit's canonical program text and raw seed
-    /// bytes. Stable across processes, suite orderings, and campaign
-    /// boundaries — what a resident daemon keys its shared cache by.
-    #[must_use]
-    pub fn content_unit_key(app: &CampaignApp, seed: usize) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01B3);
-            }
-        };
-        eat(diode_lang::pretty::program(&app.program).as_bytes());
-        // Separator byte so (program "a", seed "b") never collides with
-        // (program "ab", empty seed).
-        eat(&[0xFF]);
-        eat(app.seeds.get(seed).map_or(&[][..], Vec::as_slice));
-        h
+    /// The campaign-wide snapshot cache, unless snapshots are disabled in
+    /// the config.
+    fn effective_snapshots(&self) -> Option<Arc<SnapshotCache>> {
+        self.snapshot_cache
+            .clone()
+            .filter(|_| self.config.prefix_snapshots)
     }
 
     fn effective_threads(&self) -> usize {
         match self.mode {
             ExecutionMode::Sequential => 1,
             ExecutionMode::Parallel { threads } => {
-                if cfg!(feature = "parallel") {
-                    threads.unwrap_or_else(scheduler::default_threads).max(1)
-                } else {
-                    1
-                }
+                threads.unwrap_or_else(scheduler::default_threads).max(1)
             }
         }
     }
 
-    /// The per-job config: the spec's config with the campaign cache
-    /// installed (if sharing is on and the caller didn't bring their own).
-    fn effective_config(&self) -> (DiodeConfig, Option<Arc<SolverCache>>) {
-        let mut config = self.config.clone();
-        if config.query_cache.is_none() && self.shared_cache {
-            config.query_cache = Some(Arc::new(SolverCache::new()));
-        }
-        let cache = config.query_cache.clone();
-        (config, cache)
-    }
-
     fn run_parallel(
         &self,
-        config: &DiodeConfig,
         snapshots: Option<&SnapshotCache>,
         keys: &UnitKeys,
         sink: &dyn ProgressSink,
-        threads: Option<usize>,
         pulse: Option<&PulseRun>,
     ) -> Vec<Done> {
-        let threads = threads.unwrap_or_else(scheduler::default_threads).max(1);
         let initial: Vec<Job> = self
             .apps
             .iter()
             .enumerate()
             .flat_map(|(app, a)| (0..a.seeds.len()).map(move |seed| Job::Identify { app, seed }))
             .collect();
-        scheduler::execute_pulsed(
+        scheduler::execute(
             initial,
-            threads,
+            self.effective_threads(),
             self.recorder.as_ref(),
             pulse.map(|p| p.gauges.as_ref()),
             |job, spawner: &Spawner<'_, Job>| {
-                self.run_job(job, config, snapshots, keys, sink, Some(spawner), pulse)
+                self.run_job(job, snapshots, keys, sink, Some(spawner), pulse)
             },
         )
     }
 
     fn run_sequential(
         &self,
-        config: &DiodeConfig,
         snapshots: Option<&SnapshotCache>,
         keys: &UnitKeys,
         sink: &dyn ProgressSink,
@@ -402,7 +313,6 @@ impl CampaignSpec {
             for seed in 0..a.seeds.len() {
                 let identified = self.run_job(
                     Job::Identify { app, seed },
-                    config,
                     snapshots,
                     keys,
                     sink,
@@ -422,7 +332,7 @@ impl CampaignSpec {
                     .collect();
                 done.push(identified);
                 for job in site_jobs {
-                    done.push(self.run_job(job, config, snapshots, keys, sink, None, pulse));
+                    done.push(self.run_job(job, snapshots, keys, sink, None, pulse));
                 }
             }
         }
@@ -432,17 +342,16 @@ impl CampaignSpec {
     /// Executes one job. In parallel mode `spawner` is present and
     /// identification pushes per-site jobs onto the worker's own deque; in
     /// sequential mode the caller schedules them in order.
-    #[allow(clippy::too_many_arguments)]
     fn run_job(
         &self,
         job: Job,
-        config: &DiodeConfig,
         snapshots: Option<&SnapshotCache>,
         keys: &UnitKeys,
         sink: &dyn ProgressSink,
         spawner: Option<&Spawner<'_, Job>>,
         pulse: Option<&PulseRun>,
     ) -> Done {
+        let config = &self.config;
         // Worker 0 covers the sequential and inline single-thread paths.
         let worker = spawner.map_or(0, Spawner::index);
         match job {
@@ -549,7 +458,7 @@ impl CampaignSpec {
                 );
                 let verified = self
                     .verify_exposed
-                    .then(|| self.verify(&a.program, &report, config))
+                    .then(|| self.verify(&a.program, &report))
                     .flatten();
                 sink.on_event(CampaignEvent::SiteFinished {
                     app: &a.name,
@@ -588,7 +497,8 @@ impl CampaignSpec {
     /// satisfiable (re-issued through the cache — with caching on this is
     /// a guaranteed hit, since the enforcement loop solved the identical
     /// query) and its input must still trigger the overflow.
-    fn verify(&self, program: &Program, report: &SiteReport, config: &DiodeConfig) -> Option<bool> {
+    fn verify(&self, program: &Program, report: &SiteReport) -> Option<bool> {
+        let config = &self.config;
         let bug = match &report.outcome {
             SiteOutcome::Exposed(bug) => bug,
             _ => return None,
@@ -737,9 +647,9 @@ impl SamplerHandle {
 }
 
 /// Precomputed snapshot-cache keys for every `(app, seed)` unit of one
-/// campaign, resolved once per run from the spec's [`SnapshotKeys`] policy
-/// so the hot per-job path is an indexed load (content hashing walks the
-/// whole program text, which must not happen once per site job).
+/// campaign, resolved once per run so the hot per-job path is an indexed
+/// load (content hashing walks the whole program text, which must not
+/// happen once per site job).
 struct UnitKeys(Vec<Vec<u64>>);
 
 impl UnitKeys {
@@ -747,13 +657,9 @@ impl UnitKeys {
         Self(
             spec.apps
                 .iter()
-                .enumerate()
-                .map(|(app, a)| {
+                .map(|a| {
                     (0..a.seeds.len())
-                        .map(|seed| match spec.snapshot_keys {
-                            SnapshotKeys::Index => CampaignSpec::unit_key(app, seed),
-                            SnapshotKeys::Content => CampaignSpec::content_unit_key(a, seed),
-                        })
+                        .map(|seed| content_key(a, seed))
                         .collect()
                 })
                 .collect(),
@@ -763,6 +669,26 @@ impl UnitKeys {
     fn key(&self, app: usize, seed: usize) -> u64 {
         self.0[app][seed]
     }
+}
+
+/// The snapshot-cache key of one `(app, seed)` unit: an FNV-1a
+/// fingerprint of the unit's canonical program text and raw seed bytes.
+/// Stable across processes, suite orderings, and campaign boundaries, so
+/// two units share prefixes only when they are byte-identical.
+fn content_key(app: &CampaignApp, seed: usize) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+    };
+    eat(diode_lang::pretty::program(&app.program).as_bytes());
+    // Separator byte so (program "a", seed "b") never collides with
+    // (program "ab", empty seed).
+    eat(&[0xFF]);
+    eat(&app.seeds[seed]);
+    h
 }
 
 enum Job {
@@ -962,37 +888,4 @@ pub struct NoProgress;
 
 impl ProgressSink for NoProgress {
     fn on_event(&self, _event: CampaignEvent<'_>) {}
-}
-
-/// Drop-in parallel counterpart of [`diode_core::analyze_program`]: same
-/// inputs, same `ProgramAnalysis` (site reports in site-label order), with
-/// the per-site analyses fanned out over the scheduler. Honors
-/// `config.query_cache` if installed; adds none by itself, so results are
-/// bit-for-bit those of the sequential path.
-#[must_use]
-pub fn analyze_program_parallel(
-    program: &Program,
-    seed: &[u8],
-    format: &FormatDesc,
-    config: &DiodeConfig,
-    threads: Option<usize>,
-) -> ProgramAnalysis {
-    let start = Instant::now();
-    let targets = identify_target_sites(program, seed, &config.machine);
-    let threads = threads
-        .unwrap_or_else(scheduler::default_threads)
-        .max(1)
-        .min(targets.len().max(1));
-    let mut reports: Vec<(usize, SiteReport)> = scheduler::execute(
-        targets.iter().enumerate().collect(),
-        threads,
-        |(idx, target), _spawner: &Spawner<'_, (usize, &TargetSite)>| {
-            (idx, analyze_site(program, seed, format, target, config))
-        },
-    );
-    reports.sort_by_key(|(idx, _)| *idx);
-    ProgramAnalysis {
-        analysis_time: start.elapsed(),
-        sites: reports.into_iter().map(|(_, r)| r).collect(),
-    }
 }

@@ -19,10 +19,10 @@
 //!
 //! Determinism is a contract: a parallel campaign's [`CampaignReport`] is
 //! byte-identical (site outcomes, enforcement counts, triggering inputs)
-//! to the sequential fallback's, because every job is a pure function and
-//! aggregation ignores completion order. The sequential path stays
-//! available via [`ExecutionMode::Sequential`] or by building with
-//! `--no-default-features` (dropping the `parallel` feature).
+//! to the sequential path's, because every job is a pure function and
+//! aggregation ignores completion order. [`ExecutionMode::Sequential`]
+//! keeps the single-threaded path as the reference that determinism
+//! tests compare against.
 //!
 //! ```
 //! use diode_engine::{CampaignApp, CampaignSpec};
@@ -60,9 +60,8 @@ mod campaign;
 pub mod scheduler;
 
 pub use campaign::{
-    analyze_program_parallel, CampaignApp, CampaignEvent, CampaignReport, CampaignSpec,
-    CorpusSuite, ExecutionMode, NoProgress, ProgressSink, PulseConfig, SiteRecord, SnapshotKeys,
-    UnitReport,
+    CampaignApp, CampaignEvent, CampaignReport, CampaignSpec, CorpusSuite, ExecutionMode,
+    NoProgress, ProgressSink, PulseConfig, SiteRecord, UnitReport,
 };
 pub use diode_core::{SnapshotCache, SnapshotStats};
 pub use diode_obs::{

@@ -116,38 +116,13 @@ pub fn default_threads() -> usize {
 /// workers, returning every job's result in an **unspecified order**.
 ///
 /// `worker` must be a pure function of the job for campaign determinism;
-/// the scheduler guarantees each job runs exactly once.
-pub fn execute<J, R, F>(initial: Vec<J>, threads: usize, worker: F) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J, &Spawner<'_, J>) -> R + Sync,
-{
-    execute_observed(initial, threads, None, worker)
-}
-
-/// [`execute`] with an optional [`Recorder`]: when attached, workers
-/// report queue-wait time (volatile spans + a histogram) and steal/job
-/// counters into it.
-pub fn execute_observed<J, R, F>(
-    initial: Vec<J>,
-    threads: usize,
-    recorder: Option<&Arc<Recorder>>,
-    worker: F,
-) -> Vec<R>
-where
-    J: Send,
-    R: Send,
-    F: Fn(J, &Spawner<'_, J>) -> R + Sync,
-{
-    execute_pulsed(initial, threads, recorder, None, worker)
-}
-
-/// [`execute_observed`] with optional live [`SchedGauges`]: when attached,
-/// workers additionally maintain the queue-depth/steal/retire counters the
+/// the scheduler guarantees each job runs exactly once. Two optional
+/// observers ride along without changing results: a [`Recorder`] gets
+/// queue-wait time (volatile spans + a histogram) and steal/job counters,
+/// and live [`SchedGauges`] get the queue-depth/steal/retire counters the
 /// pulse heartbeat sampler reads. `None` keeps the hot path free of any
 /// telemetry stores.
-pub fn execute_pulsed<J, R, F>(
+pub fn execute<J, R, F>(
     initial: Vec<J>,
     threads: usize,
     recorder: Option<&Arc<Recorder>>,
@@ -280,7 +255,7 @@ mod tests {
     #[test]
     fn runs_every_job_exactly_once() {
         let jobs: Vec<u64> = (0..1000).collect();
-        let mut out = execute(jobs, 8, |j, _| j);
+        let mut out = execute(jobs, 8, None, None, |j, _| j);
         out.sort_unstable();
         assert_eq!(out, (0..1000).collect::<Vec<_>>());
     }
@@ -294,7 +269,7 @@ mod tests {
             Child,
         }
         let roots: Vec<Job> = (0..20).map(Job::Root).collect();
-        let out = execute(roots, 4, |j, spawner| match j {
+        let out = execute(roots, 4, None, None, |j, spawner| match j {
             Job::Root(n) => {
                 for _ in 0..n {
                     spawner.spawn(Job::Child);
@@ -314,7 +289,7 @@ mod tests {
         // serialize behind the long job (smoke-tested via wall clock).
         let counter = AtomicU64::new(0);
         let jobs: Vec<u32> = (0..64).collect();
-        let out = execute(jobs, 8, |j, _| {
+        let out = execute(jobs, 8, None, None, |j, _| {
             let spins = if j == 0 { 2_000_000 } else { 10_000 };
             let mut acc = 0u64;
             for i in 0..spins {
@@ -329,20 +304,20 @@ mod tests {
 
     #[test]
     fn single_thread_runs_inline() {
-        let out = execute(vec![1, 2, 3], 1, |j, _| j * 2);
+        let out = execute(vec![1, 2, 3], 1, None, None, |j, _| j * 2);
         assert_eq!(out, vec![2, 4, 6]);
     }
 
     #[test]
     fn empty_batch_is_fine() {
-        let out: Vec<u32> = execute(Vec::<u32>::new(), 4, |j, _| j);
+        let out: Vec<u32> = execute(Vec::<u32>::new(), 4, None, None, |j, _| j);
         assert!(out.is_empty());
     }
 
     #[test]
     fn gauges_balance_and_count_retires() {
         let g = SchedGauges::new();
-        let out = execute_pulsed(
+        let out = execute(
             (0..100u32).collect(),
             4,
             None,
@@ -361,9 +336,17 @@ mod tests {
 
     #[test]
     fn spawner_reports_worker_index() {
-        let out = execute(vec![(), (), ()], 1, |(), s: &Spawner<'_, ()>| s.index());
+        let out = execute(
+            vec![(), (), ()],
+            1,
+            None,
+            None,
+            |(), s: &Spawner<'_, ()>| s.index(),
+        );
         assert_eq!(out, vec![0, 0, 0], "inline single worker is index 0");
-        let out = execute((0..64).collect::<Vec<u32>>(), 4, |_, s| s.index());
+        let out = execute((0..64).collect::<Vec<u32>>(), 4, None, None, |_, s| {
+            s.index()
+        });
         assert!(out.iter().all(|&i| i < 4));
     }
 
@@ -373,7 +356,7 @@ mod tests {
         // workers drain the rest of the batch and the panic resurfaces at
         // the `execute` call instead of deadlocking the scope join.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute((0..64u32).collect(), 4, |j, _| {
+            execute((0..64u32).collect(), 4, None, None, |j, _| {
                 assert!(j != 13, "boom");
                 j
             })

@@ -5,9 +5,7 @@
 use std::sync::Mutex;
 
 use diode_core::{analyze_program, DiodeConfig, SiteOutcome};
-use diode_engine::{
-    analyze_program_parallel, CampaignApp, CampaignEvent, CampaignSpec, ExecutionMode, ProgressSink,
-};
+use diode_engine::{CampaignApp, CampaignEvent, CampaignSpec, ExecutionMode, ProgressSink};
 
 fn benchmark_campaign() -> Vec<CampaignApp> {
     diode_apps::all_apps()
@@ -33,8 +31,9 @@ fn parallel_campaign_is_byte_identical_to_sequential() {
     let parallel = CampaignSpec::new(benchmark_campaign()).run();
     let sequential = CampaignSpec {
         mode: ExecutionMode::Sequential,
-        // The reference run: no cache at all, original solve path.
-        shared_cache: false,
+        // The reference run: no caches at all, original solve path.
+        config: DiodeConfig::default(),
+        snapshot_cache: None,
         ..CampaignSpec::new(benchmark_campaign())
     }
     .run();
@@ -73,20 +72,6 @@ fn parallel_campaign_matches_core_analyze_program() {
 }
 
 #[test]
-fn analyze_program_parallel_is_a_drop_in_replacement() {
-    let config = DiodeConfig::default();
-    for app in diode_apps::all_apps() {
-        let seq = analyze_program(&app.program, &app.seed, &app.format, &config);
-        let par = analyze_program_parallel(&app.program, &app.seed, &app.format, &config, None);
-        assert_eq!(par.counts(), seq.counts(), "{}", app.name);
-        for (p, s) in par.sites.iter().zip(&seq.sites) {
-            assert_eq!(p.site, s.site, "{}: order preserved", app.name);
-            assert_eq!(fingerprint(&p.outcome), fingerprint(&s.outcome));
-        }
-    }
-}
-
-#[test]
 fn every_exposed_bug_reverifies() {
     let report = CampaignSpec::new(benchmark_campaign()).run();
     let mut exposed = 0;
@@ -111,7 +96,7 @@ fn every_exposed_bug_reverifies() {
 }
 
 #[test]
-fn shared_cache_absorbs_enforcement_queries() {
+fn campaign_cache_absorbs_enforcement_queries() {
     let report = CampaignSpec::new(benchmark_campaign()).run();
     let stats = report.cache.expect("default campaign installs a cache");
     // Re-validation re-issues every exposed site's final constraint, and
@@ -177,6 +162,41 @@ fn snapshot_campaign_is_byte_identical_to_full_reexecution() {
     assert_eq!(stats.hits, stats.resumes, "seed-prefix snapshots validate");
     assert_eq!(stats.misses, 0, "warmed campaigns never re-execute");
     assert_eq!(stats.extract_resumes, 40, "every extraction resumes");
+}
+
+#[test]
+fn identical_units_share_snapshot_slots() {
+    // Snapshot slots are keyed by unit content, not position: the same
+    // §5 app listed twice warms one set of slots, so the campaign
+    // captures exactly what a single copy does.
+    let campaign = |copies: usize| {
+        let dillo = diode_apps::dillo::app();
+        let apps = (0..copies)
+            .map(|_| {
+                CampaignApp::new(
+                    dillo.name,
+                    dillo.program.clone(),
+                    dillo.format.clone(),
+                    dillo.seed.clone(),
+                )
+            })
+            .collect();
+        CampaignSpec::new(apps).run()
+    };
+    let single = campaign(1);
+    let double = campaign(2);
+    let captures = |r: &diode_engine::CampaignReport| r.snapshots.expect("snapshots on").captures;
+    assert!(captures(&single) > 0, "the app has warmable sites");
+    assert_eq!(
+        captures(&double),
+        captures(&single),
+        "the second copy reuses the first copy's prefixes"
+    );
+    let fingerprint = double.outcome_fingerprint();
+    let lines: Vec<&str> = fingerprint.lines().collect();
+    let (first, second) = lines.split_at(lines.len() / 2);
+    assert_eq!(first, second, "both copies reach the same verdicts");
+    assert_eq!(first.join("\n") + "\n", single.outcome_fingerprint());
 }
 
 #[test]

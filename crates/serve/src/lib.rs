@@ -18,10 +18,10 @@
 //!   daemon-run report's outcome fingerprint is byte-identical to a
 //!   cold one-shot `synth_campaign` run of the same spec (enforced by
 //!   this crate's integration tests).
-//! * **Soundness of sharing** — the solver cache is content-addressed
-//!   and inherently shareable; the snapshot cache is re-keyed per job
-//!   with `SnapshotKeys::Content` so units from different suites can
-//!   never collide positionally.
+//! * **Soundness of sharing** — both caches are content-addressed: the
+//!   solver cache by constraint structure, the snapshot cache by each
+//!   unit's program text and seed bytes, so units from different suites
+//!   share prefixes only when they are byte-identical.
 //! * **Backpressure, never blocking** — admission beyond the bounded
 //!   queue is a typed `429`; slow `watch` clients drop telemetry events
 //!   from their own ring rather than slowing the campaign.

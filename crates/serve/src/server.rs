@@ -6,11 +6,10 @@
 //!
 //! The solver cache is content-addressed (structural constraint
 //! fingerprints), so sharing one [`SolverCache`] across jobs is always
-//! sound. The snapshot cache is keyed per `(app, seed)` unit, so daemon
-//! jobs run with [`SnapshotKeys::Content`]: units are keyed by a
-//! fingerprint of their program text and seed bytes, and two different
-//! suites can never collide the way positional keys would. Outcomes
-//! stay byte-identical to a cold one-shot run either way — warm caches
+//! sound. The snapshot cache is keyed per `(app, seed)` unit by a
+//! fingerprint of the unit's program text and seed bytes, so two
+//! different suites share prefixes only for byte-identical units.
+//! Outcomes stay byte-identical to a cold one-shot run — warm caches
 //! change wall time, never classification.
 //!
 //! ## Backpressure
@@ -32,7 +31,7 @@ use std::time::{Duration, Instant};
 use diode_corpus::CorpusStore;
 use diode_engine::{
     scheduler, CacheStats, CampaignApp, CampaignReport, CampaignSpec, ExecutionMode, PulseBus,
-    PulseConfig, PulseEvent, SnapshotCache, SnapshotKeys, SnapshotStats, SolverCache,
+    PulseConfig, PulseEvent, SnapshotCache, SnapshotStats, SolverCache,
 };
 use diode_obs::{
     fnv64_hex, AnomalyReport, Counter, FlightRecorder, Histogram, MetricsRegistry, Phase,
@@ -1062,7 +1061,6 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
     };
     spec.config.query_cache = Some(Arc::clone(&daemon.solver_cache));
     spec.snapshot_cache = Some(Arc::clone(&daemon.snapshots));
-    spec.snapshot_keys = SnapshotKeys::Content;
     spec.recorder = recorder.clone();
     spec.pulse = Some(PulseConfig {
         bus: Arc::clone(&entry.bus),

@@ -3,6 +3,7 @@
 //! classification) and produce byte-identical reports in parallel and
 //! sequential execution modes.
 
+use diode_core::DiodeConfig;
 use diode_engine::{CampaignSpec, ExecutionMode};
 use diode_synth::{forge, score, GroundTruth, SynthConfig};
 
@@ -25,7 +26,9 @@ fn fifty_app_campaign_has_full_recall_and_identical_reports_across_modes() {
     let parallel = CampaignSpec::new(suite.campaign_apps()).run();
     let sequential = CampaignSpec {
         mode: ExecutionMode::Sequential,
-        shared_cache: false,
+        // The reference run: no caches at all.
+        config: DiodeConfig::default(),
+        snapshot_cache: None,
         ..CampaignSpec::new(suite.campaign_apps())
     }
     .run();

@@ -2,6 +2,7 @@
 //! into `diode::engine` campaigns and grade perfectly, alongside (not
 //! instead of) the five paper applications.
 
+use diode::core::DiodeConfig;
 use diode::engine::{CampaignApp, CampaignSpec, ExecutionMode};
 use diode::synth::{forge, score, GroundTruth, SynthConfig};
 
@@ -16,7 +17,9 @@ fn forged_suite_grades_perfectly_through_the_facade() {
     let parallel = CampaignSpec::new(suite.campaign_apps()).run();
     let sequential = CampaignSpec {
         mode: ExecutionMode::Sequential,
-        shared_cache: false,
+        // The reference run: no caches at all.
+        config: DiodeConfig::default(),
+        snapshot_cache: None,
         ..CampaignSpec::new(suite.campaign_apps())
     }
     .run();
