@@ -14,9 +14,10 @@
 //! * `audit diff OLD NEW` — did a change alter *how* verdicts are
 //!   derived, even where the verdicts themselves are unchanged? For two
 //!   audit documents, reports derivation drift. For two profiled runs
-//!   (JSONL traces, `profile --json` documents, or `BENCH_engine.json`
-//!   artifacts), delegates to the profile differ and attributes
-//!   wall-clock regressions to phases, sites, and solver-cache shifts.
+//!   (JSONL traces, `profile --json` documents, or `synth_campaign
+//!   --profile --json` lines), delegates to the profile differ and
+//!   attributes wall-clock regressions to phases, sites, and
+//!   solver-cache shifts.
 //!
 //! Record sources (explain/check):
 //!

@@ -17,11 +17,11 @@
 //!
 //! Diff mode: `profile --diff OLD NEW [--json] [--top N] [--threshold F]`
 //! compares two profiled runs — each argument may be a JSONL trace, a
-//! `profile --json` document, or a `BENCH_engine.json` artifact — and
-//! attributes any wall-clock regression to phases, sites, and
-//! solver-cache hit-rate shifts. Exits 1 when a regression is attributed
-//! (growth above `--threshold`, default 0.15, as a fraction of
-//! instrumented compute), so diffing a run against itself exits 0.
+//! `profile --json` document, or a `synth_campaign --profile --json`
+//! line — and attributes any wall-clock regression to phases, sites,
+//! and solver-cache hit-rate shifts. Exits 1 when a regression is
+//! attributed (growth above `--threshold`, default 0.15, as a fraction
+//! of instrumented compute), so diffing a run against itself exits 0.
 //!
 //! Exits 2 on unreadable/invalid traces, 1 on a failed phase gate.
 

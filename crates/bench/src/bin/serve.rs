@@ -1,8 +1,6 @@
-//! serve — the client for a running `diode-serve` daemon, plus the
-//! serve-bench load generator.
+//! serve — the client for a running `diode-serve` daemon.
 //!
-//! Client subcommands (all take `--addr HOST:PORT`, default
-//! `127.0.0.1:7070`):
+//! Subcommands (all take `--addr HOST:PORT`, default `127.0.0.1:7070`):
 //!
 //! * `serve submit [--apps N] [--depth N] [--sites N] [--seeds-per-app N]
 //!   [--site-work N] [--rng-seed N] [--suite ID] [--threads N] [--wait]`
@@ -31,36 +29,20 @@
 //! * `serve assert-warmer COLD.json WARM.json` — exit 0 iff the WARM
 //!   report's per-job solver-cache hit rate strictly exceeds COLD's
 //!   (the CI warm-cache gate over two saved `submit --wait` replies).
-//!
-//! The load mode (the `--serve-bench` axis of `BENCH_engine.json`):
-//!
-//! * `serve bench [--addr A] [--clients N] [--jobs N] [--apps N]
-//!   [--depth N] [--site-work N] [--workers N] [--bench-out PATH]
-//!   [--json]` — run one cold job, then `--clients` concurrent client
-//!   threads each submitting `--jobs` synchronous jobs of the same spec
-//!   against the warm caches. Reports jobs/sec and p50/p99 latency,
-//!   asserts the warm hit rate strictly exceeds the cold one (exit 1
-//!   otherwise), and merges a `"serve"` section into `--bench-out`
-//!   (default none) without disturbing the artifact's other axes —
-//!   including the daemon's own scraped metrics as the section's
-//!   `"daemon"` field. With no `--addr` it hosts an in-process daemon
-//!   on an ephemeral port, so the bench is self-contained.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
-use std::time::Instant;
 
 use diode_bench::jsonout::Json;
 use diode_bench::{flag_f64, flag_num, flag_str};
 use diode_obs::{anomalies_to_jsonl, AnomalyKind, AnomalyReport};
-use diode_serve::{serve, ServeConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let Some(cmd) = args.first().map(String::as_str) else {
         eprintln!(
             "serve: usage: serve submit|status|watch|metrics|health|shutdown|\
-             assert-warmer|bench [FLAGS]"
+             assert-warmer [FLAGS]"
         );
         std::process::exit(2);
     };
@@ -119,7 +101,6 @@ fn main() {
             exit_by_ok(&reply);
         }
         "assert-warmer" => assert_warmer(&args),
-        "bench" => run_bench(&args),
         other => {
             eprintln!("serve: unknown subcommand {other:?}");
             std::process::exit(2);
@@ -366,185 +347,5 @@ fn assert_warmer(args: &[String]) {
     } else {
         println!("  warm does not exceed cold: FAIL");
         std::process::exit(1);
-    }
-}
-
-/// The serve-bench load mode.
-fn run_bench(args: &[String]) {
-    let clients = flag_num(args, "--clients").unwrap_or(4).max(1) as usize;
-    let jobs_per_client = flag_num(args, "--jobs").unwrap_or(4).max(1) as usize;
-    let apps = flag_num(args, "--apps").unwrap_or(5).max(1);
-    let depth = flag_num(args, "--depth").unwrap_or(2);
-    let site_work = flag_num(args, "--site-work").unwrap_or(0);
-    let workers = flag_num(args, "--workers").unwrap_or(1).max(1) as usize;
-    let json = args.iter().any(|a| a == "--json");
-    let bench_out = flag_str(args, "--bench-out");
-
-    // External daemon, or a self-hosted one on an ephemeral port.
-    let (addr, hosted) = match flag_str(args, "--addr") {
-        Some(a) => (a, None),
-        None => {
-            let handle = match serve(ServeConfig {
-                addr: "127.0.0.1:0".to_string(),
-                workers,
-                queue_depth: clients * jobs_per_client + 1,
-                ..ServeConfig::default()
-            }) {
-                Ok(h) => h,
-                Err(e) => {
-                    eprintln!("serve bench: cannot host a daemon: {e}");
-                    std::process::exit(2);
-                }
-            };
-            (handle.addr().to_string(), Some(handle))
-        }
-    };
-
-    let submit = format!(
-        r#"{{"op":"submit","spec":{{"apps":{apps},"depth":{depth},"site_work":{site_work}}},"wait":true}}"#
-    );
-
-    // Cold reference job: the caches have never seen this suite.
-    let cold = request(&addr, &submit);
-    let rate = |r: &Json| {
-        r.get("cache")
-            .and_then(|c| c.get("hit_rate"))
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| {
-                eprintln!("serve bench: job reply has no cache.hit_rate: {r}");
-                std::process::exit(2);
-            })
-    };
-    let cold_rate = rate(&cold);
-
-    // The load: `clients` threads, each submitting `jobs_per_client`
-    // synchronous jobs of the same spec against now-warm caches.
-    let started = Instant::now();
-    let lat_and_rates: Vec<(f64, f64)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                scope.spawn(|| {
-                    (0..jobs_per_client)
-                        .map(|_| {
-                            let t = Instant::now();
-                            let reply = request(&addr, &submit);
-                            (t.elapsed().as_secs_f64() * 1e3, rate(&reply))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
-    });
-    let wall = started.elapsed().as_secs_f64();
-
-    // Scrape the daemon's own service metrics before it goes away; a
-    // `--no-metrics` daemon answers with a rejection, which degrades to
-    // an absent `daemon` field rather than a failed bench.
-    let daemon_metrics = {
-        let reply = request(&addr, r#"{"op":"metrics"}"#);
-        (reply.get("ok").and_then(Json::as_bool) == Some(true))
-            .then(|| reply.get("metrics").cloned())
-            .flatten()
-    };
-
-    if let Some(handle) = hosted {
-        let _ = request(&addr, r#"{"op":"shutdown"}"#);
-        handle.join();
-    }
-
-    let total_jobs = lat_and_rates.len();
-    let mut latencies: Vec<f64> = lat_and_rates.iter().map(|(l, _)| *l).collect();
-    latencies.sort_by(|a, b| a.partial_cmp(b).unwrap());
-    let pct = |p: f64| latencies[((latencies.len() - 1) as f64 * p).round() as usize];
-    let warm_rate = lat_and_rates
-        .iter()
-        .map(|(_, r)| *r)
-        .fold(f64::NEG_INFINITY, f64::max);
-    let jobs_per_sec = total_jobs as f64 / wall.max(1e-9);
-
-    let mut section = Json::obj()
-        .field("clients", clients)
-        .field("jobs", total_jobs)
-        .field("workers", workers)
-        .field(
-            "spec",
-            Json::obj()
-                .field("apps", apps)
-                .field("depth", depth)
-                .field("site_work", site_work),
-        )
-        .field("wall_ms", wall * 1e3)
-        .field("jobs_per_sec", jobs_per_sec)
-        .field("p50_ms", pct(0.50))
-        .field("p99_ms", pct(0.99))
-        .field("cold_hit_rate", cold_rate)
-        .field("warm_hit_rate", warm_rate)
-        .field("warmer", warm_rate > cold_rate);
-    if let Some(metrics) = daemon_metrics {
-        section = section.field("daemon", metrics);
-    }
-
-    if let Some(path) = &bench_out {
-        merge_serve_section(path, &section);
-    }
-    if json {
-        let Json::Obj(fields) = section.clone() else {
-            unreachable!("section is an object")
-        };
-        let mut out = vec![("table".to_string(), Json::from("serve_bench"))];
-        out.extend(fields);
-        println!("{}", Json::Obj(out));
-    } else {
-        println!(
-            "serve bench: {total_jobs} job(s) over {clients} client(s) against {workers} \
-             worker(s): {jobs_per_sec:.1} jobs/s, p50 {:.1}ms, p99 {:.1}ms",
-            pct(0.50),
-            pct(0.99)
-        );
-        println!(
-            "  solver-cache hit rate: cold {cold_rate:.4} -> warm {warm_rate:.4}{}",
-            if let Some(p) = &bench_out {
-                format!("; merged \"serve\" section into {p}")
-            } else {
-                String::new()
-            }
-        );
-    }
-    if warm_rate <= cold_rate {
-        eprintln!(
-            "serve bench: GATE FAIL: warm hit rate {warm_rate:.4} does not strictly \
-             exceed cold {cold_rate:.4}"
-        );
-        std::process::exit(1);
-    }
-}
-
-/// Read-modify-write the `"serve"` section of a `BENCH_engine.json`
-/// artifact, creating the file if absent and preserving every other
-/// axis if present.
-fn merge_serve_section(path: &str, section: &Json) {
-    let base = match std::fs::read_to_string(path) {
-        Ok(text) => match Json::parse(&text) {
-            Ok(j) => j,
-            Err(e) => {
-                eprintln!("serve bench: {path}: {e}");
-                std::process::exit(2);
-            }
-        },
-        Err(_) => Json::obj().field("table", "bench_engine"),
-    };
-    let Json::Obj(mut fields) = base else {
-        eprintln!("serve bench: {path} is not a JSON object");
-        std::process::exit(2);
-    };
-    fields.retain(|(k, _)| k != "serve");
-    fields.push(("serve".to_string(), section.clone()));
-    if let Err(e) = std::fs::write(path, format!("{}\n", Json::Obj(fields))) {
-        eprintln!("serve bench: cannot write {path}: {e}");
-        std::process::exit(2);
     }
 }

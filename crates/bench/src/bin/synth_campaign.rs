@@ -14,29 +14,22 @@
 //!   historical perfect-recall behaviour); below 1.0 only recall is
 //!   gated. The achieved recall is printed either way.
 //! * `--sites N`         pin planted sites per app (min = max = N)
-//! * `--sweep`           scaling sweep: run the same suite at 1/2/4/8
-//!   worker threads **and** across 10/25/50-app suite sizes, writing
-//!   both axes into the `BENCH_engine.json` artifact (path via
-//!   `--sweep-out`)
-//! * `--bench-replay`    prefix-snapshot benchmark: run the same suite
-//!   with snapshots off and on, require byte-identical reports, and
-//!   emit the wall-time speedup into the `BENCH_engine.json` artifact
+//! * `--site-work N`     per-site prefix work loop iterations (default 0)
 //! * `--trace PATH`      record a structured `diode-obs` trace of the
-//!   campaign and write it to PATH as versioned JSONL (works in plain
-//!   and artifact modes; fold it with the `profile` bin)
+//!   campaign and write it to PATH as versioned JSONL (fold it with the
+//!   `profile` bin)
 //! * `--profile`         run with tracing and print the per-phase /
 //!   per-site breakdown after the campaign (adds a `profile` field in
 //!   `--json` mode)
 //! * `--audit PATH`      record decision provenance — the extraction,
 //!   solver queries, enforcement steps, and verdict behind every site —
-//!   and write the `diode_audit` document to PATH (plain mode only;
-//!   inspect it with the `audit` bin)
+//!   and write the `diode_audit` document to PATH (inspect it with the
+//!   `audit` bin)
 //! * `--progress`        stream per-site progress lines to stderr with
 //!   live solver-cache and snapshot hit rates
 //! * `--telemetry PATH`  attach the diode-pulse bus and write the full
 //!   event stream (progress events + heartbeats) to PATH as versioned
-//!   telemetry JSONL — replay it with the `watch` bin. Works in plain
-//!   and artifact modes.
+//!   telemetry JSONL — replay it with the `watch` bin
 //! * `--watchdog`        run the stall/anomaly watchdog over the pulse
 //!   stream and exit non-zero if any anomaly fires (implies attaching
 //!   the bus; CI's zero-anomaly gate)
@@ -50,8 +43,7 @@
 //! * `--threads N`       pin the engine's worker count
 //!
 //! Exits non-zero when the recall gate fails — this is the CI
-//! `synth-smoke` gate — or when `--bench-replay` finds the snapshot-on
-//! report diverging from the snapshot-off report.
+//! `synth-smoke` gate — or when `--watchdog` sees an anomaly.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -68,24 +60,10 @@ use diode_obs::{
 };
 use diode_synth::{forge, score, ForgedSuite, ScoreCard, SynthConfig};
 
-/// Worker counts of the `--sweep` scaling curve.
-const SWEEP_THREADS: [usize; 4] = [1, 2, 4, 8];
-/// Suite sizes of the `--sweep` size curve (the second axis).
-const SWEEP_APPS: [usize; 3] = [10, 25, 50];
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let sweep = args.iter().any(|a| a == "--sweep");
-    let bench_replay = args.iter().any(|a| a == "--bench-replay");
     let backend = AnalysisBackend::from_args(&args);
-    if (sweep || bench_replay) && backend != (AnalysisBackend::Engine { threads: None }) {
-        eprintln!(
-            "--sweep/--bench-replay pin their own execution ladder; drop \
-             --sequential/--threads (and DIODE_SEQUENTIAL) when benchmarking"
-        );
-        std::process::exit(2);
-    }
 
     let apps = flag_num(&args, "--apps").unwrap_or(25) as usize;
     if apps == 0 {
@@ -119,11 +97,6 @@ fn main() {
     let suite = forge(&cfg);
     let forge_time = forge_start.elapsed();
 
-    if sweep || bench_replay {
-        run_artifact(&cfg, &suite, &args, json, min_recall, sweep, bench_replay);
-        return;
-    }
-
     let trace_path = flag_str(&args, "--trace");
     let audit_path = flag_str(&args, "--audit");
     let profile = args.iter().any(|a| a == "--profile");
@@ -137,7 +110,7 @@ fn main() {
     });
     let pulse_opts = PulseOpts::from_args(&args);
     let capture = pulse_opts.attach();
-    let (report, card) = run_campaign_observed(
+    let (report, card) = run_campaign(
         &suite,
         backend.execution_mode(),
         recorder.clone(),
@@ -276,27 +249,10 @@ fn config_json(cfg: &SynthConfig) -> Json {
         .field("rng_seed", cfg.rng_seed)
 }
 
-/// Runs the suite with prefix snapshots on or off (`--bench-replay`'s
-/// two arms; every other run keeps them on).
-fn run_campaign(
-    suite: &ForgedSuite,
-    mode: ExecutionMode,
-    snapshots: bool,
-) -> (CampaignReport, ScoreCard) {
-    let mut spec = CampaignSpec {
-        mode,
-        ..CampaignSpec::from_corpus(suite)
-    };
-    spec.config.prefix_snapshots = snapshots;
-    let report = spec.run();
-    let card = score(&report, &suite.oracle);
-    (report, card)
-}
-
 /// Runs the suite with an optional `diode-obs` recorder attached,
 /// optional live per-site progress streaming to stderr, and an optional
 /// diode-pulse telemetry bus.
-fn run_campaign_observed(
+fn run_campaign(
     suite: &ForgedSuite,
     mode: ExecutionMode,
     recorder: Option<Arc<Recorder>>,
@@ -318,7 +274,7 @@ fn run_campaign_observed(
     (report, card)
 }
 
-/// The telemetry CLI surface shared by the plain and artifact modes.
+/// The telemetry CLI surface.
 struct PulseOpts {
     telemetry_path: Option<String>,
     watchdog: bool,
@@ -483,7 +439,7 @@ impl PulseOutcome {
         !opts.watchdog || self.anomalies.is_empty()
     }
 
-    /// The artifact/`--json` summary of the stream.
+    /// The `--json` summary of the stream.
     fn json(&self) -> Json {
         Json::obj()
             .field("events", self.log.events.len())
@@ -497,9 +453,9 @@ impl PulseOutcome {
     }
 }
 
-/// Cores the host actually offers — the context for any thread-scaling
-/// number in the artifact (a 1-core container cannot speed up at 2
-/// threads no matter what the scheduler does).
+/// Cores the host actually offers — the context for any wall-clock
+/// number in the `--json` output (a 1-core container cannot speed up at
+/// 2 threads no matter what the scheduler does).
 fn host_parallelism() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -592,249 +548,4 @@ fn gate_passes(card: &ScoreCard, min_recall: f64) -> bool {
     } else {
         card.recall() >= min_recall
     }
-}
-
-/// `--sweep`/`--bench-replay`: assembles the `BENCH_engine.json`
-/// artifact. `--sweep` contributes the 1/2/4/8-thread scaling curve
-/// (`runs`) and the 10/25/50-app suite-size curve (`size_runs`);
-/// `--bench-replay` contributes the prefix-snapshot off/on comparison
-/// (`replay`), exiting non-zero unless the two reports are
-/// byte-identical. Both sections gate on recall.
-fn run_artifact(
-    cfg: &SynthConfig,
-    suite: &ForgedSuite,
-    args: &[String],
-    json: bool,
-    min_recall: f64,
-    sweep: bool,
-    bench_replay: bool,
-) {
-    let out_path = flag_str(args, "--sweep-out").unwrap_or_else(|| "BENCH_engine.json".to_string());
-    let sites = suite.total_sites();
-    let mut all_passed = true;
-    let mut artifact = Json::obj()
-        .field("table", "bench_engine")
-        .field("config", config_json(cfg))
-        .field("sites", sites)
-        .field("min_recall", min_recall);
-
-    if sweep {
-        let mut runs: Vec<Json> = Vec::new();
-        let mut baseline_s = 0.0f64;
-        if !json {
-            println!(
-                "Scaling sweep: {} apps, {} sites, depth {}, rng seed {:#x}",
-                cfg.apps, sites, cfg.branch_depth, cfg.rng_seed
-            );
-        }
-        for (i, &threads) in SWEEP_THREADS.iter().enumerate() {
-            let (report, card) = run_campaign(
-                suite,
-                ExecutionMode::Parallel {
-                    threads: Some(threads),
-                },
-                true,
-            );
-            let wall_s = report.wall_time.as_secs_f64().max(1e-9);
-            if i == 0 {
-                baseline_s = wall_s;
-            }
-            let speedup = baseline_s / wall_s;
-            let passed = gate_passes(&card, min_recall);
-            all_passed &= passed;
-            if !json {
-                let cache = report.cache.map_or_else(String::new, |c| {
-                    format!(", cache {}h/{}m", c.hits, c.misses)
-                });
-                println!(
-                    "  {threads} thread(s): {:8.1}ms  {:7.0} sites/s  speedup {speedup:4.2}x  \
-                     recall {:.3}{cache}{}",
-                    wall_s * 1e3,
-                    sites as f64 / wall_s,
-                    card.recall(),
-                    if passed { "" } else { "  GATE FAIL" },
-                );
-            }
-            runs.push(
-                Json::obj()
-                    .field("threads", threads)
-                    .field("wall_ms", ms(report.wall_time))
-                    .field("sites_per_sec", sites as f64 / wall_s)
-                    .field("units_per_sec", report.units.len() as f64 / wall_s)
-                    .field("speedup", speedup)
-                    .field("jobs", report.jobs)
-                    .field("cache", cache_json(report.cache))
-                    .field("snapshots", snapshot_json(report.snapshots))
-                    .field("recall", card.recall())
-                    .field("exact_rate", card.exact_rate())
-                    .field("gate_passed", passed),
-            );
-        }
-        artifact = artifact.field("runs", Json::Arr(runs));
-
-        // Second axis: suite size at the full worker complement. Each
-        // size is forged from the same config, so the 25-app row re-uses
-        // the sweep suite's apps (per-app RNG streams make prefixes of a
-        // larger forge identical to a smaller one).
-        let mut size_runs: Vec<Json> = Vec::new();
-        for &apps in &SWEEP_APPS {
-            let size_cfg = cfg.clone().with_apps(apps);
-            let size_suite = forge(&size_cfg);
-            let n_sites = size_suite.total_sites();
-            let (report, card) =
-                run_campaign(&size_suite, ExecutionMode::Parallel { threads: None }, true);
-            let wall_s = report.wall_time.as_secs_f64().max(1e-9);
-            let passed = gate_passes(&card, min_recall);
-            all_passed &= passed;
-            if !json {
-                println!(
-                    "  {apps:3} apps ({n_sites:3} sites): {:8.1}ms  {:7.0} sites/s  \
-                     recall {:.3}{}",
-                    wall_s * 1e3,
-                    n_sites as f64 / wall_s,
-                    card.recall(),
-                    if passed { "" } else { "  GATE FAIL" },
-                );
-            }
-            size_runs.push(
-                Json::obj()
-                    .field("apps", apps)
-                    .field("sites", n_sites)
-                    .field("threads", report.threads)
-                    .field("wall_ms", ms(report.wall_time))
-                    .field("sites_per_sec", n_sites as f64 / wall_s)
-                    .field("units_per_sec", report.units.len() as f64 / wall_s)
-                    .field("jobs", report.jobs)
-                    .field("cache", cache_json(report.cache))
-                    .field("snapshots", snapshot_json(report.snapshots))
-                    .field("recall", card.recall())
-                    .field("exact_rate", card.exact_rate())
-                    .field("gate_passed", passed),
-            );
-        }
-        artifact = artifact.field("size_runs", Json::Arr(size_runs));
-    }
-
-    if bench_replay {
-        let (section, passed) = run_replay_bench(cfg, suite, json, min_recall);
-        all_passed &= passed;
-        artifact = artifact.field("replay", section);
-    }
-
-    // Phase attribution + telemetry: one traced run at the full worker
-    // complement contributes per-phase totals and the pulse-stream
-    // summary (peak cache/heap bytes, anomaly count) to the artifact,
-    // so speed PRs can be gated on the phase they claim to improve and
-    // resource regressions show up as byte deltas. `--trace PATH`
-    // additionally writes the raw JSONL trace for the `profile` bin;
-    // `--telemetry PATH` the pulse stream for the `watch` bin.
-    {
-        let pulse_opts = PulseOpts::from_args(args);
-        let capture = PulseCapture::start(pulse_opts.heartbeat);
-        let recorder = Arc::new(Recorder::new());
-        let (report, card) = run_campaign_observed(
-            suite,
-            ExecutionMode::Parallel { threads: None },
-            Some(Arc::clone(&recorder)),
-            false,
-            Some(capture.config.clone()),
-        );
-        all_passed &= gate_passes(&card, min_recall);
-        let trace = stamped_trace(&recorder, &report);
-        if let Some(path) = flag_str(args, "--trace") {
-            write_trace(&path, &trace);
-        }
-        let profile = ProfileReport::from_trace(&trace, 10);
-        if !json {
-            println!(
-                "Traced run: wall {:.1}ms, instrumented compute {:.1}ms, queue wait {:.1}ms",
-                ms(report.wall_time),
-                profile.breakdown.top_level_ns as f64 / 1e6,
-                profile.breakdown.queue_wait_ns as f64 / 1e6,
-            );
-        }
-        artifact = artifact.field("phases", profile_json(&trace));
-        let outcome = capture.finish(report.threads);
-        all_passed &= outcome.emit(&pulse_opts, json);
-        artifact = artifact.field("telemetry", outcome.json());
-    }
-
-    let text = artifact.to_string();
-    if let Err(e) = std::fs::write(&out_path, format!("{text}\n")) {
-        eprintln!("synth_campaign: cannot write {out_path}: {e}");
-        std::process::exit(2);
-    }
-    if json {
-        println!("{text}");
-    } else {
-        println!("Wrote benchmark artifact to {out_path}");
-    }
-    if !all_passed {
-        std::process::exit(1);
-    }
-}
-
-/// The `--bench-replay` measurement: the same suite with prefix
-/// snapshots off, then on, best of two runs each (first pair doubles as
-/// warm-up), requiring byte-identical reports and a perfect recall gate
-/// on both paths.
-fn run_replay_bench(
-    cfg: &SynthConfig,
-    suite: &ForgedSuite,
-    json: bool,
-    min_recall: f64,
-) -> (Json, bool) {
-    let mode = ExecutionMode::Parallel { threads: None };
-    let mut walls = [f64::INFINITY; 2]; // [off, on]
-    let mut last: Vec<Option<(CampaignReport, ScoreCard)>> = vec![None, None];
-    for round in 0..2 {
-        for (i, &snapshots) in [false, true].iter().enumerate() {
-            let (report, card) = run_campaign(suite, mode, snapshots);
-            walls[i] = walls[i].min(report.wall_time.as_secs_f64().max(1e-9));
-            if round == 1 || last[i].is_none() {
-                last[i] = Some((report, card));
-            }
-        }
-    }
-    let (off_report, off_card) = last[0].take().expect("off run recorded");
-    let (on_report, on_card) = last[1].take().expect("on run recorded");
-    let identical = off_report.outcome_fingerprint() == on_report.outcome_fingerprint();
-    let speedup = walls[0] / walls[1];
-    let gates = gate_passes(&off_card, min_recall) && gate_passes(&on_card, min_recall);
-    if !identical {
-        eprintln!(
-            "--bench-replay: snapshot-on report DIVERGES from the snapshot-off report — \
-             the determinism contract is broken"
-        );
-    }
-    if !json {
-        println!(
-            "Replay bench ({} apps, depth {}, {} sites): off {:.1}ms, on {:.1}ms, \
-             speedup {speedup:.2}x, identical: {identical}",
-            cfg.apps,
-            cfg.branch_depth,
-            suite.total_sites(),
-            walls[0] * 1e3,
-            walls[1] * 1e3,
-        );
-        if let Some(stats) = on_report.snapshots {
-            println!(
-                "  snapshots: {} resumed / {} candidate runs ({} captured)",
-                stats.resumes,
-                stats.hits + stats.misses,
-                stats.captures
-            );
-        }
-    }
-    let section = Json::obj()
-        .field("apps", cfg.apps)
-        .field("depth", cfg.branch_depth)
-        .field("sites", suite.total_sites())
-        .field("off_ms", walls[0] * 1e3)
-        .field("on_ms", walls[1] * 1e3)
-        .field("speedup", speedup)
-        .field("identical", identical)
-        .field("snapshots", snapshot_json(on_report.snapshots))
-        .field("recall", on_card.recall());
-    (section, identical && gates)
 }

@@ -17,7 +17,8 @@
 //!   [`render_synth`], driven by `--bin synth_campaign` (and `table1
 //!   --synth N`).
 //!
-//! Criterion micro/macro benchmarks live under `benches/`.
+//! Performance is measured by the repository's benchmark, `perfbench/`
+//! (workloads and metrics declared in `BENCHMARK.json`), not here.
 //!
 //! Whole-program analyses run through the `diode-engine` work-stealing
 //! scheduler by default ([`AnalysisBackend::Engine`]); pass

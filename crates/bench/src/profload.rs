@@ -5,9 +5,8 @@
 //!
 //! * a raw JSONL trace (`synth_campaign --trace`), folded on load;
 //! * an `obs_profile` JSON document (`profile --json` output);
-//! * a `BENCH_engine.json` artifact, whose `phases` field embeds an
-//!   `obs_profile` document (also accepts a `synth_campaign --json`
-//!   line with a `profile` field).
+//! * a `synth_campaign --profile --json` line, whose `profile` field
+//!   embeds an `obs_profile` document.
 //!
 //! [`load_audit_records`] reads a `diode_audit` document
 //! (`synth_campaign --audit`) back into [`ProvenanceRecord`]s.
@@ -112,10 +111,6 @@ pub fn load_profile(path: &str, top_n: usize) -> Result<ProfileReport, String> {
     if let Ok(doc) = Json::parse(&text) {
         let embedded = match doc.get("table").and_then(Json::as_str) {
             Some("obs_profile") => &doc,
-            Some("bench_engine") => doc
-                .get("phases")
-                .filter(|p| !p.is_null())
-                .ok_or_else(|| format!("{path}: bench_engine artifact has no phases section"))?,
             Some("synth_campaign") => {
                 doc.get("profile").filter(|p| !p.is_null()).ok_or_else(|| {
                     format!("{path}: synth_campaign output has no profile section (use --profile)")
@@ -124,7 +119,7 @@ pub fn load_profile(path: &str, top_n: usize) -> Result<ProfileReport, String> {
             Some(other) => {
                 return Err(format!(
                     "{path}: table {other:?} holds no profile (expected obs_profile, \
-                     bench_engine, or a JSONL trace)"
+                     synth_campaign, or a JSONL trace)"
                 ))
             }
             None => return Err(format!("{path}: JSON document without a \"table\" field")),

@@ -1,6 +1,6 @@
 //! The `synth_campaign` binary's JSON contract: cache hit/miss counters
-//! and the recall gate must be present in `--json` output, and `--sweep`
-//! must emit the `BENCH_engine.json` scaling artifact.
+//! and the recall gate must be present in `--json` output, and a traced
+//! run must fold through the `profile` bin.
 
 use std::process::Command;
 
@@ -39,89 +39,6 @@ fn min_recall_flag_gates_and_reports() {
         out.contains("Achieved recall 1.000 against gate 0.500: PASS"),
         "{out}"
     );
-}
-
-#[test]
-fn sweep_writes_the_scaling_artifact() {
-    let path = std::env::temp_dir().join(format!("BENCH_engine-test-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let (ok, _) = run(&[
-        "--apps",
-        "2",
-        "--sweep",
-        "--sweep-out",
-        path.to_str().unwrap(),
-        "--json",
-    ]);
-    assert!(ok);
-    let artifact = std::fs::read_to_string(&path).expect("artifact written");
-    assert!(
-        artifact.contains("\"table\":\"bench_engine\""),
-        "{artifact}"
-    );
-    for threads in [
-        "\"threads\":1",
-        "\"threads\":2",
-        "\"threads\":4",
-        "\"threads\":8",
-    ] {
-        assert!(artifact.contains(threads), "missing {threads}:\n{artifact}");
-    }
-    assert!(artifact.contains("\"speedup\":"), "{artifact}");
-    assert!(artifact.contains("\"cache\":{\"hits\":"), "{artifact}");
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn sweep_emits_the_suite_size_axis() {
-    let path = std::env::temp_dir().join(format!("BENCH_sizes-test-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let (ok, _) = run(&[
-        "--apps",
-        "2",
-        "--sweep",
-        "--sweep-out",
-        path.to_str().unwrap(),
-        "--json",
-    ]);
-    assert!(ok);
-    let artifact = std::fs::read_to_string(&path).expect("artifact written");
-    assert!(artifact.contains("\"size_runs\":["), "{artifact}");
-    for apps in ["\"apps\":10", "\"apps\":25", "\"apps\":50"] {
-        assert!(artifact.contains(apps), "missing {apps}:\n{artifact}");
-    }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn bench_replay_requires_identity_and_reports_speedup() {
-    let path = std::env::temp_dir().join(format!("BENCH_replay-test-{}.json", std::process::id()));
-    let _ = std::fs::remove_file(&path);
-    let (ok, _) = run(&[
-        "--apps",
-        "3",
-        "--sites",
-        "2",
-        "--bench-replay",
-        "--sweep-out",
-        path.to_str().unwrap(),
-        "--json",
-    ]);
-    assert!(ok, "byte-identity or recall gate failed");
-    let artifact = std::fs::read_to_string(&path).expect("artifact written");
-    for needle in [
-        "\"replay\":{",
-        "\"off_ms\":",
-        "\"on_ms\":",
-        "\"speedup\":",
-        "\"identical\":true",
-        "\"snapshots\":{\"hits\":",
-        "\"resumes\":",
-        "\"extract_resumes\":",
-    ] {
-        assert!(artifact.contains(needle), "missing {needle}:\n{artifact}");
-    }
-    std::fs::remove_file(&path).ok();
 }
 
 #[test]
@@ -211,159 +128,5 @@ fn trace_profile_flow_from_campaign_to_profile_bin() {
         err.contains("phase gate FAILED") && err.contains("identify"),
         "{err}"
     );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn trajectory_tolerates_and_backfills_null_seed_records() {
-    let dir = std::env::temp_dir().join(format!("diode-traj-null-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let bench = dir.join("BENCH_engine.json");
-    let traj = dir.join("BENCH_trajectory.json");
-    // A legacy trajectory: the hand-written seed record has null axes and
-    // predates the `phases` key entirely.
-    std::fs::write(
-        &traj,
-        "{\"table\":\"bench_trajectory\",\"records\":[{\"commit\":\"seed\",\
-         \"date\":\"2026-07-29\",\"threads\":null,\"sizes\":null,\"replay\":null}]}\n",
-    )
-    .unwrap();
-    let (ok, _) = run(&[
-        "--apps",
-        "3",
-        "--sites",
-        "2",
-        "--bench-replay",
-        "--sweep-out",
-        bench.to_str().unwrap(),
-        "--json",
-    ]);
-    assert!(ok);
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_trajectory"))
-        .args([
-            "--bench",
-            bench.to_str().unwrap(),
-            "--out",
-            traj.to_str().unwrap(),
-            "--commit",
-            "after-seed",
-            "--date",
-            "2026-08-08",
-            "--min-speedup",
-            "0.0",
-            "--json",
-        ])
-        .output()
-        .expect("trajectory runs");
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stdout)
-    );
-    let text = std::fs::read_to_string(&traj).unwrap();
-    // The seed record survives, normalised: every axis key is present.
-    assert!(
-        text.contains("\"commit\":\"seed\""),
-        "seed record dropped:\n{text}"
-    );
-    let seed_part = text
-        .split("\"commit\":\"after-seed\"")
-        .next()
-        .expect("seed record precedes the new one");
-    for key in [
-        "\"config\":",
-        "\"threads\":",
-        "\"sizes\":",
-        "\"replay\":",
-        "\"phases\":",
-    ] {
-        assert!(
-            seed_part.contains(key),
-            "seed record missing {key}:\n{text}"
-        );
-    }
-
-    // A malformed record is a clear, attributed error — not a silent drop.
-    std::fs::write(
-        &traj,
-        "{\"table\":\"bench_trajectory\",\"records\":[{\"date\":\"2026-07-29\"}]}\n",
-    )
-    .unwrap();
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_trajectory"))
-        .args([
-            "--bench",
-            bench.to_str().unwrap(),
-            "--out",
-            traj.to_str().unwrap(),
-        ])
-        .output()
-        .expect("trajectory runs");
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(
-        err.contains("record #0 is missing a string \"commit\" field"),
-        "{err}"
-    );
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn trajectory_appends_records_and_gates_on_the_replay_speedup() {
-    let dir = std::env::temp_dir().join(format!("diode-traj-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
-    let bench = dir.join("BENCH_engine.json");
-    let traj = dir.join("BENCH_trajectory.json");
-    // A tiny real replay artifact to feed the trajectory gate.
-    let (ok, _) = run(&[
-        "--apps",
-        "3",
-        "--sites",
-        "2",
-        "--bench-replay",
-        "--sweep-out",
-        bench.to_str().unwrap(),
-        "--json",
-    ]);
-    assert!(ok);
-    let trajectory = |extra: &[&str]| {
-        let mut args = vec![
-            "--bench",
-            bench.to_str().unwrap(),
-            "--out",
-            traj.to_str().unwrap(),
-            "--commit",
-            "test-sha",
-            "--date",
-            "2026-07-29",
-            "--json",
-        ];
-        args.extend_from_slice(extra);
-        let out = std::process::Command::new(env!("CARGO_BIN_EXE_trajectory"))
-            .args(&args)
-            .output()
-            .expect("trajectory runs");
-        (
-            out.status.success(),
-            String::from_utf8_lossy(&out.stdout).to_string(),
-        )
-    };
-    // Record #1: no previous record, a permissive speedup gate passes.
-    let (ok, out) = trajectory(&["--min-speedup", "0.0"]);
-    assert!(ok, "{out}");
-    assert!(out.contains("\"records\":1"), "{out}");
-    // Record #2 gates against record #1's on-wall; identical numbers are
-    // within any regression budget.
-    let (ok, out) = trajectory(&["--min-speedup", "0.0"]);
-    assert!(ok, "{out}");
-    assert!(out.contains("\"records\":2"), "{out}");
-    // An impossible speedup gate fails (exit 1) but still appends.
-    let (ok, out) = trajectory(&["--min-speedup", "1000.0"]);
-    assert!(!ok, "{out}");
-    assert!(out.contains("\"passed\":false"), "{out}");
-    let text = std::fs::read_to_string(&traj).unwrap();
-    assert!(text.contains("\"table\":\"bench_trajectory\""));
-    assert!(text.contains("\"commit\":\"test-sha\""));
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -15,7 +15,8 @@
 //! re-blasting; the report surfaces the hit/miss counters. `None` runs
 //! without that cache.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -577,25 +578,25 @@ impl PulseRun {
         }
     }
 
-    /// Starts the heartbeat sampler thread: every `heartbeat` interval it
-    /// snapshots worker states, scheduler gauges, and cache byte gauges
-    /// into a [`HeartbeatSample`] published on the bus.
+    /// Starts the heartbeat sampler thread: at once and then every
+    /// `heartbeat` interval it snapshots worker states, scheduler gauges,
+    /// and cache byte gauges into a [`HeartbeatSample`] published on the
+    /// bus.
     fn spawn_sampler(
         &self,
         cache: Option<Arc<SolverCache>>,
         snapshots: Option<Arc<SnapshotCache>>,
     ) -> SamplerHandle {
-        let stop = Arc::new(AtomicBool::new(false));
+        let (stop, stopped) = mpsc::channel::<()>();
         let bus = Arc::clone(&self.bus);
         let workers = Arc::clone(&self.workers);
         let gauges = Arc::clone(&self.gauges);
         let peak_heap = Arc::clone(&self.peak_heap);
         let interval = self.heartbeat;
-        let stop_flag = Arc::clone(&stop);
         let handle = std::thread::spawn(move || {
             let start = Instant::now();
             let mut seq = 0u64;
-            while !stop_flag.load(Ordering::Relaxed) {
+            loop {
                 let worker_states = workers.snapshot();
                 let busy = worker_states
                     .iter()
@@ -625,7 +626,11 @@ impl PulseRun {
                     interp_peak_heap_bytes: peak_heap.load(Ordering::Relaxed),
                 }));
                 seq += 1;
-                std::thread::sleep(interval);
+                // Waits out the interval, or ends at once when the
+                // handle's sender is dropped.
+                if stopped.recv_timeout(interval) != Err(RecvTimeoutError::Timeout) {
+                    break;
+                }
             }
         });
         SamplerHandle { stop, handle }
@@ -634,14 +639,14 @@ impl PulseRun {
 
 /// Join handle for the heartbeat sampler thread.
 struct SamplerHandle {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     handle: std::thread::JoinHandle<()>,
 }
 
 impl SamplerHandle {
-    /// Signals the sampler to stop and waits for its final beat.
+    /// Wakes the sampler, which stops without another beat, and joins it.
     fn stop(self) {
-        self.stop.store(true, Ordering::Relaxed);
+        drop(self.stop);
         let _ = self.handle.join();
     }
 }

@@ -2,10 +2,14 @@
 //! parallel campaigns must be byte-identical to the sequential path, and
 //! the shared solver cache must absorb repeated enforcement queries.
 
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use diode_core::{analyze_program, DiodeConfig, SiteOutcome};
-use diode_engine::{CampaignApp, CampaignEvent, CampaignSpec, ExecutionMode, ProgressSink};
+use diode_engine::{
+    CampaignApp, CampaignEvent, CampaignSpec, ExecutionMode, ProgressSink, PulseBus, PulseConfig,
+    PulseEvent,
+};
 
 fn benchmark_campaign() -> Vec<CampaignApp> {
     diode_apps::all_apps()
@@ -301,5 +305,39 @@ fn multi_seed_units_are_independent() {
         report.units[0].sites.len(),
         report.units[1].sites.len(),
         "identical seeds ⇒ identical site lists"
+    );
+}
+
+#[test]
+fn heartbeat_sampler_stops_without_waiting_out_its_interval() {
+    // A heartbeat far longer than the campaign: stopping the sampler must
+    // wake it, or the report's wall time grows by up to one interval.
+    let vlc = diode_apps::vlc::app();
+    let bus = Arc::new(PulseBus::new());
+    let sub = bus.subscribe(1 << 12);
+    let mut spec = CampaignSpec::new(vec![CampaignApp::new(
+        vlc.name,
+        vlc.program,
+        vlc.format,
+        vlc.seed,
+    )]);
+    let mut pulse = PulseConfig::new(bus);
+    pulse.heartbeat = Duration::from_secs(20);
+    spec.pulse = Some(pulse);
+    let report = spec.run();
+    assert!(
+        report.wall_time < Duration::from_secs(5),
+        "the campaign waited out its heartbeat: {:?}",
+        report.wall_time
+    );
+    let events = sub.drain();
+    assert!(
+        events.iter().any(|e| matches!(e, PulseEvent::Heartbeat(_))),
+        "the sampler beats once before its first wait"
+    );
+    assert!(
+        matches!(events.last(), Some(PulseEvent::Finished { .. })),
+        "stream must end with Finished, got {:?}",
+        events.last()
     );
 }

@@ -360,7 +360,7 @@ impl SiteDelta {
 
 /// Comparison of two [`ProfileReport`]s that attributes a wall-clock
 /// regression to specific phases, sites, and solver-cache hit-rate
-/// shifts — so a trajectory gate failure can say *where* the time went.
+/// shifts — so a regression can say *where* the time went.
 ///
 /// A phase is *attributed* when its total grew by more than
 /// `threshold` relative to its own old time AND by more than a quarter
@@ -392,8 +392,8 @@ pub struct ProfileDiff {
 impl ProfileDiff {
     /// Compare two reports, keeping the `top_n` largest site shifts and
     /// attributing phases whose growth exceeds `threshold` (a fraction
-    /// of the old run's instrumented compute; 0.15 mirrors the
-    /// trajectory gate).
+    /// of the old run's instrumented compute; 0.15 is the default of
+    /// `profile --diff`).
     pub fn between(
         old: &ProfileReport,
         new: &ProfileReport,

@@ -1,9 +1,10 @@
 //! End-to-end daemon tests over a real TCP socket: determinism against
-//! the one-shot path, warm-cache amortisation, typed backpressure, and
-//! telemetry streaming.
+//! the one-shot path, warm-cache amortisation under concurrent clients,
+//! typed backpressure, and telemetry streaming.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::Barrier;
 use std::time::Duration;
 
 use diode_corpus::Json;
@@ -94,6 +95,61 @@ fn daemon_reports_match_one_shot_runs_and_warm_beats_cold() {
         rate(&cold)
     );
 
+    shutdown(handle);
+}
+
+#[test]
+fn concurrent_waiting_clients_get_identical_warm_reports() {
+    let handle = start(1, 16);
+    let addr = handle.addr();
+    let submit = r#"{"op":"submit","spec":{"apps":3,"depth":2},"wait":true}"#;
+    let cold = request(addr, submit);
+    assert_eq!(cold.get("ok").and_then(Json::as_bool), Some(true), "{cold}");
+    let rate = |r: &Json| {
+        r.get("cache")
+            .and_then(|c| c.get("hit_rate"))
+            .and_then(Json::as_f64)
+            .expect("report carries a per-job cache hit rate")
+    };
+
+    // Four clients released together, each waiting on two submits of
+    // the cold job's spec.
+    let clients = 4;
+    let barrier = Barrier::new(clients);
+    let replies: Vec<Json> = std::thread::scope(|scope| {
+        let threads: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    (0..2).map(|_| request(addr, submit)).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        threads
+            .into_iter()
+            .flat_map(|t| t.join().expect("client thread"))
+            .collect()
+    });
+
+    assert_eq!(replies.len(), 2 * clients);
+    for reply in &replies {
+        assert_eq!(
+            reply.get("ok").and_then(Json::as_bool),
+            Some(true),
+            "{reply}"
+        );
+        assert_eq!(
+            reply.get("fingerprint").and_then(Json::as_str),
+            cold.get("fingerprint").and_then(Json::as_str),
+            "concurrent warm jobs must not change outcomes"
+        );
+        assert!(
+            rate(reply) > rate(&cold),
+            "warm hit rate {} must strictly exceed cold {}",
+            rate(reply),
+            rate(&cold)
+        );
+    }
     shutdown(handle);
 }
 

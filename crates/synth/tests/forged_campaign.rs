@@ -1,7 +1,7 @@
 //! Campaign-scale acceptance tests for the scenario forge: a 50-app
 //! forged suite must grade perfectly (100% recall *and* exact three-way
 //! classification) and produce byte-identical reports in parallel and
-//! sequential execution modes.
+//! sequential execution modes, and with prefix snapshots on and off.
 
 use diode_core::DiodeConfig;
 use diode_engine::{CampaignSpec, ExecutionMode};
@@ -153,4 +153,40 @@ fn depth_zero_suites_expose_without_enforcement() {
             }
         }
     }
+}
+
+#[test]
+fn deep_suite_reports_are_identical_with_snapshots_on_and_off() {
+    // The deep-suite shape at quarter scale: prefix work before every
+    // site, so candidate runs resume from snapshots instead of
+    // re-executing it. The full re-execution path is the reference.
+    let cfg = SynthConfig {
+        apps: 6,
+        min_sites: 6,
+        max_sites: 6,
+        branch_depth: 3,
+        site_work: 3000,
+        rng_seed: 0xD10D_E5EE,
+        ..SynthConfig::default()
+    };
+    let suite = forge(&cfg);
+    let on = CampaignSpec::new(suite.campaign_apps()).run();
+    let mut spec = CampaignSpec::new(suite.campaign_apps());
+    spec.config.prefix_snapshots = false;
+    let off = spec.run();
+
+    assert_eq!(
+        on.outcome_fingerprint(),
+        off.outcome_fingerprint(),
+        "prefix snapshots must not change any finding"
+    );
+    for report in [&on, &off] {
+        let card = score(report, &suite.oracle);
+        assert!(card.is_perfect(), "mismatches: {:?}", card.mismatches);
+    }
+    let stats = on
+        .snapshots
+        .expect("snapshot-on campaign reports its cache");
+    assert!(stats.resumes > 0, "candidate runs must resume: {stats:?}");
+    assert_eq!(stats.misses, 0, "warmed campaigns never re-execute");
 }
