@@ -35,8 +35,8 @@
 
 use diode_bench::profload::{load_audit_records, load_profile};
 use diode_bench::{flag_num, flag_str};
-use diode_corpus::{record_key, AuditSet, CorpusStore, DerivationDrift, Json};
-use diode_obs::{ProfileDiff, ProvenanceRecord};
+use diode_corpus::{record_key, AuditSet, CorpusStore, DerivationDrift};
+use diode_obs::{Json, ProfileDiff, ProvenanceRecord};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -34,9 +34,10 @@ use std::process::ExitCode;
 
 use diode_bench::{flag_num, flag_str, AnalysisBackend};
 use diode_corpus::{
-    CorpusDiff, CorpusError, CorpusStore, DerivationDrift, Json, ReplayableSuite, WitnessSet,
+    CorpusDiff, CorpusError, CorpusStore, DerivationDrift, ReplayableSuite, WitnessSet,
 };
 use diode_engine::CampaignReport;
+use diode_obs::Json;
 use diode_synth::{ScoreCard, SynthConfig};
 
 fn main() -> ExitCode {
@@ -221,7 +222,7 @@ fn replay(
             .field("label", label.clone())
             .field("against", against.clone())
             .field("scorecard", scorecard_json(&card))
-            .field("snapshots", diode_bench::jsonout::snapshot_json(snapstats))
+            .field("snapshots", snapstats)
             .field("scorecard_identical", scorecard_identical)
             .field("findings_identical", findings_identical)
             .field("identical", identical);

@@ -11,9 +11,10 @@
 
 use std::time::Instant;
 
-use diode_bench::jsonout::{cache_json, ms, Json};
+use diode_bench::jsonout::ms;
 use diode_bench::{config_with_cache, fuzz_rows, render_fuzz, AnalysisBackend, FuzzRow};
 use diode_core::DiodeConfig;
+use diode_obs::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -45,7 +46,7 @@ fn main() {
             .field("wall_ms", ms(wall))
             .field("diode_found", diode_found)
             .field("fuzz_found", fuzz_found)
-            .field("cache", cache_json(Some(cache.stats())))
+            .field("cache", cache.stats())
             .field("sites", rows.iter().map(site_json).collect::<Vec<_>>());
         println!("{out}");
     } else {

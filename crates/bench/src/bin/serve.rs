@@ -33,9 +33,8 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use diode_bench::jsonout::Json;
 use diode_bench::{flag_f64, flag_num, flag_str};
-use diode_obs::{anomalies_to_jsonl, AnomalyKind, AnomalyReport};
+use diode_obs::{anomalies_to_jsonl, AnomalyReport, Json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -55,11 +54,10 @@ fn main() {
             exit_by_ok(&reply);
         }
         "status" => {
-            let line = match flag_str(&args, "--job") {
-                Some(job) => format!(r#"{{"op":"status","job":"{job}"}}"#),
-                None => r#"{"op":"status"}"#.to_string(),
-            };
-            let reply = request(&addr, &line);
+            let line = Json::obj()
+                .field("op", "status")
+                .field_opt("job", flag_str(&args, "--job"));
+            let reply = request(&addr, &line.to_string());
             println!("{reply}");
             exit_by_ok(&reply);
         }
@@ -189,7 +187,11 @@ fn handle_anomalies(args: &[String], reply: &Json) {
     let anomalies: Vec<AnomalyReport> = reply
         .get("anomalies")
         .and_then(Json::as_arr)
-        .map(|rows| rows.iter().filter_map(anomaly_from_json).collect())
+        .map(|rows| {
+            rows.iter()
+                .filter_map(|row| AnomalyReport::from_json(row).ok())
+                .collect()
+        })
         .unwrap_or_default();
     if let Some(path) = flag_str(args, "--anomalies") {
         if reply.get("anomalies").is_none() {
@@ -213,17 +215,6 @@ fn handle_anomalies(args: &[String], reply: &Json) {
         }
         std::process::exit(1);
     }
-}
-
-/// One `anomalies` array row from a job report, back as a typed report.
-fn anomaly_from_json(row: &Json) -> Option<AnomalyReport> {
-    Some(AnomalyReport {
-        kind: AnomalyKind::parse(row.get("kind")?.as_str()?)?,
-        subject: row.get("subject")?.as_str()?.to_string(),
-        detail: row.get("detail")?.as_str()?.to_string(),
-        value: row.get("value")?.as_u64()?,
-        threshold: row.get("threshold")?.as_u64()?,
-    })
 }
 
 /// One request line, one response line.
@@ -277,7 +268,8 @@ fn connect(addr: &str) -> TcpStream {
 /// (e.g. 404) rather than a telemetry header; detect it and exit 1.
 fn stream_watch(addr: &str, job: &str) {
     let mut conn = connect(addr);
-    if let Err(e) = writeln!(conn, r#"{{"op":"watch","job":"{job}"}}"#) {
+    let line = Json::obj().field("op", "watch").field("job", job);
+    if let Err(e) = writeln!(conn, "{line}") {
         eprintln!("serve: cannot send to {addr}: {e}");
         std::process::exit(2);
     }

@@ -48,15 +48,15 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use diode_bench::jsonout::{cache_json, counts_json, ms, score_json, snapshot_json, Json};
+use diode_bench::jsonout::{counts_json, ms, score_json};
 use diode_bench::profload::audit_document;
 use diode_bench::{flag_f64, flag_num, flag_str, render_synth, synth_rows, AnalysisBackend};
 use diode_engine::{
     CampaignEvent, CampaignReport, CampaignSpec, ExecutionMode, ProgressSink, PulseConfig, Recorder,
 };
 use diode_obs::{
-    anomalies_to_jsonl, AnomalyReport, JsonlFileSink, ProfileReport, PulseBus, PulseEvent,
-    TelemetryLog, Trace, TraceSink, Watchdog, WatchdogConfig,
+    anomalies_to_jsonl, AnomalyReport, Json, ProfileReport, PulseBus, PulseEvent, TelemetryLog,
+    Trace, Watchdog, WatchdogConfig,
 };
 use diode_synth::{forge, score, ForgedSuite, ScoreCard, SynthConfig};
 
@@ -147,8 +147,8 @@ fn main() {
                     .field("sites_per_sec", sites as f64 / wall_s)
                     .field("units_per_sec", units as f64 / wall_s),
             )
-            .field("cache", cache_json(report.cache))
-            .field("snapshots", snapshot_json(report.snapshots))
+            .field("cache", report.cache)
+            .field("snapshots", report.snapshots)
             .field("peak_heap_bytes", report.peak_heap_bytes)
             .field("counts", counts_json(report.counts()))
             .field("oracle", counts_json(suite.oracle.expected_counts()))
@@ -162,7 +162,7 @@ fn main() {
             );
         if let Some(trace) = &trace {
             if profile {
-                out = out.field("profile", profile_json(trace));
+                out = out.field("profile", ProfileReport::from_trace(trace, 10).to_json());
             }
         }
         if let Some(outcome) = &pulse_outcome {
@@ -508,8 +508,8 @@ fn stamped_trace(recorder: &Recorder, report: &CampaignReport) -> Trace {
 }
 
 fn write_trace(path: &str, trace: &Trace) {
-    if let Err(e) = JsonlFileSink::new(path).emit(trace) {
-        eprintln!("synth_campaign: {e}");
+    if let Err(e) = std::fs::write(path, trace.to_jsonl()) {
+        eprintln!("synth_campaign: cannot write {path}: {e}");
         std::process::exit(2);
     }
 }
@@ -529,12 +529,6 @@ fn write_audit(path: &str, report: &CampaignReport, json: bool) {
             records.len()
         );
     }
-}
-
-/// The folded profile as a `Json` value for embedding in artifacts.
-fn profile_json(trace: &Trace) -> Json {
-    Json::parse(&ProfileReport::from_trace(trace, 10).to_json())
-        .expect("profile JSON is well-formed")
 }
 
 /// The recall gate. At the default (and maximum) threshold of 1.0 the

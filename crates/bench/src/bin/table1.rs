@@ -18,13 +18,14 @@
 
 use std::time::Instant;
 
-use diode_bench::jsonout::{cache_json, counts_json, ms, score_json, Json};
+use diode_bench::jsonout::{counts_json, ms, score_json};
 use diode_bench::{
     config_with_cache, flag_num, flag_str, render_synth, render_table1, synth_rows,
     table1_matches_paper, table1_rows, AnalysisBackend, Table1Row,
 };
 use diode_core::DiodeConfig;
 use diode_engine::CampaignSpec;
+use diode_obs::Json;
 use diode_synth::{forge, score, SynthConfig};
 
 fn main() {
@@ -74,7 +75,7 @@ fn main() {
             .field("wall_ms", ms(wall))
             .field("engine_speedup", speedup)
             .field("matches_paper", matches)
-            .field("cache", cache_json(Some(cache.stats())))
+            .field("cache", cache.stats())
             .field("apps", rows.iter().map(app_json).collect::<Vec<_>>())
             .field(
                 "totals",
@@ -140,7 +141,7 @@ fn run_forged_suite(n: usize, filter: Option<&str>, backend: AnalysisBackend, js
             .field("backend", backend.name())
             .field("forged_apps", n)
             .field("wall_ms", ms(report.wall_time))
-            .field("cache", cache_json(report.cache))
+            .field("cache", report.cache)
             .field("counts", counts_json(report.counts()))
             .field("score", score_json(&card));
         println!("{out}");

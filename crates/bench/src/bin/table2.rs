@@ -13,12 +13,13 @@
 
 use std::time::Instant;
 
-use diode_bench::jsonout::{cache_json, ms, Json};
+use diode_bench::jsonout::ms;
 use diode_bench::{
     config_with_cache, render_table2, table2_rows, table2_shape_matches_paper, AnalysisBackend,
     Table2Row,
 };
 use diode_core::DiodeConfig;
+use diode_obs::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -46,7 +47,7 @@ fn main() {
             .field("wall_ms", ms(wall))
             .field("shape_matches_paper", problems.is_empty())
             .field("problems", problems.clone())
-            .field("cache", cache_json(Some(cache.stats())))
+            .field("cache", cache.stats())
             .field("sites", rows.iter().map(site_json).collect::<Vec<_>>());
         println!("{out}");
     } else {

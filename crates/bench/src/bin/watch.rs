@@ -31,10 +31,9 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use diode_bench::jsonout::Json;
 use diode_bench::{flag_f64, flag_num, flag_str};
 use diode_obs::{
-    anomalies_to_jsonl, AnomalyReport, FlightDump, PulseEvent, TelemetryLog, Watchdog,
+    anomalies_to_jsonl, AnomalyReport, FlightDump, Json, PulseEvent, TelemetryLog, Watchdog,
     WatchdogConfig, WorkerState,
 };
 
@@ -473,17 +472,7 @@ impl Summary {
                     .field("wall_ms", *wall as f64 / 1e6)
             })
             .collect();
-        let anomaly_rows: Vec<Json> = anomalies
-            .iter()
-            .map(|a| {
-                Json::obj()
-                    .field("kind", a.kind.as_str())
-                    .field("subject", a.subject.as_str())
-                    .field("detail", a.detail.as_str())
-                    .field("value", a.value)
-                    .field("threshold", a.threshold)
-            })
-            .collect();
+        let anomaly_rows: Vec<Json> = anomalies.iter().map(AnomalyReport::to_json).collect();
         let finished = self.finished.map(|(wall, sites, exposed)| {
             Json::obj()
                 .field("wall_ms", wall as f64 / 1e6)

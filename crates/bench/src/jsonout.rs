@@ -1,53 +1,21 @@
 //! JSON emission for the `--json` harness outputs.
 //!
-//! The value type is `diode-corpus`'s round-tripping [`Json`] — one
-//! codec for the whole workspace, so corpus documents and `BENCH_*.json`
+//! The value type is `diode-obs`'s round-tripping [`Json`] — one codec
+//! for the whole workspace, so corpus documents and `BENCH_*.json`
 //! artifacts share canonical formatting and `u64` payloads (RNG seeds,
 //! guard limits) stay exact instead of passing through `f64`. This
-//! module adds the harness-shared serializers on top.
+//! module adds the serializers only the harness needs; cache and
+//! snapshot counters convert with `Json::from`, next to their types.
 
 use std::time::Duration;
 
-pub use diode_corpus::{Json, JsonError};
+use diode_obs::Json;
 
 /// Serializes a duration as fractional milliseconds (every `*_ms` field
 /// in the BENCH schema).
 #[must_use]
 pub fn ms(d: Duration) -> Json {
     Json::from(d.as_secs_f64() * 1e3)
-}
-
-/// Serializes cache counters in the shape every binary shares.
-#[must_use]
-pub fn cache_json(stats: Option<diode_solver::CacheStats>) -> Json {
-    match stats {
-        None => Json::Null,
-        Some(s) => Json::obj()
-            .field("hits", s.hits)
-            .field("misses", s.misses)
-            .field("entries", s.entries)
-            .field("bytes", s.bytes)
-            .field("peak_bytes", s.peak_bytes)
-            .field("hit_rate", s.hit_rate()),
-    }
-}
-
-/// Serializes prefix-snapshot counters in the shared BENCH shape.
-#[must_use]
-pub fn snapshot_json(stats: Option<diode_core::SnapshotStats>) -> Json {
-    match stats {
-        None => Json::Null,
-        Some(s) => Json::obj()
-            .field("hits", s.hits)
-            .field("misses", s.misses)
-            .field("resumes", s.resumes)
-            .field("captures", s.captures)
-            .field("extract_resumes", s.extract_resumes)
-            .field("entries", s.entries)
-            .field("bytes", s.bytes)
-            .field("peak_bytes", s.peak_bytes)
-            .field("resume_rate", s.resume_rate()),
-    }
 }
 
 /// Serializes `(total, exposed, unsat, prevented)` counts.
@@ -118,7 +86,10 @@ mod tests {
             counts_json((40, 14, 17, 9)).to_string(),
             r#"{"total":40,"exposed":14,"unsat":17,"prevented":9}"#
         );
-        assert_eq!(cache_json(None).to_string(), "null");
+        assert_eq!(
+            Json::from(None::<diode_solver::CacheStats>).to_string(),
+            "null"
+        );
         let s = diode_solver::CacheStats {
             hits: 3,
             misses: 1,
@@ -127,7 +98,7 @@ mod tests {
             peak_bytes: 120,
         };
         assert_eq!(
-            cache_json(Some(s)).to_string(),
+            Json::from(s).to_string(),
             r#"{"hits":3,"misses":1,"entries":1,"bytes":96,"peak_bytes":120,"hit_rate":0.75}"#
         );
     }

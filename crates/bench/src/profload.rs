@@ -11,94 +11,7 @@
 //! [`load_audit_records`] reads a `diode_audit` document
 //! (`synth_campaign --audit`) back into [`ProvenanceRecord`]s.
 
-use std::collections::BTreeMap;
-
-use diode_corpus::{record_from_json, Json};
-use diode_obs::{Phase, PhaseBreakdown, PhaseRow, ProfileReport, ProvenanceRecord, SiteRow, Trace};
-
-fn ms_to_ns(ms: f64) -> u64 {
-    (ms.max(0.0) * 1e6).round() as u64
-}
-
-fn ns_field(doc: &Json, key: &str) -> Result<u64, String> {
-    doc.get(key)
-        .and_then(Json::as_f64)
-        .map(ms_to_ns)
-        .ok_or_else(|| format!("missing numeric field {key:?}"))
-}
-
-/// Reconstructs a [`ProfileReport`] from an `obs_profile` JSON document
-/// (millisecond fields are converted back to nanoseconds, so round-trip
-/// precision is 1ns — far below timing noise).
-///
-/// # Errors
-///
-/// A description of the first missing or malformed field.
-pub fn profile_from_json(doc: &Json) -> Result<ProfileReport, String> {
-    let rows = doc
-        .get("phases")
-        .and_then(Json::as_arr)
-        .ok_or("missing \"phases\" array")?;
-    let mut phases = Vec::with_capacity(rows.len());
-    for row in rows {
-        let name = row
-            .get("phase")
-            .and_then(Json::as_str)
-            .ok_or("phase row missing \"phase\"")?;
-        let phase = Phase::parse(name).ok_or_else(|| format!("unknown phase {name:?}"))?;
-        phases.push(PhaseRow {
-            phase,
-            count: row
-                .get("count")
-                .and_then(Json::as_u64)
-                .ok_or("phase row missing \"count\"")?,
-            total_ns: ns_field(row, "total_ms")?,
-            self_ns: ns_field(row, "self_ms")?,
-            p50_ns: ns_field(row, "p50_ms")?,
-            p99_ns: ns_field(row, "p99_ms")?,
-        });
-    }
-    let breakdown = PhaseBreakdown {
-        phases,
-        top_level_ns: ns_field(doc, "top_level_ms")?,
-        queue_wait_ns: ns_field(doc, "queue_wait_ms")?,
-    };
-    let mut top_sites = Vec::new();
-    if let Some(rows) = doc.get("top_sites").and_then(Json::as_arr) {
-        for row in rows {
-            top_sites.push(SiteRow {
-                app: row
-                    .get("app")
-                    .and_then(Json::as_str)
-                    .ok_or("site row missing \"app\"")?
-                    .to_string(),
-                seed: row.get("seed").and_then(Json::as_u64).unwrap_or(0) as u32,
-                site: row
-                    .get("site")
-                    .and_then(Json::as_str)
-                    .ok_or("site row missing \"site\"")?
-                    .to_string(),
-                total_ns: ns_field(row, "total_ms")?,
-                spans: row.get("spans").and_then(Json::as_u64).unwrap_or(0),
-            });
-        }
-    }
-    let mut counters = BTreeMap::new();
-    if let Some(Json::Obj(fields)) = doc.get("counters") {
-        for (name, value) in fields {
-            if let Some(v) = value.as_u64() {
-                counters.insert(name.clone(), v);
-            }
-        }
-    }
-    Ok(ProfileReport {
-        breakdown,
-        top_sites,
-        wall_ns: doc.get("wall_ms").and_then(Json::as_f64).map(ms_to_ns),
-        threads: doc.get("threads").and_then(Json::as_u64).map(|t| t as u32),
-        counters,
-    })
-}
+use diode_obs::{Json, ProfileReport, ProvenanceRecord, Trace};
 
 /// Loads a profiled run from any harness-written shape (see module
 /// docs). `top_n` bounds the slowest-site list when folding a raw trace.
@@ -124,7 +37,7 @@ pub fn load_profile(path: &str, top_n: usize) -> Result<ProfileReport, String> {
             }
             None => return Err(format!("{path}: JSON document without a \"table\" field")),
         };
-        return profile_from_json(embedded).map_err(|reason| format!("{path}: {reason}"));
+        return ProfileReport::from_json(embedded).map_err(|reason| format!("{path}: {reason}"));
     }
     // Not a single JSON document — treat as a JSONL trace.
     let trace = Trace::from_jsonl(&text).map_err(|e| format!("{path}: {e}"))?;
@@ -151,7 +64,7 @@ pub fn load_audit_records(path: &str) -> Result<Vec<ProvenanceRecord>, String> {
         .ok_or_else(|| format!("{path}: missing \"records\" array"))?;
     let mut records = Vec::with_capacity(rows.len());
     for (i, row) in rows.iter().enumerate() {
-        records.push(record_from_json(&format!("{path}[{i}]"), row).map_err(|e| e.to_string())?);
+        records.push(ProvenanceRecord::from_json(row).map_err(|e| format!("{path}[{i}]: {e}"))?);
     }
     Ok(records)
 }
@@ -162,10 +75,7 @@ pub fn load_audit_records(path: &str) -> Result<Vec<ProvenanceRecord>, String> {
 /// counts (only the advisory `threads` field varies).
 #[must_use]
 pub fn audit_document(records: &[ProvenanceRecord], threads: usize) -> Json {
-    let rows: Vec<Json> = records
-        .iter()
-        .map(diode_corpus::record_json_canonical)
-        .collect();
+    let rows: Vec<Json> = records.iter().map(ProvenanceRecord::canonical).collect();
     Json::obj()
         .field("table", "diode_audit")
         .field("v", diode_obs::AUDIT_SCHEMA_VERSION)
@@ -175,6 +85,10 @@ pub fn audit_document(records: &[ProvenanceRecord], threads: usize) -> Json {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use diode_obs::Phase;
+
     use super::*;
 
     #[test]
@@ -211,8 +125,8 @@ mod tests {
         };
         trace.counters.insert("solver.queries".into(), 7);
         let report = ProfileReport::from_trace(&trace, 5);
-        let doc = Json::parse(&report.to_json()).expect("report JSON parses");
-        let back = profile_from_json(&doc).expect("reconstructs");
+        let doc = Json::parse(&report.to_json().to_string()).expect("report JSON parses");
+        let back = ProfileReport::from_json(&doc).expect("reconstructs");
         assert_eq!(back.breakdown.phases.len(), report.breakdown.phases.len());
         assert_eq!(back.breakdown.top_level_ns, report.breakdown.top_level_ns);
         assert_eq!(back.counters, report.counters);
@@ -241,5 +155,14 @@ mod tests {
         let back = load_audit_records(path.to_str().unwrap()).unwrap();
         assert_eq!(back, vec![rec]);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn committed_audit_baseline_reserializes_byte_identically() {
+        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_audit.json");
+        let committed = std::fs::read_to_string(path).unwrap();
+        let records = load_audit_records(path).unwrap();
+        assert_eq!(records.len(), 73);
+        assert_eq!(format!("{}\n", audit_document(&records, 1)), committed);
     }
 }

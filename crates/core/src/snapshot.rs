@@ -29,6 +29,7 @@ use std::sync::{Arc, Mutex};
 use diode_format::{Fixup, FormatDesc};
 use diode_interp::{run_capture_multi, MachineConfig, Snapshot, Symbolic};
 use diode_lang::{Label, Program};
+use diode_obs::Json;
 
 use crate::pipeline::TargetSite;
 
@@ -69,6 +70,23 @@ impl SnapshotStats {
         } else {
             self.resumes as f64 / total as f64
         }
+    }
+}
+
+/// The one serialised shape of the counters, shared by the daemon's
+/// replies and the harness's `--json` outputs.
+impl From<SnapshotStats> for Json {
+    fn from(s: SnapshotStats) -> Json {
+        Json::obj()
+            .field("hits", s.hits)
+            .field("misses", s.misses)
+            .field("resumes", s.resumes)
+            .field("captures", s.captures)
+            .field("extract_resumes", s.extract_resumes)
+            .field("entries", s.entries)
+            .field("bytes", s.bytes)
+            .field("peak_bytes", s.peak_bytes)
+            .field("resume_rate", s.resume_rate())
     }
 }
 

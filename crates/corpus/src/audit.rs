@@ -18,12 +18,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use diode_engine::CampaignReport;
-use diode_obs::{
-    canonical_record_set, EnforceAction, ProvenanceEvent, ProvenanceRecord, QueryOrigin,
-    QueryVerdict, AUDIT_SCHEMA_VERSION,
-};
+use diode_obs::{canonical_record_set, Json, ProvenanceRecord};
 
-use crate::json::Json;
 use crate::witness::SiteKey;
 use crate::CorpusError;
 
@@ -173,141 +169,18 @@ impl fmt::Display for DerivationDrift {
     }
 }
 
-/// Serialises a record as a corpus [`Json`] document (full form, with
-/// advisory cache annotations).
-#[must_use]
-pub fn record_json(r: &ProvenanceRecord) -> Json {
-    Json::parse(&r.to_json()).expect("provenance records serialise as valid JSON")
-}
-
-/// Serialises a record in canonical form — the byte-identical-across-
-/// thread-counts shape every persisted audit artifact uses. Cache-hit
-/// annotations are omitted: whether a query hit the *shared* cache
-/// depends on scheduling, not on the decision being derived.
-#[must_use]
-pub fn record_json_canonical(r: &ProvenanceRecord) -> Json {
-    Json::parse(&r.canonical()).expect("provenance records serialise as valid JSON")
-}
-
-fn corrupt(doc: &str, reason: impl Into<String>) -> CorpusError {
-    CorpusError::Corrupt {
+/// Reads one persisted provenance record, naming `doc` in the error.
+pub(crate) fn read_record(doc: &str, json: &Json) -> Result<ProvenanceRecord, CorpusError> {
+    ProvenanceRecord::from_json(json).map_err(|reason| CorpusError::Corrupt {
         doc: doc.to_string(),
-        reason: reason.into(),
-    }
-}
-
-fn u32_field(doc: &Json, key: &str) -> Result<u32, String> {
-    doc.get(key)
-        .and_then(Json::as_u64)
-        .and_then(|v| u32::try_from(v).ok())
-        .ok_or_else(|| format!("missing or non-u32 field {key:?}"))
-}
-
-fn str_field<'j>(doc: &'j Json, key: &str) -> Result<&'j str, String> {
-    doc.get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
-fn event_from_json(doc: &Json) -> Result<ProvenanceEvent, String> {
-    match str_field(doc, "type")? {
-        "extraction" => {
-            let items = doc
-                .get("relevant_bytes")
-                .and_then(Json::as_arr)
-                .ok_or("extraction event missing relevant_bytes array")?;
-            let mut relevant_bytes = Vec::with_capacity(items.len());
-            for item in items {
-                relevant_bytes.push(
-                    item.as_u64()
-                        .and_then(|v| u32::try_from(v).ok())
-                        .ok_or("non-u32 entry in relevant_bytes")?,
-                );
-            }
-            Ok(ProvenanceEvent::Extraction {
-                relevant_bytes,
-                total_relevant: u32_field(doc, "total_relevant")?,
-                phi_len: u32_field(doc, "phi")?,
-                boundary: u32_field(doc, "boundary")?,
-                resumed: doc
-                    .get("resumed")
-                    .and_then(Json::as_bool)
-                    .ok_or("missing or non-bool field \"resumed\"")?,
-            })
-        }
-        "query" => Ok(ProvenanceEvent::Query {
-            origin: QueryOrigin::parse(str_field(doc, "origin")?).ok_or("unknown query origin")?,
-            fingerprint: str_field(doc, "fingerprint")?.to_string(),
-            verdict: QueryVerdict::parse(str_field(doc, "verdict")?)
-                .ok_or("unknown query verdict")?,
-            cache_hit: doc.get("cache_hit").and_then(Json::as_bool),
-        }),
-        "enforce" => Ok(ProvenanceEvent::Enforce {
-            iteration: u32_field(doc, "iteration")?,
-            condition: u32_field(doc, "condition")?,
-            label: u32_field(doc, "label")?,
-            action: EnforceAction::parse(str_field(doc, "action")?)
-                .ok_or("unknown enforce action")?,
-        }),
-        "budget" => Ok(ProvenanceEvent::Budget {
-            iteration: u32_field(doc, "iteration")?,
-        }),
-        "verdict" => Ok(ProvenanceEvent::Verdict {
-            outcome: str_field(doc, "outcome")?.to_string(),
-            enforced: u32_field(doc, "enforced")?,
-            witness: doc
-                .get("witness")
-                .and_then(Json::as_str)
-                .map(str::to_string),
-        }),
-        other => Err(format!("unknown event type {other:?}")),
-    }
-}
-
-/// Parses a provenance record back from a corpus [`Json`] document,
-/// rejecting unknown schema versions.
-///
-/// # Errors
-///
-/// [`CorpusError::Corrupt`] naming `doc_name` on any structural problem.
-pub fn record_from_json(doc_name: &str, doc: &Json) -> Result<ProvenanceRecord, CorpusError> {
-    let v = doc
-        .get("v")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| corrupt(doc_name, "missing schema version"))?;
-    if v != u64::from(AUDIT_SCHEMA_VERSION) {
-        return Err(corrupt(
-            doc_name,
-            format!("unsupported audit schema version {v}"),
-        ));
-    }
-    let events_json = doc
-        .get("events")
-        .and_then(Json::as_arr)
-        .ok_or_else(|| corrupt(doc_name, "missing events array"))?;
-    let mut events = Vec::with_capacity(events_json.len());
-    for (i, e) in events_json.iter().enumerate() {
-        events.push(
-            event_from_json(e)
-                .map_err(|reason| corrupt(doc_name, format!("event {i}: {reason}")))?,
-        );
-    }
-    Ok(ProvenanceRecord {
-        app: str_field(doc, "app")
-            .map_err(|r| corrupt(doc_name, r))?
-            .to_string(),
-        seed: u32_field(doc, "seed").map_err(|r| corrupt(doc_name, r))?,
-        site: str_field(doc, "site")
-            .map_err(|r| corrupt(doc_name, r))?
-            .to_string(),
-        events,
+        reason,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use diode_obs::fnv64_hex;
+    use diode_obs::{fnv64_hex, EnforceAction, ProvenanceEvent, QueryOrigin, QueryVerdict};
 
     fn record(site: &str, outcome: &str) -> ProvenanceRecord {
         ProvenanceRecord {
@@ -340,19 +213,18 @@ mod tests {
     #[test]
     fn records_roundtrip_through_corpus_json() {
         let r = record("b0@7", "exposed");
-        let doc = record_json(&r);
-        let back = record_from_json("t", &doc).unwrap();
+        let back = read_record("t", &r.to_json()).unwrap();
         assert_eq!(back, r, "cache_hit and all payloads survive");
     }
 
     #[test]
     fn parse_rejects_future_schema_and_garbage_events() {
-        let mut doc = record_json(&record("s", "exposed"));
+        let mut doc = record("s", "exposed").to_json();
         if let Json::Obj(fields) = &mut doc {
             fields[0].1 = Json::UInt(99);
         }
         assert!(matches!(
-            record_from_json("t", &doc),
+            read_record("t", &doc),
             Err(CorpusError::Corrupt { .. })
         ));
         let bad = Json::parse(
@@ -360,7 +232,7 @@ mod tests {
              \"events\":[{\"type\":\"warp\"}]}",
         )
         .unwrap();
-        let err = record_from_json("t", &bad).unwrap_err();
+        let err = read_record("t", &bad).unwrap_err();
         assert!(err.to_string().contains("warp"));
     }
 

@@ -6,12 +6,12 @@
 //! first problem with enough context to locate it.
 
 use diode_format::FormatDesc;
+use diode_obs::Json;
 use diode_synth::{
     AppManifest, AppOracle, ClassMix, GroundTruth, PlantedSite, ShapeClass, SuiteManifest,
     SynthConfig, SynthOracle, WidthClass,
 };
 
-use crate::json::Json;
 use crate::witness::{ScoreSummary, SiteWitness, WitnessSet};
 use crate::CorpusError;
 

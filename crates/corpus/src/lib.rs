@@ -66,16 +66,13 @@ use std::path::PathBuf;
 
 mod audit;
 mod codec;
-pub mod json;
 mod store;
 mod witness;
 
-pub use audit::{
-    record_file, record_from_json, record_json, record_json_canonical, record_key, AuditSet,
-    DerivationDrift,
-};
+use diode_obs::JsonError;
+
+pub use audit::{record_file, record_key, AuditSet, DerivationDrift};
 pub use codec::LAYOUT_VERSION;
-pub use json::{Json, JsonError};
 pub use store::{CorpusStore, ReplayableSuite, SuiteSummary};
 pub use witness::{
     outcome_token, ChangedSite, CorpusDiff, ScoreSummary, SiteKey, SiteWitness, WitnessSet,

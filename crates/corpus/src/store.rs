@@ -23,13 +23,13 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 use diode_engine::{CampaignReport, CampaignSpec, CorpusSuite, ExecutionMode};
+use diode_obs::Json;
 use diode_synth::{
     forge_range, score, ForgedSuite, ScoreCard, SuiteManifest, SynthConfig, SynthOracle,
 };
 
 use crate::audit::{self, AuditSet};
 use crate::codec;
-use crate::json::Json;
 use crate::witness::WitnessSet;
 use crate::CorpusError;
 
@@ -423,7 +423,7 @@ impl CorpusStore {
         for record in &set.records {
             write_file(
                 &dir.join(audit::record_file(record)),
-                record.canonical().as_bytes(),
+                record.canonical().to_string().as_bytes(),
             )?;
         }
         Ok(dir)
@@ -451,10 +451,7 @@ impl CorpusStore {
                 continue;
             }
             let doc = read_doc(&entry.path())?;
-            records.push(audit::record_from_json(
-                &format!("audit/{label}/{name}"),
-                &doc,
-            )?);
+            records.push(audit::read_record(&format!("audit/{label}/{name}"), &doc)?);
         }
         records.sort_by(|a, b| (&a.app, a.seed, &a.site).cmp(&(&b.app, b.seed, &b.site)));
         Ok(Some(AuditSet {

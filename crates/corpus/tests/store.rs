@@ -3,9 +3,10 @@
 
 use std::path::PathBuf;
 
-use diode_corpus::{CorpusDiff, CorpusError, CorpusStore, Json, LAYOUT_VERSION};
+use diode_corpus::{CorpusDiff, CorpusError, CorpusStore, LAYOUT_VERSION};
 use diode_engine::{CampaignApp, CampaignSpec, ExecutionMode};
 use diode_lang::parse;
+use diode_obs::Json;
 use diode_synth::{forge, GroundTruth, SynthConfig};
 
 fn scratch(name: &str) -> PathBuf {

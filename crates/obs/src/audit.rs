@@ -17,9 +17,12 @@
 //! and serialises to a canonical form ([`ProvenanceRecord::canonical`])
 //! that drops the one racy field (cache-hit attribution under a shared
 //! cache) so record sets compare byte-identical across thread counts —
-//! the same discipline span identity follows.
+//! the same discipline span identity follows. [`ProvenanceRecord::from_json`]
+//! reads either form back.
 
 use std::fmt::Write as _;
+
+use crate::json::Json;
 
 /// Version stamp for the provenance wire format (`audit/*.json`).
 pub const AUDIT_SCHEMA_VERSION: u32 = 1;
@@ -192,7 +195,8 @@ impl ProvenanceEvent {
     /// Serialise one event as a JSON object. When `canonical` is set the
     /// advisory `cache_hit` field is omitted, making the output identical
     /// across thread counts.
-    pub fn to_json(&self, canonical: bool) -> String {
+    #[must_use]
+    pub fn to_json(&self, canonical: bool) -> Json {
         match self {
             ProvenanceEvent::Extraction {
                 relevant_bytes,
@@ -200,63 +204,102 @@ impl ProvenanceEvent {
                 phi_len,
                 boundary,
                 resumed,
-            } => {
-                let bytes: Vec<String> = relevant_bytes.iter().map(u32::to_string).collect();
-                format!(
-                    "{{\"type\":\"extraction\",\"relevant_bytes\":[{}],\
-                     \"total_relevant\":{total_relevant},\"phi\":{phi_len},\
-                     \"boundary\":{boundary},\"resumed\":{resumed}}}",
-                    bytes.join(",")
-                )
-            }
+            } => Json::obj()
+                .field("type", "extraction")
+                .field("relevant_bytes", relevant_bytes.clone())
+                .field("total_relevant", *total_relevant)
+                .field("phi", *phi_len)
+                .field("boundary", *boundary)
+                .field("resumed", *resumed),
             ProvenanceEvent::Query {
                 origin,
                 fingerprint,
                 verdict,
                 cache_hit,
-            } => {
-                let mut out = format!(
-                    "{{\"type\":\"query\",\"origin\":\"{}\",\"fingerprint\":\"{}\",\
-                     \"verdict\":\"{}\"",
-                    origin.as_str(),
-                    fingerprint,
-                    verdict.as_str()
-                );
-                if !canonical {
-                    if let Some(hit) = cache_hit {
-                        let _ = write!(out, ",\"cache_hit\":{hit}");
-                    }
-                }
-                out.push('}');
-                out
-            }
+            } => Json::obj()
+                .field("type", "query")
+                .field("origin", origin.as_str())
+                .field("fingerprint", fingerprint.as_str())
+                .field("verdict", verdict.as_str())
+                .field_opt("cache_hit", cache_hit.filter(|_| !canonical)),
             ProvenanceEvent::Enforce {
                 iteration,
                 condition,
                 label,
                 action,
-            } => format!(
-                "{{\"type\":\"enforce\",\"iteration\":{iteration},\
-                 \"condition\":{condition},\"label\":{label},\"action\":\"{}\"}}",
-                action.as_str()
-            ),
-            ProvenanceEvent::Budget { iteration } => {
-                format!("{{\"type\":\"budget\",\"iteration\":{iteration}}}")
-            }
+            } => Json::obj()
+                .field("type", "enforce")
+                .field("iteration", *iteration)
+                .field("condition", *condition)
+                .field("label", *label)
+                .field("action", action.as_str()),
+            ProvenanceEvent::Budget { iteration } => Json::obj()
+                .field("type", "budget")
+                .field("iteration", *iteration),
             ProvenanceEvent::Verdict {
                 outcome,
                 enforced,
                 witness,
-            } => {
-                let mut out = format!(
-                    "{{\"type\":\"verdict\",\"outcome\":\"{outcome}\",\"enforced\":{enforced}"
-                );
-                if let Some(w) = witness {
-                    let _ = write!(out, ",\"witness\":\"{w}\"");
-                }
-                out.push('}');
-                out
+            } => Json::obj()
+                .field("type", "verdict")
+                .field("outcome", outcome.as_str())
+                .field("enforced", *enforced)
+                .field_opt("witness", witness.as_deref()),
+        }
+    }
+
+    /// Reads an event back from [`to_json`](Self::to_json)'s object
+    /// (either form).
+    pub fn from_json(doc: &Json) -> Result<ProvenanceEvent, String> {
+        match doc.str_field("type")? {
+            "extraction" => {
+                let items = doc
+                    .get("relevant_bytes")
+                    .and_then(Json::as_arr)
+                    .ok_or("extraction event missing relevant_bytes array")?;
+                let relevant_bytes = items
+                    .iter()
+                    .map(|item| item.as_u64().and_then(|v| u32::try_from(v).ok()))
+                    .collect::<Option<Vec<u32>>>()
+                    .ok_or("non-u32 entry in relevant_bytes")?;
+                Ok(ProvenanceEvent::Extraction {
+                    relevant_bytes,
+                    total_relevant: doc.u32_field("total_relevant")?,
+                    phi_len: doc.u32_field("phi")?,
+                    boundary: doc.u32_field("boundary")?,
+                    resumed: doc
+                        .get("resumed")
+                        .and_then(Json::as_bool)
+                        .ok_or("missing bool field \"resumed\"")?,
+                })
             }
+            "query" => Ok(ProvenanceEvent::Query {
+                origin: QueryOrigin::parse(doc.str_field("origin")?)
+                    .ok_or("unknown query origin")?,
+                fingerprint: doc.str_field("fingerprint")?.to_string(),
+                verdict: QueryVerdict::parse(doc.str_field("verdict")?)
+                    .ok_or("unknown query verdict")?,
+                cache_hit: doc.get("cache_hit").and_then(Json::as_bool),
+            }),
+            "enforce" => Ok(ProvenanceEvent::Enforce {
+                iteration: doc.u32_field("iteration")?,
+                condition: doc.u32_field("condition")?,
+                label: doc.u32_field("label")?,
+                action: EnforceAction::parse(doc.str_field("action")?)
+                    .ok_or("unknown enforce action")?,
+            }),
+            "budget" => Ok(ProvenanceEvent::Budget {
+                iteration: doc.u32_field("iteration")?,
+            }),
+            "verdict" => Ok(ProvenanceEvent::Verdict {
+                outcome: doc.str_field("outcome")?.to_string(),
+                enforced: doc.u32_field("enforced")?,
+                witness: doc
+                    .get("witness")
+                    .and_then(Json::as_str)
+                    .map(str::to_string),
+            }),
+            other => Err(format!("unknown event type {other:?}")),
         }
     }
 }
@@ -276,29 +319,53 @@ pub struct ProvenanceRecord {
 }
 
 impl ProvenanceRecord {
-    /// Full JSON document for `audit/<site>.json`, schema-versioned.
-    /// Includes the advisory cache annotations.
-    pub fn to_json(&self) -> String {
+    /// Full schema-versioned JSON document, including the advisory
+    /// cache annotations.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
         self.render_json(false)
     }
 
     /// Deterministic identity form: same as [`ProvenanceRecord::to_json`]
     /// minus advisory cache-hit attribution. Byte-identical across
-    /// thread counts for the same campaign spec.
-    pub fn canonical(&self) -> String {
+    /// thread counts for the same campaign spec; every persisted audit
+    /// artifact (`audit/<site>.json`, `diode_audit` documents) uses it.
+    #[must_use]
+    pub fn canonical(&self) -> Json {
         self.render_json(true)
     }
 
-    fn render_json(&self, canonical: bool) -> String {
-        let events: Vec<String> = self.events.iter().map(|e| e.to_json(canonical)).collect();
-        format!(
-            "{{\"v\":{AUDIT_SCHEMA_VERSION},\"app\":\"{}\",\"seed\":{},\"site\":\"{}\",\
-             \"events\":[{}]}}",
-            escape(&self.app),
-            self.seed,
-            escape(&self.site),
-            events.join(",")
-        )
+    fn render_json(&self, canonical: bool) -> Json {
+        let events: Vec<Json> = self.events.iter().map(|e| e.to_json(canonical)).collect();
+        Json::obj()
+            .field("v", AUDIT_SCHEMA_VERSION)
+            .field("app", self.app.as_str())
+            .field("seed", self.seed)
+            .field("site", self.site.as_str())
+            .field("events", events)
+    }
+
+    /// Reads a record back from either JSON form, rejecting unknown
+    /// schema versions.
+    pub fn from_json(doc: &Json) -> Result<ProvenanceRecord, String> {
+        let v = doc.u64_field("v")?;
+        if v != u64::from(AUDIT_SCHEMA_VERSION) {
+            return Err(format!("unsupported audit schema version {v}"));
+        }
+        let events = doc
+            .get("events")
+            .and_then(Json::as_arr)
+            .ok_or("missing events array")?
+            .iter()
+            .enumerate()
+            .map(|(i, e)| ProvenanceEvent::from_json(e).map_err(|r| format!("event {i}: {r}")))
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(ProvenanceRecord {
+            app: doc.str_field("app")?.to_string(),
+            seed: doc.u32_field("seed")?,
+            site: doc.str_field("site")?.to_string(),
+            events,
+        })
     }
 
     /// The final verdict event, if the record reached one.
@@ -564,8 +631,7 @@ pub fn canonical_record_set(records: &[ProvenanceRecord]) -> String {
     sorted.sort_by(|a, b| (&a.app, a.seed, &a.site).cmp(&(&b.app, b.seed, &b.site)));
     let mut out = String::new();
     for r in sorted {
-        out.push_str(&r.canonical());
-        out.push('\n');
+        let _ = writeln!(out, "{}", r.canonical());
     }
     out
 }
@@ -580,24 +646,6 @@ pub fn fnv64_hex(bytes: &[u8]) -> String {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     format!("fnv64:{h:016x}")
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -653,8 +701,8 @@ mod tests {
     #[test]
     fn canonical_strips_cache_hit_only() {
         let rec = exposed_record();
-        let full = rec.to_json();
-        let canon = rec.canonical();
+        let full = rec.to_json().to_string();
+        let canon = rec.canonical().to_string();
         assert!(full.contains("\"cache_hit\":true"));
         assert!(!canon.contains("cache_hit"));
         // Everything else survives.
@@ -749,5 +797,18 @@ mod tests {
         ] {
             assert_eq!(EnforceAction::parse(a.as_str()), Some(a));
         }
+    }
+
+    #[test]
+    fn json_bytes_are_pinned() {
+        let rec = exposed_record();
+        assert_eq!(
+            rec.to_json().to_string(),
+            r#"{"v":1,"app":"app-0","seed":0,"site":"b0@7","events":[{"type":"extraction","relevant_bytes":[0,1],"total_relevant":2,"phi":3,"boundary":5,"resumed":false},{"type":"query","origin":"beta","fingerprint":"00ff","verdict":"sat","cache_hit":false},{"type":"enforce","iteration":1,"condition":2,"label":9,"action":"considered"},{"type":"query","origin":"enforce","fingerprint":"0abc","verdict":"sat","cache_hit":true},{"type":"enforce","iteration":1,"condition":2,"label":9,"action":"enforced"},{"type":"verdict","outcome":"exposed","enforced":1,"witness":"fnv64:09086407b5a0edaa"}]}"#
+        );
+        assert_eq!(
+            rec.canonical().to_string(),
+            r#"{"v":1,"app":"app-0","seed":0,"site":"b0@7","events":[{"type":"extraction","relevant_bytes":[0,1],"total_relevant":2,"phi":3,"boundary":5,"resumed":false},{"type":"query","origin":"beta","fingerprint":"00ff","verdict":"sat"},{"type":"enforce","iteration":1,"condition":2,"label":9,"action":"considered"},{"type":"query","origin":"enforce","fingerprint":"0abc","verdict":"sat"},{"type":"enforce","iteration":1,"condition":2,"label":9,"action":"enforced"},{"type":"verdict","outcome":"exposed","enforced":1,"witness":"fnv64:09086407b5a0edaa"}]}"#
+        );
     }
 }

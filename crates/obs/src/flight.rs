@@ -25,10 +25,10 @@
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
+use crate::json::{jsonl_header, jsonl_lines, jsonl_records, Json};
 use crate::pulse::PulseEvent;
-use crate::sink::{parse_flat_object, push_json_str, FlatValue};
 use crate::telemetry::{pulse_event_lines, telemetry_header, TelemetryLog};
-use crate::watchdog::{anomalies_from_jsonl, anomalies_to_jsonl, AnomalyReport};
+use crate::watchdog::{digest_record, read_digest_record, AnomalyReport};
 
 /// Version stamped into (and required from) the flight header line.
 pub const FLIGHT_SCHEMA_VERSION: u64 = 1;
@@ -84,24 +84,17 @@ impl FlightRecorder {
         threads: u32,
         anomalies: &[AnomalyReport],
     ) -> String {
-        let mut out = String::new();
-        out.push_str("{\"type\":\"flight\",\"v\":");
-        let _ = write!(out, "{FLIGHT_SCHEMA_VERSION}");
-        out.push_str(",\"job\":");
-        push_json_str(&mut out, job);
-        out.push_str(",\"reason\":");
-        push_json_str(&mut out, reason);
-        let _ = writeln!(
-            out,
-            ",\"seen\":{},\"retained\":{},\"anomalies\":{}}}",
-            self.seen,
-            self.ring.len(),
-            anomalies.len()
-        );
-        // Anomaly records ride the digest line format, minus its header.
-        let digest = anomalies_to_jsonl(anomalies);
-        if let Some((_, records)) = digest.split_once('\n') {
-            out.push_str(records);
+        let head = Json::obj()
+            .field("type", "flight")
+            .field("v", FLIGHT_SCHEMA_VERSION)
+            .field("job", job)
+            .field("reason", reason)
+            .field("seen", self.seen)
+            .field("retained", self.ring.len())
+            .field("anomalies", anomalies.len());
+        let mut out = format!("{head}\n");
+        for a in anomalies {
+            let _ = writeln!(out, "{}", digest_record(a));
         }
         out.push_str(&telemetry_header(threads));
         for event in &self.ring {
@@ -131,63 +124,27 @@ pub struct FlightDump {
 impl FlightDump {
     /// Parses a dump produced by [`FlightRecorder::dump`].
     pub fn from_jsonl(text: &str) -> Result<FlightDump, String> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-        let Some(header) = lines.next() else {
-            return Err("flight: empty input (missing header line)".into());
-        };
-        let head = parse_flat_object(header).map_err(|e| format!("flight line 1: {e}"))?;
-        if head.get("type").and_then(FlatValue::as_str) != Some("flight") {
-            return Err("flight: first line must be the header {\"type\":\"flight\",...}".into());
+        let mut lines = jsonl_lines(text);
+        let head = jsonl_header(&mut lines, "flight", "flight", FLIGHT_SCHEMA_VERSION)?;
+        let header = |e: String| format!("flight: header {e}");
+        let declared = head.u64_field("anomalies").map_err(header)? as usize;
+        let mut anomalies = Vec::new();
+        jsonl_records(lines.by_ref().take(declared), "flight", |rec| {
+            anomalies.push(read_digest_record(&rec)?);
+            Ok(())
+        })?;
+        if anomalies.len() != declared {
+            return Err(format!(
+                "flight: header declares {declared} anomaly record(s) \
+                 but the stream ended early"
+            ));
         }
-        match head.get("v").and_then(FlatValue::as_u64) {
-            Some(FLIGHT_SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "flight: unsupported schema version {v} (expected {FLIGHT_SCHEMA_VERSION})"
-                ))
-            }
-            None => return Err("flight: header missing integer field \"v\"".into()),
-        }
-        let req_str = |key: &str| -> Result<String, String> {
-            head.get(key)
-                .and_then(FlatValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("flight: header missing string field {key:?}"))
-        };
-        let req_u64 = |key: &str| -> Result<u64, String> {
-            head.get(key)
-                .and_then(FlatValue::as_u64)
-                .ok_or_else(|| format!("flight: header missing integer field {key:?}"))
-        };
-        let anomaly_count = req_u64("anomalies")? as usize;
-        // The declared number of anomaly records, re-wrapped as a
-        // digest for the existing parser.
-        let mut digest = format!(
-            "{{\"type\":\"anomalies\",\"v\":{},\"count\":{anomaly_count}}}\n",
-            crate::watchdog::ANOMALY_SCHEMA_VERSION
-        );
-        for _ in 0..anomaly_count {
-            let Some(line) = lines.next() else {
-                return Err(format!(
-                    "flight: header declares {anomaly_count} anomaly record(s) \
-                     but the stream ended early"
-                ));
-            };
-            digest.push_str(line);
-            digest.push('\n');
-        }
-        let anomalies = anomalies_from_jsonl(&digest).map_err(|e| format!("flight: {e}"))?;
         // Everything left is a standard telemetry stream.
-        let mut telemetry = String::new();
-        for line in lines {
-            telemetry.push_str(line);
-            telemetry.push('\n');
-        }
-        let log = TelemetryLog::from_jsonl(&telemetry).map_err(|e| format!("flight: {e}"))?;
+        let log = TelemetryLog::read(&mut lines).map_err(|e| format!("flight: {e}"))?;
         Ok(FlightDump {
-            job: req_str("job")?,
-            reason: req_str("reason")?,
-            seen: req_u64("seen")?,
+            job: head.str_field("job").map_err(header)?.to_string(),
+            reason: head.str_field("reason").map_err(header)?.to_string(),
+            seen: head.u64_field("seen").map_err(header)?,
             threads: log.threads,
             anomalies,
             events: log.events,
@@ -270,5 +227,30 @@ mod tests {
         assert!(FlightDump::from_jsonl(truncated)
             .unwrap_err()
             .contains("ended early"));
+    }
+
+    #[test]
+    fn dump_bytes_are_pinned() {
+        let mut rec = FlightRecorder::new(16);
+        rec.record(&site(0));
+        rec.record(&PulseEvent::Finished {
+            wall_ns: 5,
+            sites: 1,
+            exposed: 1,
+        });
+        let anomalies = vec![AnomalyReport {
+            kind: AnomalyKind::SlowSite,
+            subject: "forged-001/0/b0@0".into(),
+            detail: "site took 900ms against a campaign median of 1ms".into(),
+            value: 900_000_000,
+            threshold: 8_000_000,
+        }];
+        let want = r#"{"type":"flight","v":1,"job":"job-9","reason":"anomaly:slow_site","seen":2,"retained":2,"anomalies":1}
+{"type":"anomaly","kind":"slow_site","subject":"forged-001/0/b0@0","detail":"site took 900ms against a campaign median of 1ms","value":900000000,"threshold":8000000}
+{"type":"pulse","v":1,"threads":4}
+{"type":"site_finished","app":"forged-001","seed":0,"site":"b0@0","outcome":"exposed","wall_ns":0,"cache_bytes":0,"snapshot_bytes":0,"peak_heap_bytes":0}
+{"type":"finished","wall_ns":5,"sites":1,"exposed":1}
+"#;
+        assert_eq!(rec.dump("job-9", "anomaly:slow_site", 4, &anomalies), want);
     }
 }

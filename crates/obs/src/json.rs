@@ -1,13 +1,25 @@
-//! Self-contained JSON reading and writing for corpus files.
+//! The workspace's one JSON codec.
 //!
-//! The workspace builds offline (no serde), so the corpus carries its own
-//! small JSON codec. Unlike the write-only emitter in `diode-bench`, this
-//! one round-trips: [`Json::parse`] accepts everything [`Json`]'s
-//! `Display` produces (and standard JSON generally). Non-negative integer
-//! literals parse into [`Json::UInt`], so `u64` payloads — RNG seeds,
-//! guard limits — survive exactly, never through an `f64`.
+//! The workspace builds offline (no serde), so this zero-dependency
+//! crate carries a small JSON codec, and every artifact and wire format
+//! goes through it: traces, telemetry, anomaly digests, flight dumps,
+//! provenance records, profiles and metrics here; corpus documents,
+//! daemon requests and replies, and the harness's `--json` output in
+//! the crates above. It round-trips: [`Json::parse`] accepts everything
+//! [`Json`]'s `Display` produces (and standard JSON generally).
+//! Non-negative integer literals parse into [`Json::UInt`], so `u64`
+//! payloads — RNG seeds, guard limits — survive exactly, never through
+//! an `f64`.
+//!
+//! [`Json::parse`] is also the daemon's input boundary, so it rejects
+//! documents nested deeper than 128 levels instead of recursing without
+//! bound.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the workspace writes nests 6 levels.
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,6 +72,16 @@ impl Json {
             _ => panic!("field() on non-object"),
         }
         self
+    }
+
+    /// Adds a field only when `value` is `Some` (a plain
+    /// [`field`](Json::field) of `None` writes `null`).
+    #[must_use]
+    pub fn field_opt<T: Into<Json>>(self, key: &str, value: Option<T>) -> Json {
+        match value {
+            Some(v) => self.field(key, v),
+            None => self,
+        }
     }
 
     /// Member of an object by key.
@@ -126,16 +148,39 @@ impl Json {
         matches!(self, Json::Null)
     }
 
+    /// String member `key`, or an error naming the missing field.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(Json::as_str)
+            .ok_or_else(|| format!("missing string field {key:?}"))
+    }
+
+    /// Unsigned integer member `key`, or an error naming the missing
+    /// field.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("missing integer field {key:?}"))
+    }
+
+    /// [`u64_field`](Json::u64_field) narrowed to `u32`.
+    pub fn u32_field(&self, key: &str) -> Result<u32, String> {
+        let v = self.u64_field(key)?;
+        u32::try_from(v).map_err(|_| format!("field {key:?} exceeds u32: {v}"))
+    }
+
     /// Parses a complete JSON document (trailing whitespace allowed,
     /// trailing garbage rejected).
     ///
     /// # Errors
     ///
-    /// Returns the first [`JsonError`] with its byte offset.
+    /// Returns the first [`JsonError`] with its byte offset, including
+    /// for arrays and objects nested deeper than 128 levels.
     pub fn parse(src: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: src.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -205,19 +250,28 @@ impl<T: Into<Json>> From<Option<T>> for Json {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of characters that need no
+/// escape go out in one `write_str` each; every escaped character is
+/// ASCII, so the byte offsets between them are char boundaries.
 fn escape(s: &str, f: &mut fmt::Formatter<'_>) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut plain = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
+        }
+        f.write_str(&s[plain..i])?;
+        plain = i + 1;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\r' => f.write_str("\\r")?,
+            b'\t' => f.write_str("\\t")?,
+            b => write!(f, "\\u{b:04x}")?,
         }
     }
+    f.write_str(&s[plain..])?;
     f.write_str("\"")
 }
 
@@ -264,6 +318,8 @@ impl fmt::Display for Json {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -308,12 +364,27 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing to recurse
+    /// past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting deeper than 128 levels"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -488,6 +559,56 @@ impl Parser<'_> {
     }
 }
 
+/// The non-blank lines of a JSONL text, numbered from 1.
+pub(crate) fn jsonl_lines(text: &str) -> impl Iterator<Item = (usize, &str)> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| (i + 1, line))
+}
+
+/// The header check every versioned JSONL reader shares: the next line
+/// must be `{"type":<kind>,"v":<version>,...}`. Errors name `stream`.
+pub(crate) fn jsonl_header<'a>(
+    lines: &mut impl Iterator<Item = (usize, &'a str)>,
+    stream: &str,
+    kind: &str,
+    version: u64,
+) -> Result<Json, String> {
+    let (lineno, line) = lines
+        .next()
+        .ok_or_else(|| format!("{stream}: empty input (missing header line)"))?;
+    let head = Json::parse(line).map_err(|e| format!("{stream} line {lineno}: {e}"))?;
+    if head.get("type").and_then(Json::as_str) != Some(kind) {
+        return Err(format!(
+            "{stream}: first line must be the header {{\"type\":\"{kind}\",...}}"
+        ));
+    }
+    match head.u64_field("v") {
+        Ok(v) if v == version => Ok(head),
+        Ok(v) => Err(format!(
+            "{stream}: unsupported schema version {v} (expected {version})"
+        )),
+        Err(e) => Err(format!("{stream}: header {e}")),
+    }
+}
+
+/// Parses each line and hands the record to `read`; an error from
+/// either step is prefixed with `stream` and the line number.
+pub(crate) fn jsonl_records<'a>(
+    lines: impl Iterator<Item = (usize, &'a str)>,
+    stream: &str,
+    mut read: impl FnMut(Json) -> Result<(), String>,
+) -> Result<(), String> {
+    for (lineno, line) in lines {
+        Json::parse(line)
+            .map_err(|e| e.to_string())
+            .and_then(&mut read)
+            .map_err(|e| format!("{stream} line {lineno}: {e}"))?;
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -555,5 +676,29 @@ mod tests {
         let err = Json::parse("[1, x]").unwrap_err();
         assert_eq!(err.at, 4);
         assert!(err.to_string().contains("byte 4"));
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let err = Json::parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.reason.contains("nesting"), "{err}");
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"k\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+    }
+
+    #[test]
+    fn escaping_round_trips_control_and_multibyte_characters() {
+        let s: String = (0u8..0x80).map(char::from).chain("é😀".chars()).collect();
+        let text = Json::from(s.as_str()).to_string();
+        assert!(!text.bytes().any(|b| b < 0x20), "{text:?}");
+        assert!(text.contains(r"\u0001\u0002") && text.contains(r"\t\n"));
+        assert_eq!(Json::parse(&text).unwrap().as_str(), Some(s.as_str()));
     }
 }

@@ -15,10 +15,14 @@
 //! is identical across thread counts (timestamps aside).
 //!
 //! Traces serialise to a versioned JSONL format ([`Trace::to_jsonl`],
-//! round-trip tested) through [`TraceSink`] implementations, and fold
-//! into per-phase/per-site breakdowns ([`PhaseBreakdown`],
-//! [`ProfileReport`]) or collapsed stacks ([`collapsed_stacks`]) for
-//! flamegraph tooling.
+//! round-trip tested), and fold into per-phase/per-site breakdowns
+//! ([`PhaseBreakdown`], [`ProfileReport`]) or collapsed stacks
+//! ([`collapsed_stacks`]) for flamegraph tooling.
+//!
+//! The crate also owns the workspace's one JSON codec, [`Json`]: every
+//! format above, and every corpus document, daemon message and harness
+//! `--json` output in the crates built on this one, is written and read
+//! through it.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -45,6 +49,7 @@
 mod audit;
 mod flight;
 mod gauge;
+mod json;
 mod metrics;
 mod ops;
 mod profile;
@@ -60,6 +65,7 @@ pub use audit::{
 };
 pub use flight::{FlightDump, FlightRecorder, FLIGHT_SCHEMA_VERSION};
 pub use gauge::ByteGauge;
+pub use json::{Json, JsonError};
 pub use metrics::{Hist, HistSummary};
 pub use ops::{
     parse_prometheus, Counter, Gauge, Histogram, MetricKey, MetricSample, MetricValue,
@@ -73,7 +79,7 @@ pub use pulse::{
     HeartbeatSample, PulseBus, PulseEvent, PulseRing, SchedGauges, Subscriber, WorkerState,
     WorkerStateTable,
 };
-pub use sink::{JsonlFileSink, NullSink, RingSink, TraceError, TraceSink, TRACE_SCHEMA_VERSION};
+pub use sink::TRACE_SCHEMA_VERSION;
 pub use span::{
     audit_active, audit_event, count, job_scope, observe_ns, span, JobScope, Phase, Recorder, Span,
     SpanGuard, Trace,

@@ -9,9 +9,8 @@
 //! the current values into a [`MetricsSnapshot`], which renders to
 //! either exposition:
 //!
-//! * [`MetricsSnapshot::to_json`] — one flat JSON object per metric
-//!   kind, parseable by the same zero-dependency codecs every other
-//!   diode artifact uses.
+//! * [`MetricsSnapshot::to_json`] — one JSON object per metric kind,
+//!   built with the [`Json`] codec every other diode artifact uses.
 //! * [`MetricsSnapshot::to_prometheus`] — the Prometheus text format,
 //!   hand-rolled: `# HELP`/`# TYPE` comments, backslash/quote/newline
 //!   escaping in label values, and histogram buckets exposed
@@ -25,8 +24,8 @@ use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
+use crate::json::Json;
 use crate::metrics::Hist;
-use crate::sink::push_json_str;
 
 /// Version stamped into the JSON exposition; bump on shape changes.
 pub const METRICS_SCHEMA_VERSION: u64 = 1;
@@ -370,44 +369,32 @@ impl MetricsSnapshot {
     /// `histograms` maps keyed by the Prometheus selector. Histograms
     /// carry their summary (count/sum/max/p50/p99) rather than buckets.
     #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut counters = String::new();
-        let mut gauges = String::new();
-        let mut hists = String::new();
+    pub fn to_json(&self) -> Json {
+        let mut counters = Vec::new();
+        let mut gauges = Vec::new();
+        let mut hists = Vec::new();
         for sample in &self.samples {
+            let selector = sample.key.selector();
             match &sample.value {
-                MetricValue::Counter(v) => {
-                    if !counters.is_empty() {
-                        counters.push(',');
-                    }
-                    push_json_str(&mut counters, &sample.key.selector());
-                    let _ = write!(counters, ":{v}");
-                }
-                MetricValue::Gauge(v) => {
-                    if !gauges.is_empty() {
-                        gauges.push(',');
-                    }
-                    push_json_str(&mut gauges, &sample.key.selector());
-                    let _ = write!(gauges, ":{}", fmt_f64(*v));
-                }
+                MetricValue::Counter(v) => counters.push((selector, Json::from(*v))),
+                MetricValue::Gauge(v) => gauges.push((selector, Json::from(*v))),
                 MetricValue::Histogram(h) => {
-                    if !hists.is_empty() {
-                        hists.push(',');
-                    }
-                    push_json_str(&mut hists, &sample.key.selector());
                     let s = h.summary();
-                    let _ = write!(
-                        hists,
-                        ":{{\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{}}}",
-                        s.count, s.sum, s.max, s.p50, s.p99
-                    );
+                    let summary = Json::obj()
+                        .field("count", s.count)
+                        .field("sum", s.sum)
+                        .field("max", s.max)
+                        .field("p50", s.p50)
+                        .field("p99", s.p99);
+                    hists.push((selector, summary));
                 }
             }
         }
-        format!(
-            "{{\"schema\":{METRICS_SCHEMA_VERSION},\"counters\":{{{counters}}},\
-             \"gauges\":{{{gauges}}},\"histograms\":{{{hists}}}}}"
-        )
+        Json::obj()
+            .field("schema", METRICS_SCHEMA_VERSION)
+            .field("counters", Json::Obj(counters))
+            .field("gauges", Json::Obj(gauges))
+            .field("histograms", Json::Obj(hists))
     }
 }
 
@@ -471,9 +458,9 @@ fn escape_help(v: &str) -> String {
     out
 }
 
-/// Round-trippable float formatting: integers keep a bare integer form
-/// (Prometheus accepts both), everything else uses Rust's shortest
-/// round-trip `Display`.
+/// Round-trippable float formatting for the Prometheus text: integers
+/// keep a bare integer form (Prometheus accepts both), everything else
+/// uses Rust's shortest round-trip `Display`.
 fn fmt_f64(v: f64) -> String {
     if v.fract() == 0.0 && v.abs() < 1e15 {
         format!("{}", v as i64)
@@ -724,7 +711,7 @@ mod tests {
         reg.counter("c_total", "", &[("k", "v")]).add(2);
         reg.gauge("g", "", &[]).set(0.5);
         reg.histogram("h_ns", "", &[]).observe(9);
-        let json = reg.snapshot().to_json();
+        let json = reg.snapshot().to_json().to_string();
         assert!(json.starts_with("{\"schema\":1,"));
         assert!(json.contains("\"c_total{k=\\\"v\\\"}\":2"));
         assert!(json.contains("\"g\":0.5"));

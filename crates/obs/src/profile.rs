@@ -1,9 +1,10 @@
 //! Folding a trace into per-phase / per-site breakdowns, a human table,
-//! JSON output, and collapsed stacks for flamegraph tooling.
+//! JSON output (and back), and collapsed stacks for flamegraph tooling.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::Json;
 use crate::span::{Phase, Span, Trace};
 
 /// Aggregated timing for one phase across the whole trace.
@@ -207,66 +208,104 @@ impl ProfileReport {
         Some(self.breakdown.top_level_ns as f64 / wall)
     }
 
-    /// JSON object (single line) with the whole report. Parseable by
-    /// any JSON reader, including `diode_corpus::Json`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"table\":\"obs_profile\",\"v\":1");
-        if let Some(wall) = self.wall_ns {
-            let _ = write!(out, ",\"wall_ms\":{}", ms(wall));
+    /// The whole report as one JSON object (the `obs_profile` table).
+    /// Times are fractional milliseconds.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let phases: Vec<Json> = self
+            .breakdown
+            .phases
+            .iter()
+            .map(|row| {
+                Json::obj()
+                    .field("phase", row.phase.as_str())
+                    .field("count", row.count)
+                    .field("total_ms", ms(row.total_ns))
+                    .field("self_ms", ms(row.self_ns))
+                    .field("p50_ms", ms(row.p50_ns))
+                    .field("p99_ms", ms(row.p99_ns))
+            })
+            .collect();
+        let top_sites: Vec<Json> = self
+            .top_sites
+            .iter()
+            .map(|s| {
+                Json::obj()
+                    .field("app", s.app.as_str())
+                    .field("seed", s.seed)
+                    .field("site", s.site.as_str())
+                    .field("total_ms", ms(s.total_ns))
+                    .field("spans", s.spans)
+            })
+            .collect();
+        let counters = self
+            .counters
+            .iter()
+            .map(|(name, value)| (name.clone(), Json::from(*value)))
+            .collect();
+        Json::obj()
+            .field("table", "obs_profile")
+            .field("v", 1u64)
+            .field_opt("wall_ms", self.wall_ns.map(ms))
+            .field_opt("threads", self.threads)
+            .field("top_level_ms", ms(self.breakdown.top_level_ns))
+            .field("queue_wait_ms", ms(self.breakdown.queue_wait_ns))
+            .field("queue_wait_ratio", self.breakdown.queue_wait_ratio())
+            .field_opt("coverage", self.coverage())
+            .field("phases", phases)
+            .field("top_sites", top_sites)
+            .field("counters", Json::Obj(counters))
+    }
+
+    /// Reads a report back from [`to_json`](Self::to_json)'s object.
+    /// Millisecond fields convert back to nanoseconds, so round-trip
+    /// precision is 1ns — far below timing noise.
+    pub fn from_json(doc: &Json) -> Result<ProfileReport, String> {
+        let rows = doc
+            .get("phases")
+            .and_then(Json::as_arr)
+            .ok_or("missing \"phases\" array")?;
+        let mut phases = Vec::with_capacity(rows.len());
+        for row in rows {
+            let name = row.str_field("phase")?;
+            phases.push(PhaseRow {
+                phase: Phase::parse(name).ok_or_else(|| format!("unknown phase {name:?}"))?,
+                count: row.u64_field("count")?,
+                total_ns: ns_field(row, "total_ms")?,
+                self_ns: ns_field(row, "self_ms")?,
+                p50_ns: ns_field(row, "p50_ms")?,
+                p99_ns: ns_field(row, "p99_ms")?,
+            });
         }
-        if let Some(threads) = self.threads {
-            let _ = write!(out, ",\"threads\":{threads}");
+        let mut top_sites = Vec::new();
+        for row in doc.get("top_sites").and_then(Json::as_arr).unwrap_or(&[]) {
+            top_sites.push(SiteRow {
+                app: row.str_field("app")?.to_string(),
+                seed: row.get("seed").and_then(Json::as_u64).unwrap_or(0) as u32,
+                site: row.str_field("site")?.to_string(),
+                total_ns: ns_field(row, "total_ms")?,
+                spans: row.get("spans").and_then(Json::as_u64).unwrap_or(0),
+            });
         }
-        let _ = write!(
-            out,
-            ",\"top_level_ms\":{},\"queue_wait_ms\":{},\"queue_wait_ratio\":{}",
-            ms(self.breakdown.top_level_ns),
-            ms(self.breakdown.queue_wait_ns),
-            fmt_f64(self.breakdown.queue_wait_ratio()),
-        );
-        if let Some(cov) = self.coverage() {
-            let _ = write!(out, ",\"coverage\":{}", fmt_f64(cov));
-        }
-        out.push_str(",\"phases\":[");
-        for (i, row) in self.breakdown.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        let mut counters = BTreeMap::new();
+        if let Some(Json::Obj(fields)) = doc.get("counters") {
+            for (name, value) in fields {
+                if let Some(v) = value.as_u64() {
+                    counters.insert(name.clone(), v);
+                }
             }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"count\":{},\"total_ms\":{},\"self_ms\":{},\"p50_ms\":{},\"p99_ms\":{}}}",
-                row.phase,
-                row.count,
-                ms(row.total_ns),
-                ms(row.self_ns),
-                ms(row.p50_ns),
-                ms(row.p99_ns),
-            );
         }
-        out.push_str("],\"top_sites\":[");
-        for (i, s) in self.top_sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"app\":\"{}\",\"seed\":{},\"site\":\"{}\",\"total_ms\":{},\"spans\":{}}}",
-                escape(&s.app),
-                s.seed,
-                escape(&s.site),
-                ms(s.total_ns),
-                s.spans,
-            );
-        }
-        out.push_str("],\"counters\":{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{value}", escape(name));
-        }
-        out.push_str("}}");
-        out
+        Ok(ProfileReport {
+            breakdown: PhaseBreakdown {
+                phases,
+                top_level_ns: ns_field(doc, "top_level_ms")?,
+                queue_wait_ns: ns_field(doc, "queue_wait_ms")?,
+            },
+            top_sites,
+            wall_ns: doc.get("wall_ms").and_then(Json::as_f64).map(ms_to_ns),
+            threads: doc.get("threads").and_then(Json::as_u64).map(|t| t as u32),
+            counters,
+        })
     }
 
     /// Human-readable table.
@@ -519,74 +558,50 @@ impl ProfileDiff {
         !self.attributed().is_empty()
     }
 
-    /// JSON object (single line) with the whole diff.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"table\":\"obs_profile_diff\",\"v\":1");
-        if let Some(wall) = self.old_wall_ms {
-            let _ = write!(out, ",\"old_wall_ms\":{}", fmt_f64(wall));
-        }
-        if let Some(wall) = self.new_wall_ms {
-            let _ = write!(out, ",\"new_wall_ms\":{}", fmt_f64(wall));
-        }
-        if let Some(reg) = self.wall_regression() {
-            let _ = write!(out, ",\"wall_regression\":{}", fmt_f64(reg));
-        }
-        let _ = write!(
-            out,
-            ",\"old_compute_ms\":{},\"new_compute_ms\":{},\"threshold\":{}",
-            fmt_f64(self.old_compute_ms),
-            fmt_f64(self.new_compute_ms),
-            fmt_f64(self.threshold),
-        );
-        out.push_str(",\"phases\":[");
-        for (i, d) in self.phases.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"phase\":\"{}\",\"old_ms\":{},\"new_ms\":{},\"delta_ms\":{}}}",
-                d.phase,
-                fmt_f64(d.old_ms),
-                fmt_f64(d.new_ms),
-                fmt_f64(d.delta_ms()),
-            );
-        }
-        out.push_str("],\"attributed\":[");
-        for (i, d) in self.attributed().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\"", d.phase);
-        }
-        out.push_str("],\"sites\":[");
-        for (i, s) in self.sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"app\":\"{}\",\"seed\":{},\"site\":\"{}\",\"old_ms\":{},\"new_ms\":{},\"delta_ms\":{}}}",
-                escape(&s.app),
-                s.seed,
-                escape(&s.site),
-                fmt_f64(s.old_ms),
-                fmt_f64(s.new_ms),
-                fmt_f64(s.delta_ms()),
-            );
-        }
-        out.push(']');
-        if let Some(rate) = self.old_hit_rate {
-            let _ = write!(out, ",\"old_cache_hit_rate\":{}", fmt_f64(rate));
-        }
-        if let Some(rate) = self.new_hit_rate {
-            let _ = write!(out, ",\"new_cache_hit_rate\":{}", fmt_f64(rate));
-        }
-        if let Some(delta) = self.hit_rate_delta() {
-            let _ = write!(out, ",\"cache_hit_rate_delta\":{}", fmt_f64(delta));
-        }
-        let _ = write!(out, ",\"regressed\":{}}}", self.is_regression());
-        out
+    /// The whole diff as one JSON object (the `obs_profile_diff` table).
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let phases: Vec<Json> = self
+            .phases
+            .iter()
+            .map(|d| {
+                Json::obj()
+                    .field("phase", d.phase.as_str())
+                    .field("old_ms", d.old_ms)
+                    .field("new_ms", d.new_ms)
+                    .field("delta_ms", d.delta_ms())
+            })
+            .collect();
+        let attributed: Vec<&str> = self.attributed().iter().map(|d| d.phase.as_str()).collect();
+        let sites: Vec<Json> = self
+            .sites
+            .iter()
+            .map(|s| {
+                Json::obj()
+                    .field("app", s.app.as_str())
+                    .field("seed", s.seed)
+                    .field("site", s.site.as_str())
+                    .field("old_ms", s.old_ms)
+                    .field("new_ms", s.new_ms)
+                    .field("delta_ms", s.delta_ms())
+            })
+            .collect();
+        Json::obj()
+            .field("table", "obs_profile_diff")
+            .field("v", 1u64)
+            .field_opt("old_wall_ms", self.old_wall_ms)
+            .field_opt("new_wall_ms", self.new_wall_ms)
+            .field_opt("wall_regression", self.wall_regression())
+            .field("old_compute_ms", self.old_compute_ms)
+            .field("new_compute_ms", self.new_compute_ms)
+            .field("threshold", self.threshold)
+            .field("phases", phases)
+            .field("attributed", attributed)
+            .field("sites", sites)
+            .field_opt("old_cache_hit_rate", self.old_hit_rate)
+            .field_opt("new_cache_hit_rate", self.new_hit_rate)
+            .field_opt("cache_hit_rate_delta", self.hit_rate_delta())
+            .field("regressed", self.is_regression())
     }
 
     /// Human-readable attribution report.
@@ -681,16 +696,15 @@ fn ms(ns: u64) -> f64 {
     ns as f64 / 1e6
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "0".into()
-    }
+fn ms_to_ns(ms: f64) -> u64 {
+    (ms.max(0.0) * 1e6).round() as u64
 }
 
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+fn ns_field(doc: &Json, key: &str) -> Result<u64, String> {
+    doc.get(key)
+        .and_then(Json::as_f64)
+        .map(ms_to_ns)
+        .ok_or_else(|| format!("missing numeric field {key:?}"))
 }
 
 /// Fold a trace into collapsed-stack lines (`frame;frame;... weight`)
@@ -831,7 +845,7 @@ mod tests {
     #[test]
     fn json_is_valid_flat_json() {
         let report = ProfileReport::from_trace(&sample(), 3);
-        let json = report.to_json();
+        let json = report.to_json().to_string();
         assert!(json.starts_with("{\"table\":\"obs_profile\",\"v\":1"));
         assert!(json.contains("\"phases\":["));
         assert!(json.contains("\"phase\":\"enforce\""));
@@ -858,7 +872,7 @@ mod tests {
         assert!(diff.attributed().is_empty());
         assert!(!diff.is_regression());
         assert_eq!(diff.wall_regression(), Some(0.0));
-        assert!(diff.to_json().contains("\"regressed\":false"));
+        assert!(diff.to_json().to_string().contains("\"regressed\":false"));
         assert!(diff.render().contains("no attributed regression"));
     }
 
@@ -879,7 +893,10 @@ mod tests {
         assert_eq!(attributed.len(), 1, "{:?}", diff.phases);
         assert_eq!(attributed[0].phase, Phase::Solve);
         assert!(diff.is_regression());
-        assert!(diff.to_json().contains("\"attributed\":[\"solve\"]"));
+        assert!(diff
+            .to_json()
+            .to_string()
+            .contains("\"attributed\":[\"solve\"]"));
         assert!(diff.render().contains("REGRESSION attributed to: solve"));
     }
 

@@ -157,9 +157,9 @@ pub struct Trace {
     pub counters: BTreeMap<String, u64>,
     /// Histogram summaries, merged before summarisation.
     pub hists: BTreeMap<String, HistSummary>,
-    /// Campaign wall time, stamped by the driver before sinking.
+    /// Campaign wall time, stamped by the caller before writing.
     pub wall_ns: Option<u64>,
-    /// Worker thread count, stamped by the driver before sinking.
+    /// Worker thread count, stamped by the caller before writing.
     pub threads: Option<u32>,
 }
 

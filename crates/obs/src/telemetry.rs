@@ -1,7 +1,7 @@
-//! Versioned flat-JSONL wire format for pulse telemetry.
+//! Versioned JSONL wire format for pulse telemetry.
 //!
-//! A telemetry stream is one flat JSON object per line, in the same
-//! zero-dependency codec the trace format uses:
+//! A telemetry stream is one JSON object per line, written and read
+//! through the crate's [`Json`] codec:
 //!
 //! ```text
 //! {"type":"pulse","v":1,"threads":4}
@@ -13,19 +13,17 @@
 //! {"type":"finished","wall_ns":812345678,"sites":40,"exposed":14}
 //! ```
 //!
-//! Because the codec only supports flat objects, a heartbeat's
-//! per-worker states serialise as separate `worker` lines referencing
-//! the heartbeat's `seq`; [`TelemetryLog::from_jsonl`] reassembles
-//! them. Events stream incrementally — a live writer appends
-//! [`pulse_event_lines`] as the subscriber drains — and the reader
-//! tolerates a truncated tail only insofar as every present line must
-//! still parse.
+//! In this (v1) format a heartbeat's per-worker states follow it as
+//! separate `worker` lines referencing the heartbeat's `seq`;
+//! [`TelemetryLog::from_jsonl`] reassembles them. Events stream
+//! incrementally — a live writer appends [`pulse_event_lines`] as the
+//! subscriber drains — and the reader tolerates a truncated tail only
+//! insofar as every present line must still parse.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{jsonl_header, jsonl_lines, jsonl_records, Json};
 use crate::pulse::{HeartbeatSample, PulseEvent, Subscriber, WorkerState};
-use crate::sink::{parse_flat_object, push_json_str, FlatValue};
 
 /// Version stamped into (and required from) the telemetry header line.
 pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
@@ -33,13 +31,19 @@ pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
 /// The header line opening every telemetry stream.
 #[must_use]
 pub fn telemetry_header(threads: u32) -> String {
-    format!("{{\"type\":\"pulse\",\"v\":{TELEMETRY_SCHEMA_VERSION},\"threads\":{threads}}}\n")
+    let head = Json::obj()
+        .field("type", "pulse")
+        .field("v", TELEMETRY_SCHEMA_VERSION)
+        .field("threads", threads);
+    format!("{head}\n")
 }
 
-fn push_unit_fields(out: &mut String, app: &str, seed: u32) {
-    out.push_str(",\"app\":");
-    push_json_str(out, app);
-    let _ = write!(out, ",\"seed\":{seed}");
+/// A record of `kind` about one `(app, seed)` unit.
+fn unit_record(kind: &str, app: &str, seed: u32) -> Json {
+    Json::obj()
+        .field("type", kind)
+        .field("app", app)
+        .field("seed", seed)
 }
 
 /// Serialises one event to its line (or lines, for heartbeats), each
@@ -47,17 +51,13 @@ fn push_unit_fields(out: &mut String, app: &str, seed: u32) {
 #[must_use]
 pub fn pulse_event_lines(event: &PulseEvent) -> String {
     let mut out = String::new();
+    let mut line = |record: Json| {
+        let _ = writeln!(out, "{record}");
+    };
     match event {
-        PulseEvent::UnitStarted { app, seed } => {
-            out.push_str("{\"type\":\"unit_started\"");
-            push_unit_fields(&mut out, app, *seed);
-            out.push_str("}\n");
-        }
+        PulseEvent::UnitStarted { app, seed } => line(unit_record("unit_started", app, *seed)),
         PulseEvent::SitesIdentified { app, seed, sites } => {
-            out.push_str("{\"type\":\"sites_identified\"");
-            push_unit_fields(&mut out, app, *seed);
-            let _ = write!(out, ",\"sites\":{sites}}}");
-            out.push('\n');
+            line(unit_record("sites_identified", app, *seed).field("sites", *sites));
         }
         PulseEvent::SiteFinished {
             app,
@@ -68,72 +68,61 @@ pub fn pulse_event_lines(event: &PulseEvent) -> String {
             cache_bytes,
             snapshot_bytes,
             peak_heap_bytes,
-        } => {
-            out.push_str("{\"type\":\"site_finished\"");
-            push_unit_fields(&mut out, app, *seed);
-            out.push_str(",\"site\":");
-            push_json_str(&mut out, site);
-            out.push_str(",\"outcome\":");
-            push_json_str(&mut out, outcome);
-            let _ = write!(
-                out,
-                ",\"wall_ns\":{wall_ns},\"cache_bytes\":{cache_bytes},\
-                 \"snapshot_bytes\":{snapshot_bytes},\"peak_heap_bytes\":{peak_heap_bytes}}}"
-            );
-            out.push('\n');
-        }
+        } => line(
+            unit_record("site_finished", app, *seed)
+                .field("site", site.as_str())
+                .field("outcome", outcome.as_str())
+                .field("wall_ns", *wall_ns)
+                .field("cache_bytes", *cache_bytes)
+                .field("snapshot_bytes", *snapshot_bytes)
+                .field("peak_heap_bytes", *peak_heap_bytes),
+        ),
         PulseEvent::Heartbeat(hb) => {
-            let _ = write!(
-                out,
-                "{{\"type\":\"heartbeat\",\"seq\":{},\"t_ns\":{},\"workers\":{},\
-                 \"queued\":{},\"pending\":{},\"steals\":{},\"jobs_done\":{},\
-                 \"cache_bytes\":{},\"cache_entries\":{},\"snapshot_bytes\":{},\
-                 \"snapshot_entries\":{},\"interp_peak_heap_bytes\":{}}}",
-                hb.seq,
-                hb.t_ns,
-                hb.workers.len(),
-                hb.queued,
-                hb.pending,
-                hb.steals,
-                hb.jobs_done,
-                hb.cache_bytes,
-                hb.cache_entries,
-                hb.snapshot_bytes,
-                hb.snapshot_entries,
-                hb.interp_peak_heap_bytes,
+            line(
+                Json::obj()
+                    .field("type", "heartbeat")
+                    .field("seq", hb.seq)
+                    .field("t_ns", hb.t_ns)
+                    .field("workers", hb.workers.len())
+                    .field("queued", hb.queued)
+                    .field("pending", hb.pending)
+                    .field("steals", hb.steals)
+                    .field("jobs_done", hb.jobs_done)
+                    .field("cache_bytes", hb.cache_bytes)
+                    .field("cache_entries", hb.cache_entries)
+                    .field("snapshot_bytes", hb.snapshot_bytes)
+                    .field("snapshot_entries", hb.snapshot_entries)
+                    .field("interp_peak_heap_bytes", hb.interp_peak_heap_bytes),
             );
-            out.push('\n');
             for (i, state) in hb.workers.iter().enumerate() {
-                let _ = write!(
-                    out,
-                    "{{\"type\":\"worker\",\"hb\":{},\"worker\":{i}",
-                    hb.seq
-                );
-                out.push_str(",\"state\":");
-                push_json_str(&mut out, state.token());
-                match state {
-                    WorkerState::Idle => {}
-                    WorkerState::Unit { app, seed } => push_unit_fields(&mut out, app, *seed),
-                    WorkerState::Site { app, seed, site } => {
-                        push_unit_fields(&mut out, app, *seed);
-                        out.push_str(",\"site\":");
-                        push_json_str(&mut out, site);
+                let worker = Json::obj()
+                    .field("type", "worker")
+                    .field("hb", hb.seq)
+                    .field("worker", i)
+                    .field("state", state.token());
+                line(match state {
+                    WorkerState::Idle => worker,
+                    WorkerState::Unit { app, seed } => {
+                        worker.field("app", app.as_str()).field("seed", *seed)
                     }
-                }
-                out.push_str("}\n");
+                    WorkerState::Site { app, seed, site } => worker
+                        .field("app", app.as_str())
+                        .field("seed", *seed)
+                        .field("site", site.as_str()),
+                });
             }
         }
         PulseEvent::Finished {
             wall_ns,
             sites,
             exposed,
-        } => {
-            let _ = writeln!(
-                out,
-                "{{\"type\":\"finished\",\"wall_ns\":{wall_ns},\"sites\":{sites},\
-                 \"exposed\":{exposed}}}"
-            );
-        }
+        } => line(
+            Json::obj()
+                .field("type", "finished")
+                .field("wall_ns", *wall_ns)
+                .field("sites", *sites)
+                .field("exposed", *exposed),
+        ),
     }
     out
 }
@@ -221,157 +210,113 @@ impl TelemetryLog {
 
     /// Parses a telemetry stream, reassembling heartbeat worker lines.
     pub fn from_jsonl(text: &str) -> Result<TelemetryLog, String> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let Some((_, header)) = lines.next() else {
-            return Err("telemetry: empty input (missing header line)".into());
-        };
-        let head = parse_flat_object(header).map_err(|e| format!("telemetry line 1: {e}"))?;
-        if head.get("type").and_then(FlatValue::as_str) != Some("pulse") {
-            return Err("telemetry: first line must be the header {\"type\":\"pulse\",...}".into());
-        }
-        match head.get("v").and_then(FlatValue::as_u64) {
-            Some(TELEMETRY_SCHEMA_VERSION) => {}
-            Some(v) => {
-                return Err(format!(
-                    "telemetry: unsupported schema version {v} \
-                     (expected {TELEMETRY_SCHEMA_VERSION})"
-                ))
-            }
-            None => return Err("telemetry: header missing integer field \"v\"".into()),
-        }
-        let threads = head.get("threads").and_then(FlatValue::as_u64).unwrap_or(0) as u32;
+        TelemetryLog::read(&mut jsonl_lines(text))
+    }
+
+    /// Reads a telemetry stream, header first, from numbered lines (the
+    /// tail of a flight dump is one).
+    pub(crate) fn read<'a>(
+        lines: &mut impl Iterator<Item = (usize, &'a str)>,
+    ) -> Result<TelemetryLog, String> {
+        let head = jsonl_header(lines, "telemetry", "pulse", TELEMETRY_SCHEMA_VERSION)?;
         let mut log = TelemetryLog {
-            threads,
+            threads: head.get("threads").and_then(Json::as_u64).unwrap_or(0) as u32,
             events: Vec::new(),
         };
-        // A heartbeat under assembly: its declared worker count and the
-        // sample collecting `worker` lines.
-        let mut pending: Option<(u64, HeartbeatSample)> = None;
-        for (idx, line) in lines {
-            let lineno = idx + 1;
-            let obj =
-                parse_flat_object(line).map_err(|e| format!("telemetry line {lineno}: {e}"))?;
-            let kind = obj
-                .get("type")
-                .and_then(FlatValue::as_str)
-                .ok_or_else(|| format!("telemetry line {lineno}: missing \"type\""))?;
-            if kind != "worker" {
-                if let Some((_, hb)) = pending.take() {
-                    log.events.push(PulseEvent::Heartbeat(hb));
-                }
+        // A heartbeat still collecting its `worker` lines.
+        let mut pending: Option<HeartbeatSample> = None;
+        jsonl_records(lines, "telemetry", |rec| {
+            let kind = rec.str_field("type")?;
+            if kind == "worker" {
+                let hb = pending
+                    .as_mut()
+                    .ok_or("worker record outside a heartbeat")?;
+                return read_worker(&rec, hb);
+            }
+            if let Some(hb) = pending.take() {
+                log.events.push(PulseEvent::Heartbeat(hb));
             }
             match kind {
                 "unit_started" => log.events.push(PulseEvent::UnitStarted {
-                    app: req_str(&obj, "app", lineno)?,
-                    seed: req_u64(&obj, "seed", lineno)? as u32,
+                    app: rec.str_field("app")?.to_string(),
+                    seed: rec.u32_field("seed")?,
                 }),
                 "sites_identified" => log.events.push(PulseEvent::SitesIdentified {
-                    app: req_str(&obj, "app", lineno)?,
-                    seed: req_u64(&obj, "seed", lineno)? as u32,
-                    sites: req_u64(&obj, "sites", lineno)?,
+                    app: rec.str_field("app")?.to_string(),
+                    seed: rec.u32_field("seed")?,
+                    sites: rec.u64_field("sites")?,
                 }),
                 "site_finished" => log.events.push(PulseEvent::SiteFinished {
-                    app: req_str(&obj, "app", lineno)?,
-                    seed: req_u64(&obj, "seed", lineno)? as u32,
-                    site: req_str(&obj, "site", lineno)?,
-                    outcome: req_str(&obj, "outcome", lineno)?,
-                    wall_ns: req_u64(&obj, "wall_ns", lineno)?,
-                    cache_bytes: req_u64(&obj, "cache_bytes", lineno)?,
-                    snapshot_bytes: req_u64(&obj, "snapshot_bytes", lineno)?,
-                    peak_heap_bytes: req_u64(&obj, "peak_heap_bytes", lineno)?,
+                    app: rec.str_field("app")?.to_string(),
+                    seed: rec.u32_field("seed")?,
+                    site: rec.str_field("site")?.to_string(),
+                    outcome: rec.str_field("outcome")?.to_string(),
+                    wall_ns: rec.u64_field("wall_ns")?,
+                    cache_bytes: rec.u64_field("cache_bytes")?,
+                    snapshot_bytes: rec.u64_field("snapshot_bytes")?,
+                    peak_heap_bytes: rec.u64_field("peak_heap_bytes")?,
                 }),
                 "heartbeat" => {
-                    let workers = req_u64(&obj, "workers", lineno)?;
-                    let sample = HeartbeatSample {
-                        seq: req_u64(&obj, "seq", lineno)?,
-                        t_ns: req_u64(&obj, "t_ns", lineno)?,
+                    let workers = rec.u64_field("workers")?;
+                    pending = Some(HeartbeatSample {
+                        seq: rec.u64_field("seq")?,
+                        t_ns: rec.u64_field("t_ns")?,
                         workers: vec![WorkerState::Idle; workers as usize],
-                        queued: req_u64(&obj, "queued", lineno)?,
-                        pending: req_u64(&obj, "pending", lineno)?,
-                        steals: req_u64(&obj, "steals", lineno)?,
-                        jobs_done: req_u64(&obj, "jobs_done", lineno)?,
-                        cache_bytes: req_u64(&obj, "cache_bytes", lineno)?,
-                        cache_entries: req_u64(&obj, "cache_entries", lineno)?,
-                        snapshot_bytes: req_u64(&obj, "snapshot_bytes", lineno)?,
-                        snapshot_entries: req_u64(&obj, "snapshot_entries", lineno)?,
-                        interp_peak_heap_bytes: req_u64(&obj, "interp_peak_heap_bytes", lineno)?,
-                    };
-                    pending = Some((workers, sample));
-                }
-                "worker" => {
-                    let Some((_, hb)) = pending.as_mut() else {
-                        return Err(format!(
-                            "telemetry line {lineno}: worker record outside a heartbeat"
-                        ));
-                    };
-                    let hb_seq = req_u64(&obj, "hb", lineno)?;
-                    if hb_seq != hb.seq {
-                        return Err(format!(
-                            "telemetry line {lineno}: worker references heartbeat {hb_seq} \
-                             but heartbeat {} is open",
-                            hb.seq
-                        ));
-                    }
-                    let index = req_u64(&obj, "worker", lineno)? as usize;
-                    if index >= hb.workers.len() {
-                        return Err(format!(
-                            "telemetry line {lineno}: worker index {index} out of range \
-                             (heartbeat declares {})",
-                            hb.workers.len()
-                        ));
-                    }
-                    let state = match req_str(&obj, "state", lineno)?.as_str() {
-                        "idle" => WorkerState::Idle,
-                        "unit" => WorkerState::Unit {
-                            app: req_str(&obj, "app", lineno)?,
-                            seed: req_u64(&obj, "seed", lineno)? as u32,
-                        },
-                        "site" => WorkerState::Site {
-                            app: req_str(&obj, "app", lineno)?,
-                            seed: req_u64(&obj, "seed", lineno)? as u32,
-                            site: req_str(&obj, "site", lineno)?,
-                        },
-                        other => {
-                            return Err(format!(
-                                "telemetry line {lineno}: unknown worker state {other:?}"
-                            ))
-                        }
-                    };
-                    hb.workers[index] = state;
+                        queued: rec.u64_field("queued")?,
+                        pending: rec.u64_field("pending")?,
+                        steals: rec.u64_field("steals")?,
+                        jobs_done: rec.u64_field("jobs_done")?,
+                        cache_bytes: rec.u64_field("cache_bytes")?,
+                        cache_entries: rec.u64_field("cache_entries")?,
+                        snapshot_bytes: rec.u64_field("snapshot_bytes")?,
+                        snapshot_entries: rec.u64_field("snapshot_entries")?,
+                        interp_peak_heap_bytes: rec.u64_field("interp_peak_heap_bytes")?,
+                    });
                 }
                 "finished" => log.events.push(PulseEvent::Finished {
-                    wall_ns: req_u64(&obj, "wall_ns", lineno)?,
-                    sites: req_u64(&obj, "sites", lineno)?,
-                    exposed: req_u64(&obj, "exposed", lineno)?,
+                    wall_ns: rec.u64_field("wall_ns")?,
+                    sites: rec.u64_field("sites")?,
+                    exposed: rec.u64_field("exposed")?,
                 }),
-                other => {
-                    return Err(format!(
-                        "telemetry line {lineno}: unknown record type {other:?}"
-                    ))
-                }
+                other => return Err(format!("unknown record type {other:?}")),
             }
-        }
-        if let Some((_, hb)) = pending.take() {
+            Ok(())
+        })?;
+        if let Some(hb) = pending {
             log.events.push(PulseEvent::Heartbeat(hb));
         }
         Ok(log)
     }
 }
 
-fn req_str(obj: &BTreeMap<String, FlatValue>, key: &str, lineno: usize) -> Result<String, String> {
-    obj.get(key)
-        .and_then(FlatValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("telemetry line {lineno}: missing string field {key:?}"))
-}
-
-fn req_u64(obj: &BTreeMap<String, FlatValue>, key: &str, lineno: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(FlatValue::as_u64)
-        .ok_or_else(|| format!("telemetry line {lineno}: missing integer field {key:?}"))
+/// Fills one of the open heartbeat's worker slots from a `worker` line.
+fn read_worker(rec: &Json, hb: &mut HeartbeatSample) -> Result<(), String> {
+    let hb_seq = rec.u64_field("hb")?;
+    if hb_seq != hb.seq {
+        return Err(format!(
+            "worker references heartbeat {hb_seq} but heartbeat {} is open",
+            hb.seq
+        ));
+    }
+    let index = rec.u64_field("worker")? as usize;
+    let declared = hb.workers.len();
+    let slot = hb.workers.get_mut(index).ok_or_else(|| {
+        format!("worker index {index} out of range (heartbeat declares {declared})")
+    })?;
+    *slot = match rec.str_field("state")? {
+        "idle" => WorkerState::Idle,
+        "unit" => WorkerState::Unit {
+            app: rec.str_field("app")?.to_string(),
+            seed: rec.u32_field("seed")?,
+        },
+        "site" => WorkerState::Site {
+            app: rec.str_field("app")?.to_string(),
+            seed: rec.u32_field("seed")?,
+            site: rec.str_field("site")?.to_string(),
+        },
+        other => return Err(format!("unknown worker state {other:?}")),
+    };
+    Ok(())
 }
 
 #[cfg(test)]
@@ -519,5 +464,22 @@ mod tests {
         assert!(TelemetryLog::from_jsonl(bad_index)
             .unwrap_err()
             .contains("out of range"));
+    }
+
+    #[test]
+    fn jsonl_bytes_are_pinned() {
+        let want = r#"{"type":"pulse","v":1,"threads":2}
+{"type":"unit_started","app":"forged-001","seed":0}
+{"type":"sites_identified","app":"forged-001","seed":0,"sites":3}
+{"type":"heartbeat","seq":0,"t_ns":50000000,"workers":2,"queued":2,"pending":3,"steals":1,"jobs_done":4,"cache_bytes":512,"cache_entries":8,"snapshot_bytes":4096,"snapshot_entries":3,"interp_peak_heap_bytes":1024}
+{"type":"worker","hb":0,"worker":0,"state":"site","app":"forged-001","seed":0,"site":"b0@7"}
+{"type":"worker","hb":0,"worker":1,"state":"idle"}
+{"type":"site_finished","app":"forged-001","seed":0,"site":"b0@7","outcome":"exposed","wall_ns":9000000,"cache_bytes":512,"snapshot_bytes":4096,"peak_heap_bytes":1024}
+{"type":"heartbeat","seq":1,"t_ns":100000000,"workers":2,"queued":0,"pending":0,"steals":0,"jobs_done":0,"cache_bytes":0,"cache_entries":0,"snapshot_bytes":0,"snapshot_entries":0,"interp_peak_heap_bytes":0}
+{"type":"worker","hb":1,"worker":0,"state":"unit","app":"forged-002 \"q\"","seed":1}
+{"type":"worker","hb":1,"worker":1,"state":"idle"}
+{"type":"finished","wall_ns":200000000,"sites":3,"exposed":1}
+"#;
+        assert_eq!(sample_log().to_jsonl(), want);
     }
 }

@@ -29,8 +29,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::{jsonl_header, jsonl_lines, jsonl_records, Json};
 use crate::pulse::{PulseEvent, WorkerState};
-use crate::sink::{parse_flat_object, push_json_str, FlatValue};
 
 /// Version stamped into (and required from) the anomaly digest header.
 pub const ANOMALY_SCHEMA_VERSION: u64 = 1;
@@ -88,6 +88,38 @@ pub struct AnomalyReport {
     pub value: u64,
     /// Threshold the value crossed.
     pub threshold: u64,
+}
+
+impl AnomalyReport {
+    /// The report as one JSON object — a row of a daemon job report's
+    /// `anomalies` array.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        self.fields(Json::obj())
+    }
+
+    /// The report's fields appended to `obj`: a digest line is the same
+    /// object behind a `"type":"anomaly"` tag.
+    fn fields(&self, obj: Json) -> Json {
+        obj.field("kind", self.kind.as_str())
+            .field("subject", self.subject.as_str())
+            .field("detail", self.detail.as_str())
+            .field("value", self.value)
+            .field("threshold", self.threshold)
+    }
+
+    /// Reads a report back from [`to_json`](Self::to_json)'s object (or
+    /// a digest line; its `type` tag is not checked here).
+    pub fn from_json(doc: &Json) -> Result<AnomalyReport, String> {
+        let kind = doc.str_field("kind")?;
+        Ok(AnomalyReport {
+            kind: AnomalyKind::parse(kind).ok_or_else(|| format!("unknown kind {kind:?}"))?,
+            subject: doc.str_field("subject")?.to_string(),
+            detail: doc.str_field("detail")?.to_string(),
+            value: doc.u64_field("value")?,
+            threshold: doc.u64_field("threshold")?,
+        })
+    }
 }
 
 /// Detector thresholds. Defaults are conservative enough that a
@@ -274,87 +306,41 @@ impl Watchdog {
 /// Serialises anomalies to the schema-versioned JSONL digest.
 #[must_use]
 pub fn anomalies_to_jsonl(anomalies: &[AnomalyReport]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(
-        out,
-        "{{\"type\":\"anomalies\",\"v\":{ANOMALY_SCHEMA_VERSION},\"count\":{}}}",
-        anomalies.len()
-    );
+    let head = Json::obj()
+        .field("type", "anomalies")
+        .field("v", ANOMALY_SCHEMA_VERSION)
+        .field("count", anomalies.len());
+    let mut out = format!("{head}\n");
     for a in anomalies {
-        out.push_str("{\"type\":\"anomaly\",\"kind\":");
-        push_json_str(&mut out, a.kind.as_str());
-        out.push_str(",\"subject\":");
-        push_json_str(&mut out, &a.subject);
-        out.push_str(",\"detail\":");
-        push_json_str(&mut out, &a.detail);
-        let _ = writeln!(
-            out,
-            ",\"value\":{},\"threshold\":{}}}",
-            a.value, a.threshold
-        );
+        let _ = writeln!(out, "{}", digest_record(a));
     }
     out
+}
+
+/// One anomaly line of a digest (and of a flight dump).
+pub(crate) fn digest_record(a: &AnomalyReport) -> Json {
+    a.fields(Json::obj().field("type", "anomaly"))
+}
+
+/// Reads one anomaly line of a digest (or of a flight dump).
+pub(crate) fn read_digest_record(rec: &Json) -> Result<AnomalyReport, String> {
+    if rec.get("type").and_then(Json::as_str) != Some("anomaly") {
+        return Err("expected an anomaly record".to_string());
+    }
+    AnomalyReport::from_json(rec)
 }
 
 /// Parses a digest produced by [`anomalies_to_jsonl`]. Strict on the
 /// header version and the declared count.
 pub fn anomalies_from_jsonl(text: &str) -> Result<Vec<AnomalyReport>, String> {
-    let mut lines = text
-        .lines()
-        .enumerate()
-        .filter(|(_, l)| !l.trim().is_empty());
-    let Some((_, header)) = lines.next() else {
-        return Err("anomalies: empty input (missing header line)".into());
-    };
-    let head = parse_flat_object(header).map_err(|e| format!("anomalies line 1: {e}"))?;
-    if head.get("type").and_then(FlatValue::as_str) != Some("anomalies") {
-        return Err("anomalies: first line must be the header {\"type\":\"anomalies\",...}".into());
-    }
-    match head.get("v").and_then(FlatValue::as_u64) {
-        Some(ANOMALY_SCHEMA_VERSION) => {}
-        Some(v) => {
-            return Err(format!(
-                "anomalies: unsupported schema version {v} (expected {ANOMALY_SCHEMA_VERSION})"
-            ))
-        }
-        None => return Err("anomalies: header missing integer field \"v\"".into()),
-    }
-    let declared = head.get("count").and_then(FlatValue::as_u64);
+    let mut lines = jsonl_lines(text);
+    let head = jsonl_header(&mut lines, "anomalies", "anomalies", ANOMALY_SCHEMA_VERSION)?;
     let mut out = Vec::new();
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        let obj = parse_flat_object(line).map_err(|e| format!("anomalies line {lineno}: {e}"))?;
-        if obj.get("type").and_then(FlatValue::as_str) != Some("anomaly") {
-            return Err(format!(
-                "anomalies line {lineno}: expected an anomaly record"
-            ));
-        }
-        let kind_token = obj
-            .get("kind")
-            .and_then(FlatValue::as_str)
-            .ok_or_else(|| format!("anomalies line {lineno}: missing \"kind\""))?;
-        let kind = AnomalyKind::parse(kind_token)
-            .ok_or_else(|| format!("anomalies line {lineno}: unknown kind {kind_token:?}"))?;
-        let field = |key: &str| -> Result<String, String> {
-            obj.get(key)
-                .and_then(FlatValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("anomalies line {lineno}: missing string field {key:?}"))
-        };
-        let num = |key: &str| -> Result<u64, String> {
-            obj.get(key)
-                .and_then(FlatValue::as_u64)
-                .ok_or_else(|| format!("anomalies line {lineno}: missing integer field {key:?}"))
-        };
-        out.push(AnomalyReport {
-            kind,
-            subject: field("subject")?,
-            detail: field("detail")?,
-            value: num("value")?,
-            threshold: num("threshold")?,
-        });
-    }
-    if let Some(n) = declared {
+    jsonl_records(lines, "anomalies", |rec| {
+        out.push(read_digest_record(&rec)?);
+        Ok(())
+    })?;
+    if let Some(n) = head.get("count").and_then(Json::as_u64) {
         if n as usize != out.len() {
             return Err(format!(
                 "anomalies: header declares {n} record(s) but {} parsed",
@@ -495,9 +481,8 @@ mod tests {
         assert_eq!(anomalies[0].threshold, 1000);
     }
 
-    #[test]
-    fn digest_round_trips() {
-        let reports = vec![
+    fn sample_reports() -> Vec<AnomalyReport> {
+        vec![
             AnomalyReport {
                 kind: AnomalyKind::SlowSite,
                 subject: "app/0/b0@7".into(),
@@ -512,13 +497,27 @@ mod tests {
                 value: 2048,
                 threshold: 1024,
             },
-        ];
+        ]
+    }
+
+    #[test]
+    fn digest_round_trips() {
+        let reports = sample_reports();
         let text = anomalies_to_jsonl(&reports);
         assert_eq!(anomalies_from_jsonl(&text).unwrap(), reports);
         assert_eq!(
             anomalies_from_jsonl(&anomalies_to_jsonl(&[])).unwrap(),
             vec![]
         );
+    }
+
+    #[test]
+    fn digest_bytes_are_pinned() {
+        let want = r#"{"type":"anomalies","v":1,"count":2}
+{"type":"anomaly","kind":"slow_site","subject":"app/0/b0@7","detail":"site took 900ms against a campaign median of 12ms","value":900000000,"threshold":250000000}
+{"type":"anomaly","kind":"cache_pressure","subject":"cache","detail":"solver+snapshot caches hold 2048 bytes (ceiling 1024)","value":2048,"threshold":1024}
+"#;
+        assert_eq!(anomalies_to_jsonl(&sample_reports()), want);
     }
 
     #[test]

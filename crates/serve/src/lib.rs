@@ -37,5 +37,7 @@
 pub mod protocol;
 pub mod server;
 
-pub use protocol::{parse_request, reject, JobSource, Json, Request, PROTOCOL_VERSION};
+/// The workspace's JSON codec, re-exported for daemon clients.
+pub use diode_obs::Json;
+pub use protocol::{parse_request, reject, JobSource, Request, PROTOCOL_VERSION};
 pub use server::{serve, ServeConfig, ServerHandle};

@@ -1,8 +1,8 @@
-//! The daemon's wire protocol: one flat-JSON request line per
-//! operation, one JSON response line back (plus a telemetry stream for
-//! `watch`). The codec is `diode-corpus`'s round-tripping [`Json`] —
-//! the same one every `BENCH_*` artifact uses — so `u64` payloads (RNG
-//! seeds, byte counters) survive exactly.
+//! The daemon's wire protocol: one JSON request line per operation,
+//! one JSON response line back (plus a telemetry stream for `watch`).
+//! The codec is `diode-obs`'s round-tripping [`Json`] — the same one
+//! every artifact in the workspace uses — so `u64` payloads (RNG seeds,
+//! byte counters) survive exactly.
 //!
 //! Requests:
 //!
@@ -36,11 +36,15 @@
 //! per-site work — the operational fire drill for the slow-site
 //! detector (plants lie outside the forge oracle, so `"recall"` is
 //! null for such jobs).
+//!
+//! Requests are the daemon's input boundary, so every size a client
+//! chooses is bounded by a constant: a request line by
+//! [`MAX_REQUEST_LINE`] bytes, its JSON nesting by the codec's 128
+//! levels, a `watch` ring by [`MAX_WATCH_RING`] events, and a job's
+//! worker threads by [`MAX_THREADS`]. Anything larger is a typed `400`.
 
-use diode_obs::WatchdogConfig;
+use diode_obs::{Json, WatchdogConfig};
 use diode_synth::SynthConfig;
-
-pub use diode_corpus::{Json, JsonError};
 
 /// Version stamped into `status` responses; bump on wire changes.
 pub const PROTOCOL_VERSION: u64 = 2;
@@ -107,6 +111,15 @@ pub enum JobSource {
 /// Default `watch` subscriber ring capacity.
 pub const DEFAULT_WATCH_RING: usize = 4096;
 
+/// Largest `watch` ring a client may ask for (events).
+pub const MAX_WATCH_RING: usize = 65_536;
+
+/// Most worker threads a submit may pin.
+pub const MAX_THREADS: usize = 256;
+
+/// Longest request line the daemon reads, newline included (bytes).
+pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
 /// Parses one request line. The error is a ready-to-send `400` response.
 pub fn parse_request(line: &str) -> Result<Request, Json> {
     let obj = match Json::parse(line) {
@@ -143,10 +156,7 @@ pub fn parse_request(line: &str) -> Result<Request, Json> {
             Ok(Request::Submit {
                 source,
                 wait: obj.get("wait").and_then(Json::as_bool).unwrap_or(false),
-                threads: obj
-                    .get("threads")
-                    .and_then(Json::as_u64)
-                    .map(|t| (t as usize).max(1)),
+                threads: at_most(&obj, "threads", MAX_THREADS)?.map(|t| t.max(1)),
                 watchdog: match obj.get("watchdog") {
                     None => None,
                     Some(v) => parse_watchdog(v)?,
@@ -170,15 +180,25 @@ pub fn parse_request(line: &str) -> Result<Request, Json> {
         "watch" => match obj.get("job").and_then(Json::as_str) {
             Some(job) => Ok(Request::Watch {
                 job: job.to_string(),
-                ring: obj
-                    .get("ring")
-                    .and_then(Json::as_u64)
-                    .map_or(DEFAULT_WATCH_RING, |r| (r as usize).max(2)),
+                ring: at_most(&obj, "ring", MAX_WATCH_RING)?
+                    .map_or(DEFAULT_WATCH_RING, |r| r.max(2)),
             }),
             None => Err(reject(400, "bad_request", "watch needs a \"job\" id")),
         },
         "shutdown" => Ok(Request::Shutdown),
         other => Err(reject(400, "bad_request", &format!("unknown op {other:?}"))),
+    }
+}
+
+/// An optional integer field a client sizes, rejected above `max`.
+fn at_most(obj: &Json, key: &str, max: usize) -> Result<Option<usize>, Json> {
+    match obj.get(key).and_then(Json::as_u64) {
+        Some(v) if v > max as u64 => Err(reject(
+            400,
+            "bad_request",
+            &format!("{key} {v} exceeds the limit of {max}"),
+        )),
+        v => Ok(v.map(|v| v as usize)),
     }
 }
 
@@ -454,6 +474,14 @@ mod tests {
             (r#"{"op":"metrics","format":"xml"}"#, "bad_request"),
             (r#"{"op":"watch"}"#, "bad_request"),
             (r#"{"op":"frobnicate"}"#, "bad_request"),
+            (
+                r#"{"op":"watch","job":"job-1","ring":1099511627776}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"submit","spec":{"apps":1},"threads":1099511627776}"#,
+                "bad_request",
+            ),
         ] {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));

@@ -21,7 +21,7 @@
 //! campaign (the `diode-obs` invariant).
 
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -34,14 +34,14 @@ use diode_engine::{
     PulseConfig, PulseEvent, SnapshotCache, SnapshotStats, SolverCache,
 };
 use diode_obs::{
-    fnv64_hex, AnomalyReport, Counter, FlightRecorder, Histogram, MetricsRegistry, Phase,
+    fnv64_hex, AnomalyReport, Counter, FlightRecorder, Histogram, Json, MetricsRegistry, Phase,
     PhaseBreakdown, Recorder, TelemetryStream, Watchdog, WatchdogConfig, ANOMALY_SCHEMA_VERSION,
     FLIGHT_SCHEMA_VERSION, METRICS_SCHEMA_VERSION, TELEMETRY_SCHEMA_VERSION,
 };
 use diode_synth::{forge, forge_range, score, Fnv64, SynthConfig, SynthOracle};
 
 use crate::protocol::{
-    parse_request, reject, spec_json, JobSource, Json, Request, PROTOCOL_VERSION,
+    parse_request, reject, spec_json, JobSource, Request, MAX_REQUEST_LINE, PROTOCOL_VERSION,
 };
 
 /// Daemon configuration.
@@ -384,18 +384,46 @@ fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>, addr: SocketAddr) {
     }
 }
 
-/// Reads one request line, dispatches, writes the response line(s).
-/// I/O errors mean the client went away — nothing to do but stop.
+/// Reads one request line (at most [`MAX_REQUEST_LINE`] bytes),
+/// dispatches, writes the response line(s). I/O errors mean the client
+/// went away — nothing to do but stop.
 fn handle_connection(stream: TcpStream, daemon: &Arc<Daemon>, addr: SocketAddr) {
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    let mut bytes = Vec::new();
+    let limit = MAX_REQUEST_LINE as u64 + 1;
+    if reader
+        .by_ref()
+        .take(limit)
+        .read_until(b'\n', &mut bytes)
+        .is_err()
+    {
         return;
     }
     let mut out = stream;
+    if bytes.len() > MAX_REQUEST_LINE {
+        let detail = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+        let _ = writeln!(out, "{}", reject(400, "bad_request", &detail));
+        // Consume the rest of the line, so closing the socket does not
+        // reset the connection before the client reads the reply.
+        if bytes.last() != Some(&b'\n') {
+            let _ = reader.skip_until(b'\n');
+        }
+        return;
+    }
+    let Ok(line) = String::from_utf8(bytes) else {
+        let _ = writeln!(
+            out,
+            "{}",
+            reject(400, "bad_request", "request line is not UTF-8")
+        );
+        return;
+    };
+    if line.trim().is_empty() {
+        return;
+    }
     match parse_request(line.trim()) {
         Err(err) => {
             let _ = writeln!(out, "{err}");
@@ -642,8 +670,8 @@ fn status(daemon: &Arc<Daemon>, job: Option<&str>) -> Json {
         .field("rejected", daemon.rejected.load(Ordering::Relaxed))
         .field("metrics", daemon.ops.is_some())
         .field("shutting_down", daemon.shutting_down.load(Ordering::SeqCst))
-        .field("cache", cache_stats_json(&daemon.solver_cache.stats()))
-        .field("snapshots", snapshot_stats_json(&daemon.snapshots.stats()))
+        .field("cache", daemon.solver_cache.stats())
+        .field("snapshots", daemon.snapshots.stats())
 }
 
 /// Every schema version a client may need to speak to this daemon:
@@ -780,13 +808,11 @@ fn scrape(daemon: &Arc<Daemon>, ops: &Ops) -> diode_obs::MetricsSnapshot {
 
 /// The JSON metrics reply: the registry snapshot behind an `ok` line.
 fn metrics_json(daemon: &Arc<Daemon>, ops: &Ops) -> Json {
-    let snapshot = scrape(daemon, ops);
-    let metrics = Json::parse(&snapshot.to_json()).unwrap_or(Json::Null);
     Json::obj()
         .field("ok", true)
         .field("schema", METRICS_SCHEMA_VERSION)
         .field("uptime_ms", daemon.started.elapsed().as_secs_f64() * 1e3)
-        .field("metrics", metrics)
+        .field("metrics", scrape(daemon, ops).to_json())
 }
 
 /// Streams a job's telemetry to `out`: live via a fresh bus subscriber
@@ -1198,12 +1224,12 @@ fn job_report(
                 .field("resumes", resumes)
                 .field("resume_rate", rate(snap_hits, snap_misses)),
         )
-        .field("cache_total", cache_stats_json(cache_after))
-        .field("snapshots_total", snapshot_stats_json(snap_after));
+        .field("cache_total", *cache_after)
+        .field("snapshots_total", *snap_after);
     if let Some(anomalies) = anomalies {
         out = out.field(
             "anomalies",
-            Json::Arr(anomalies.iter().map(anomaly_json).collect()),
+            Json::Arr(anomalies.iter().map(AnomalyReport::to_json).collect()),
         );
     }
     if let Some(path) = flight {
@@ -1212,44 +1238,12 @@ fn job_report(
     out
 }
 
-fn anomaly_json(a: &AnomalyReport) -> Json {
-    Json::obj()
-        .field("kind", a.kind.as_str())
-        .field("subject", a.subject.clone())
-        .field("detail", a.detail.clone())
-        .field("value", a.value)
-        .field("threshold", a.threshold)
-}
-
 fn rate(hits: u64, misses: u64) -> f64 {
     if hits + misses == 0 {
         0.0
     } else {
         hits as f64 / (hits + misses) as f64
     }
-}
-
-fn cache_stats_json(s: &CacheStats) -> Json {
-    Json::obj()
-        .field("hits", s.hits)
-        .field("misses", s.misses)
-        .field("entries", s.entries)
-        .field("bytes", s.bytes)
-        .field("peak_bytes", s.peak_bytes)
-        .field("hit_rate", s.hit_rate())
-}
-
-fn snapshot_stats_json(s: &SnapshotStats) -> Json {
-    Json::obj()
-        .field("hits", s.hits)
-        .field("misses", s.misses)
-        .field("resumes", s.resumes)
-        .field("captures", s.captures)
-        .field("extract_resumes", s.extract_resumes)
-        .field("entries", s.entries)
-        .field("bytes", s.bytes)
-        .field("peak_bytes", s.peak_bytes)
-        .field("resume_rate", s.resume_rate())
 }
 
 #[cfg(test)]

@@ -1,0 +1,58 @@
+//! Hostile request lines against a real daemon: each one gets a typed
+//! `400 bad_request`, and the daemon keeps answering afterwards. Without
+//! the request limits, the first three lines abort the whole process
+//! (a parser stack overflow, then allocations sized by the client).
+
+use std::io::{BufRead, BufReader, Write};
+use std::net::{SocketAddr, TcpStream};
+
+use diode_obs::Json;
+use diode_serve::{serve, ServeConfig};
+
+/// Sends one request line and reads one response line.
+fn request(addr: SocketAddr, line: &[u8]) -> Json {
+    let mut conn = TcpStream::connect(addr).expect("connect to daemon");
+    conn.write_all(line).expect("send request");
+    conn.write_all(b"\n").expect("send newline");
+    let mut reply = String::new();
+    BufReader::new(conn)
+        .read_line(&mut reply)
+        .expect("read response");
+    Json::parse(reply.trim()).unwrap_or_else(|e| panic!("reply {reply:?} is not JSON: {e}"))
+}
+
+#[test]
+fn hostile_request_lines_get_typed_400s_and_the_daemon_survives() {
+    let handle = serve(ServeConfig::default()).expect("daemon starts");
+    let addr = handle.addr();
+    let hostile: [Vec<u8>; 5] = [
+        // 10 KB of nesting: the parser used to recurse once per level.
+        "[".repeat(10_000).into_bytes(),
+        // A watch ring of 2^40 events, allocated up front.
+        br#"{"op":"watch","job":"job-1","ring":1099511627776}"#.to_vec(),
+        // 2^40 worker threads.
+        br#"{"op":"submit","spec":{"apps":1},"threads":1099511627776,"wait":true}"#.to_vec(),
+        // A line past the 64 KiB request limit.
+        format!(r#"{{"op":"status","pad":"{}"}}"#, "x".repeat(70 * 1024)).into_bytes(),
+        // Not UTF-8.
+        b"{\"op\":\"status\",\"pad\":\"\xff\xfe\"}".to_vec(),
+    ];
+    for line in &hostile {
+        let reply = request(addr, line);
+        let verdict = (
+            reply.get("ok").and_then(Json::as_bool),
+            reply.get("code").and_then(Json::as_u64),
+            reply.get("error").and_then(Json::as_str),
+        );
+        assert_eq!(
+            verdict,
+            (Some(false), Some(400), Some("bad_request")),
+            "{reply}"
+        );
+    }
+    let status = request(addr, br#"{"op":"status"}"#);
+    assert_eq!(status.get("ok"), Some(&Json::Bool(true)), "{status}");
+    let reply = request(addr, br#"{"op":"shutdown"}"#);
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    handle.join();
+}

@@ -7,8 +7,7 @@ use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use diode_corpus::Json;
-use diode_obs::{parse_prometheus, FlightDump, PulseEvent, WatchdogConfig};
+use diode_obs::{parse_prometheus, FlightDump, Json, PulseEvent, WatchdogConfig};
 use diode_serve::{serve, ServeConfig, ServerHandle};
 use diode_synth::{forge_range, SynthConfig};
 

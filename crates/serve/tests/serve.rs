@@ -7,9 +7,8 @@ use std::net::TcpStream;
 use std::sync::Barrier;
 use std::time::Duration;
 
-use diode_corpus::Json;
 use diode_engine::CampaignSpec;
-use diode_obs::{fnv64_hex, TelemetryLog};
+use diode_obs::{fnv64_hex, Json, TelemetryLog};
 use diode_serve::{serve, ServeConfig};
 use diode_synth::{forge, SynthConfig};
 

@@ -28,6 +28,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use diode_obs::Json;
 use diode_symbolic::{Sym, SymBool, SymExpr};
 
 use crate::solve::{solve_with, SolveResult, SolverConfig};
@@ -59,6 +60,20 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
+    }
+}
+
+/// The one serialised shape of the counters, shared by the daemon's
+/// replies and the harness's `--json` outputs.
+impl From<CacheStats> for Json {
+    fn from(s: CacheStats) -> Json {
+        Json::obj()
+            .field("hits", s.hits)
+            .field("misses", s.misses)
+            .field("entries", s.entries)
+            .field("bytes", s.bytes)
+            .field("peak_bytes", s.peak_bytes)
+            .field("hit_rate", s.hit_rate())
     }
 }
 
