@@ -15,8 +15,22 @@
 //! * allocation sizes ≥ the allocator limit fail (null return or abort,
 //!   depending on the site's wrapper, matching `malloc` vs `g_malloc`).
 //!
-//! Block payloads are stored densely for ordinary sizes and sparsely for
-//! huge allocations, so simulating a 2 GB allocation costs no host memory.
+//! Block payloads are stored densely for ordinary sizes (at most 1 MiB)
+//! and sparsely for huge allocations, so simulating a 2 GB allocation
+//! costs no host memory. A dense block splits each byte cell the way
+//! memcheck splits shadow memory from data:
+//!
+//! * the values, one host byte per simulated byte (`vec![0; n]`, so a
+//!   large block arrives as lazily zeroed pages);
+//! * the sticky overflow flags, one bit per byte in `n/64` words;
+//! * the shadow tags, in a side-table holding an entry only for cells
+//!   that were stored — and never touched at all when the tag type is
+//!   `()` (plain concrete execution).
+//!
+//! A dense block therefore costs ~1.125 host bytes per simulated byte
+//! plus one entry per tagged cell, and a copy-on-write after a snapshot
+//! copies that much. A sparse block keeps a map of whole [`Cell`]s,
+//! one entry per touched byte.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -122,8 +136,66 @@ impl<T: Default> Default for Cell<T> {
 /// are shared and only copied again when a post-snapshot write lands in
 /// them (`Arc::make_mut` copy-on-write).
 enum Payload<T> {
-    Dense(Arc<Vec<Cell<T>>>),
+    Dense(Arc<Dense<T>>),
     Sparse(Arc<HashMap<u64, Cell<T>>>),
+}
+
+/// A dense block's cells, split into values, overflow bits and tags.
+#[derive(Clone, Default)]
+struct Dense<T> {
+    /// Stored byte values.
+    bytes: Vec<u8>,
+    /// Sticky overflow flags, bit `i % 64` of word `i / 64`.
+    ovf: Vec<u64>,
+    /// Shadow tags of the cells stored so far, by offset. Empty (and
+    /// never consulted) when `T` is zero-sized.
+    tags: HashMap<u32, T>,
+}
+
+impl<T: Default + Clone> Dense<T> {
+    /// A zero-filled block of `size` bytes.
+    fn zeroed(size: u32) -> Self {
+        Dense {
+            bytes: vec![0; size as usize],
+            ovf: vec![0; (size as usize).div_ceil(64)],
+            tags: HashMap::new(),
+        }
+    }
+
+    /// Host bytes the values and overflow bits occupy.
+    fn payload_bytes(&self) -> u64 {
+        self.bytes.len() as u64 + 8 * self.ovf.len() as u64
+    }
+
+    fn load(&self, offset: usize) -> Cell<T> {
+        Cell {
+            value: Bv::byte(self.bytes[offset]),
+            ovf: self.ovf[offset / 64] >> (offset % 64) & 1 == 1,
+            tag: if tags_stored::<T>() {
+                self.tags.get(&(offset as u32)).cloned().unwrap_or_default()
+            } else {
+                T::default()
+            },
+        }
+    }
+
+    /// Stores one cell; true when it gave a never-tagged cell a tag.
+    fn store(&mut self, offset: usize, cell: Cell<T>) -> bool {
+        self.bytes[offset] = cell.value.value() as u8;
+        let bit = 1u64 << (offset % 64);
+        if cell.ovf {
+            self.ovf[offset / 64] |= bit;
+        } else {
+            self.ovf[offset / 64] &= !bit;
+        }
+        tags_stored::<T>() && self.tags.insert(offset as u32, cell.tag).is_none()
+    }
+}
+
+/// True when cells of tag type `T` carry information worth a side-table
+/// entry: every tag type but the zero-sized `()` of concrete execution.
+const fn tags_stored<T>() -> bool {
+    std::mem::size_of::<T>() != 0
 }
 
 impl<T: Clone> Clone for Payload<T> {
@@ -141,7 +213,8 @@ struct Block<T> {
     freed: bool,
     payload: Payload<T>,
     /// Approximate bytes charged to the heap gauge for this block's
-    /// payload (dense: size × cell; sparse: grows per touched cell).
+    /// payload (dense: bytes + overflow words, then per tagged cell;
+    /// sparse: grows per touched cell).
     accounted: u64,
 }
 
@@ -160,9 +233,14 @@ impl<T: Clone> Clone for Block<T> {
 /// Fixed per-block bookkeeping charge (site arc, size, flags, vec slot).
 const BLOCK_OVERHEAD_BYTES: u64 = 48;
 
-/// Extra charge per sparse cell beyond the cell itself (hash-map key +
-/// bucket overhead).
-const SPARSE_CELL_OVERHEAD_BYTES: u64 = 16;
+/// Extra charge per hash-map entry beyond its value — a sparse cell or a
+/// dense block's side-table tag (key + bucket overhead).
+const ENTRY_OVERHEAD_BYTES: u64 = 16;
+
+/// Charge for one hash-map entry holding a `V`.
+fn entry_bytes<V>() -> u64 {
+    std::mem::size_of::<V>() as u64 + ENTRY_OVERHEAD_BYTES
+}
 
 /// Outcome of a heap access: either a value (reads) / unit (writes), plus
 /// any recorded error; or a fault that must halt the program.
@@ -234,12 +312,10 @@ impl<T: Default + Clone> Heap<T> {
         if u64::from(size) >= self.alloc_limit {
             return None;
         }
-        let cell_cost = std::mem::size_of::<Cell<T>>() as u64;
         let (payload, accounted) = if size <= self.dense_limit {
-            (
-                Payload::Dense(Arc::new(vec![Cell::default(); size as usize])),
-                BLOCK_OVERHEAD_BYTES + u64::from(size) * cell_cost,
-            )
+            let dense = Dense::zeroed(size);
+            let bytes = BLOCK_OVERHEAD_BYTES + dense.payload_bytes();
+            (Payload::Dense(Arc::new(dense)), bytes)
         } else {
             (
                 Payload::Sparse(Arc::new(HashMap::new())),
@@ -283,7 +359,7 @@ impl<T: Default + Clone> Heap<T> {
             // unreachable from here on: drop them eagerly. This keeps
             // long-lived heap clones — prefix snapshots — from pinning
             // (and later re-dropping) megabytes of dead payload.
-            block.payload = Payload::Dense(Arc::new(Vec::new()));
+            block.payload = Payload::Dense(Arc::default());
             let released = std::mem::take(&mut block.accounted);
             self.cur_bytes = self.cur_bytes.saturating_sub(released);
         }
@@ -324,13 +400,18 @@ impl<T: Default + Clone> Heap<T> {
             return Ok(Cell::default());
         }
         Ok(match &block.payload {
-            Payload::Dense(cells) => cells[offset as usize].clone(),
+            Payload::Dense(dense) => dense.load(offset as usize),
             Payload::Sparse(cells) => cells.get(&offset).cloned().unwrap_or_default(),
         })
     }
 
     /// Stores one byte. Out-of-bounds writes within the red zone are
     /// recorded and dropped; farther writes fault.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cell's value is not 8 bits wide: a dense block keeps
+    /// one host byte per cell.
     pub fn store(
         &mut self,
         ptr: BlockId,
@@ -338,6 +419,7 @@ impl<T: Default + Clone> Heap<T> {
         cell: Cell<T>,
         at: Label,
     ) -> AccessResult<()> {
+        assert_eq!(cell.value.width(), 8, "memory cells are bytes");
         if ptr.is_null() {
             return Err(Fault::NullDeref { at });
         }
@@ -370,11 +452,17 @@ impl<T: Default + Clone> Heap<T> {
             return Ok(());
         }
         match &mut block.payload {
-            Payload::Dense(cells) => Arc::make_mut(cells)[offset as usize] = cell,
+            Payload::Dense(dense) => {
+                if Arc::make_mut(dense).store(offset as usize, cell) {
+                    let cost = entry_bytes::<T>();
+                    block.accounted += cost;
+                    self.account(cost);
+                }
+            }
             Payload::Sparse(cells) => {
                 if Arc::make_mut(cells).insert(offset, cell).is_none() {
                     // A never-touched sparse cell materialised.
-                    let cost = std::mem::size_of::<Cell<T>>() as u64 + SPARSE_CELL_OVERHEAD_BYTES;
+                    let cost = entry_bytes::<Cell<T>>();
                     block.accounted += cost;
                     self.account(cost);
                 }
@@ -423,6 +511,7 @@ impl<T: Default + Clone> Heap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shadow::LabelSet;
 
     fn heap() -> Heap<()> {
         Heap::new(1 << 31, 4096)
@@ -517,6 +606,23 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "memory cells are bytes")]
+    fn wide_cells_are_rejected() {
+        let mut h = heap();
+        let b = h.alloc("t@1".into(), 8).unwrap();
+        let _ = h.store(
+            b,
+            0,
+            Cell {
+                value: Bv::u32(1),
+                ovf: false,
+                tag: (),
+            },
+            Label(0),
+        );
+    }
+
+    #[test]
     fn free_null_is_tolerated() {
         let mut h = heap();
         h.free(BlockId::NULL, Label(0));
@@ -525,22 +631,24 @@ mod tests {
 
     #[test]
     fn byte_accounting_tracks_alloc_store_free() {
-        let cell = std::mem::size_of::<Cell<()>>() as u64;
         let mut h = heap();
         assert_eq!((h.current_bytes(), h.peak_bytes()), (0, 0));
 
-        // Dense block: charged up front.
-        let dense = h.alloc("t@1".into(), 8).unwrap();
-        let dense_cost = BLOCK_OVERHEAD_BYTES + 8 * cell;
+        // Dense block: its bytes and overflow words, charged up front.
+        let dense = h.alloc("t@1".into(), 100).unwrap();
+        let dense_cost = BLOCK_OVERHEAD_BYTES + 100 + 8 * 2;
+        assert_eq!(h.current_bytes(), dense_cost);
+        // Untagged (concrete) stores add nothing.
+        h.store(dense, 5, cell(1), Label(0)).unwrap();
         assert_eq!(h.current_bytes(), dense_cost);
 
         // Sparse block: only overhead until cells are touched.
         let sparse = h.alloc("t@2".into(), (1 << 30) - 1).unwrap();
         assert_eq!(h.current_bytes(), dense_cost + BLOCK_OVERHEAD_BYTES);
-        h.store(sparse, 17, cell_of(1), Label(0)).unwrap();
-        h.store(sparse, 17, cell_of(2), Label(0)).unwrap(); // rewrite: no growth
-        h.store(sparse, 99, cell_of(3), Label(0)).unwrap();
-        let sparse_cost = BLOCK_OVERHEAD_BYTES + 2 * (cell + SPARSE_CELL_OVERHEAD_BYTES);
+        h.store(sparse, 17, cell(1), Label(0)).unwrap();
+        h.store(sparse, 17, cell(2), Label(0)).unwrap(); // rewrite: no growth
+        h.store(sparse, 99, cell(3), Label(0)).unwrap();
+        let sparse_cost = BLOCK_OVERHEAD_BYTES + 2 * entry_bytes::<Cell<()>>();
         assert_eq!(h.current_bytes(), dense_cost + sparse_cost);
         let peak = h.peak_bytes();
         assert_eq!(peak, h.current_bytes());
@@ -558,8 +666,101 @@ mod tests {
         assert_eq!(clone.peak_bytes(), peak);
     }
 
-    fn cell_of(v: u8) -> Cell<()> {
-        cell(v)
+    fn tagged(v: u8, ovf: bool, labels: &[u32]) -> Cell<LabelSet> {
+        let tag = labels
+            .iter()
+            .fold(LabelSet::empty(), |t, &l| t.union(&LabelSet::singleton(l)));
+        Cell {
+            value: Bv::byte(v),
+            ovf,
+            tag,
+        }
+    }
+
+    #[test]
+    fn overflow_bit_round_trips_and_clean_store_clears_it() {
+        let mut h = heap();
+        let b = h.alloc("t@1".into(), 130).unwrap();
+        h.store(
+            b,
+            129,
+            Cell {
+                value: Bv::byte(7),
+                ovf: true,
+                tag: (),
+            },
+            Label(0),
+        )
+        .unwrap();
+        let c = h.load(b, 129, Label(0)).unwrap();
+        assert_eq!((c.value, c.ovf), (Bv::byte(7), true));
+        // Neighbours in the same and adjacent words stay clean.
+        assert!(!h.load(b, 128, Label(0)).unwrap().ovf);
+        assert!(!h.load(b, 65, Label(0)).unwrap().ovf);
+        h.store(b, 129, cell(7), Label(0)).unwrap();
+        assert!(!h.load(b, 129, Label(0)).unwrap().ovf);
+    }
+
+    #[test]
+    fn tags_round_trip_and_unwritten_cells_read_the_default() {
+        let mut h: Heap<LabelSet> = Heap::new(1 << 31, 4096);
+        let b = h.alloc("t@1".into(), 64).unwrap();
+        let base = h.current_bytes();
+        h.store(b, 3, tagged(9, false, &[4, 2]), Label(0)).unwrap();
+        let c = h.load(b, 3, Label(0)).unwrap();
+        assert_eq!((c.value, c.tag.labels()), (Bv::byte(9), &[2, 4][..]));
+        assert!(h.load(b, 4, Label(0)).unwrap().tag.is_empty());
+        // One side-table entry per tagged cell; a rewrite adds none.
+        assert_eq!(h.current_bytes(), base + entry_bytes::<LabelSet>());
+        h.store(b, 3, tagged(1, false, &[]), Label(0)).unwrap();
+        assert_eq!(h.current_bytes(), base + entry_bytes::<LabelSet>());
+        assert!(h.load(b, 3, Label(0)).unwrap().tag.is_empty());
+    }
+
+    #[test]
+    fn writes_after_clone_leave_the_clone_unchanged() {
+        let mut h: Heap<LabelSet> = Heap::new(1 << 31, 4096);
+        let b = h.alloc("t@1".into(), 256).unwrap();
+        h.store(b, 10, tagged(0x11, true, &[1]), Label(0)).unwrap();
+        let snapshot = h.clone();
+        h.store(b, 10, tagged(0x22, false, &[2]), Label(0)).unwrap();
+        h.store(b, 200, tagged(0x33, true, &[3]), Label(0)).unwrap();
+        let mut frozen = snapshot;
+        let c = frozen.load(b, 10, Label(0)).unwrap();
+        assert_eq!(
+            (c.value, c.ovf, c.tag.labels()),
+            (Bv::byte(0x11), true, &[1][..])
+        );
+        let c = frozen.load(b, 200, Label(0)).unwrap();
+        assert_eq!(
+            (c.value, c.ovf, c.tag.is_empty()),
+            (Bv::byte(0), false, true)
+        );
+        let c = h.load(b, 200, Label(0)).unwrap();
+        assert_eq!(
+            (c.value, c.ovf, c.tag.labels()),
+            (Bv::byte(0x33), true, &[3][..])
+        );
+    }
+
+    #[test]
+    fn free_releases_a_tagged_block_charge() {
+        let mut h: Heap<LabelSet> = Heap::new(1 << 31, 4096);
+        let keep = h.alloc("t@1".into(), 8).unwrap();
+        let kept = h.current_bytes();
+        let b = h.alloc("t@2".into(), 1 << 20).unwrap();
+        for off in [0, 1, 1 << 19] {
+            h.store(b, off, tagged(1, false, &[0]), Label(0)).unwrap();
+        }
+        let full =
+            kept + BLOCK_OVERHEAD_BYTES + (1 << 20) + (1 << 17) + 3 * entry_bytes::<LabelSet>();
+        assert_eq!(h.current_bytes(), full);
+        h.free(b, Label(0));
+        assert_eq!(h.current_bytes(), kept);
+        assert_eq!(h.peak_bytes(), full);
+        assert_eq!(h.live_blocks(), 1);
+        h.free(keep, Label(0));
+        assert_eq!(h.current_bytes(), 0);
     }
 
     #[test]

@@ -373,7 +373,10 @@ enum Cont<'a> {
 struct Frame<'a, T> {
     proc: ProcId,
     ret_dst: Option<Symbol>,
-    env: HashMap<Symbol, Value<T>>,
+    /// The local environment, indexed by `Symbol.0`: interner ids are
+    /// dense and fixed when the program is built, so a variable access is
+    /// a vector index. An unset slot is an unbound variable.
+    env: Vec<Option<Value<T>>>,
     control: Vec<Cont<'a>>,
 }
 
@@ -394,6 +397,11 @@ enum Action<'a> {
 enum DriveEnd {
     Outcome(Outcome),
     Captured,
+}
+
+/// A frame environment with every one of `program`'s variables unbound.
+fn empty_env<T: Clone>(program: &Program) -> Vec<Option<Value<T>>> {
+    vec![None; program.interner().len()]
 }
 
 /// Rebuilds a borrowed control stack from its program-independent image.
@@ -515,7 +523,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
             vec![Frame {
                 proc: program.entry(),
                 ret_dst: None,
-                env: HashMap::new(),
+                env: empty_env(program),
                 control: vec![Cont::Block {
                     block: &entry.body,
                     idx: 0,
@@ -680,8 +688,9 @@ impl<'a, S: Shadow> Machine<'a, S> {
         self.frames.last_mut().expect("frame stack never empty")
     }
 
-    fn env(&mut self) -> &mut HashMap<Symbol, Value<S::Tag>> {
-        &mut self.top_frame().env
+    /// Binds `dst` in the current frame.
+    fn bind(&mut self, dst: Symbol, v: Value<S::Tag>) {
+        self.top_frame().env[dst.0 as usize] = Some(v);
     }
 
     fn advance_idx(&mut self) {
@@ -699,7 +708,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
         let frame = self.frames.pop().expect("frame stack never empty");
         match (frame.ret_dst, value) {
             (Some(dst), Some(v)) => {
-                self.env().insert(dst, v);
+                self.bind(dst, v);
                 Ok(())
             }
             (Some(_), None) => Err(Halt::Runtime(format!(
@@ -732,7 +741,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
             Stmt::Skip(_) => Ok(()),
             Stmt::Assign(_, dst, e) => {
                 let v = self.eval(e)?;
-                self.env().insert(*dst, v);
+                self.bind(*dst, v);
                 Ok(())
             }
             Stmt::Call {
@@ -750,10 +759,10 @@ impl<'a, S: Shadow> Machine<'a, S> {
                         args.len()
                     )));
                 }
-                let mut env = HashMap::new();
+                let mut env = empty_env(self.program);
                 for (param, arg) in callee.params.iter().zip(args) {
                     let v = self.eval(arg)?;
-                    env.insert(*param, v);
+                    env[param.0 as usize] = Some(v);
                 }
                 self.frames.push(Frame {
                     proc: *proc,
@@ -797,14 +806,14 @@ impl<'a, S: Shadow> Machine<'a, S> {
                 });
                 match block {
                     Some(b) => {
-                        self.env().insert(*dst, Value::ptr(b));
+                        self.bind(*dst, Value::ptr(b));
                         Ok(())
                     }
                     None if *abort_on_fail => Err(Halt::Aborted(format!(
                         "allocation of {size32} bytes failed at {site}"
                     ))),
                     None => {
-                        self.env().insert(*dst, Value::ptr(BlockId::NULL));
+                        self.bind(*dst, Value::ptr(BlockId::NULL));
                         Ok(())
                     }
                 }
@@ -841,7 +850,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
                     .heap
                     .load(b, off.value() as u64, *label)
                     .map_err(Halt::Fault)?;
-                self.env().insert(
+                self.bind(
                     *dst,
                     Value {
                         raw: Raw::Int(cell.value),
@@ -966,9 +975,9 @@ impl<'a, S: Shadow> Machine<'a, S> {
     }
 
     fn lookup(&mut self, sym: Symbol) -> Result<Value<S::Tag>, Halt> {
-        match self.frames.last().expect("frame").env.get(&sym) {
-            Some(v) => Ok(v.clone()),
-            None => Err(Halt::Runtime(format!(
+        match self.frames.last().expect("frame").env.get(sym.0 as usize) {
+            Some(Some(v)) => Ok(v.clone()),
+            _ => Err(Halt::Runtime(format!(
                 "use of unbound variable `{}`",
                 self.var_name(sym)
             ))),

@@ -72,8 +72,8 @@ pub(crate) struct FrameImage<T> {
     pub proc: ProcId,
     /// Where the caller stores the frame's return value.
     pub ret_dst: Option<Symbol>,
-    /// The local environment.
-    pub env: HashMap<Symbol, Value<T>>,
+    /// The local environment, indexed by `Symbol.0` (`None`: unbound).
+    pub env: Vec<Option<Value<T>>>,
     /// The control stack, outermost first.
     pub control: Vec<ContImage>,
 }
@@ -158,8 +158,9 @@ impl<S: Shadow> Snapshot<S> {
     }
 
     /// Approximate bytes this snapshot keeps resident: the frozen
-    /// heap's accounted payload bytes plus the validation log, frames,
-    /// and recorded prefixes. A pinning estimate for cache gauges, not
+    /// heap's accounted payload bytes plus the validation log, frames
+    /// (per bound variable, not per environment slot), and recorded
+    /// prefixes. A pinning estimate for cache gauges, not
     /// an allocator measurement — COW payloads shared with other
     /// snapshots are charged to each holder.
     #[must_use]
@@ -167,7 +168,10 @@ impl<S: Shadow> Snapshot<S> {
         let frames: u64 = self
             .frames
             .iter()
-            .map(|f| 64 + 48 * (f.env.len() as u64) + 16 * (f.control.len() as u64))
+            .map(|f| {
+                let bound = f.env.iter().filter(|v| v.is_some()).count() as u64;
+                64 + 48 * bound + 16 * (f.control.len() as u64)
+            })
             .sum();
         self.heap.current_bytes()
             + frames

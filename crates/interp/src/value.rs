@@ -123,6 +123,12 @@ mod tests {
     }
 
     #[test]
+    fn a_concrete_value_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Value<()>>(), 32);
+        assert_eq!(std::mem::size_of::<Option<Value<()>>>(), 32);
+    }
+
+    #[test]
     fn display() {
         let v: Value<()> = Value::int(Bv::u32(7));
         assert_eq!(v.to_string(), "7u32");

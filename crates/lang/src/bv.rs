@@ -20,9 +20,12 @@ pub const MAX_WIDTH: u8 = 64;
 
 /// A fixed-width bitvector value.
 ///
-/// The value is stored in a `u128` so that widened (overflow-detecting)
-/// arithmetic never loses bits even at width 64. The stored bits are always
-/// masked to the width: `bits < 2^width`.
+/// The value is stored in a `u64` (16 bytes per `Bv` with the width),
+/// always masked to the width: `bits < 2^width`. Operations whose
+/// overflow flag needs the ideal result — `add`, `mul` and `shl` — widen
+/// to `u128` for the check, so no bits are lost even at width 64. The
+/// public API speaks `u128` ([`new`](Bv::new), [`value`](Bv::value),
+/// [`mask`](Bv::mask)) so callers never see the storage width.
 ///
 /// # Examples
 ///
@@ -38,7 +41,7 @@ pub const MAX_WIDTH: u8 = 64;
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Bv {
     width: u8,
-    bits: u128,
+    bits: u64,
 }
 
 // `add`/`sub`/`mul`/... intentionally shadow the std operator names: they
@@ -56,9 +59,15 @@ impl Bv {
             (1..=MAX_WIDTH).contains(&width),
             "bitvector width must be in 1..=64, got {width}"
         );
+        Bv::wrap(width, value as u64)
+    }
+
+    /// `bits` masked to `width`, for a width already known to be valid
+    /// (taken from an existing `Bv` or checked by the caller).
+    fn wrap(width: u8, bits: u64) -> Self {
         Bv {
             width,
-            bits: value & Self::mask(width),
+            bits: bits & Self::mask64(width),
         }
     }
 
@@ -83,14 +92,20 @@ impl Bv {
     /// A convenience constructor for 8-bit bytes.
     #[must_use]
     pub fn byte(value: u8) -> Self {
-        Bv::new(8, u128::from(value))
+        Bv {
+            width: 8,
+            bits: u64::from(value),
+        }
     }
 
     /// A convenience constructor for 32-bit words (the x86-32 `size_t` of
     /// the paper's allocation sites).
     #[must_use]
     pub fn u32(value: u32) -> Self {
-        Bv::new(32, u128::from(value))
+        Bv {
+            width: 32,
+            bits: u64::from(value),
+        }
     }
 
     /// The mask with the low `width` bits set.
@@ -103,6 +118,11 @@ impl Bv {
         }
     }
 
+    /// [`mask`](Bv::mask) for the storage word (`width` ≤ 64).
+    fn mask64(width: u8) -> u64 {
+        u64::MAX >> (64 - u32::from(width))
+    }
+
     /// The width in bits.
     #[must_use]
     pub fn width(&self) -> u8 {
@@ -112,18 +132,19 @@ impl Bv {
     /// The unsigned value.
     #[must_use]
     pub fn value(&self) -> u128 {
-        self.bits
+        u128::from(self.bits)
     }
 
     /// The value reinterpreted as a two's-complement signed integer.
     #[must_use]
     pub fn as_signed(&self) -> i128 {
-        let sign_bit = 1u128 << (self.width - 1);
-        if self.bits & sign_bit != 0 {
-            (self.bits as i128) - (1i128 << self.width)
-        } else {
-            self.bits as i128
-        }
+        i128::from(self.signed64())
+    }
+
+    /// The two's-complement value, sign-extended from the width.
+    fn signed64(self) -> i64 {
+        let shift = 64 - u32::from(self.width);
+        ((self.bits << shift) as i64) >> shift
     }
 
     /// True if the value is zero.
@@ -136,27 +157,35 @@ impl Bv {
     #[must_use]
     pub fn add(self, rhs: Bv) -> (Bv, bool) {
         self.check_width(rhs);
-        let wide = self.bits + rhs.bits;
-        (Bv::new(self.width, wide), wide > Self::mask(self.width))
+        let wide = u128::from(self.bits) + u128::from(rhs.bits);
+        (
+            Bv::wrap(self.width, wide as u64),
+            wide > Self::mask(self.width),
+        )
     }
 
     /// Wrapping subtraction; the flag reports unsigned underflow.
     #[must_use]
     pub fn sub(self, rhs: Bv) -> (Bv, bool) {
         self.check_width(rhs);
-        let wide = self.bits.wrapping_sub(rhs.bits);
-        (Bv::new(self.width, wide), self.bits < rhs.bits)
+        (
+            Bv::wrap(self.width, self.bits.wrapping_sub(rhs.bits)),
+            self.bits < rhs.bits,
+        )
     }
 
     /// Wrapping multiplication; the flag reports unsigned overflow.
     ///
     /// Safe at width 64 because operands are `< 2^64`, so the ideal product
-    /// fits in the backing `u128`.
+    /// fits in the `u128` it is computed in.
     #[must_use]
     pub fn mul(self, rhs: Bv) -> (Bv, bool) {
         self.check_width(rhs);
-        let wide = self.bits * rhs.bits;
-        (Bv::new(self.width, wide), wide > Self::mask(self.width))
+        let wide = u128::from(self.bits) * u128::from(rhs.bits);
+        (
+            Bv::wrap(self.width, wide as u64),
+            wide > Self::mask(self.width),
+        )
     }
 
     /// Unsigned division. Division by zero yields the all-ones vector
@@ -167,7 +196,7 @@ impl Bv {
         if rhs.is_zero() {
             Bv::ones(self.width)
         } else {
-            Bv::new(self.width, self.bits / rhs.bits)
+            Bv::wrap(self.width, self.bits / rhs.bits)
         }
     }
 
@@ -179,7 +208,7 @@ impl Bv {
         if rhs.is_zero() {
             self
         } else {
-            Bv::new(self.width, self.bits % rhs.bits)
+            Bv::wrap(self.width, self.bits % rhs.bits)
         }
     }
 
@@ -187,27 +216,27 @@ impl Bv {
     #[must_use]
     pub fn and(self, rhs: Bv) -> Bv {
         self.check_width(rhs);
-        Bv::new(self.width, self.bits & rhs.bits)
+        Bv::wrap(self.width, self.bits & rhs.bits)
     }
 
     /// Bitwise or.
     #[must_use]
     pub fn or(self, rhs: Bv) -> Bv {
         self.check_width(rhs);
-        Bv::new(self.width, self.bits | rhs.bits)
+        Bv::wrap(self.width, self.bits | rhs.bits)
     }
 
     /// Bitwise exclusive or.
     #[must_use]
     pub fn xor(self, rhs: Bv) -> Bv {
         self.check_width(rhs);
-        Bv::new(self.width, self.bits ^ rhs.bits)
+        Bv::wrap(self.width, self.bits ^ rhs.bits)
     }
 
     /// Bitwise complement.
     #[must_use]
     pub fn not(self) -> Bv {
-        Bv::new(self.width, !self.bits)
+        Bv::wrap(self.width, !self.bits)
     }
 
     /// Two's-complement negation; the flag reports that the negation of a
@@ -216,7 +245,7 @@ impl Bv {
     #[must_use]
     pub fn neg(self) -> (Bv, bool) {
         (
-            Bv::new(self.width, self.bits.wrapping_neg()),
+            Bv::wrap(self.width, self.bits.wrapping_neg()),
             !self.is_zero(),
         )
     }
@@ -228,11 +257,14 @@ impl Bv {
     pub fn shl(self, rhs: Bv) -> (Bv, bool) {
         self.check_width(rhs);
         let k = rhs.bits;
-        if k >= u128::from(self.width) {
+        if k >= u64::from(self.width) {
             (Bv::zero(self.width), !self.is_zero())
         } else {
-            let wide = self.bits << k;
-            (Bv::new(self.width, wide), wide > Self::mask(self.width))
+            let wide = u128::from(self.bits) << k;
+            (
+                Bv::wrap(self.width, wide as u64),
+                wide > Self::mask(self.width),
+            )
         }
     }
 
@@ -241,10 +273,10 @@ impl Bv {
     pub fn lshr(self, rhs: Bv) -> Bv {
         self.check_width(rhs);
         let k = rhs.bits;
-        if k >= u128::from(self.width) {
+        if k >= u64::from(self.width) {
             Bv::zero(self.width)
         } else {
-            Bv::new(self.width, self.bits >> k)
+            Bv::wrap(self.width, self.bits >> k)
         }
     }
 
@@ -252,23 +284,10 @@ impl Bv {
     #[must_use]
     pub fn ashr(self, rhs: Bv) -> Bv {
         self.check_width(rhs);
-        let k = rhs.bits;
-        let sign = self.bits >> (self.width - 1) & 1;
-        if k >= u128::from(self.width) {
-            if sign == 1 {
-                Bv::ones(self.width)
-            } else {
-                Bv::zero(self.width)
-            }
-        } else {
-            let shifted = self.bits >> k;
-            if sign == 1 {
-                let fill = Self::mask(self.width) & !(Self::mask(self.width) >> k);
-                Bv::new(self.width, shifted | fill)
-            } else {
-                Bv::new(self.width, shifted)
-            }
-        }
+        // Past the width every bit is the sign: clamp the shift to 63 on
+        // the sign-extended word.
+        let k = rhs.bits.min(u64::from(self.width) - 1);
+        Bv::wrap(self.width, (self.signed64() >> k) as u64)
     }
 
     /// Zero extension to a strictly wider width. Never overflows.
@@ -280,7 +299,10 @@ impl Bv {
     #[must_use]
     pub fn zext(self, width: u8) -> Bv {
         assert!(width > self.width && width <= MAX_WIDTH, "zext must widen");
-        Bv::new(width, self.bits)
+        Bv {
+            width,
+            bits: self.bits,
+        }
     }
 
     /// Sign extension to a strictly wider width. Never overflows.
@@ -292,7 +314,7 @@ impl Bv {
     #[must_use]
     pub fn sext(self, width: u8) -> Bv {
         assert!(width > self.width && width <= MAX_WIDTH, "sext must widen");
-        Bv::new(width, self.as_signed() as u128)
+        Bv::wrap(width, self.signed64() as u64)
     }
 
     /// Truncation (the paper's `Shrink`) to a strictly narrower width; the
@@ -306,8 +328,8 @@ impl Bv {
     #[must_use]
     pub fn trunc(self, width: u8) -> (Bv, bool) {
         assert!(width < self.width && width >= 1, "trunc must narrow");
-        let kept = Bv::new(width, self.bits);
-        (kept, self.bits > Self::mask(width))
+        let kept = Bv::wrap(width, self.bits);
+        (kept, self.bits != kept.bits)
     }
 
     /// Unsigned less-than.
@@ -328,14 +350,14 @@ impl Bv {
     #[must_use]
     pub fn slt(self, rhs: Bv) -> bool {
         self.check_width(rhs);
-        self.as_signed() < rhs.as_signed()
+        self.signed64() < rhs.signed64()
     }
 
     /// Signed less-or-equal.
     #[must_use]
     pub fn sle(self, rhs: Bv) -> bool {
         self.check_width(rhs);
-        self.as_signed() <= rhs.as_signed()
+        self.signed64() <= rhs.signed64()
     }
 
     fn check_width(self, rhs: Bv) {
@@ -549,6 +571,33 @@ mod tests {
         assert!(a.slt(b));
         assert!(a.sle(a));
         assert!(a.ule(a));
+    }
+
+    #[test]
+    fn sixteen_bytes_per_value() {
+        assert_eq!(std::mem::size_of::<Bv>(), 16);
+    }
+
+    #[test]
+    fn width_64_edges() {
+        let max = Bv::new(64, u128::from(u64::MAX));
+        let (v, o) = max.mul(max);
+        assert_eq!((v.value(), o), (1, true));
+        let (v, o) = Bv::new(64, 1).shl(Bv::new(64, 63));
+        assert_eq!((v.value(), o), (1 << 63, false));
+        let (_, o) = Bv::new(64, 2).shl(Bv::new(64, 63));
+        assert!(o);
+        assert_eq!(max.as_signed(), -1);
+        assert_eq!(Bv::new(64, 1 << 63).ashr(Bv::new(64, 200)), max);
+        assert_eq!(
+            Bv::new(32, 0x8000_0000).sext(64).value(),
+            0xffff_ffff_8000_0000
+        );
+        assert_eq!(max.not().value(), 0);
+        let (v, o) = Bv::new(64, 0).neg();
+        assert_eq!((v.value(), o), (0, false));
+        let (v, o) = Bv::new(1, 1).add(Bv::new(1, 1));
+        assert_eq!((v.value(), o), (0, true));
     }
 
     #[test]

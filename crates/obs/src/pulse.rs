@@ -23,7 +23,7 @@
 //! enabled; with no bus configured the engine never touches them.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock, Weak};
 
 /// What one worker is doing, as sampled into a heartbeat.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -307,9 +307,15 @@ impl Subscriber {
 /// [`publish`](PulseBus::publish) only ever takes the read side, and
 /// registration happens before the campaign starts, so publishing from
 /// workers is effectively lock-free.
+///
+/// The bus holds its rings weakly: a ring lives exactly as long as its
+/// [`Subscriber`], so a long-lived bus (one per daemon job, kept for the
+/// daemon's life) does not pin the rings of consumers that are gone.
+/// Dead entries are skipped by every reader and pruned by the next
+/// `subscribe`.
 #[derive(Default)]
 pub struct PulseBus {
-    rings: RwLock<Vec<Arc<PulseRing>>>,
+    rings: RwLock<Vec<Weak<PulseRing>>>,
 }
 
 impl std::fmt::Debug for PulseBus {
@@ -331,42 +337,47 @@ impl PulseBus {
     /// Registers a subscriber with its own ring of `capacity` events.
     pub fn subscribe(&self, capacity: usize) -> Subscriber {
         let ring = Arc::new(PulseRing::with_capacity(capacity));
-        self.rings
-            .write()
-            .expect("pulse bus lock poisoned")
-            .push(Arc::clone(&ring));
+        let mut rings = self.rings.write().expect("pulse bus lock poisoned");
+        rings.retain(|r| r.strong_count() > 0);
+        rings.push(Arc::downgrade(&ring));
         Subscriber { ring }
     }
 
-    /// Fans `event` out to every subscriber; returns how many rings
+    /// Calls `f` on every live subscriber's ring.
+    fn for_each_live(&self, mut f: impl FnMut(&PulseRing)) {
+        let rings = self.rings.read().expect("pulse bus lock poisoned");
+        for ring in rings.iter().filter_map(Weak::upgrade) {
+            f(&ring);
+        }
+    }
+
+    /// Fans `event` out to every live subscriber; returns how many rings
     /// accepted it (the rest counted drops). Never blocks on a full
     /// ring.
     pub fn publish(&self, event: &PulseEvent) -> usize {
-        let rings = self.rings.read().expect("pulse bus lock poisoned");
         let mut delivered = 0;
-        for ring in rings.iter() {
+        self.for_each_live(|ring| {
             if ring.try_push(event.clone()) {
                 delivered += 1;
             }
-        }
+        });
         delivered
     }
 
-    /// Registered subscriber count.
+    /// Live subscriber count.
     #[must_use]
     pub fn subscriber_count(&self) -> usize {
-        self.rings.read().expect("pulse bus lock poisoned").len()
+        let mut live = 0;
+        self.for_each_live(|_| live += 1);
+        live
     }
 
-    /// Total events dropped across all subscribers.
+    /// Total events dropped across all live subscribers.
     #[must_use]
     pub fn total_dropped(&self) -> u64 {
-        self.rings
-            .read()
-            .expect("pulse bus lock poisoned")
-            .iter()
-            .map(|r| r.dropped())
-            .sum()
+        let mut dropped = 0;
+        self.for_each_live(|ring| dropped += ring.dropped());
+        dropped
     }
 }
 
@@ -533,6 +544,22 @@ mod tests {
         assert_eq!(b.drain(), vec![ev(7)]);
         assert_eq!(bus.subscriber_count(), 2);
         assert_eq!(bus.total_dropped(), 0);
+    }
+
+    #[test]
+    fn dropped_subscriber_frees_its_ring() {
+        let bus = PulseBus::new();
+        let sub = bus.subscribe(1 << 14);
+        assert_eq!(bus.subscriber_count(), 1);
+        drop(sub);
+        assert_eq!(bus.subscriber_count(), 0);
+        assert_eq!(bus.publish(&ev(1)), 0);
+        assert_eq!(bus.total_dropped(), 0);
+        // The next subscriber prunes the dead entry and alone receives.
+        let next = bus.subscribe(8);
+        assert_eq!(bus.rings.read().unwrap().len(), 1);
+        assert_eq!(bus.publish(&ev(2)), 1);
+        assert_eq!(next.drain(), vec![ev(2)]);
     }
 
     #[test]
