@@ -25,8 +25,9 @@
 //!   solver queries, enforcement steps, and verdict behind every site —
 //!   and write the `diode_audit` document to PATH (inspect it with the
 //!   `audit` bin)
-//! * `--progress`        stream per-site progress lines to stderr with
-//!   live solver-cache and snapshot hit rates
+//! * `--progress`        print one `[live]` line per finished site to
+//!   stderr, with the live solver-cache hit rate and snapshot resume
+//!   rate, from a pump on the diode-pulse bus
 //! * `--telemetry PATH`  attach the diode-pulse bus and write the full
 //!   event stream (progress events + heartbeats) to PATH as versioned
 //!   telemetry JSONL — replay it with the `watch` bin
@@ -52,13 +53,13 @@ use diode_bench::jsonout::{counts_json, ms, score_json};
 use diode_bench::profload::audit_document;
 use diode_bench::{flag_f64, flag_num, flag_str, render_synth, synth_rows, AnalysisBackend};
 use diode_engine::{
-    CampaignEvent, CampaignReport, CampaignSpec, ExecutionMode, ProgressSink, PulseConfig, Recorder,
+    CampaignReport, CampaignSpec, PulseConfig, Recorder, SnapshotCache, SolverCache,
 };
 use diode_obs::{
     anomalies_to_jsonl, AnomalyReport, Json, ProfileReport, PulseBus, PulseEvent, TelemetryLog,
     Trace, Watchdog, WatchdogConfig,
 };
-use diode_synth::{forge, score, ForgedSuite, ScoreCard, SynthConfig};
+use diode_synth::{forge, score, ScoreCard, SynthConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -109,15 +110,23 @@ fn main() {
         Arc::new(r)
     });
     let pulse_opts = PulseOpts::from_args(&args);
-    let capture = pulse_opts.attach();
-    let (report, card) = run_campaign(
-        &suite,
-        backend.execution_mode(),
-        recorder.clone(),
-        progress,
-        capture.as_ref().map(|c| c.config.clone()),
-    );
-    let pulse_outcome = capture.map(|c| c.finish(report.threads));
+    let mut spec = CampaignSpec {
+        mode: backend.execution_mode(),
+        recorder: recorder.clone(),
+        ..CampaignSpec::from_corpus(&suite)
+    };
+    let capture = (pulse_opts.enabled() || progress).then(|| {
+        PulseCapture::start(
+            pulse_opts.heartbeat,
+            progress.then(|| LiveProgress::of(&spec)),
+        )
+    });
+    spec.pulse = capture.as_ref().map(|c| c.config.clone());
+    let report = spec.run();
+    let card = score(&report, &suite.oracle);
+    let pulse_outcome = capture
+        .map(|c| c.finish(report.threads))
+        .filter(|_| pulse_opts.enabled());
     let trace = recorder.as_ref().map(|r| stamped_trace(r, &report));
     if let (Some(path), Some(trace)) = (&trace_path, &trace) {
         write_trace(path, trace);
@@ -249,31 +258,6 @@ fn config_json(cfg: &SynthConfig) -> Json {
         .field("rng_seed", cfg.rng_seed)
 }
 
-/// Runs the suite with an optional `diode-obs` recorder attached,
-/// optional live per-site progress streaming to stderr, and an optional
-/// diode-pulse telemetry bus.
-fn run_campaign(
-    suite: &ForgedSuite,
-    mode: ExecutionMode,
-    recorder: Option<Arc<Recorder>>,
-    progress: bool,
-    pulse: Option<PulseConfig>,
-) -> (CampaignReport, ScoreCard) {
-    let spec = CampaignSpec {
-        mode,
-        recorder,
-        pulse,
-        ..CampaignSpec::from_corpus(suite)
-    };
-    let report = if progress {
-        spec.run_with_progress(&LiveProgress)
-    } else {
-        spec.run()
-    };
-    let card = score(&report, &suite.oracle);
-    (report, card)
-}
-
 /// The telemetry CLI surface.
 struct PulseOpts {
     telemetry_path: Option<String>,
@@ -292,45 +276,34 @@ impl PulseOpts {
         }
     }
 
+    /// True when any telemetry flag is set.
     fn enabled(&self) -> bool {
         self.telemetry_path.is_some() || self.watchdog || self.anomalies_path.is_some()
     }
-
-    /// Attaches a fresh bus plus subscriber pump when any telemetry flag
-    /// is set.
-    fn attach(&self) -> Option<PulseCapture> {
-        self.enabled().then(|| PulseCapture::start(self.heartbeat))
-    }
 }
 
-/// A pulse subscriber pump: drains the bus on a side thread until the
-/// campaign's `finished` event arrives, so even very long runs never
-/// fill the bounded ring.
+/// A pulse subscriber pump: takes events off the bus on a side thread,
+/// blocking until the campaign's `finished` event closes it, so even very
+/// long runs never fill the bounded channel. With `--progress` it also
+/// prints each finished site as it arrives.
 struct PulseCapture {
     config: PulseConfig,
     pump: std::thread::JoinHandle<(Vec<PulseEvent>, u64)>,
 }
 
 impl PulseCapture {
-    fn start(heartbeat: Duration) -> PulseCapture {
+    fn start(heartbeat: Duration, progress: Option<LiveProgress>) -> PulseCapture {
         let bus = Arc::new(PulseBus::new());
         let sub = bus.subscribe(1 << 14);
         let pump = std::thread::spawn(move || {
             let mut events = Vec::new();
-            loop {
-                let mut drained = false;
-                while let Some(ev) = sub.try_recv() {
-                    drained = true;
-                    let done = matches!(ev, PulseEvent::Finished { .. });
-                    events.push(ev);
-                    if done {
-                        return (events, sub.dropped());
-                    }
+            while let Some(ev) = sub.recv() {
+                if let Some(progress) = &progress {
+                    progress.print(&ev);
                 }
-                if !drained {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
+                events.push(ev);
             }
+            (events, sub.dropped())
         });
         let mut config = PulseConfig::new(bus);
         config.heartbeat = heartbeat;
@@ -462,37 +435,51 @@ fn host_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// `--progress`: streams one line per finished site to stderr, with the
-/// live shared-cache and snapshot counters the events now carry.
-struct LiveProgress;
+/// `--progress`: one stderr line per finished site, with the live
+/// shared-cache hit rate and snapshot resume rate read as each event
+/// arrives.
+struct LiveProgress {
+    cache: Option<Arc<SolverCache>>,
+    snapshots: Option<Arc<SnapshotCache>>,
+}
 
-impl ProgressSink for LiveProgress {
-    fn on_event(&self, event: CampaignEvent<'_>) {
-        if let CampaignEvent::SiteFinished {
+impl LiveProgress {
+    fn of(spec: &CampaignSpec) -> LiveProgress {
+        LiveProgress {
+            cache: spec.config.query_cache.clone(),
+            snapshots: spec.snapshot_cache.clone(),
+        }
+    }
+
+    fn print(&self, event: &PulseEvent) {
+        if let PulseEvent::SiteFinished {
             app,
             site,
             outcome,
-            discovery_time,
-            cache,
-            snapshots,
+            wall_ns,
             ..
         } = event
         {
-            let kind = match outcome {
-                diode_core::SiteOutcome::Exposed(_) => "exposed",
-                diode_core::SiteOutcome::TargetUnsat => "unsat",
-                diode_core::SiteOutcome::Prevented(_) => "prevented",
-                diode_core::SiteOutcome::Unknown => "unknown",
+            // Outcome tokens (`target-unsat`, `prevented:budget`, ...)
+            // print as their Table 1 class.
+            let kind = match outcome.as_str() {
+                "target-unsat" => "unsat",
+                t if t.starts_with("prevented") => "prevented",
+                t => t,
             };
-            let cache = cache
-                .map(|c| format!("  cache {:.0}% hit", c.hit_rate() * 100.0))
+            let cache = self
+                .cache
+                .as_ref()
+                .map(|c| format!("  cache {:.0}% hit", c.stats().hit_rate() * 100.0))
                 .unwrap_or_default();
-            let snapshots = snapshots
-                .map(|s| format!("  resume {:.0}%", s.resume_rate() * 100.0))
+            let snapshots = self
+                .snapshots
+                .as_ref()
+                .map(|s| format!("  resume {:.0}%", s.stats().resume_rate() * 100.0))
                 .unwrap_or_default();
             eprintln!(
                 "[live] {app}/{site}: {kind} in {:.1}ms{cache}{snapshots}",
-                discovery_time.as_secs_f64() * 1e3,
+                *wall_ns as f64 / 1e6,
             );
         }
     }

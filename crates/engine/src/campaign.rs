@@ -134,13 +134,15 @@ pub struct CampaignSpec {
     /// recorder, and the report gains a [`PhaseBreakdown`]. Tracing is
     /// passive — outcomes are byte-identical with it on or off.
     pub recorder: Option<Arc<Recorder>>,
-    /// Live telemetry (`diode-pulse`). When set, workers mirror progress
-    /// into the bounded [`PulseBus`] and a sampler thread publishes
-    /// periodic [`HeartbeatSample`]s (per-worker state, queue depth,
-    /// cache bytes). Like tracing, publication is passive and
-    /// non-blocking: a full subscriber ring counts a drop instead of
-    /// stalling a worker, and outcomes are byte-identical with pulse on
-    /// or off. `None` leaves the hot path telemetry-free.
+    /// Live telemetry (`diode-pulse`), the campaign's only live-progress
+    /// hook. When set, workers publish unit and site progress into the
+    /// [`PulseBus`], a sampler thread publishes periodic
+    /// [`HeartbeatSample`]s (per-worker state, queue depth, cache bytes),
+    /// and the terminal `finished` event closes the bus. Like tracing,
+    /// publication is passive and non-blocking: a full subscriber
+    /// channel counts a drop instead of stalling a worker, and outcomes
+    /// are byte-identical with pulse on or off. `None` leaves the hot
+    /// path telemetry-free.
     pub pulse: Option<PulseConfig>,
 }
 
@@ -149,7 +151,7 @@ pub struct CampaignSpec {
 #[derive(Debug, Clone)]
 pub struct PulseConfig {
     /// The bus progress events and heartbeats are published into.
-    /// Subscribe (with a bounded ring) before the campaign starts.
+    /// Subscribe (with a bounded channel) before the campaign starts.
     pub bus: Arc<PulseBus>,
     /// Interval between [`HeartbeatSample`]s. Default 50 ms.
     pub heartbeat: Duration,
@@ -191,21 +193,18 @@ impl CampaignSpec {
         CampaignSpec::new(suite.campaign_apps())
     }
 
-    /// Runs the campaign without progress reporting.
+    /// Runs the campaign. Live progress, when wanted, comes from the
+    /// [`pulse`](CampaignSpec::pulse) bus; the returned report is
+    /// deterministic regardless of thread count or completion order.
     #[must_use]
     pub fn run(&self) -> CampaignReport {
-        self.run_with_progress(&NoProgress)
-    }
-
-    /// Runs the campaign, delivering [`CampaignEvent`]s to `sink` as jobs
-    /// progress. Events arrive from worker threads in completion order;
-    /// the returned report is deterministic regardless.
-    #[must_use]
-    pub fn run_with_progress(&self, sink: &dyn ProgressSink) -> CampaignReport {
         let start = Instant::now();
         let cache = self.config.query_cache.clone();
         let snapshots = self.effective_snapshots();
-        let keys = UnitKeys::new(self);
+        // Only snapshot-slot lookups read the unit keys, so they are
+        // built only when a snapshot cache is in play.
+        let keys = snapshots.as_ref().map(|_| UnitKeys::new(self));
+        let slots = snapshots.as_deref().zip(keys.as_ref());
         let recorder = self.recorder.as_ref().filter(|r| r.is_enabled());
         let pulse = self
             .pulse
@@ -215,12 +214,8 @@ impl CampaignSpec {
             .as_ref()
             .map(|p| p.spawn_sampler(cache.clone(), snapshots.clone()));
         let done = match self.mode {
-            ExecutionMode::Sequential => {
-                self.run_sequential(snapshots.as_deref(), &keys, sink, pulse.as_ref())
-            }
-            ExecutionMode::Parallel { .. } => {
-                self.run_parallel(snapshots.as_deref(), &keys, sink, pulse.as_ref())
-            }
+            ExecutionMode::Sequential => self.run_sequential(slots, pulse.as_ref()),
+            ExecutionMode::Parallel { .. } => self.run_parallel(slots, pulse.as_ref()),
         };
         if let Some(s) = sampler {
             s.stop();
@@ -247,7 +242,7 @@ impl CampaignSpec {
         };
         if let Some(p) = &pulse {
             // Published after the sampler has been joined, so `finished`
-            // is the last event every subscriber sees.
+            // is the last event every subscriber sees; it closes the bus.
             let (sites, exposed, ..) = report.counts();
             p.bus.publish(&PulseEvent::Finished {
                 wall_ns: report.wall_time.as_nanos() as u64,
@@ -255,9 +250,6 @@ impl CampaignSpec {
                 exposed: exposed as u64,
             });
         }
-        sink.on_event(CampaignEvent::Finished {
-            wall_time: report.wall_time,
-        });
         report
     }
 
@@ -278,13 +270,7 @@ impl CampaignSpec {
         }
     }
 
-    fn run_parallel(
-        &self,
-        snapshots: Option<&SnapshotCache>,
-        keys: &UnitKeys,
-        sink: &dyn ProgressSink,
-        pulse: Option<&PulseRun>,
-    ) -> Vec<Done> {
+    fn run_parallel(&self, slots: Slots<'_>, pulse: Option<&PulseRun>) -> Vec<Done> {
         let initial: Vec<Job> = self
             .apps
             .iter()
@@ -296,30 +282,15 @@ impl CampaignSpec {
             self.effective_threads(),
             self.recorder.as_ref(),
             pulse.map(|p| p.gauges.as_ref()),
-            |job, spawner: &Spawner<'_, Job>| {
-                self.run_job(job, snapshots, keys, sink, Some(spawner), pulse)
-            },
+            |job, spawner: &Spawner<'_, Job>| self.run_job(job, slots, Some(spawner), pulse),
         )
     }
 
-    fn run_sequential(
-        &self,
-        snapshots: Option<&SnapshotCache>,
-        keys: &UnitKeys,
-        sink: &dyn ProgressSink,
-        pulse: Option<&PulseRun>,
-    ) -> Vec<Done> {
+    fn run_sequential(&self, slots: Slots<'_>, pulse: Option<&PulseRun>) -> Vec<Done> {
         let mut done = Vec::new();
         for (app, a) in self.apps.iter().enumerate() {
             for seed in 0..a.seeds.len() {
-                let identified = self.run_job(
-                    Job::Identify { app, seed },
-                    snapshots,
-                    keys,
-                    sink,
-                    None,
-                    pulse,
-                );
+                let identified = self.run_job(Job::Identify { app, seed }, slots, None, pulse);
                 let Done::Identified { ref targets, .. } = identified else {
                     unreachable!("identify job returns Identified");
                 };
@@ -333,7 +304,7 @@ impl CampaignSpec {
                     .collect();
                 done.push(identified);
                 for job in site_jobs {
-                    done.push(self.run_job(job, snapshots, keys, sink, None, pulse));
+                    done.push(self.run_job(job, slots, None, pulse));
                 }
             }
         }
@@ -346,9 +317,7 @@ impl CampaignSpec {
     fn run_job(
         &self,
         job: Job,
-        snapshots: Option<&SnapshotCache>,
-        keys: &UnitKeys,
-        sink: &dyn ProgressSink,
+        slots: Slots<'_>,
         spawner: Option<&Spawner<'_, Job>>,
         pulse: Option<&PulseRun>,
     ) -> Done {
@@ -364,7 +333,6 @@ impl CampaignSpec {
                 let _scope =
                     diode_obs::job_scope(self.recorder.as_ref(), &a.name, seed as u32, None);
                 let _span = diode_obs::span(diode_obs::Phase::Identify);
-                sink.on_event(CampaignEvent::UnitStarted { app: &a.name, seed });
                 if let Some(p) = pulse {
                     p.workers.set(
                         worker,
@@ -379,7 +347,7 @@ impl CampaignSpec {
                     });
                 }
                 let start = Instant::now();
-                let targets = if let Some(cache) = snapshots {
+                let targets = if let Some((cache, keys)) = slots {
                     // One capture pass warms every site's prefix snapshot
                     // before the per-site jobs fan out: stage-2 extraction
                     // and every enforcement candidate then resume instead
@@ -401,11 +369,6 @@ impl CampaignSpec {
                 } else {
                     identify_target_sites(&a.program, &a.seeds[seed], &config.machine)
                 };
-                sink.on_event(CampaignEvent::SitesIdentified {
-                    app: &a.name,
-                    seed,
-                    sites: targets.len(),
-                });
                 if let Some(spawner) = spawner {
                     for target in &targets {
                         spawner.spawn(Job::Site {
@@ -448,7 +411,7 @@ impl CampaignSpec {
                         },
                     );
                 }
-                let slot = snapshots.map(|c| c.slot(keys.key(app, seed), target.label));
+                let slot = slots.map(|(c, keys)| c.slot(keys.key(app, seed), target.label));
                 let report = analyze_site_with_snapshots(
                     &a.program,
                     &a.seeds[seed],
@@ -461,15 +424,6 @@ impl CampaignSpec {
                     .verify_exposed
                     .then(|| self.verify(&a.program, &report))
                     .flatten();
-                sink.on_event(CampaignEvent::SiteFinished {
-                    app: &a.name,
-                    seed,
-                    site: &report.site,
-                    outcome: &report.outcome,
-                    discovery_time: report.discovery_time,
-                    cache: config.query_cache.as_ref().map(|c| c.stats()),
-                    snapshots: snapshots.map(diode_core::SnapshotCache::stats),
-                });
                 if let Some(p) = pulse {
                     p.peak_heap
                         .fetch_max(report.peak_heap_bytes, Ordering::Relaxed);
@@ -480,7 +434,7 @@ impl CampaignSpec {
                         outcome: report.outcome.token(),
                         wall_ns: report.discovery_time.as_nanos() as u64,
                         cache_bytes: config.query_cache.as_ref().map_or(0, |c| c.stats().bytes),
-                        snapshot_bytes: snapshots.map_or(0, |c| c.stats().bytes),
+                        snapshot_bytes: slots.map_or(0, |(c, _)| c.stats().bytes),
                         peak_heap_bytes: report.peak_heap_bytes,
                     });
                     p.workers.set(worker, WorkerState::Idle);
@@ -676,6 +630,10 @@ impl UnitKeys {
     }
 }
 
+/// The campaign's snapshot cache together with its unit keys, so a slot
+/// lookup cannot happen without keys; `None` runs without snapshots.
+type Slots<'a> = Option<(&'a SnapshotCache, &'a UnitKeys)>;
+
 /// The snapshot-cache key of one `(app, seed)` unit: an FNV-1a
 /// fingerprint of the unit's canonical program text and raw seed bytes.
 /// Stable across processes, suite orderings, and campaign boundaries, so
@@ -833,64 +791,4 @@ impl CampaignReport {
         }
         out
     }
-}
-
-/// Progress events, delivered from worker threads as the campaign runs.
-#[derive(Debug)]
-pub enum CampaignEvent<'a> {
-    /// Stage 1 started for a unit.
-    UnitStarted {
-        /// Workload name.
-        app: &'a str,
-        /// Seed index.
-        seed: usize,
-    },
-    /// Stage 1 finished; per-site jobs are being scheduled.
-    SitesIdentified {
-        /// Workload name.
-        app: &'a str,
-        /// Seed index.
-        seed: usize,
-        /// Number of target sites found.
-        sites: usize,
-    },
-    /// One site's full Figure 7 analysis finished.
-    SiteFinished {
-        /// Workload name.
-        app: &'a str,
-        /// Seed index.
-        seed: usize,
-        /// Site name (`file@line`).
-        site: &'a str,
-        /// The classification.
-        outcome: &'a SiteOutcome,
-        /// Discovery wall-clock for this site.
-        discovery_time: Duration,
-        /// Live shared solver-cache counters at event time, for on-line
-        /// hit-rate display. `None` when no cache is installed.
-        cache: Option<CacheStats>,
-        /// Live prefix-snapshot counters at event time. `None` when no
-        /// snapshot cache is in play.
-        snapshots: Option<SnapshotStats>,
-    },
-    /// The whole campaign finished.
-    Finished {
-        /// End-to-end wall-clock time.
-        wall_time: Duration,
-    },
-}
-
-/// Consumer of [`CampaignEvent`]s. Implementations must be `Sync`: events
-/// arrive concurrently from worker threads.
-pub trait ProgressSink: Sync {
-    /// Called once per event.
-    fn on_event(&self, event: CampaignEvent<'_>);
-}
-
-/// Discards all events.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct NoProgress;
-
-impl ProgressSink for NoProgress {
-    fn on_event(&self, _event: CampaignEvent<'_>) {}
 }

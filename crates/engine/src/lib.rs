@@ -14,8 +14,9 @@
 //!   `Sat`/`Unsat` outcomes behind structural fingerprints of the
 //!   constraints;
 //! * the [`Campaign` API](CampaignSpec): many apps × seeds in one batch,
-//!   per-site [progress events](CampaignEvent), deterministic
-//!   site-label-ordered aggregation, and per-bug re-validation.
+//!   live per-unit and per-site events on an optional [`PulseBus`],
+//!   deterministic site-label-ordered aggregation, and per-bug
+//!   re-validation.
 //!
 //! Determinism is a contract: a parallel campaign's [`CampaignReport`] is
 //! byte-identical (site outcomes, enforcement counts, triggering inputs)
@@ -60,8 +61,8 @@ mod campaign;
 pub mod scheduler;
 
 pub use campaign::{
-    CampaignApp, CampaignEvent, CampaignReport, CampaignSpec, CorpusSuite, ExecutionMode,
-    NoProgress, ProgressSink, PulseConfig, SiteRecord, UnitReport,
+    CampaignApp, CampaignReport, CampaignSpec, CorpusSuite, ExecutionMode, PulseConfig, SiteRecord,
+    UnitReport,
 };
 pub use diode_core::{SnapshotCache, SnapshotStats};
 pub use diode_obs::{

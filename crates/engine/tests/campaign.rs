@@ -2,14 +2,11 @@
 //! parallel campaigns must be byte-identical to the sequential path, and
 //! the shared solver cache must absorb repeated enforcement queries.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use diode_core::{analyze_program, DiodeConfig, SiteOutcome};
-use diode_engine::{
-    CampaignApp, CampaignEvent, CampaignSpec, ExecutionMode, ProgressSink, PulseBus, PulseConfig,
-    PulseEvent,
-};
+use diode_engine::{CampaignApp, CampaignSpec, ExecutionMode, PulseBus, PulseConfig, PulseEvent};
 
 fn benchmark_campaign() -> Vec<CampaignApp> {
     diode_apps::all_apps()
@@ -203,83 +200,71 @@ fn identical_units_share_snapshot_slots() {
     assert_eq!(first.join("\n") + "\n", single.outcome_fingerprint());
 }
 
+/// Runs the five §5 apps with a pulse bus attached and returns the report
+/// plus every event the bus delivered, read until it closed.
+fn run_with_pulse() -> (diode_engine::CampaignReport, Vec<PulseEvent>) {
+    let bus = Arc::new(PulseBus::new());
+    let sub = bus.subscribe(1 << 14);
+    let mut spec = CampaignSpec::new(benchmark_campaign());
+    spec.pulse = Some(PulseConfig::new(bus));
+    let report = spec.run();
+    // `finished` closed the bus, so the blocking read ends.
+    let events = std::iter::from_fn(|| sub.recv()).collect();
+    assert_eq!(sub.dropped(), 0);
+    (report, events)
+}
+
 #[test]
 fn progress_events_cover_every_unit_and_site() {
-    #[derive(Default)]
-    struct Recorder {
-        lines: Mutex<Vec<String>>,
-    }
-    impl ProgressSink for Recorder {
-        fn on_event(&self, event: CampaignEvent<'_>) {
-            let line = match event {
-                CampaignEvent::UnitStarted { app, seed } => format!("start {app}#{seed}"),
-                CampaignEvent::SitesIdentified { app, seed, sites } => {
-                    format!("identified {app}#{seed} {sites}")
-                }
-                CampaignEvent::SiteFinished { app, site, .. } => format!("site {app}/{site}"),
-                CampaignEvent::Finished { .. } => "finished".to_string(),
-            };
-            self.lines.lock().unwrap().push(line);
-        }
-    }
-    let recorder = Recorder::default();
-    let report = CampaignSpec::new(benchmark_campaign()).run_with_progress(&recorder);
-    let lines = recorder.lines.into_inner().unwrap();
-    assert_eq!(lines.iter().filter(|l| l.starts_with("start ")).count(), 5);
+    let (report, events) = run_with_pulse();
+    let count = |f: fn(&PulseEvent) -> bool| events.iter().filter(|e| f(e)).count();
+    assert_eq!(count(|e| matches!(e, PulseEvent::UnitStarted { .. })), 5);
     assert_eq!(
-        lines.iter().filter(|l| l.starts_with("site ")).count(),
+        count(|e| matches!(e, PulseEvent::SitesIdentified { .. })),
+        5
+    );
+    assert_eq!(
+        count(|e| matches!(e, PulseEvent::SiteFinished { .. })),
         report.counts().0
     );
-    assert_eq!(lines.last().map(String::as_str), Some("finished"));
+    assert!(matches!(events.last(), Some(PulseEvent::Finished { .. })));
     assert_eq!(report.jobs, 5 + report.counts().0);
 }
 
 #[test]
 fn site_finished_events_carry_live_cache_and_snapshot_counters() {
-    // Satellite of the observability PR: progress events surface the
-    // shared solver-cache and snapshot-cache counters as they evolve, so
-    // live consoles can show hit rates mid-campaign.
-    #[derive(Default)]
-    struct Watcher {
-        cache_rates: Mutex<Vec<(u64, u64)>>,
-        snapshot_seen: Mutex<bool>,
-    }
-    impl ProgressSink for Watcher {
-        fn on_event(&self, event: CampaignEvent<'_>) {
-            if let CampaignEvent::SiteFinished {
-                cache, snapshots, ..
-            } = event
-            {
-                let cache = cache.expect("shared cache is on: every event carries its stats");
-                self.cache_rates
-                    .lock()
-                    .unwrap()
-                    .push((cache.hits, cache.misses));
-                if snapshots.is_some() {
-                    *self.snapshot_seen.lock().unwrap() = true;
-                }
-            }
-        }
-    }
-    let watcher = Watcher::default();
-    let report = CampaignSpec::new(benchmark_campaign()).run_with_progress(&watcher);
-    let rates = watcher.cache_rates.into_inner().unwrap();
-    assert_eq!(rates.len(), report.counts().0);
-    let live_peak = rates.iter().map(|(h, m)| h + m).max().unwrap();
+    // Site events surface the shared solver-cache and snapshot-cache
+    // residency as it evolves, so live consoles can show it mid-campaign.
+    let (report, events) = run_with_pulse();
+    let live: Vec<(u64, u64)> = events
+        .iter()
+        .filter_map(|e| match e {
+            PulseEvent::SiteFinished {
+                cache_bytes,
+                snapshot_bytes,
+                ..
+            } => Some((*cache_bytes, *snapshot_bytes)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(live.len(), report.counts().0);
+    let cache_peak = live.iter().map(|l| l.0).max().unwrap();
+    let snapshot_peak = live.iter().map(|l| l.1).max().unwrap();
     assert!(
-        live_peak > 0,
-        "the campaign issued solver queries, so the live counters must move"
+        cache_peak > 0,
+        "the campaign issued solver queries, so the live cache bytes must move"
+    );
+    assert!(
+        snapshot_peak > 0,
+        "prefix snapshots are on by default: events carry snapshot bytes"
     );
     let cache = report.cache.expect("shared cache stats in the report");
+    let snapshots = report.snapshots.expect("snapshot stats in the report");
     assert!(
-        cache.hits + cache.misses >= live_peak,
-        "final report counters ({} + {}) dominate every live snapshot ({live_peak})",
-        cache.hits,
-        cache.misses
-    );
-    assert!(
-        watcher.snapshot_seen.into_inner().unwrap(),
-        "prefix snapshots are on by default: events carry snapshot stats"
+        cache.bytes >= cache_peak && snapshots.bytes >= snapshot_peak,
+        "final report bytes ({}, {}) dominate every live reading ({cache_peak}, {snapshot_peak})",
+        cache.bytes,
+        snapshots.bytes
     );
 }
 

@@ -76,17 +76,14 @@ pub use profile::{
     SiteRow,
 };
 pub use pulse::{
-    HeartbeatSample, PulseBus, PulseEvent, PulseRing, SchedGauges, Subscriber, WorkerState,
-    WorkerStateTable,
+    HeartbeatSample, PulseBus, PulseEvent, SchedGauges, Subscriber, WorkerState, WorkerStateTable,
 };
 pub use sink::TRACE_SCHEMA_VERSION;
 pub use span::{
     audit_active, audit_event, count, job_scope, observe_ns, span, JobScope, Phase, Recorder, Span,
     SpanGuard, Trace,
 };
-pub use telemetry::{
-    pulse_event_lines, telemetry_header, TelemetryLog, TelemetryStream, TELEMETRY_SCHEMA_VERSION,
-};
+pub use telemetry::{pulse_event_lines, telemetry_header, TelemetryLog, TELEMETRY_SCHEMA_VERSION};
 pub use watchdog::{
     anomalies_from_jsonl, anomalies_to_jsonl, AnomalyKind, AnomalyReport, Watchdog, WatchdogConfig,
     ANOMALY_SCHEMA_VERSION,

@@ -1,20 +1,20 @@
 //! diode-pulse: a bounded multi-subscriber event bus for live campaign
 //! telemetry.
 //!
-//! The engine publishes [`PulseEvent`]s — unit/site progress mirrored
-//! from the `CampaignEvent` stream plus periodic [`HeartbeatSample`]s —
-//! into a [`PulseBus`]. Each subscriber owns a bounded ring
-//! ([`PulseRing`]): publishing is a claim-slot/write/release sequence
-//! on atomic sequence numbers (Vyukov-style bounded queue), and a full
-//! ring **drops the event and counts the drop** instead of blocking the
-//! publisher. A slow subscriber therefore costs the campaign nothing
-//! but its own completeness, which it can observe through
-//! [`Subscriber::dropped`].
+//! The engine publishes [`PulseEvent`]s — unit/site progress plus
+//! periodic [`HeartbeatSample`]s — into a [`PulseBus`]. Each subscriber
+//! owns one bounded `std::sync::mpsc::sync_channel`: publishing
+//! `try_send`s a clone into every channel, and a full channel **drops the
+//! event and counts the drop** instead of blocking the publisher. A slow
+//! subscriber therefore costs the campaign nothing but its own
+//! completeness, which it can observe through [`Subscriber::dropped`].
 //!
-//! Slot payloads sit behind per-slot mutexes, but the sequence protocol
-//! guarantees each slot has exactly one owner between claim and
-//! release, so those locks are uncontended single-CAS acquisitions via
-//! `try_lock` — no publisher or consumer ever waits on one.
+//! Publishing the campaign's terminal [`PulseEvent::Finished`] closes
+//! the bus: it drops every sender, so a consumer blocked in
+//! [`Subscriber::recv`] takes the buffered events and then gets `None`,
+//! and a channel's buffer is freed as soon as its subscriber drops. A
+//! subscriber that arrives after the close gets a stream that has
+//! already ended.
 //!
 //! The module also hosts the two shared-state tables the heartbeat
 //! sampler reads: [`WorkerStateTable`] (what each worker is doing right
@@ -23,7 +23,8 @@
 //! enabled; with no bus configured the engine never touches them.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, Weak};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// What one worker is doing, as sampled into a heartbeat.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -155,167 +156,68 @@ impl PulseEvent {
     }
 }
 
-/// One slot of a [`PulseRing`]. `seq` carries the Vyukov handshake;
-/// the payload mutex is only ever touched by the slot's current owner.
-struct Slot {
-    seq: AtomicU64,
-    value: Mutex<Option<PulseEvent>>,
+/// A subscriber's receiving end of the bus: its own bounded channel.
+pub struct Subscriber {
+    rx: Receiver<PulseEvent>,
+    dropped: Arc<AtomicU64>,
 }
 
-/// A bounded ring buffer with drop-counting, non-blocking publish.
-///
-/// Multi-producer (any worker plus the sampler thread may publish),
-/// single logical consumer (the subscriber), though the protocol is
-/// safe for concurrent consumers too.
-pub struct PulseRing {
-    slots: Box<[Slot]>,
-    mask: u64,
-    enqueue_pos: AtomicU64,
-    dequeue_pos: AtomicU64,
-    dropped: AtomicU64,
-}
-
-impl PulseRing {
-    /// A ring holding at most `capacity` events (rounded up to a power
-    /// of two, minimum 2).
-    #[must_use]
-    pub fn with_capacity(capacity: usize) -> PulseRing {
-        let cap = capacity.max(2).next_power_of_two() as u64;
-        let slots = (0..cap)
-            .map(|i| Slot {
-                seq: AtomicU64::new(i),
-                value: Mutex::new(None),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        PulseRing {
-            slots,
-            mask: cap - 1,
-            enqueue_pos: AtomicU64::new(0),
-            dequeue_pos: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-        }
+impl Subscriber {
+    /// Blocks until the next event; `None` once the bus has closed and
+    /// every buffered event has been taken.
+    pub fn recv(&self) -> Option<PulseEvent> {
+        self.rx.recv().ok()
     }
 
-    /// Number of slots.
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
+    /// The oldest undelivered event, if any. Never blocks.
+    pub fn try_recv(&self) -> Option<PulseEvent> {
+        self.rx.try_recv().ok()
     }
 
-    /// Publishes `event`; returns `false` (and counts a drop) when the
-    /// ring is full. Never blocks.
-    pub fn try_push(&self, event: PulseEvent) -> bool {
-        let mut pos = self.enqueue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos {
-                match self.enqueue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        // We own the slot until the seq release below;
-                        // try_lock can only see an uncontended mutex.
-                        if let Ok(mut value) = slot.value.try_lock() {
-                            *value = Some(event);
-                        }
-                        slot.seq.store(pos + 1, Ordering::Release);
-                        return true;
-                    }
-                    Err(seen) => pos = seen,
-                }
-            } else if seq < pos {
-                // The slot still holds an unconsumed event from the
-                // previous lap: the ring is full.
-                self.dropped.fetch_add(1, Ordering::Relaxed);
-                return false;
-            } else {
-                pos = self.enqueue_pos.load(Ordering::Relaxed);
-            }
-        }
+    /// Every currently buffered event, oldest first. Never blocks.
+    pub fn drain(&self) -> Vec<PulseEvent> {
+        self.rx.try_iter().collect()
     }
 
-    /// Takes the oldest event, or `None` when the ring is empty.
-    pub fn try_pop(&self) -> Option<PulseEvent> {
-        let mut pos = self.dequeue_pos.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq = slot.seq.load(Ordering::Acquire);
-            if seq == pos + 1 {
-                match self.dequeue_pos.compare_exchange_weak(
-                    pos,
-                    pos + 1,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let event = slot.value.try_lock().ok().and_then(|mut v| v.take());
-                        slot.seq.store(pos + self.mask + 1, Ordering::Release);
-                        return event;
-                    }
-                    Err(seen) => pos = seen,
-                }
-            } else if seq <= pos {
-                return None;
-            } else {
-                pos = self.dequeue_pos.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Events discarded because the ring was full.
+    /// Events this subscriber lost to backpressure so far.
     #[must_use]
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
     }
 }
 
-/// A subscriber's receiving end of the bus: a handle on its own ring.
-pub struct Subscriber {
-    ring: Arc<PulseRing>,
+/// The bus's half of one subscription.
+struct Tap {
+    tx: SyncSender<PulseEvent>,
+    dropped: Arc<AtomicU64>,
 }
 
-impl Subscriber {
-    /// The oldest undelivered event, if any. Never blocks.
-    pub fn try_recv(&self) -> Option<PulseEvent> {
-        self.ring.try_pop()
-    }
+/// Every open subscription, plus whether the stream has ended.
+#[derive(Default)]
+struct Taps {
+    open: Vec<Tap>,
+    closed: bool,
+}
 
-    /// Every currently buffered event, oldest first.
-    pub fn drain(&self) -> Vec<PulseEvent> {
-        let mut out = Vec::new();
-        while let Some(ev) = self.ring.try_pop() {
-            out.push(ev);
-        }
-        out
-    }
-
-    /// Events this subscriber lost to backpressure so far.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.ring.dropped()
+impl Taps {
+    /// Drops every sender, ending each subscriber's stream.
+    fn close(&mut self) {
+        self.open.clear();
+        self.closed = true;
     }
 }
 
 /// The multi-subscriber fan-out bus.
 ///
-/// `subscribe` registers a fresh ring under a write lock;
-/// [`publish`](PulseBus::publish) only ever takes the read side, and
-/// registration happens before the campaign starts, so publishing from
-/// workers is effectively lock-free.
-///
-/// The bus holds its rings weakly: a ring lives exactly as long as its
-/// [`Subscriber`], so a long-lived bus (one per daemon job, kept for the
-/// daemon's life) does not pin the rings of consumers that are gone.
-/// Dead entries are skipped by every reader and pruned by the next
-/// `subscribe`.
+/// Subscribing and publishing share one short lock; publishing never
+/// waits on a subscriber. A tap whose [`Subscriber`] has dropped is
+/// pruned by the next [`publish`](PulseBus::publish), and
+/// [`close`](PulseBus::close) drops them all, so a long-lived bus (one
+/// per daemon job, kept for the daemon's life) pins no channel once its
+/// stream has ended.
 #[derive(Default)]
 pub struct PulseBus {
-    rings: RwLock<Vec<Weak<PulseRing>>>,
+    taps: Mutex<Taps>,
 }
 
 impl std::fmt::Debug for PulseBus {
@@ -334,50 +236,71 @@ impl PulseBus {
         PulseBus::default()
     }
 
-    /// Registers a subscriber with its own ring of `capacity` events.
+    fn taps(&self) -> MutexGuard<'_, Taps> {
+        self.taps.lock().expect("pulse bus lock poisoned")
+    }
+
+    /// Registers a subscriber with its own channel of `capacity` events
+    /// (at least 1). On a closed bus the stream has already ended.
     pub fn subscribe(&self, capacity: usize) -> Subscriber {
-        let ring = Arc::new(PulseRing::with_capacity(capacity));
-        let mut rings = self.rings.write().expect("pulse bus lock poisoned");
-        rings.retain(|r| r.strong_count() > 0);
-        rings.push(Arc::downgrade(&ring));
-        Subscriber { ring }
-    }
-
-    /// Calls `f` on every live subscriber's ring.
-    fn for_each_live(&self, mut f: impl FnMut(&PulseRing)) {
-        let rings = self.rings.read().expect("pulse bus lock poisoned");
-        for ring in rings.iter().filter_map(Weak::upgrade) {
-            f(&ring);
+        let (tx, rx) = mpsc::sync_channel(capacity.max(1));
+        let dropped = Arc::new(AtomicU64::new(0));
+        let mut taps = self.taps();
+        if !taps.closed {
+            taps.open.push(Tap {
+                tx,
+                dropped: Arc::clone(&dropped),
+            });
         }
+        Subscriber { rx, dropped }
     }
 
-    /// Fans `event` out to every live subscriber; returns how many rings
-    /// accepted it (the rest counted drops). Never blocks on a full
-    /// ring.
+    /// Fans `event` out to every subscriber; returns how many channels
+    /// accepted it (a full one counts a drop). Never blocks. Publishing
+    /// [`PulseEvent::Finished`] closes the bus afterwards.
     pub fn publish(&self, event: &PulseEvent) -> usize {
         let mut delivered = 0;
-        self.for_each_live(|ring| {
-            if ring.try_push(event.clone()) {
-                delivered += 1;
-            }
-        });
+        let mut taps = self.taps();
+        taps.open
+            .retain(|tap| match tap.tx.try_send(event.clone()) {
+                Ok(()) => {
+                    delivered += 1;
+                    true
+                }
+                Err(TrySendError::Full(_)) => {
+                    tap.dropped.fetch_add(1, Ordering::Relaxed);
+                    true
+                }
+                Err(TrySendError::Disconnected(_)) => false,
+            });
+        if matches!(event, PulseEvent::Finished { .. }) {
+            taps.close();
+        }
         delivered
     }
 
-    /// Live subscriber count.
-    #[must_use]
-    pub fn subscriber_count(&self) -> usize {
-        let mut live = 0;
-        self.for_each_live(|_| live += 1);
-        live
+    /// Ends every stream without an event: each subscriber takes what
+    /// is buffered, then [`recv`](Subscriber::recv) returns `None`.
+    /// Later publishes deliver nothing.
+    pub fn close(&self) {
+        self.taps().close();
     }
 
-    /// Total events dropped across all live subscribers.
+    /// Subscribers still registered (a dropped one counts until the
+    /// next publish prunes it; none once the bus has closed).
+    #[must_use]
+    pub fn subscriber_count(&self) -> usize {
+        self.taps().open.len()
+    }
+
+    /// Total events dropped across the registered subscribers.
     #[must_use]
     pub fn total_dropped(&self) -> u64 {
-        let mut dropped = 0;
-        self.for_each_live(|ring| dropped += ring.dropped());
-        dropped
+        self.taps()
+            .open
+            .iter()
+            .map(|tap| tap.dropped.load(Ordering::Relaxed))
+            .sum()
     }
 }
 
@@ -499,39 +422,42 @@ mod tests {
         }
     }
 
+    fn finished() -> PulseEvent {
+        PulseEvent::Finished {
+            wall_ns: 1,
+            sites: 2,
+            exposed: 1,
+        }
+    }
+
     #[test]
     fn ring_round_trips_in_order() {
-        let ring = PulseRing::with_capacity(4);
+        let bus = PulseBus::new();
+        let sub = bus.subscribe(4);
         for i in 0..4 {
-            assert!(ring.try_push(ev(i)));
+            assert_eq!(bus.publish(&ev(i)), 1);
         }
         for i in 0..4 {
-            assert_eq!(ring.try_pop(), Some(ev(i)));
+            assert_eq!(sub.try_recv(), Some(ev(i)));
         }
-        assert_eq!(ring.try_pop(), None);
-        assert_eq!(ring.dropped(), 0);
+        assert_eq!(sub.try_recv(), None);
+        assert_eq!(sub.dropped(), 0);
     }
 
     #[test]
     fn full_ring_drops_and_counts() {
-        let ring = PulseRing::with_capacity(2);
-        assert!(ring.try_push(ev(0)));
-        assert!(ring.try_push(ev(1)));
-        assert!(!ring.try_push(ev(2)));
-        assert!(!ring.try_push(ev(3)));
-        assert_eq!(ring.dropped(), 2);
+        let bus = PulseBus::new();
+        let sub = bus.subscribe(2);
+        assert_eq!(bus.publish(&ev(0)), 1);
+        assert_eq!(bus.publish(&ev(1)), 1);
+        assert_eq!(bus.publish(&ev(2)), 0);
+        assert_eq!(bus.publish(&ev(3)), 0);
+        assert_eq!(sub.dropped(), 2);
+        assert_eq!(bus.total_dropped(), 2);
         // Draining frees slots again.
-        assert_eq!(ring.try_pop(), Some(ev(0)));
-        assert!(ring.try_push(ev(4)));
-        assert_eq!(ring.try_pop(), Some(ev(1)));
-        assert_eq!(ring.try_pop(), Some(ev(4)));
-    }
-
-    #[test]
-    fn capacity_rounds_up_to_power_of_two() {
-        assert_eq!(PulseRing::with_capacity(0).capacity(), 2);
-        assert_eq!(PulseRing::with_capacity(3).capacity(), 4);
-        assert_eq!(PulseRing::with_capacity(64).capacity(), 64);
+        assert_eq!(sub.try_recv(), Some(ev(0)));
+        assert_eq!(bus.publish(&ev(4)), 1);
+        assert_eq!(sub.drain(), vec![ev(1), ev(4)]);
     }
 
     #[test]
@@ -550,16 +476,51 @@ mod tests {
     fn dropped_subscriber_frees_its_ring() {
         let bus = PulseBus::new();
         let sub = bus.subscribe(1 << 14);
-        assert_eq!(bus.subscriber_count(), 1);
-        drop(sub);
-        assert_eq!(bus.subscriber_count(), 0);
-        assert_eq!(bus.publish(&ev(1)), 0);
-        assert_eq!(bus.total_dropped(), 0);
-        // The next subscriber prunes the dead entry and alone receives.
         let next = bus.subscribe(8);
-        assert_eq!(bus.rings.read().unwrap().len(), 1);
-        assert_eq!(bus.publish(&ev(2)), 1);
-        assert_eq!(next.drain(), vec![ev(2)]);
+        assert_eq!(bus.subscriber_count(), 2);
+        drop(sub);
+        // The next publish finds the channel disconnected and prunes it;
+        // the remaining subscriber alone receives.
+        assert_eq!(bus.publish(&ev(1)), 1);
+        assert_eq!(bus.subscriber_count(), 1);
+        assert_eq!(bus.total_dropped(), 0);
+        assert_eq!(next.drain(), vec![ev(1)]);
+    }
+
+    #[test]
+    fn finished_closes_the_bus() {
+        let bus = Arc::new(PulseBus::new());
+        let sub = bus.subscribe(8);
+        let reader = thread::spawn(move || std::iter::from_fn(|| sub.recv()).collect::<Vec<_>>());
+        let publisher = Arc::clone(&bus);
+        thread::spawn(move || {
+            publisher.publish(&ev(0));
+            publisher.publish(&ev(1));
+            publisher.publish(&finished());
+        })
+        .join()
+        .unwrap();
+        // The reader, blocking in `recv`, got every event, then the end
+        // of the stream.
+        assert_eq!(reader.join().unwrap(), vec![ev(0), ev(1), finished()]);
+        assert_eq!(bus.subscriber_count(), 0);
+        // Publishing after `finished` reaches nobody, and a late
+        // subscriber's stream has already ended.
+        let late = bus.subscribe(8);
+        assert_eq!(bus.publish(&ev(2)), 0);
+        assert_eq!(late.recv(), None);
+        assert_eq!(bus.subscriber_count(), 0);
+    }
+
+    #[test]
+    fn close_ends_streams_without_an_event() {
+        let bus = PulseBus::new();
+        let sub = bus.subscribe(8);
+        bus.publish(&ev(0));
+        bus.close();
+        assert_eq!(sub.recv(), Some(ev(0)));
+        assert_eq!(sub.recv(), None);
+        assert_eq!(bus.publish(&finished()), 0);
     }
 
     #[test]

@@ -16,14 +16,16 @@
 //! In this (v1) format a heartbeat's per-worker states follow it as
 //! separate `worker` lines referencing the heartbeat's `seq`;
 //! [`TelemetryLog::from_jsonl`] reassembles them. Events stream
-//! incrementally — a live writer appends [`pulse_event_lines`] as the
-//! subscriber drains — and the reader tolerates a truncated tail only
-//! insofar as every present line must still parse.
+//! incrementally: a live writer sends [`telemetry_header`] once, then
+//! [`pulse_event_lines`] for each event its bus
+//! [`Subscriber`](crate::Subscriber) receives, until the bus closes
+//! after `finished`. The reader tolerates a truncated tail only insofar
+//! as every present line must still parse.
 
 use std::fmt::Write as _;
 
 use crate::json::{jsonl_header, jsonl_lines, jsonl_records, Json};
-use crate::pulse::{HeartbeatSample, PulseEvent, Subscriber, WorkerState};
+use crate::pulse::{HeartbeatSample, PulseEvent, WorkerState};
 
 /// Version stamped into (and required from) the telemetry header line.
 pub const TELEMETRY_SCHEMA_VERSION: u64 = 1;
@@ -125,67 +127,6 @@ pub fn pulse_event_lines(event: &PulseEvent) -> String {
         ),
     }
     out
-}
-
-/// An incremental [`Subscriber`] → wire-format forwarder: the fan-out
-/// half of per-job telemetry streaming. Construct one per consumer
-/// (file writer, network client, ...) around its own bus subscription,
-/// then call [`drain`](TelemetryStream::drain) whenever the consumer
-/// can take more bytes — the first drain is prefixed with the header
-/// line, and [`finished`](TelemetryStream::finished) flips once the
-/// campaign's terminal `finished` record has been emitted. Slow
-/// consumers inherit the bus invariant: a full ring counts drops
-/// ([`dropped`](TelemetryStream::dropped)) instead of slowing anyone.
-pub struct TelemetryStream {
-    subscriber: Subscriber,
-    threads: u32,
-    header_pending: bool,
-    finished: bool,
-}
-
-impl TelemetryStream {
-    /// A stream over `subscriber` for a campaign running `threads`
-    /// workers (stamped into the header line).
-    #[must_use]
-    pub fn new(subscriber: Subscriber, threads: u32) -> TelemetryStream {
-        TelemetryStream {
-            subscriber,
-            threads,
-            header_pending: true,
-            finished: false,
-        }
-    }
-
-    /// Every currently buffered event as newline-terminated wire lines
-    /// (header first on the initial call). Empty when nothing is
-    /// pending. Never blocks.
-    pub fn drain(&mut self) -> String {
-        let mut out = String::new();
-        if self.header_pending {
-            out.push_str(&telemetry_header(self.threads));
-            self.header_pending = false;
-        }
-        while let Some(event) = self.subscriber.try_recv() {
-            if matches!(event, PulseEvent::Finished { .. }) {
-                self.finished = true;
-            }
-            out.push_str(&pulse_event_lines(&event));
-        }
-        out
-    }
-
-    /// True once the campaign's terminal `finished` event has been
-    /// drained — no further lines will ever appear.
-    #[must_use]
-    pub fn finished(&self) -> bool {
-        self.finished
-    }
-
-    /// Events this stream's subscriber lost to backpressure.
-    #[must_use]
-    pub fn dropped(&self) -> u64 {
-        self.subscriber.dropped()
-    }
 }
 
 /// A fully parsed telemetry stream.
@@ -409,40 +350,6 @@ mod tests {
         };
         let back = TelemetryLog::from_jsonl(&log.to_jsonl()).unwrap();
         assert_eq!(back, log);
-    }
-
-    #[test]
-    fn stream_forwards_incrementally_and_flags_finished() {
-        let bus = crate::pulse::PulseBus::new();
-        let mut stream = TelemetryStream::new(bus.subscribe(64), 2);
-        // Nothing published yet: first drain is just the header.
-        assert_eq!(stream.drain(), telemetry_header(2));
-        assert_eq!(stream.drain(), "");
-        let started = PulseEvent::UnitStarted {
-            app: "forged-001".into(),
-            seed: 0,
-        };
-        bus.publish(&started);
-        assert_eq!(stream.drain(), pulse_event_lines(&started));
-        assert!(!stream.finished());
-        let done = PulseEvent::Finished {
-            wall_ns: 1,
-            sites: 2,
-            exposed: 1,
-        };
-        bus.publish(&done);
-        assert_eq!(stream.drain(), pulse_event_lines(&done));
-        assert!(stream.finished());
-        assert_eq!(stream.dropped(), 0);
-        // The concatenation of all drains is a parseable stream.
-        let full = format!(
-            "{}{}{}",
-            telemetry_header(2),
-            pulse_event_lines(&started),
-            pulse_event_lines(&done)
-        );
-        let log = TelemetryLog::from_jsonl(&full).unwrap();
-        assert_eq!(log.events, vec![started, done]);
     }
 
     #[test]

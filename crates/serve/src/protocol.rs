@@ -42,6 +42,10 @@
 //! [`MAX_REQUEST_LINE`] bytes, its JSON nesting by the codec's 128
 //! levels, a `watch` ring by [`MAX_WATCH_RING`] events, and a job's
 //! worker threads by [`MAX_THREADS`]. Anything larger is a typed `400`.
+//! A client has [`REQUEST_READ_TIMEOUT`] to send its request line; an
+//! idle connection is closed without a reply.
+
+use std::time::Duration;
 
 use diode_obs::{Json, WatchdogConfig};
 use diode_synth::SynthConfig;
@@ -74,8 +78,8 @@ pub enum Request {
     Watch {
         /// Job id to stream.
         job: String,
-        /// Subscriber ring capacity; a slow reader drops events beyond
-        /// this instead of slowing the campaign.
+        /// Subscriber channel capacity (events); a slow reader drops
+        /// events beyond this instead of slowing the campaign.
         ring: usize,
     },
     /// Scrape the service metrics registry.
@@ -108,7 +112,7 @@ pub enum JobSource {
     Suite(String),
 }
 
-/// Default `watch` subscriber ring capacity.
+/// Default `watch` subscriber channel capacity (events).
 pub const DEFAULT_WATCH_RING: usize = 4096;
 
 /// Largest `watch` ring a client may ask for (events).
@@ -119,6 +123,10 @@ pub const MAX_THREADS: usize = 256;
 
 /// Longest request line the daemon reads, newline included (bytes).
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
+
+/// How long one read of the request line (or of the rest of an
+/// over-long one) may wait for the client before the connection closes.
+pub const REQUEST_READ_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Parses one request line. The error is a ready-to-send `400` response.
 pub fn parse_request(line: &str) -> Result<Request, Json> {

@@ -16,9 +16,11 @@
 //!
 //! Admission is bounded per worker: a submit that lands on a worker
 //! whose queue is full is rejected with a typed `429 queue_full` line
-//! instead of queueing unboundedly. Watch subscribers ride the pulse
-//! bus's bounded rings — a slow client drops events, never stalls the
-//! campaign (the `diode-obs` invariant).
+//! instead of queueing unboundedly. Each job's one pump and every watch
+//! subscriber read the pulse bus through bounded channels, blocking in
+//! `recv` until the bus closes — a slow client drops events, never
+//! stalls the campaign (the `diode-obs` invariant). Every way a job ends
+//! closes its bus, so no consumer outlives its job.
 
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -34,14 +36,16 @@ use diode_engine::{
     PulseConfig, PulseEvent, SnapshotCache, SnapshotStats, SolverCache,
 };
 use diode_obs::{
-    fnv64_hex, AnomalyReport, Counter, FlightRecorder, Histogram, Json, MetricsRegistry, Phase,
-    PhaseBreakdown, Recorder, TelemetryStream, Watchdog, WatchdogConfig, ANOMALY_SCHEMA_VERSION,
-    FLIGHT_SCHEMA_VERSION, METRICS_SCHEMA_VERSION, TELEMETRY_SCHEMA_VERSION,
+    fnv64_hex, pulse_event_lines, telemetry_header, AnomalyReport, Counter, FlightRecorder,
+    Histogram, Json, MetricsRegistry, Phase, PhaseBreakdown, Recorder, Watchdog, WatchdogConfig,
+    ANOMALY_SCHEMA_VERSION, FLIGHT_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
+    TELEMETRY_SCHEMA_VERSION,
 };
 use diode_synth::{forge, forge_range, score, Fnv64, SynthConfig, SynthOracle};
 
 use crate::protocol::{
     parse_request, reject, spec_json, JobSource, Request, MAX_REQUEST_LINE, PROTOCOL_VERSION,
+    REQUEST_READ_TIMEOUT,
 };
 
 /// Daemon configuration.
@@ -142,6 +146,13 @@ impl JobEntry {
         while !state.finished() {
             state = self.cv.wait(state).expect("job state lock poisoned");
         }
+    }
+
+    /// Worker threads the campaign runs with (stamped into telemetry).
+    fn threads(&self) -> u32 {
+        self.threads
+            .unwrap_or_else(scheduler::default_threads)
+            .max(1) as u32
     }
 }
 
@@ -384,10 +395,14 @@ fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>, addr: SocketAddr) {
     }
 }
 
-/// Reads one request line (at most [`MAX_REQUEST_LINE`] bytes),
-/// dispatches, writes the response line(s). I/O errors mean the client
-/// went away — nothing to do but stop.
+/// Reads one request line (at most [`MAX_REQUEST_LINE`] bytes, within
+/// [`REQUEST_READ_TIMEOUT`]), dispatches, writes the response line(s).
+/// I/O errors mean the client went away or sat idle — nothing to do but
+/// close the connection.
 fn handle_connection(stream: TcpStream, daemon: &Arc<Daemon>, addr: SocketAddr) {
+    if stream.set_read_timeout(Some(REQUEST_READ_TIMEOUT)).is_err() {
+        return;
+    }
     let mut reader = BufReader::new(match stream.try_clone() {
         Ok(s) => s,
         Err(_) => return,
@@ -815,11 +830,12 @@ fn metrics_json(daemon: &Arc<Daemon>, ops: &Ops) -> Json {
         .field("metrics", scrape(daemon, ops).to_json())
 }
 
-/// Streams a job's telemetry to `out`: live via a fresh bus subscriber
-/// (bounded ring — a slow reader self-limits through drops), or the
-/// archived stream when the job already finished. Subscribe-then-check
-/// ordering makes the handoff race-free: a job finishing between the
-/// two steps is served from the archive.
+/// Streams a job's telemetry to `out`: the header, then every event a
+/// fresh bus subscriber receives (bounded channel — a slow reader
+/// self-limits through drops) until the bus closes. A subscriber that
+/// received nothing came too late (or the job never ran a campaign):
+/// once the job is finished, the archive's event lines follow the
+/// header instead.
 fn watch(daemon: &Arc<Daemon>, job: &str, ring: usize, out: &mut TcpStream) {
     let Some(entry) = daemon.lookup(job) else {
         let _ = writeln!(
@@ -829,66 +845,26 @@ fn watch(daemon: &Arc<Daemon>, job: &str, ring: usize, out: &mut TcpStream) {
         );
         return;
     };
-    let threads = entry
-        .threads
-        .unwrap_or_else(scheduler::default_threads)
-        .max(1) as u32;
-    let mut stream = TelemetryStream::new(entry.bus.subscribe(ring), threads);
-    if entry
-        .state
-        .lock()
-        .expect("job state lock poisoned")
-        .finished()
+    let sub = entry.bus.subscribe(ring);
+    if out
+        .write_all(telemetry_header(entry.threads()).as_bytes())
+        .is_err()
     {
-        let archive = entry.archive.lock().expect("archive lock poisoned");
-        let _ = out.write_all(archive.as_bytes());
         return;
     }
-    let header = diode_obs::telemetry_header(threads);
     let mut saw_events = false;
-    let mut first_chunk = true;
-    loop {
-        let chunk = stream.drain();
-        if !chunk.is_empty() {
-            let events = if first_chunk {
-                chunk.strip_prefix(header.as_str()).unwrap_or(&chunk)
-            } else {
-                &chunk
-            };
-            saw_events |= !events.is_empty();
-            first_chunk = false;
-            if out.write_all(chunk.as_bytes()).is_err() {
-                return; // client went away
-            }
+    while let Some(event) = sub.recv() {
+        saw_events = true;
+        if out.write_all(pulse_event_lines(&event).as_bytes()).is_err() {
+            return; // client went away
         }
-        if stream.finished() {
-            return;
+    }
+    if !saw_events {
+        entry.wait_finished();
+        let archive = entry.archive.lock().expect("archive lock poisoned");
+        if let Some((_, events)) = archive.split_once('\n') {
+            let _ = out.write_all(events.as_bytes());
         }
-        if entry
-            .state
-            .lock()
-            .expect("job state lock poisoned")
-            .finished()
-        {
-            // The job terminated without a finished event reaching this
-            // subscriber. If we subscribed too late to see anything
-            // (the campaign ended between submit and watch), replay the
-            // archive's event lines behind the header already sent;
-            // otherwise flush the partial tail and stop.
-            let chunk = stream.drain();
-            saw_events |= !chunk.is_empty();
-            if !chunk.is_empty() && out.write_all(chunk.as_bytes()).is_err() {
-                return;
-            }
-            if !saw_events {
-                let archive = entry.archive.lock().expect("archive lock poisoned");
-                if let Some((_, events)) = archive.split_once('\n') {
-                    let _ = out.write_all(events.as_bytes());
-                }
-            }
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(2));
     }
 }
 
@@ -1005,6 +981,9 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
     let (apps, oracle) = match build_apps(daemon, &entry.source) {
         Ok(built) => built,
         Err(e) => {
+            // No campaign will publish `finished`: end every watcher's
+            // stream here (they replay the empty archive).
+            entry.bus.close();
             daemon.jobs_failed.fetch_add(1, Ordering::Relaxed);
             if let Some(ops) = &daemon.ops {
                 ops.jobs_failed.inc();
@@ -1013,17 +992,13 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
             return;
         }
     };
-    let threads = entry
-        .threads
-        .unwrap_or_else(scheduler::default_threads)
-        .max(1) as u32;
+    let threads = entry.threads();
 
-    // The archive pump: one subscriber draining the job's bus into the
-    // in-memory archive (for watch replay) and the rotating telemetry
-    // file, until the campaign's terminal event. A second raw tap on
-    // the same bus feeds the watchdog and the flight ring — both pure
-    // consumers on this side thread, never in the campaign's path.
-    let mut stream = TelemetryStream::new(entry.bus.subscribe(1 << 14), threads);
+    // The pump: one subscriber feeding the in-memory archive (for watch
+    // replay), the rotating telemetry file, the watchdog and the flight
+    // ring — all pure consumers on this side thread, never in the
+    // campaign's path. It blocks in `recv` until the bus closes.
+    let sub = entry.bus.subscribe(1 << 14);
     let mut tfile = daemon.cfg.telemetry_file.as_ref().and_then(|p| {
         std::fs::File::create(p)
             .map_err(|e| eprintln!("diode-serve: cannot rotate {}: {e}", p.display()))
@@ -1035,46 +1010,31 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
         .as_ref()
         .map(|_| FlightRecorder::new(daemon.cfg.flight_capacity));
     let mut watchdog = entry.watchdog.clone().map(Watchdog::new);
-    let tap = (flight.is_some() || watchdog.is_some()).then(|| entry.bus.subscribe(1 << 14));
     let pump_entry = Arc::clone(entry);
     let pump = std::thread::Builder::new()
         .name("serve-pump".to_string())
         .spawn(move || {
-            let drain_tap = |flight: &mut Option<FlightRecorder>,
-                             watchdog: &mut Option<Watchdog>| {
-                if let Some(tap) = &tap {
-                    for event in tap.drain() {
-                        if let Some(w) = watchdog {
-                            w.feed(&event);
-                        }
-                        if let Some(f) = flight {
-                            f.record(&event);
-                        }
-                    }
+            let mut write = |lines: &str| {
+                pump_entry
+                    .archive
+                    .lock()
+                    .expect("archive lock poisoned")
+                    .push_str(lines);
+                if let Some(f) = &mut tfile {
+                    let _ = f.write_all(lines.as_bytes());
                 }
             };
-            loop {
-                let chunk = stream.drain();
-                if !chunk.is_empty() {
-                    pump_entry
-                        .archive
-                        .lock()
-                        .expect("archive lock poisoned")
-                        .push_str(&chunk);
-                    if let Some(f) = &mut tfile {
-                        let _ = f.write_all(chunk.as_bytes());
-                        let _ = f.flush();
-                    }
+            write(&telemetry_header(threads));
+            while let Some(event) = sub.recv() {
+                if let Some(w) = &mut watchdog {
+                    w.feed(&event);
                 }
-                drain_tap(&mut flight, &mut watchdog);
-                if stream.finished() {
-                    // The tap rides the same bus, so the terminal event
-                    // already reached its ring — one last drain empties it.
-                    drain_tap(&mut flight, &mut watchdog);
-                    return (flight, watchdog);
+                if let Some(f) = &mut flight {
+                    f.record(&event);
                 }
-                std::thread::sleep(Duration::from_millis(2));
+                write(&pulse_event_lines(&event));
             }
+            (flight, watchdog)
         })
         .expect("spawn pump thread");
 
@@ -1103,9 +1063,10 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
     let report = match outcome {
         Ok(report) => report,
         Err(_) => {
-            // Unblock the pump and any watchers with a terminal event,
-            // then record the failure — with a flight dump of the
-            // window leading up to it, when the recorder is on.
+            // Close the bus with a terminal event, ending the pump and
+            // every watcher, then record the failure — with a flight
+            // dump of the window leading up to it, when the recorder is
+            // on.
             entry.bus.publish(&PulseEvent::Finished {
                 wall_ns: 0,
                 sites: 0,

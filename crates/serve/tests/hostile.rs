@@ -1,12 +1,16 @@
-//! Hostile request lines against a real daemon: each one gets a typed
-//! `400 bad_request`, and the daemon keeps answering afterwards. Without
-//! the request limits, the first three lines abort the whole process
-//! (a parser stack overflow, then allocations sized by the client).
+//! Hostile clients against a real daemon. Each hostile request line gets
+//! a typed `400 bad_request`, and the daemon keeps answering afterwards.
+//! Without the request limits, the first three lines abort the whole
+//! process (a parser stack overflow, then allocations sized by the
+//! client). An idle client is disconnected after the request-read
+//! timeout instead of pinning a daemon thread.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::time::{Duration, Instant};
 
 use diode_obs::Json;
+use diode_serve::protocol::REQUEST_READ_TIMEOUT;
 use diode_serve::{serve, ServeConfig};
 
 /// Sends one request line and reads one response line.
@@ -50,6 +54,37 @@ fn hostile_request_lines_get_typed_400s_and_the_daemon_survives() {
             "{reply}"
         );
     }
+    let status = request(addr, br#"{"op":"status"}"#);
+    assert_eq!(status.get("ok"), Some(&Json::Bool(true)), "{status}");
+    let reply = request(addr, br#"{"op":"shutdown"}"#);
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    handle.join();
+}
+
+#[test]
+fn idle_connection_is_closed_after_the_read_timeout() {
+    let handle = serve(ServeConfig::default()).expect("daemon starts");
+    let addr = handle.addr();
+    let mut idle = TcpStream::connect(addr).expect("connect to daemon");
+    let slack = Duration::from_secs(20);
+    idle.set_read_timeout(Some(REQUEST_READ_TIMEOUT + slack))
+        .expect("client read timeout");
+    let start = Instant::now();
+    let mut buf = [0u8; 64];
+    // The client sends nothing: the daemon must hang up without a reply.
+    let read = idle
+        .read(&mut buf)
+        .expect("daemon closes, not the client timeout");
+    let waited = start.elapsed();
+    assert_eq!(read, 0, "expected EOF, got {:?}", &buf[..read]);
+    assert!(
+        waited < REQUEST_READ_TIMEOUT + slack,
+        "idle connection held for {waited:?}"
+    );
+    assert!(
+        waited + Duration::from_secs(1) >= REQUEST_READ_TIMEOUT,
+        "closed after {waited:?}, before the client had its timeout"
+    );
     let status = request(addr, br#"{"op":"status"}"#);
     assert_eq!(status.get("ok"), Some(&Json::Bool(true)), "{status}");
     let reply = request(addr, br#"{"op":"shutdown"}"#);

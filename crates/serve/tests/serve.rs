@@ -320,3 +320,81 @@ fn corpus_suites_run_by_id_from_the_shared_root() {
     shutdown(handle);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_job_that_fails_to_build_ends_its_watch_and_counts_as_failed() {
+    // A stored suite whose programs vanish after saving still resolves
+    // at admission (by its manifest) but fails to load on the worker.
+    let dir = std::env::temp_dir().join(format!("diode-serve-broken-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("corpus root");
+    let store = diode_corpus::CorpusStore::open(&dir).expect("open corpus");
+    let suite = store
+        .forge_and_save(&SynthConfig::default().with_apps(2).with_depth(2))
+        .expect("save suite");
+    let id = suite.id().to_string();
+    std::fs::remove_dir_all(dir.join(&id).join("programs")).expect("remove programs");
+
+    let handle = serve(ServeConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        corpus_root: Some(dir.clone()),
+        heartbeat: Duration::from_millis(10),
+        ..ServeConfig::default()
+    })
+    .expect("daemon starts");
+    let addr = handle.addr();
+
+    // Keep the one worker busy so the broken job is still queued when
+    // the watch attaches.
+    let busy = request(
+        addr,
+        r#"{"op":"submit","spec":{"apps":4,"depth":3,"site_work":200}}"#,
+    );
+    assert_eq!(busy.get("ok").and_then(Json::as_bool), Some(true), "{busy}");
+    let broken = request(addr, &format!(r#"{{"op":"submit","suite":"{id}"}}"#));
+    let job = broken
+        .get("job")
+        .and_then(Json::as_str)
+        .unwrap_or_else(|| panic!("suite resolves at admission: {broken}"))
+        .to_string();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let watch_job = job.clone();
+    std::thread::spawn(move || {
+        let _ = tx.send(watch_stream(addr, &watch_job));
+    });
+    let stream = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the watch ends when the job fails");
+    let log = TelemetryLog::from_jsonl(&stream).expect("watch stream parses");
+    assert!(
+        log.events.is_empty(),
+        "no campaign ran, so only the header streams: {stream:?}"
+    );
+
+    let status = request(addr, &format!(r#"{{"op":"status","job":"{job}"}}"#));
+    assert_eq!(status.get("state").and_then(Json::as_str), Some("failed"));
+    let waited = request(
+        addr,
+        &format!(r#"{{"op":"submit","suite":"{id}","wait":true}}"#),
+    );
+    assert_eq!(
+        waited.get("code").and_then(Json::as_u64),
+        Some(500),
+        "{waited}"
+    );
+    assert_eq!(
+        waited.get("error").and_then(Json::as_str),
+        Some("job_failed")
+    );
+    let metrics = request(addr, r#"{"op":"metrics"}"#);
+    let failed = metrics
+        .get("metrics")
+        .and_then(|m| m.get("counters"))
+        .and_then(|c| c.get("diode_jobs_failed_total"))
+        .and_then(Json::as_u64);
+    assert_eq!(failed, Some(2), "{metrics}");
+
+    shutdown(handle);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,65 +1,65 @@
 //! Campaign-scale batch analysis: all five §5 benchmark applications in
-//! one `diode-engine` run, with live per-site progress events, the shared
-//! solver-query cache, and automatic re-validation of every exposed bug.
+//! one `diode-engine` run, with live per-site events from the pulse bus,
+//! the shared solver-query cache, and automatic re-validation of every
+//! exposed bug.
 //!
 //! Run with: `cargo run --release --example campaign`
 
-use std::sync::Mutex;
+use std::sync::Arc;
 
-use diode::core::SiteOutcome;
-use diode::engine::{CampaignApp, CampaignEvent, CampaignSpec, ProgressSink};
-
-/// Prints events as workers report them (order reflects scheduling; the
-/// final report is deterministic regardless).
-struct Console {
-    lines: Mutex<u32>,
-}
-
-impl ProgressSink for Console {
-    fn on_event(&self, event: CampaignEvent<'_>) {
-        let mut n = self.lines.lock().unwrap();
-        *n += 1;
-        match event {
-            CampaignEvent::UnitStarted { app, .. } => println!("[{n:>3}] start      {app}"),
-            CampaignEvent::SitesIdentified { app, sites, .. } => {
-                println!("[{n:>3}] identified {app}: {sites} target site(s)");
-            }
-            CampaignEvent::SiteFinished {
-                app,
-                site,
-                outcome,
-                discovery_time,
-                cache,
-                ..
-            } => {
-                let class = match outcome {
-                    SiteOutcome::Exposed(b) => format!("EXPOSED ({} enforced)", b.enforced),
-                    SiteOutcome::TargetUnsat => "unsat".into(),
-                    SiteOutcome::Prevented(_) => "prevented".into(),
-                    SiteOutcome::Unknown => "unknown".into(),
-                };
-                // Live shared-cache counters ride along on every event.
-                let live = cache
-                    .map(|c| format!(" [cache {:.0}% hit]", c.hit_rate() * 100.0))
-                    .unwrap_or_default();
-                println!("[{n:>3}] site       {app}/{site}: {class} in {discovery_time:?}{live}");
-            }
-            CampaignEvent::Finished { wall_time } => {
-                println!("[{n:>3}] campaign finished in {wall_time:?}");
-            }
-        }
-    }
-}
+use diode::engine::{CampaignApp, CampaignSpec, PulseBus, PulseConfig, PulseEvent};
 
 fn main() {
     let apps: Vec<CampaignApp> = diode::apps::all_apps()
         .into_iter()
         .map(|a| CampaignApp::new(a.name, a.program, a.format, a.seed))
         .collect();
-    let spec = CampaignSpec::new(apps);
-    let report = spec.run_with_progress(&Console {
-        lines: Mutex::new(0),
+    let mut spec = CampaignSpec::new(apps);
+
+    // Print events as workers publish them (order reflects scheduling;
+    // the final report is deterministic regardless). The printer blocks
+    // on its subscription until the campaign's `finished` event closes
+    // the bus.
+    let bus = Arc::new(PulseBus::new());
+    let sub = bus.subscribe(1 << 12);
+    let cache = spec.config.query_cache.clone();
+    let printer = std::thread::spawn(move || {
+        let mut n = 0u32;
+        while let Some(event) = sub.recv() {
+            let line = match event {
+                PulseEvent::UnitStarted { app, .. } => format!("start      {app}"),
+                PulseEvent::SitesIdentified { app, sites, .. } => {
+                    format!("identified {app}: {sites} target site(s)")
+                }
+                PulseEvent::SiteFinished {
+                    app,
+                    site,
+                    outcome,
+                    wall_ns,
+                    ..
+                } => {
+                    // The shared cache is live: read its hit rate now.
+                    let live = cache
+                        .as_ref()
+                        .map(|c| format!(" [cache {:.0}% hit]", c.stats().hit_rate() * 100.0))
+                        .unwrap_or_default();
+                    format!(
+                        "site       {app}/{site}: {outcome} in {:.1}ms{live}",
+                        wall_ns as f64 / 1e6
+                    )
+                }
+                PulseEvent::Heartbeat(_) => continue,
+                PulseEvent::Finished { wall_ns, .. } => {
+                    format!("campaign finished in {:.1}ms", wall_ns as f64 / 1e6)
+                }
+            };
+            n += 1;
+            println!("[{n:>3}] {line}");
+        }
     });
+    spec.pulse = Some(PulseConfig::new(bus));
+    let report = spec.run();
+    printer.join().expect("event printer");
 
     println!("\n== Campaign report ==");
     let (total, exposed, unsat, prevented) = report.counts();
