@@ -18,7 +18,8 @@
 //! `abs(w*h)` check) and the same blocking checks (size-dependent loops à
 //! la `png_memset`) — while replacing entropy-coding internals with
 //! bounded "probe" access loops that touch each allocation across its full
-//! logical extent (see DESIGN.md §3 for the substitution argument).
+//! logical extent (see `docs/ARCHITECTURE.md`, "Substitutions", for the
+//! substitution argument).
 //!
 //! ```
 //! use diode_interp::{run, Concrete, MachineConfig, Outcome};

@@ -96,6 +96,8 @@ fn trace_profile_flow_from_campaign_to_profile_bin() {
         "\"top_sites\":[",
         "\"counters\":{",
         "\"solver.queries\":",
+        "\"solver.conflicts\":",
+        "\"solver.propagations\":",
     ] {
         assert!(out.contains(needle), "missing {needle} in:\n{out}");
     }

@@ -228,7 +228,9 @@ impl DiodeConfig {
             }
             None => {
                 let _span = diode_obs::span(diode_obs::Phase::Solve);
-                (solve_with(cond, &self.solver, None).0, None)
+                let (result, stats) = solve_with(cond, &self.solver, None);
+                stats.count();
+                (result, None)
             }
         };
         if let Some(fingerprint) = fingerprint {

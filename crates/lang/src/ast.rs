@@ -3,8 +3,8 @@
 //! The language has width-typed arithmetic expressions ([`Aexp`]), boolean
 //! expressions ([`Bexp`]), and statements ([`Stmt`]) covering assignment,
 //! dynamic memory allocation, memory read/write, conditionals, loops and
-//! sequential composition. Three pragmatic extensions (documented in
-//! DESIGN.md) make realistic benchmark applications expressible:
+//! sequential composition. Three pragmatic extensions (see `docs/ARCHITECTURE.md`,
+//! "Substitutions") make realistic benchmark applications expressible:
 //!
 //! * procedures with by-value parameters and a return value,
 //! * `error`/`warn`/`abort` statements modelling `png_error`-style input
@@ -293,9 +293,10 @@ pub enum Bexp {
     Or(Box<Bexp>, Box<Bexp>),
     /// Checksum verification intrinsic: true iff the CRC-32 of input bytes
     /// `[start, start+len)` equals the big-endian u32 stored in the input
-    /// at `stored`. Concretely verified but *untainted* (see DESIGN.md §3:
-    /// the Peach-style reconstructor always repairs checksums, so this
-    /// branch never flips between seed and candidate inputs).
+    /// at `stored`. Concretely verified but *untainted* (see
+    /// `docs/ARCHITECTURE.md`, "Substitutions": the Peach-style
+    /// reconstructor always repairs checksums, so this branch never flips
+    /// between seed and candidate inputs).
     Crc32Ok {
         /// Offset of the checksummed region in the input.
         start: Box<Aexp>,

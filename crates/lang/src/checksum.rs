@@ -2,7 +2,8 @@
 //!
 //! The same functions are used by `diode-format`'s Peach-style input
 //! reconstructor to *repair* checksums in generated inputs, which is why
-//! the intrinsic never flips between seed and candidate runs (DESIGN.md §3).
+//! the intrinsic never flips between seed and candidate runs (see
+//! `docs/ARCHITECTURE.md`, "Substitutions").
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the PNG chunk
 /// checksum.

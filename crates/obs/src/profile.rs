@@ -340,6 +340,27 @@ impl ProfileReport {
                 ms(row.p99_ns),
             );
         }
+        if let Some(&queries) = self.counters.get("solver.queries") {
+            let counter = |name: &str| self.counters.get(name).copied().unwrap_or(0);
+            let conflicts = counter("solver.conflicts");
+            let solve_self_ns = self
+                .breakdown
+                .phases
+                .iter()
+                .find(|row| row.phase == Phase::Solve)
+                .map_or(0, |row| row.self_ns);
+            let per_conflict = if conflicts == 0 {
+                "-".to_string()
+            } else {
+                format!("{:.1}", solve_self_ns as f64 / 1e3 / conflicts as f64)
+            };
+            let _ = writeln!(
+                out,
+                "solver: {queries} queries, {} cache hits, {conflicts} conflicts, {} propagations, {per_conflict} us solve self per conflict",
+                counter("solver.cache_hits"),
+                counter("solver.propagations"),
+            );
+        }
         if !self.top_sites.is_empty() {
             let _ = writeln!(out, "top {} slowest sites:", self.top_sites.len());
             for s in &self.top_sites {
@@ -863,6 +884,35 @@ mod tests {
         for phase in ["identify", "extract", "solve", "enforce", "interp_run"] {
             assert!(text.contains(phase), "missing {phase} in:\n{text}");
         }
+    }
+
+    #[test]
+    fn render_prints_solver_work_per_conflict() {
+        let mut trace = sample();
+        assert!(!ProfileReport::from_trace(&trace, 3)
+            .render()
+            .contains("solver:"));
+        for (name, value) in [
+            ("solver.queries", 12),
+            ("solver.cache_hits", 4),
+            ("solver.conflicts", 8),
+            ("solver.propagations", 900),
+        ] {
+            trace.counters.insert(name.into(), value);
+        }
+        let report = ProfileReport::from_trace(&trace, 3);
+        let solve_self_ns = report
+            .breakdown
+            .phases
+            .iter()
+            .find(|row| row.phase == Phase::Solve)
+            .expect("solve row")
+            .self_ns;
+        let line = format!(
+            "solver: 12 queries, 4 cache hits, 8 conflicts, 900 propagations, {:.1} us solve self per conflict",
+            solve_self_ns as f64 / 1e3 / 8.0
+        );
+        assert!(report.render().contains(&line), "{}", report.render());
     }
 
     #[test]

@@ -40,8 +40,11 @@
 //! Requests are the daemon's input boundary, so every size a client
 //! chooses is bounded by a constant: a request line by
 //! [`MAX_REQUEST_LINE`] bytes, its JSON nesting by the codec's 128
-//! levels, a `watch` ring by [`MAX_WATCH_RING`] events, and a job's
-//! worker threads by [`MAX_THREADS`]. Anything larger is a typed `400`.
+//! levels, a `watch` ring by [`MAX_WATCH_RING`] events, a job's
+//! worker threads by [`MAX_THREADS`], and a forge spec's size by
+//! [`MAX_APPS`], [`MAX_DEPTH`], [`MAX_SITES`], [`MAX_SEEDS_PER_APP`],
+//! [`MAX_SITE_WORK`] and [`MAX_STALL_WORK`]. Anything larger is a typed
+//! `400`, answered before any forging.
 //! A client has [`REQUEST_READ_TIMEOUT`] to send its request line; an
 //! idle connection is closed without a reply.
 
@@ -120,6 +123,24 @@ pub const MAX_WATCH_RING: usize = 65_536;
 
 /// Most worker threads a submit may pin.
 pub const MAX_THREADS: usize = 256;
+
+/// Most apps a forge spec may ask for.
+pub const MAX_APPS: usize = 1024;
+
+/// Deepest guard chain (`depth`) a forge spec may ask for.
+pub const MAX_DEPTH: usize = 64;
+
+/// Most target sites per app (`sites`) a forge spec may ask for.
+pub const MAX_SITES: usize = 64;
+
+/// Most seeds per app a forge spec may ask for.
+pub const MAX_SEEDS_PER_APP: usize = 64;
+
+/// Largest per-site prefix work (`site_work`) a forge spec may ask for.
+pub const MAX_SITE_WORK: usize = 100_000_000;
+
+/// Largest per-site work of the planted stall app (`stall_work`).
+pub const MAX_STALL_WORK: usize = 100_000_000;
 
 /// Longest request line the daemon reads, newline included (bytes).
 pub const MAX_REQUEST_LINE: usize = 64 * 1024;
@@ -286,31 +307,49 @@ fn parse_spec(spec: &Json) -> Result<(SynthConfig, u32), Json> {
             }),
         }
     };
+    // A size the client picks: an integer, at most `max`.
+    let size = |key: &str, max: usize| -> Result<Option<usize>, Json> {
+        num(key)?;
+        at_most(spec, key, max)
+    };
+    let work = |key: &str, max: usize| -> Result<Option<u32>, Json> {
+        size(key, max)?
+            .map(|w| {
+                u32::try_from(w).map_err(|_| {
+                    reject(
+                        400,
+                        "bad_request",
+                        &format!("spec field {key:?} does not fit in 32 bits"),
+                    )
+                })
+            })
+            .transpose()
+    };
     let mut cfg = SynthConfig::default();
-    if let Some(apps) = num("apps")? {
+    if let Some(apps) = size("apps", MAX_APPS)? {
         if apps == 0 {
             return Err(reject(400, "bad_request", "spec.apps must be at least 1"));
         }
-        cfg.apps = apps as usize;
+        cfg.apps = apps;
     }
-    if let Some(depth) = num("depth")? {
-        cfg.branch_depth = depth as usize;
+    if let Some(depth) = size("depth", MAX_DEPTH)? {
+        cfg.branch_depth = depth;
     }
-    if let Some(sites) = num("sites")? {
-        let sites = (sites as usize).max(1);
+    if let Some(sites) = size("sites", MAX_SITES)? {
+        let sites = sites.max(1);
         cfg.min_sites = sites;
         cfg.max_sites = sites;
     }
-    if let Some(k) = num("seeds_per_app")? {
-        cfg.seeds_per_app = (k as usize).max(1);
+    if let Some(k) = size("seeds_per_app", MAX_SEEDS_PER_APP)? {
+        cfg.seeds_per_app = k.max(1);
     }
-    if let Some(w) = num("site_work")? {
-        cfg.site_work = w as u32;
+    if let Some(w) = work("site_work", MAX_SITE_WORK)? {
+        cfg.site_work = w;
     }
     if let Some(seed) = num("rng_seed")? {
         cfg.rng_seed = seed;
     }
-    let stall_work = num("stall_work")?.unwrap_or(0) as u32;
+    let stall_work = work("stall_work", MAX_STALL_WORK)?.unwrap_or(0);
     Ok((cfg, stall_work))
 }
 
@@ -464,6 +503,30 @@ mod tests {
     }
 
     #[test]
+    fn spec_caps_are_inclusive_and_named_in_the_rejection() {
+        let line = format!(
+            r#"{{"op":"submit","spec":{{"apps":{MAX_APPS},"depth":{MAX_DEPTH},"sites":{MAX_SITES},
+            "seeds_per_app":{MAX_SEEDS_PER_APP},"site_work":{MAX_SITE_WORK},
+            "stall_work":{MAX_STALL_WORK}}}}}"#
+        );
+        let Request::Submit {
+            source: JobSource::Forge { cfg, stall_work },
+            ..
+        } = parse_request(&line).unwrap()
+        else {
+            panic!("not a forge submit");
+        };
+        assert_eq!((cfg.apps, cfg.branch_depth, cfg.max_sites), (1024, 64, 64));
+        assert_eq!(cfg.seeds_per_app, 64);
+        assert_eq!((cfg.site_work, stall_work), (100_000_000, 100_000_000));
+        let err = parse_request(r#"{"op":"submit","spec":{"site_work":4294967297}}"#).unwrap_err();
+        assert_eq!(
+            err.get("detail").and_then(Json::as_str),
+            Some("site_work 4294967297 exceeds the limit of 100000000")
+        );
+    }
+
+    #[test]
     fn rejections_are_typed() {
         for (line, want) in [
             ("not json", "bad_request"),
@@ -490,6 +553,30 @@ mod tests {
                 r#"{"op":"submit","spec":{"apps":1},"threads":1099511627776}"#,
                 "bad_request",
             ),
+            (
+                r#"{"op":"submit","spec":{"apps":1000000000000}}"#,
+                "bad_request",
+            ),
+            (r#"{"op":"submit","spec":{"apps":1025}}"#, "bad_request"),
+            (r#"{"op":"submit","spec":{"depth":65}}"#, "bad_request"),
+            (r#"{"op":"submit","spec":{"sites":65}}"#, "bad_request"),
+            (
+                r#"{"op":"submit","spec":{"seeds_per_app":65}}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"submit","spec":{"site_work":4294967297}}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"submit","spec":{"site_work":100000001}}"#,
+                "bad_request",
+            ),
+            (
+                r#"{"op":"submit","spec":{"stall_work":4294967297}}"#,
+                "bad_request",
+            ),
+            (r#"{"op":"submit","spec":{"depth":"deep"}}"#, "bad_request"),
         ] {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.get("ok").and_then(Json::as_bool), Some(false));

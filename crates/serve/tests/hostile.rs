@@ -2,8 +2,9 @@
 //! a typed `400 bad_request`, and the daemon keeps answering afterwards.
 //! Without the request limits, the first three lines abort the whole
 //! process (a parser stack overflow, then allocations sized by the
-//! client). An idle client is disconnected after the request-read
-//! timeout instead of pinning a daemon thread.
+//! client). A forge spec over a size cap is refused before any forging.
+//! An idle client is disconnected after the request-read timeout instead
+//! of pinning a daemon thread.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -51,6 +52,41 @@ fn hostile_request_lines_get_typed_400s_and_the_daemon_survives() {
         assert_eq!(
             verdict,
             (Some(false), Some(400), Some("bad_request")),
+            "{reply}"
+        );
+    }
+    let status = request(addr, br#"{"op":"status"}"#);
+    assert_eq!(status.get("ok"), Some(&Json::Bool(true)), "{status}");
+    let reply = request(addr, br#"{"op":"shutdown"}"#);
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(true));
+    handle.join();
+}
+
+#[test]
+fn oversized_jobs_are_refused_before_forging() {
+    let handle = serve(ServeConfig::default()).expect("daemon starts");
+    let addr = handle.addr();
+    // Each would ask the worker for a forge of 10^12 apps (an allocation
+    // failure aborts the process), hours of work, or a work count that
+    // used to wrap to 1. None of them may reach the forge.
+    for (field, value) in [
+        ("apps", 1_000_000_000_000u64),
+        ("depth", 1 << 40),
+        ("sites", 1 << 40),
+        ("seeds_per_app", 1 << 40),
+        ("site_work", (1 << 32) + 1),
+        ("stall_work", (1 << 32) + 1),
+    ] {
+        let line = format!(r#"{{"op":"submit","spec":{{"{field}":{value}}},"wait":true}}"#);
+        let reply = request(addr, line.as_bytes());
+        let verdict = (
+            reply.get("code").and_then(Json::as_u64),
+            reply.get("error").and_then(Json::as_str),
+        );
+        assert_eq!(verdict, (Some(400), Some("bad_request")), "{reply}");
+        let detail = reply.get("detail").and_then(Json::as_str).unwrap_or("");
+        assert!(
+            detail.starts_with(&format!("{field} {value} exceeds the limit of ")),
             "{reply}"
         );
     }

@@ -22,11 +22,40 @@
 //! | `OvfShrink(w')` | OR of the dropped bits |
 
 use std::collections::{BTreeMap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use diode_lang::{BinOp, Bv, CastKind, CmpOp, UnOp};
 use diode_symbolic::{OvfKind, Sym, SymBool, SymExpr};
 
 use crate::sat::{Lit, Sat};
+
+/// Hashes a node address with one multiply (Fibonacci hashing). The
+/// keys are addresses of live nodes, not outside input, so SipHash's
+/// flooding resistance buys nothing here.
+#[derive(Default)]
+struct AddrHasher(u64);
+
+impl Hasher for AddrHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = (self.0.rotate_left(5) ^ n).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.write_u64(n as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        // The product's high bits mix every input bit; the table indexes
+        // buckets by the low bits, which for aligned addresses are zero.
+        self.0.rotate_left(26)
+    }
+}
 
 /// Encodes expressions/conditions into a [`Sat`] instance.
 pub struct Blaster<'s> {
@@ -34,7 +63,7 @@ pub struct Blaster<'s> {
     lit_true: Lit,
     /// Cache keyed by expression DAG node identity. Holds a clone of the
     /// expression so the pointer stays valid for the cache's lifetime.
-    expr_cache: HashMap<usize, (SymExpr, Vec<Lit>)>,
+    expr_cache: HashMap<usize, (SymExpr, Vec<Lit>), BuildHasherDefault<AddrHasher>>,
     /// Eight literals per input byte, LSB first.
     byte_bits: BTreeMap<u32, Vec<Lit>>,
 }
@@ -48,7 +77,7 @@ impl<'s> Blaster<'s> {
         Blaster {
             sat,
             lit_true,
-            expr_cache: HashMap::new(),
+            expr_cache: HashMap::default(),
             byte_bits: BTreeMap::new(),
         }
     }

@@ -159,7 +159,8 @@ impl SolverCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         span.cache_hit(false);
-        let result = solve_with(cond, config, None).0;
+        let (result, stats) = solve_with(cond, config, None);
+        stats.count();
         if !matches!(result, SolveResult::Unknown) {
             let cost = entry_cost(&result);
             if self

@@ -12,7 +12,10 @@
 //!    [`diode_symbolic::SymExpr`]/[`diode_symbolic::SymBool`] DAGs into CNF with exact
 //!    circuits for every operation and overflow atom,
 //! 3. a CDCL SAT core ([`sat`]) with watched literals, VSIDS, Luby
-//!    restarts, phase saving and clause-database reduction,
+//!    restarts, phase saving and clause-database reduction; clause
+//!    literals live in one flat arena, and each thread solves its
+//!    queries on one reused SAT workspace, reset between queries (a
+//!    query runs the same search on it as on a new solver),
 //! 4. a sharded, thread-safe **query cache** ([`cache`]) memoizing
 //!    `Sat`/`Unsat` outcomes behind structural fingerprints of the
 //!    constraint DAG — the substrate `diode-engine` campaigns share

@@ -1,9 +1,9 @@
 //! A CDCL SAT solver.
 //!
 //! This is the decision-procedure core of the `diode-solver` crate — the
-//! offline stand-in for Z3 \[13\] in the paper's pipeline (see DESIGN.md §3).
-//! It is a conventional conflict-driven clause-learning solver in the
-//! MiniSat lineage:
+//! offline stand-in for Z3 \[13\] in the paper's pipeline (see
+//! `docs/ARCHITECTURE.md`, "Substitutions"). It is a conventional
+//! conflict-driven clause-learning solver in the MiniSat lineage:
 //!
 //! * two-watched-literal unit propagation,
 //! * first-UIP conflict analysis with non-chronological backjumping,
@@ -17,7 +17,40 @@
 //!
 //! The solver is deterministic for a fixed configuration; diversity is
 //! injected only through explicit initial-phase/activity seeds.
+//!
+//! # Memory layout
+//!
+//! Every clause's literals live in one flat arena (`Vec<Lit>`); a clause
+//! is a header (start, length, flags, activity, LBD) over its slice, and
+//! clause references are header indices in creation order. Clause
+//! normalisation and conflict analysis work in buffers the solver keeps,
+//! so the search itself allocates only when a buffer or the arena grows.
+//!
+//! # The per-thread workspace
+//!
+//! The high-level API solves each query on this thread's workspace
+//! (`with_workspace`): one `Sat` per thread, reset between queries. A
+//! reset clears every vector but keeps its capacity, watch lists
+//! included, so a thread's queries after the first reuse the memory of
+//! the largest one before them. A query that allocates more than
+//! `WORKSPACE_MAX_VARS` (8,192) variables drops the workspace when it
+//! ends, so a thread does not hold the buffers of a rare huge query (the
+//! paper apps reach about 18k variables) for the rest of its life. Engine
+//! workers are scoped threads, so their workspaces end with the
+//! campaign.
+//!
+//! # Search identity
+//!
+//! A reset solver is indistinguishable from a new one: the same
+//! variables, clauses, watch order, decisions, conflicts, learnt clauses
+//! and model, query after query and whatever the previous query did
+//! (`tests/solver_golden.rs` pins this over the queries the enforcement
+//! loop issues, and replays them in reverse order with budget-exhausted
+//! solves in between). The memory layout above is not allowed to change
+//! the search either: any change that moves a model or a work counter
+//! changes outcome fingerprints and witness bytes downstream.
 
+use std::cell::RefCell;
 use std::fmt;
 
 /// A propositional variable (0-based index).
@@ -75,21 +108,23 @@ impl fmt::Debug for Lit {
     }
 }
 
-/// Tri-state assignment value.
+/// Tri-state assignment value, encoded so that a literal's value is its
+/// variable's value XOR its sign bit: 0 true, 1 false, 2 (or, for a
+/// negative literal, 3) unassigned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LBool {
-    True,
-    False,
-    Undef,
-}
+struct LBool(u8);
 
 impl LBool {
+    const TRUE: LBool = LBool(0);
+    const FALSE: LBool = LBool(1);
+    const UNDEF: LBool = LBool(2);
+
     fn from_bool(b: bool) -> LBool {
-        if b {
-            LBool::True
-        } else {
-            LBool::False
-        }
+        LBool(u8::from(!b))
+    }
+
+    fn is_undef(self) -> bool {
+        self.0 >= 2
     }
 }
 
@@ -104,13 +139,21 @@ pub enum SatOutcome {
     Unknown,
 }
 
-#[derive(Debug, Clone)]
+/// A clause header: its literals are `arena[start..start + len]`.
+#[derive(Debug, Clone, Copy)]
 struct Clause {
-    lits: Vec<Lit>,
+    start: u32,
+    len: u32,
     learnt: bool,
     deleted: bool,
     activity: f64,
     lbd: u32,
+}
+
+impl Clause {
+    fn range(&self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -158,7 +201,12 @@ impl Default for SatConfig {
 /// The CDCL solver.
 pub struct Sat {
     config: SatConfig,
+    /// Clause headers, indexed by clause reference.
     clauses: Vec<Clause>,
+    /// Every clause's literals, back to back.
+    arena: Vec<Lit>,
+    /// Watch lists by literal index. A reset keeps the lists (and their
+    /// capacity) past `2 * n_vars()`; those are always empty.
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     phase: Vec<bool>,
@@ -177,12 +225,52 @@ pub struct Sat {
     n_propagations: u64,
     unsat: bool,
     seen: Vec<bool>,
+    /// Live learnt clauses longer than two literals: the clauses
+    /// `reduce_db` may delete.
+    n_long_learnts: usize,
+    /// `add_clause`'s normalisation buffer.
+    add_buf: Vec<Lit>,
+    /// `analyze`'s learnt clause before minimisation.
+    analyze_buf: Vec<Lit>,
+    /// The last learnt clause, asserting literal first.
+    learnt: Vec<Lit>,
+    /// Per decision level, the `lbd_epoch` that last counted it.
+    lbd_stamp: Vec<u32>,
+    lbd_epoch: u32,
 }
 
 impl Default for Sat {
     fn default() -> Self {
         Sat::new(SatConfig::default())
     }
+}
+
+/// Variables above which a query's workspace is dropped when the query
+/// ends instead of being kept for the thread's next query.
+const WORKSPACE_MAX_VARS: usize = 8192;
+
+thread_local! {
+    static WORKSPACE: RefCell<Sat> = RefCell::new(Sat::default());
+}
+
+/// Runs `f` on this thread's solver workspace, reset to a fresh solver
+/// under `config`. Returns `f`'s result; the workspace is dropped
+/// afterwards if `f` left more than `WORKSPACE_MAX_VARS` variables.
+///
+/// # Panics
+///
+/// Panics if `f` itself calls `with_workspace` (the workspace is
+/// borrowed for the whole call).
+pub(crate) fn with_workspace<R>(config: SatConfig, f: impl FnOnce(&mut Sat) -> R) -> R {
+    WORKSPACE.with(|cell| {
+        let mut sat = cell.borrow_mut();
+        sat.reset(config);
+        let out = f(&mut sat);
+        if sat.n_vars() > WORKSPACE_MAX_VARS {
+            *sat = Sat::default();
+        }
+        out
+    })
 }
 
 impl Sat {
@@ -192,6 +280,7 @@ impl Sat {
         Sat {
             config,
             clauses: Vec::new(),
+            arena: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             phase: Vec::new(),
@@ -210,21 +299,61 @@ impl Sat {
             n_propagations: 0,
             unsat: false,
             seen: Vec::new(),
+            n_long_learnts: 0,
+            add_buf: Vec::new(),
+            analyze_buf: Vec::new(),
+            learnt: Vec::new(),
+            lbd_stamp: Vec::new(),
+            lbd_epoch: 0,
         }
+    }
+
+    /// Returns the solver to the state of `Sat::new(config)`, keeping the
+    /// capacity of every buffer.
+    fn reset(&mut self, config: SatConfig) {
+        self.config = config;
+        for w in &mut self.watches[..2 * self.assigns.len()] {
+            w.clear();
+        }
+        self.clauses.clear();
+        self.arena.clear();
+        self.assigns.clear();
+        self.phase.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.activity.clear();
+        self.heap.clear();
+        self.heap_pos.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.var_inc = 1.0;
+        self.clause_inc = 1.0;
+        self.n_conflicts = 0;
+        self.n_decisions = 0;
+        self.n_propagations = 0;
+        self.unsat = false;
+        self.seen.clear();
+        self.n_long_learnts = 0;
+        self.lbd_stamp.clear();
+        self.lbd_epoch = 0;
     }
 
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(u32::try_from(self.assigns.len()).expect("too many variables"));
-        self.assigns.push(LBool::Undef);
+        self.assigns.push(LBool::UNDEF);
         self.phase.push(self.config.default_phase);
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
         self.heap_pos.push(None);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        let watched = 2 * self.assigns.len();
+        if self.watches.len() < watched {
+            self.watches.resize_with(watched, Vec::new);
+        }
+        debug_assert!(self.watches[watched - 2..watched].iter().all(Vec::is_empty));
         self.heap_insert(v);
         v
     }
@@ -284,28 +413,44 @@ impl Sat {
         if self.unsat {
             return false;
         }
-        // Normalise: sort, dedup, drop tautologies and false literals.
-        let mut ls: Vec<Lit> = lits.to_vec();
+        // Normalise: sort, dedup, drop tautologies and false literals. The
+        // surviving literals go straight onto the arena's tail, which is
+        // truncated again unless they become a clause.
+        let mut ls = std::mem::take(&mut self.add_buf);
+        ls.clear();
+        ls.extend_from_slice(lits);
         ls.sort_unstable();
         ls.dedup();
-        let mut filtered = Vec::with_capacity(ls.len());
+        let start = self.arena.len();
+        let mut satisfied = false;
         for (i, &l) in ls.iter().enumerate() {
             if i + 1 < ls.len() && ls[i + 1] == !l {
-                return true; // tautology: x ∨ ¬x
+                satisfied = true; // tautology: x ∨ ¬x
+                break;
             }
-            match self.value(l) {
-                LBool::True => return true, // already satisfied at level 0
-                LBool::False => {}          // drop falsified literal
-                LBool::Undef => filtered.push(l),
+            let value = self.value(l);
+            if value == LBool::TRUE {
+                satisfied = true; // already satisfied at level 0
+                break;
             }
+            if value.is_undef() {
+                self.arena.push(l);
+            } // else drop the falsified literal
         }
-        match filtered.len() {
+        self.add_buf = ls;
+        if satisfied {
+            self.arena.truncate(start);
+            return true;
+        }
+        match self.arena.len() - start {
             0 => {
                 self.unsat = true;
                 false
             }
             1 => {
-                self.enqueue(filtered[0], None);
+                let unit = self.arena[start];
+                self.arena.truncate(start);
+                self.enqueue(unit, None);
                 if self.propagate().is_some() {
                     self.unsat = true;
                     false
@@ -314,38 +459,36 @@ impl Sat {
                 }
             }
             _ => {
-                self.attach_clause(filtered, false);
+                self.attach_clause(start, false);
                 true
             }
         }
     }
 
-    fn attach_clause(&mut self, lits: Vec<Lit>, learnt: bool) -> u32 {
+    /// Makes `arena[start..]` a clause and watches its first two
+    /// literals.
+    fn attach_clause(&mut self, start: usize, learnt: bool) -> u32 {
         let cref = u32::try_from(self.clauses.len()).expect("too many clauses");
-        self.watches[(!lits[0]).index()].push(Watcher {
-            cref,
-            blocker: lits[1],
-        });
-        self.watches[(!lits[1]).index()].push(Watcher {
-            cref,
-            blocker: lits[0],
-        });
+        let len = self.arena.len() - start;
+        let (l0, l1) = (self.arena[start], self.arena[start + 1]);
+        self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
+        self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
         self.clauses.push(Clause {
-            lits,
+            start: u32::try_from(start).expect("clause arena overflow"),
+            len: len as u32,
             learnt,
             deleted: false,
             activity: 0.0,
             lbd: 0,
         });
+        if learnt && len > 2 {
+            self.n_long_learnts += 1;
+        }
         cref
     }
 
     fn value(&self, lit: Lit) -> LBool {
-        match self.assigns[lit.var().0 as usize] {
-            LBool::Undef => LBool::Undef,
-            LBool::True => LBool::from_bool(!lit.sign()),
-            LBool::False => LBool::from_bool(lit.sign()),
-        }
+        LBool(self.assigns[lit.var().0 as usize].0 ^ (lit.0 & 1) as u8)
     }
 
     /// The model value of `var` after [`SatOutcome::Sat`].
@@ -356,9 +499,9 @@ impl Sat {
     #[must_use]
     pub fn model_value(&self, var: Var) -> bool {
         match self.assigns[var.0 as usize] {
-            LBool::True => true,
-            LBool::False => false,
-            LBool::Undef => panic!("no model: variable {var:?} unassigned"),
+            LBool::TRUE => true,
+            LBool::FALSE => false,
+            _ => panic!("no model: variable {var:?} unassigned"),
         }
     }
 
@@ -367,7 +510,7 @@ impl Sat {
     }
 
     fn enqueue(&mut self, lit: Lit, reason: Option<u32>) {
-        debug_assert_eq!(self.value(lit), LBool::Undef);
+        debug_assert!(self.value(lit).is_undef());
         let v = lit.var().0 as usize;
         self.assigns[v] = LBool::from_bool(!lit.sign());
         self.level[v] = self.decision_level();
@@ -392,25 +535,22 @@ impl Sat {
                     kept += 1;
                     continue;
                 }
-                if self.value(w.blocker) == LBool::True {
+                if self.value(w.blocker) == LBool::TRUE {
                     ws[kept] = w;
                     kept += 1;
                     continue;
                 }
-                let cref = w.cref as usize;
-                if self.clauses[cref].deleted {
+                let clause = self.clauses[w.cref as usize];
+                if clause.deleted {
                     continue; // drop watcher of deleted clause
                 }
+                let (start, len) = (clause.start as usize, clause.len as usize);
                 // Make sure the false literal (¬p) is at position 1.
-                let false_lit = !p;
-                {
-                    let lits = &mut self.clauses[cref].lits;
-                    if lits[0] == false_lit {
-                        lits.swap(0, 1);
-                    }
+                if self.arena[start] == !p {
+                    self.arena.swap(start, start + 1);
                 }
-                let first = self.clauses[cref].lits[0];
-                if first != w.blocker && self.value(first) == LBool::True {
+                let first = self.arena[start];
+                if first != w.blocker && self.value(first) == LBool::TRUE {
                     ws[kept] = Watcher {
                         cref: w.cref,
                         blocker: first,
@@ -419,11 +559,10 @@ impl Sat {
                     continue;
                 }
                 // Look for a new literal to watch.
-                let len = self.clauses[cref].lits.len();
-                for k in 2..len {
-                    let lk = self.clauses[cref].lits[k];
-                    if self.value(lk) != LBool::False {
-                        self.clauses[cref].lits.swap(1, k);
+                for k in start + 2..start + len {
+                    let lk = self.arena[k];
+                    if self.value(lk) != LBool::FALSE {
+                        self.arena.swap(start + 1, k);
                         self.watches[(!lk).index()].push(Watcher {
                             cref: w.cref,
                             blocker: first,
@@ -437,7 +576,7 @@ impl Sat {
                     blocker: first,
                 };
                 kept += 1;
-                if self.value(first) == LBool::False {
+                if self.value(first) == LBool::FALSE {
                     conflict = Some(w.cref);
                     self.qhead = self.trail.len();
                 } else {
@@ -477,19 +616,23 @@ impl Sat {
         }
     }
 
-    /// First-UIP conflict analysis. Returns the learnt clause (asserting
-    /// literal first) and the backjump level.
-    fn analyze(&mut self, mut confl: u32) -> (Vec<Lit>, u32) {
-        let mut learnt: Vec<Lit> = vec![Lit::pos(Var(0))]; // placeholder for UIP
+    /// First-UIP conflict analysis. Leaves the learnt clause in
+    /// `self.learnt` (asserting literal first) and returns the backjump
+    /// level.
+    fn analyze(&mut self, mut confl: u32) -> u32 {
+        let mut learnt = std::mem::take(&mut self.analyze_buf);
+        learnt.clear();
+        learnt.push(Lit::pos(Var(0))); // placeholder for UIP
         let mut counter = 0usize;
         let mut p: Option<Lit> = None;
         let mut index = self.trail.len();
 
         loop {
             self.bump_clause(confl);
-            let lits: Vec<Lit> = self.clauses[confl as usize].lits.clone();
-            let start = if p.is_some() { 1 } else { 0 };
-            for &q in &lits[start..] {
+            let range = self.clauses[confl as usize].range();
+            let start = range.start + usize::from(p.is_some());
+            for k in start..range.end {
+                let q = self.arena[k];
                 let v = q.var().0 as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -518,20 +661,29 @@ impl Sat {
             }
             confl = self.reason[pv].expect("non-decision must have a reason");
         }
+        let uip = p.expect("UIP literal").var();
         learnt[0] = !p.expect("UIP literal");
 
         // Cheap self-subsumption minimisation: drop literals whose reason
         // clause is entirely covered by the rest of the learnt clause.
-        let covered: std::collections::HashSet<u32> = learnt.iter().map(|l| l.var().0).collect();
-        let mut minimised = vec![learnt[0]];
+        // Every current-level variable marked above was unmarked on the
+        // trail walk before the counter reached 0, so `seen` now marks
+        // exactly the variables of `learnt[1..]`; with the UIP they are
+        // the clause's variables.
+        let mut minimised = std::mem::take(&mut self.learnt);
+        minimised.clear();
+        minimised.push(learnt[0]);
         for &l in &learnt[1..] {
-            let v = l.var().0 as usize;
-            let redundant = match self.reason[v] {
-                Some(r) => self.clauses[r as usize].lits.iter().all(|q| {
-                    q.var() == l.var()
-                        || covered.contains(&q.var().0)
-                        || self.level[q.var().0 as usize] == 0
-                }),
+            let redundant = match self.reason[l.var().0 as usize] {
+                Some(r) => self.arena[self.clauses[r as usize].range()]
+                    .iter()
+                    .all(|q| {
+                        let v = q.var();
+                        v == l.var()
+                            || v == uip
+                            || self.seen[v.0 as usize]
+                            || self.level[v.0 as usize] == 0
+                    }),
                 None => false,
             };
             if !redundant {
@@ -544,37 +696,49 @@ impl Sat {
         for &l in &learnt {
             self.seen[l.var().0 as usize] = false;
         }
-        let learnt = minimised;
+        self.analyze_buf = learnt;
 
-        let mut learnt = learnt;
-        let backjump = if learnt.len() == 1 {
+        let backjump = if minimised.len() == 1 {
             0
         } else {
             // Second-highest decision level in the clause; that literal is
             // moved to position 1 so it is watched (required for the
             // two-watched-literal invariant after backjumping).
             let mut max_i = 1;
-            for i in 2..learnt.len() {
-                if self.level[learnt[i].var().0 as usize]
-                    > self.level[learnt[max_i].var().0 as usize]
+            for i in 2..minimised.len() {
+                if self.level[minimised[i].var().0 as usize]
+                    > self.level[minimised[max_i].var().0 as usize]
                 {
                     max_i = i;
                 }
             }
-            learnt.swap(1, max_i);
-            self.level[learnt[1].var().0 as usize]
+            minimised.swap(1, max_i);
+            self.level[minimised[1].var().0 as usize]
         };
-        (learnt, backjump)
+        self.learnt = minimised;
+        backjump
     }
 
-    fn compute_lbd(&self, lits: &[Lit]) -> u32 {
-        let mut levels: Vec<u32> = lits
-            .iter()
-            .map(|l| self.level[l.var().0 as usize])
-            .collect();
-        levels.sort_unstable();
-        levels.dedup();
-        levels.len() as u32
+    /// Literal-block distance of `self.learnt`: the number of distinct
+    /// decision levels among its literals.
+    fn learnt_lbd(&mut self) -> u32 {
+        self.lbd_epoch = self.lbd_epoch.wrapping_add(1);
+        if self.lbd_epoch == 0 {
+            self.lbd_stamp.fill(0);
+            self.lbd_epoch = 1;
+        }
+        let mut distinct = 0;
+        for l in &self.learnt {
+            let lv = self.level[l.var().0 as usize] as usize;
+            if lv >= self.lbd_stamp.len() {
+                self.lbd_stamp.resize(lv + 1, 0);
+            }
+            if self.lbd_stamp[lv] != self.lbd_epoch {
+                self.lbd_stamp[lv] = self.lbd_epoch;
+                distinct += 1;
+            }
+        }
+        distinct
     }
 
     fn cancel_until(&mut self, level: u32) {
@@ -586,7 +750,7 @@ impl Sat {
             let lit = self.trail[i];
             let v = lit.var().0 as usize;
             self.phase[v] = !lit.sign(); // phase saving
-            self.assigns[v] = LBool::Undef;
+            self.assigns[v] = LBool::UNDEF;
             self.reason[v] = None;
             self.heap_insert(lit.var());
         }
@@ -597,7 +761,7 @@ impl Sat {
 
     fn decide(&mut self) -> bool {
         while let Some(v) = self.heap_pop() {
-            if self.assigns[v.0 as usize] == LBool::Undef {
+            if self.assigns[v.0 as usize] == LBool::UNDEF {
                 self.n_decisions += 1;
                 self.trail_lim.push(self.trail.len());
                 let phase = self.phase[v.0 as usize];
@@ -610,16 +774,18 @@ impl Sat {
     }
 
     fn reduce_db(&mut self) {
+        if self.n_long_learnts < self.config.max_learnts {
+            return;
+        }
         let mut learnt_refs: Vec<u32> = (0..self.clauses.len() as u32)
             .filter(|&i| {
                 let c = &self.clauses[i as usize];
-                c.learnt && !c.deleted && c.lits.len() > 2
+                c.learnt && !c.deleted && c.len > 2
             })
             .collect();
-        if learnt_refs.len() < self.config.max_learnts {
-            return;
-        }
-        // Keep the more useful half: low LBD, then high activity.
+        debug_assert_eq!(learnt_refs.len(), self.n_long_learnts);
+        // Keep the more useful half: low LBD, then high activity. The sort
+        // is stable, so ties keep creation order.
         learnt_refs.sort_by(|&a, &b| {
             let (ca, cb) = (&self.clauses[a as usize], &self.clauses[b as usize]);
             ca.lbd.cmp(&cb.lbd).then(
@@ -628,11 +794,14 @@ impl Sat {
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
-        let locked: std::collections::HashSet<u32> =
-            self.reason.iter().flatten().copied().collect();
+        let mut locked = vec![false; self.clauses.len()];
+        for &r in self.reason.iter().flatten() {
+            locked[r as usize] = true;
+        }
         for &cref in &learnt_refs[learnt_refs.len() / 2..] {
-            if !locked.contains(&cref) {
+            if !locked[cref as usize] {
                 self.clauses[cref as usize].deleted = true;
+                self.n_long_learnts -= 1;
             }
         }
         // Rebuild watches without deleted clauses.
@@ -644,14 +813,12 @@ impl Sat {
                 continue;
             }
             let cref = i as u32;
-            self.watches[(!c.lits[0]).index()].push(Watcher {
-                cref,
-                blocker: c.lits[1],
-            });
-            self.watches[(!c.lits[1]).index()].push(Watcher {
-                cref,
-                blocker: c.lits[0],
-            });
+            let (l0, l1) = (
+                self.arena[c.start as usize],
+                self.arena[c.start as usize + 1],
+            );
+            self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
+            self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
         }
     }
 
@@ -687,14 +854,16 @@ impl Sat {
                     self.cancel_until(0);
                     return SatOutcome::Unknown;
                 }
-                let (learnt, backjump) = self.analyze(confl);
+                let backjump = self.analyze(confl);
                 self.cancel_until(backjump);
-                if learnt.len() == 1 {
-                    self.enqueue(learnt[0], None);
+                let asserting = self.learnt[0];
+                if self.learnt.len() == 1 {
+                    self.enqueue(asserting, None);
                 } else {
-                    let lbd = self.compute_lbd(&learnt);
-                    let asserting = learnt[0];
-                    let cref = self.attach_clause(learnt, true);
+                    let lbd = self.learnt_lbd();
+                    let start = self.arena.len();
+                    self.arena.extend_from_slice(&self.learnt);
+                    let cref = self.attach_clause(start, true);
                     self.clauses[cref as usize].lbd = lbd;
                     self.bump_clause(cref);
                     self.enqueue(asserting, Some(cref));
@@ -1047,6 +1216,91 @@ mod tests {
                     assert!(cl.iter().any(|&(v, sign)| s.model_value(vs[v]) == sign));
                 }
             }
+        }
+    }
+
+    /// Deterministic 3-SAT instance over `n_vars` variables.
+    fn random_3sat(n_vars: usize, n_clauses: usize, mut state: u64) -> (Sat, Vec<Var>) {
+        let mut s = Sat::default();
+        let vs = vars(&mut s, n_vars);
+        for _ in 0..n_clauses {
+            let mut cl = Vec::new();
+            for _ in 0..3 {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                let v = vs[(state % n_vars as u64) as usize];
+                cl.push(if state >> 32 & 1 == 0 {
+                    Lit::pos(v)
+                } else {
+                    Lit::neg(v)
+                });
+            }
+            s.add_clause(&cl);
+        }
+        (s, vs)
+    }
+
+    #[test]
+    fn workspace_keeps_buffers_until_a_huge_query() {
+        let capacity = || WORKSPACE.with(|w| w.borrow().assigns.capacity());
+        with_workspace(SatConfig::default(), |s| {
+            vars(s, 100);
+        });
+        assert!(capacity() >= 100);
+        with_workspace(SatConfig::default(), |s| {
+            assert_eq!(s.n_vars(), 0, "reset");
+            vars(s, WORKSPACE_MAX_VARS + 1);
+        });
+        assert_eq!(capacity(), 0, "dropped");
+    }
+
+    #[test]
+    fn learnt_database_reduction_keeps_the_search() {
+        // A small learnt limit and frequent restarts make `reduce_db`
+        // delete clauses, which no pipeline query does. The counters and
+        // models were captured before the clause arena.
+        let (mut s, _) = pigeonhole(6, 5);
+        s.config.max_learnts = 10;
+        s.config.restart_base = 4;
+        assert_eq!(s.solve(), SatOutcome::Unsat);
+        assert_eq!(
+            (s.conflicts(), s.decisions(), s.propagations()),
+            (768, 1366, 9580)
+        );
+        let pinned = [
+            (
+                SatOutcome::Sat,
+                396,
+                729,
+                10007,
+                1_199_790_630_909_444_388_369_285_553_702,
+            ),
+            (SatOutcome::Unsat, 426, 684, 9857, 0),
+        ];
+        for (seed, want) in [0x9E37_79B9_7F4A_7C15u64, 0x2545_F491_4F6C_DD1D]
+            .into_iter()
+            .zip(pinned)
+        {
+            let (mut s, vs) = random_3sat(100, 420, seed);
+            s.config.max_learnts = 30;
+            s.config.restart_base = 4;
+            let outcome = s.solve();
+            let model: u128 = if outcome == SatOutcome::Sat {
+                vs.iter().fold(0, |acc, &v| {
+                    acc.rotate_left(1) ^ u128::from(s.model_value(v))
+                })
+            } else {
+                0
+            };
+            let got = (
+                outcome,
+                s.conflicts(),
+                s.decisions(),
+                s.propagations(),
+                model,
+            );
+            assert_eq!(got, want);
         }
     }
 }

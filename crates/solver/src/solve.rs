@@ -14,6 +14,11 @@
 //! * [`enumerate`] lists models up to a limit with blocking clauses —
 //!   which, for CVE-2008-2430's `x + 2` target expression, proves there
 //!   are exactly two overflowing inputs (§5.5).
+//!
+//! Every query is blasted and solved on the calling thread's SAT
+//! workspace (see [`crate::sat`]), reset to a fresh solver first, so a
+//! query's result and counters do not depend on what the thread solved
+//! before.
 
 use std::collections::BTreeMap;
 
@@ -24,7 +29,7 @@ use diode_symbolic::SymBool;
 
 use crate::blast::Blaster;
 use crate::interval::{cond_range, Tri};
-use crate::sat::{Lit, Sat, SatConfig, SatOutcome};
+use crate::sat::{with_workspace, Lit, SatConfig, SatOutcome};
 
 /// Configuration for the high-level solver.
 #[derive(Debug, Clone)]
@@ -128,10 +133,23 @@ pub struct SolveStats {
     pub conflicts: u64,
     /// Decisions in the SAT search.
     pub decisions: u64,
+    /// Literals propagated in the SAT search.
+    pub propagations: u64,
     /// CNF variables created.
     pub vars: usize,
     /// True if the interval pre-analysis decided the query by itself.
     pub decided_by_interval: bool,
+}
+
+impl SolveStats {
+    /// Adds this query's search work to the current job scope's
+    /// `solver.conflicts`, `solver.decisions` and `solver.propagations`
+    /// counters (a no-op outside a job scope).
+    pub fn count(&self) {
+        diode_obs::count("solver.conflicts", self.conflicts);
+        diode_obs::count("solver.decisions", self.decisions);
+        diode_obs::count("solver.propagations", self.propagations);
+    }
 }
 
 /// Solves a constraint with the default configuration.
@@ -154,44 +172,55 @@ pub fn solve_with(
         stats.decided_by_interval = true;
         return (SolveResult::Unsat, stats);
     }
-    let mut sat = Sat::new(SatConfig {
+    with_workspace(sat_config(config), |sat| {
+        let mut blaster = Blaster::new(sat);
+        blaster.assert_cond(cond);
+        if let Some(seed) = diversity_seed {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let all_vars: Vec<_> = blaster
+                .byte_bits()
+                .values()
+                .flatten()
+                .map(|l| l.var())
+                .collect();
+            for v in all_vars {
+                let polarity: bool = rng.gen();
+                let bump: f64 = rng.gen::<f64>() * 0.5;
+                blaster.sat_mut().set_polarity(v, polarity);
+                blaster.sat_mut().bump_activity_seed(v, bump);
+            }
+        }
+        let outcome = blaster.sat_mut().solve();
+        let sat = blaster.sat_ref();
+        stats.conflicts = sat.conflicts();
+        stats.decisions = sat.decisions();
+        stats.propagations = sat.propagations();
+        stats.vars = sat.n_vars();
+        let result = match outcome {
+            SatOutcome::Sat => SolveResult::Sat(model(&blaster)),
+            SatOutcome::Unsat => SolveResult::Unsat,
+            SatOutcome::Unknown => SolveResult::Unknown,
+        };
+        (result, stats)
+    })
+}
+
+/// The SAT configuration of one query under `config`.
+fn sat_config(config: &SolverConfig) -> SatConfig {
+    SatConfig {
         max_conflicts: config.max_conflicts,
         ..SatConfig::default()
-    });
-    let mut blaster = Blaster::new(&mut sat);
-    blaster.assert_cond(cond);
-    let byte_offsets: Vec<u32> = blaster.byte_bits().keys().copied().collect();
-    if let Some(seed) = diversity_seed {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let all_vars: Vec<_> = blaster
-            .byte_bits()
-            .values()
-            .flatten()
-            .map(|l| l.var())
-            .collect();
-        for v in all_vars {
-            let polarity: bool = rng.gen();
-            let bump: f64 = rng.gen::<f64>() * 0.5;
-            blaster.sat_mut().set_polarity(v, polarity);
-            blaster.sat_mut().bump_activity_seed(v, bump);
-        }
     }
-    let outcome = blaster.sat_mut().solve();
-    stats.conflicts = blaster.sat_ref().conflicts();
-    stats.decisions = blaster.sat_ref().decisions();
-    stats.vars = blaster.sat_ref().n_vars();
-    let result = match outcome {
-        SatOutcome::Sat => {
-            let bytes = byte_offsets
-                .into_iter()
-                .map(|o| (o, blaster.model_byte(o).expect("encoded byte")))
-                .collect();
-            SolveResult::Sat(Model { bytes })
-        }
-        SatOutcome::Unsat => SolveResult::Unsat,
-        SatOutcome::Unknown => SolveResult::Unknown,
-    };
-    (result, stats)
+}
+
+/// The model of every encoded input byte, after a satisfiable solve.
+fn model(blaster: &Blaster<'_>) -> Model {
+    let bytes = blaster
+        .byte_bits()
+        .keys()
+        .map(|&o| (o, blaster.model_byte(o).expect("encoded byte")))
+        .collect();
+    Model { bytes }
 }
 
 /// Draws up to `n` models of `cond`, each from an independently seeded
@@ -230,63 +259,57 @@ pub fn enumerate(cond: &SymBool, limit: usize, config: &SolverConfig) -> Enumera
             complete: true,
         };
     }
-    let mut sat = Sat::new(SatConfig {
-        max_conflicts: config.max_conflicts,
-        ..SatConfig::default()
-    });
-    let mut blaster = Blaster::new(&mut sat);
-    blaster.assert_cond(cond);
-    let byte_offsets: Vec<u32> = blaster.byte_bits().keys().copied().collect();
-    let byte_lits: Vec<(u32, Vec<Lit>)> = blaster
-        .byte_bits()
-        .iter()
-        .map(|(&o, bits)| (o, bits.clone()))
-        .collect();
-    let mut models = Vec::new();
-    loop {
-        if models.len() >= limit {
-            return Enumeration {
-                models,
-                complete: false,
-            };
-        }
-        match blaster.sat_mut().solve() {
-            SatOutcome::Sat => {}
-            SatOutcome::Unsat => {
-                return Enumeration {
-                    models,
-                    complete: true,
-                }
-            }
-            SatOutcome::Unknown => {
+    with_workspace(sat_config(config), |sat| {
+        let mut blaster = Blaster::new(sat);
+        blaster.assert_cond(cond);
+        let byte_lits: Vec<(u32, Vec<Lit>)> = blaster
+            .byte_bits()
+            .iter()
+            .map(|(&o, bits)| (o, bits.clone()))
+            .collect();
+        let mut models = Vec::new();
+        loop {
+            if models.len() >= limit {
                 return Enumeration {
                     models,
                     complete: false,
+                };
+            }
+            match blaster.sat_mut().solve() {
+                SatOutcome::Sat => {}
+                SatOutcome::Unsat => {
+                    return Enumeration {
+                        models,
+                        complete: true,
+                    }
+                }
+                SatOutcome::Unknown => {
+                    return Enumeration {
+                        models,
+                        complete: false,
+                    }
                 }
             }
-        }
-        let bytes: BTreeMap<u32, u8> = byte_offsets
-            .iter()
-            .map(|&o| (o, blaster.model_byte(o).expect("encoded byte")))
-            .collect();
-        // Blocking clause: at least one constrained byte differs.
-        let mut blocking = Vec::new();
-        for (off, bits) in &byte_lits {
-            let v = bytes[off];
-            for (i, &l) in bits.iter().enumerate() {
-                blocking.push(if v >> i & 1 == 1 { !l } else { l });
+            let found = model(&blaster);
+            // Blocking clause: at least one constrained byte differs.
+            let mut blocking = Vec::new();
+            for (off, bits) in &byte_lits {
+                let v = found.bytes[off];
+                for (i, &l) in bits.iter().enumerate() {
+                    blocking.push(if v >> i & 1 == 1 { !l } else { l });
+                }
+            }
+            models.push(found);
+            let sat_ref = blaster.sat_mut();
+            sat_ref.backtrack_to_root();
+            if !sat_ref.add_clause(&blocking) {
+                return Enumeration {
+                    models,
+                    complete: true,
+                };
             }
         }
-        models.push(Model { bytes });
-        let sat_ref = blaster.sat_mut();
-        sat_ref.backtrack_to_root();
-        if !sat_ref.add_clause(&blocking) {
-            return Enumeration {
-                models,
-                complete: true,
-            };
-        }
-    }
+    })
 }
 
 #[cfg(test)]
