@@ -13,7 +13,7 @@ use diode_engine::{
     Subscriber,
 };
 use diode_obs::{Watchdog, WatchdogConfig};
-use diode_synth::{forge, forge_range, SynthConfig};
+use diode_synth::{forge, forge_stall, SynthConfig};
 
 fn suite_apps() -> Vec<CampaignApp> {
     forge(&SynthConfig::default().with_apps(4)).campaign_apps()
@@ -141,19 +141,13 @@ fn slow_subscriber_drops_without_changing_the_campaign() {
 #[test]
 fn planted_stall_raises_exactly_one_slow_site_anomaly() {
     // A healthy fast suite for the median, plus one single-site app
-    // whose planted `site_work` loop dwarfs everything else (the fuel
-    // bound is raised so the stall runs to completion instead of dying).
+    // whose planted stall loop, run by every candidate of the site,
+    // dwarfs everything else (the fuel bound is raised so the stall runs
+    // to completion instead of dying).
     let mut apps = forge(&SynthConfig::default().with_apps(5)).campaign_apps();
-    let slow_cfg = SynthConfig {
-        apps: 1,
-        min_sites: 1,
-        max_sites: 1,
-        site_work: 2_000_000,
-        ..SynthConfig::default()
-    };
-    let slow = forge_range(&slow_cfg, 100, 1);
-    let slow_name = slow.campaign_apps()[0].name.clone();
-    apps.extend(slow.campaign_apps());
+    let slow = forge_stall(2_000_000, SynthConfig::default().rng_seed);
+    let slow_name = slow.name.clone();
+    apps.push(slow);
 
     let bus = Arc::new(PulseBus::new());
     let sub = bus.subscribe(1 << 14);

@@ -228,6 +228,7 @@ impl DiodeConfig {
             }
             None => {
                 let _span = diode_obs::span(diode_obs::Phase::Solve);
+                diode_obs::count("solver.queries", 1);
                 let (result, stats) = solve_with(cond, &self.solver, None);
                 stats.count();
                 (result, None)
@@ -276,7 +277,9 @@ fn divergent_bytes(extraction: &Extraction, format: &FormatDesc) -> Vec<u32> {
 struct CandidateTester<'a> {
     program: &'a Program,
     label: Label,
-    /// The candidate-run config (branch recording off, as always).
+    /// The candidate-run config (branch recording off, as always). A
+    /// resume under it starts from an empty branch log, so it copies
+    /// none of the snapshot's prefix log.
     machine: MachineConfig,
     /// The capture config: the caller's machine config verbatim, so a
     /// snapshot captured here is also valid for extraction resumes

@@ -34,27 +34,30 @@ pub struct CompressedCond {
 /// but are dropped by [`relevant`].
 #[must_use]
 pub fn compress(obs: &[BranchObs<Option<SymBool>>]) -> Vec<CompressedCond> {
-    let mut order: Vec<Label> = Vec::new();
-    let mut by_label: std::collections::HashMap<Label, CompressedCond> =
-        std::collections::HashMap::new();
+    // Labels are dense per program, so a vector indexed by label maps
+    // each one to its condition's position in `out`.
+    let mut position: Vec<Option<usize>> = Vec::new();
+    let mut out: Vec<CompressedCond> = Vec::new();
     for o in obs {
-        let entry = by_label.entry(o.label).or_insert_with(|| {
-            order.push(o.label);
-            CompressedCond {
+        let label = o.label.0 as usize;
+        if label >= position.len() {
+            position.resize(label + 1, None);
+        }
+        let at = *position[label].get_or_insert_with(|| {
+            out.push(CompressedCond {
                 label: o.label,
                 constraint: SymBool::Const(true),
                 occurrences: 0,
-            }
+            });
+            out.len() - 1
         });
+        let entry = &mut out[at];
         entry.occurrences += 1;
         if let Some(c) = &o.constraint {
             entry.constraint = entry.constraint.and(c);
         }
     }
-    order
-        .into_iter()
-        .map(|l| by_label.remove(&l).expect("label recorded"))
-        .collect()
+    out
 }
 
 /// §3.3: keeps conditions that share an input byte with the target

@@ -5,9 +5,9 @@
 //!   influenced by input bytes is a target site, and its taint labels are
 //!   the relevant input bytes.
 //! * **Stage 2 — target & branch constraint extraction** (§4.2): re-run
-//!   with symbolic recording restricted to the relevant bytes; collect the
-//!   symbolic target expression at the site and the branch-condition
-//!   sequence φ along the path to it.
+//!   with symbolic recording restricted to the relevant bytes, up to the
+//!   site's first allocation; collect the symbolic target expression
+//!   there and the branch-condition sequence φ along the path to it.
 //! * **Target constraint** (§4.3): β = `overflow(target expression)`.
 //! * **Test input generation** (§4.4): patch solver models into the seed
 //!   via the format layer's Peach-style reconstruction.
@@ -19,7 +19,9 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use diode_format::FormatDesc;
-use diode_interp::{run, BranchObs, Concrete, MachineConfig, Outcome, Symbolic, Taint};
+use diode_interp::{
+    run, run_to_alloc, Concrete, MachineConfig, Outcome, SiteVisit, Symbolic, Taint,
+};
 use diode_lang::{Bv, Label, Program};
 use diode_solver::Model;
 use diode_symbolic::{overflow_condition, SymBool, SymExpr};
@@ -105,6 +107,9 @@ pub struct Extraction {
 
 /// Stage 2+3: extracts the target expression, β, and φ for `site`.
 ///
+/// The symbolic seed run stops right after the site's first allocation:
+/// nothing after it reaches the extraction.
+///
 /// Returns `None` if the site is not reached on the seed or records no
 /// symbolic size (should not happen for stage-1 sites).
 #[must_use]
@@ -116,8 +121,8 @@ pub fn extract(
 ) -> Option<Extraction> {
     let start = Instant::now();
     let shadow = Symbolic::relevant_bytes(site.relevant_bytes.iter().copied());
-    let r = run(program, seed, shadow, machine);
-    extraction_from_run(&r, site, start, false)
+    let visit = run_to_alloc(program, seed, shadow, machine, None, site.label)?;
+    extraction_from_visit(visit, start, false)
 }
 
 /// [`extract`] resuming the site's symbolic seed run from a prefix
@@ -127,9 +132,9 @@ pub fn extract(
 /// warm-up guarantees this): up to there the tag-free and site-specific
 /// policies record identically (everything `None`), so swapping the
 /// shadow at resume reproduces the from-scratch extraction byte for
-/// byte. Falls back to `None` only if the snapshot fails validation —
-/// impossible for the seed it was captured from — or the site records no
-/// symbolic size.
+/// byte. Returns `None` if the snapshot fails validation — impossible
+/// for the seed it was captured from — or, as [`extract`] does, when the
+/// site is not reached or records no symbolic size.
 #[must_use]
 pub(crate) fn extract_resumed(
     program: &Program,
@@ -140,23 +145,21 @@ pub(crate) fn extract_resumed(
 ) -> Option<Extraction> {
     let start = Instant::now();
     let shadow = Symbolic::relevant_bytes(site.relevant_bytes.iter().copied());
-    let r = diode_interp::run_from_with(program, seed, snapshot, shadow, machine)?;
-    extraction_from_run(&r, site, start, true)
+    let visit = run_to_alloc(program, seed, shadow, machine, Some(snapshot), site.label)?;
+    extraction_from_visit(visit, start, true)
 }
 
 /// Shared stage-2/3 post-processing: target expression, β, compressed
 /// relevant φ.
-fn extraction_from_run(
-    r: &diode_interp::Run<Option<SymExpr>, Option<SymBool>>,
-    site: &TargetSite,
+fn extraction_from_visit(
+    visit: SiteVisit<Option<SymExpr>, Option<SymBool>>,
     start: Instant,
     resumed: bool,
 ) -> Option<Extraction> {
-    let rec = r.allocs.iter().find(|a| a.label == site.label)?;
-    let target_expr = rec.size_tag.clone()?;
+    let target_expr = visit.alloc.size_tag?;
     let beta = overflow_condition(&target_expr);
     let beta_bytes = beta.input_bytes();
-    let path: &[BranchObs<Option<SymBool>>] = &r.branches[..rec.branches_before];
+    let path = &visit.path;
     let total_relevant = count_relevant_occurrences(path, &beta_bytes);
     let phi = relevant(compress(path), &beta_bytes);
     if diode_obs::audit_active() {
@@ -164,7 +167,7 @@ fn extraction_from_run(
             relevant_bytes: beta_bytes.clone(),
             total_relevant: total_relevant as u32,
             phi_len: phi.len() as u32,
-            boundary: rec.branches_before as u32,
+            boundary: visit.alloc.branches_before as u32,
             resumed,
         });
     }

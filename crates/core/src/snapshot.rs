@@ -257,6 +257,15 @@ impl SiteSlot {
         matches!(*self.state.lock().unwrap(), SlotState::Ready { .. })
     }
 
+    /// True while a capture can still change the slot: a ready or inert
+    /// slot ignores one.
+    fn awaits_capture(&self) -> bool {
+        matches!(
+            *self.state.lock().unwrap(),
+            SlotState::Empty | SlotState::Probed { .. }
+        )
+    }
+
     /// This slot's counters as stats (entries counts this slot only).
     #[must_use]
     pub fn stats(&self) -> SnapshotStats {
@@ -350,7 +359,9 @@ pub(crate) fn warm_watch_bytes(target: &TargetSite, format: &FormatDesc) -> Vec<
 /// every enforcement candidate resumes from the first input onward.
 ///
 /// `slots` is parallel to `targets`. Sites whose watch bytes were never
-/// read are marked inert.
+/// read are marked inert. Slots that are already ready or inert (a warm
+/// daemon job's) are left out of the pass, and when none is left it runs
+/// nothing.
 pub fn warm_unit_slots(
     program: &Program,
     seed: &[u8],
@@ -364,6 +375,9 @@ pub fn warm_unit_slots(
     let _span = diode_obs::span(diode_obs::Phase::Warm);
     let mut stops: Vec<(u64, usize)> = Vec::new();
     for (i, target) in targets.iter().enumerate() {
+        if !slots[i].awaits_capture() {
+            continue;
+        }
         let step = warm_watch_bytes(target, format)
             .iter()
             .filter_map(|&o| first_reads.get(&u64::from(o)).copied())

@@ -11,6 +11,7 @@
 //! memcheck-style memory errors, and the final outcome.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use diode_lang::{Aexp, Bexp, Block, Bv, CastKind, Label, ProcId, Program, Stmt, Symbol, UnOp};
 use diode_obs::Phase;
@@ -29,7 +30,10 @@ pub struct MachineConfig {
     /// into giant loops; fuel bounds every run.
     pub fuel: u64,
     /// Record the branch observation sequence φ. Disable for plain
-    /// did-it-crash candidate runs to save memory.
+    /// did-it-crash candidate runs to save memory. A non-recording run
+    /// keeps `Run::branches` empty and stamps every allocation with
+    /// `branches_before: 0`, whether it starts at `main` or resumes a
+    /// [`Snapshot`].
     pub record_branches: bool,
     /// Allocator single-request limit in bytes (requests ≥ limit fail).
     pub alloc_limit: u64,
@@ -131,6 +135,18 @@ pub struct Run<T, C> {
     pub steps: u64,
 }
 
+/// What stage 2 reads from a run that stops at a site (see
+/// [`run_to_alloc`]): the site's first allocation record and φ along the
+/// path to it.
+#[derive(Debug)]
+pub struct SiteVisit<T, C> {
+    /// The first allocation record at the requested label.
+    pub alloc: AllocRecord<T>,
+    /// The branch observations recorded before that allocation
+    /// executed: `alloc.branches_before` of them.
+    pub path: Vec<BranchObs<C>>,
+}
+
 impl<T, C> Run<T, C> {
     /// Allocation records for a specific site label.
     pub fn allocs_at(&self, label: Label) -> impl Iterator<Item = &AllocRecord<T>> {
@@ -159,6 +175,7 @@ pub fn run<S: Shadow>(
     let _span = diode_obs::span(Phase::InterpRun);
     let mut m = Machine::boot(program, input, shadow, config);
     let outcome = m.drive_to_end();
+    diode_obs::count(RUN_STEPS, m.steps);
     m.finish(outcome)
 }
 
@@ -182,6 +199,7 @@ pub fn run_traced<S: Shadow>(
     let mut m = Machine::boot(program, input, shadow, config);
     m.trace_reads = Some(HashMap::new());
     let outcome = m.drive_to_end();
+    diode_obs::count(RUN_STEPS, m.steps);
     let trace = m.trace_reads.take().unwrap_or_default();
     (m.finish(outcome), trace)
 }
@@ -225,15 +243,18 @@ pub fn run_and_capture<S: Shadow + Clone>(
     let mut m = Machine::boot(program, input, shadow, config);
     m.log = Some(ReadLog::default());
     m.capture_before = Some(stop_before_step);
-    match m.drive() {
-        DriveEnd::Outcome(outcome) => (m.finish(outcome), None),
+    let (outcome, snapshot) = match m.drive() {
+        DriveEnd::Outcome(outcome) => (outcome, None),
         DriveEnd::Captured => {
-            let snapshot = m.capture(false);
+            let log = Arc::from(m.branches.as_slice());
+            let snapshot = m.capture(false, log);
             m.capture_before = None;
-            let outcome = m.drive_to_end();
-            (m.finish(outcome), Some(snapshot))
+            (m.drive_to_end(), Some(snapshot))
         }
-    }
+        DriveEnd::Visited => unreachable!("no site stop in this mode"),
+    };
+    diode_obs::count(CAPTURE_STEPS, m.steps);
+    (m.finish(outcome), snapshot)
 }
 
 /// Captures prefix snapshots at **several** step boundaries in a single
@@ -243,6 +264,10 @@ pub fn run_and_capture<S: Shadow + Clone>(
 /// own capture of the same state); execution ends right after the last
 /// capture, so the run costs only the longest requested prefix. Entries
 /// are `None` from the first stop the run halted before reaching.
+///
+/// The snapshots are prefixes of one execution, so they share one branch
+/// log: the pass's log, built once at its end, of which each snapshot
+/// holds its own length.
 pub fn run_capture_multi<S: Shadow + Clone>(
     program: &Program,
     input: &[u8],
@@ -254,13 +279,22 @@ pub fn run_capture_multi<S: Shadow + Clone>(
     let _span = diode_obs::span(Phase::InterpCapture);
     let mut m = Machine::boot(program, input, shadow, config);
     m.log = Some(ReadLog::default());
+    let pending: Arc<[BranchObs<S::CondTag>]> = Arc::new([]);
     let mut out: Vec<Option<Snapshot<S>>> = Vec::with_capacity(stops.len());
     for (i, &stop) in stops.iter().enumerate() {
         m.capture_before = Some(stop);
         match m.drive() {
-            DriveEnd::Captured => out.push(Some(m.capture(i + 1 < stops.len()))),
+            DriveEnd::Captured => {
+                out.push(Some(m.capture(i + 1 < stops.len(), Arc::clone(&pending))));
+            }
             DriveEnd::Outcome(_) => break,
+            DriveEnd::Visited => unreachable!("no site stop in this mode"),
         }
+    }
+    diode_obs::count(CAPTURE_STEPS, m.steps);
+    let shared: Arc<[BranchObs<S::CondTag>]> = Arc::from(std::mem::take(&mut m.branches));
+    for snapshot in out.iter_mut().flatten() {
+        snapshot.branches = Arc::clone(&shared);
     }
     out.resize_with(stops.len(), || None);
     out
@@ -272,6 +306,12 @@ pub fn run_capture_multi<S: Shadow + Clone>(
 /// when it does, the result is byte-identical to `run(program, input,
 /// ...)` under the same shadow policy and configuration.
 ///
+/// A resume that does not record branches (`config.record_branches`
+/// false) starts from an empty branch log, exactly as such a run from
+/// `main` would, so it copies none of the snapshot's prefix log. The one
+/// precondition left: a snapshot captured without recording has no
+/// prefix log, so it cannot serve a resume that records.
+///
 /// # Panics
 ///
 /// Panics if `program` is not the program the snapshot was captured from
@@ -282,48 +322,89 @@ pub fn run_from<S: Shadow + Clone>(
     snapshot: &Snapshot<S>,
     config: &MachineConfig,
 ) -> Option<Run<S::Tag, S::CondTag>> {
-    run_from_with(program, input, snapshot, snapshot.shadow.clone(), config)
-}
-
-/// [`run_from`] with a **shadow override**: the suffix executes under
-/// `shadow` instead of the policy the snapshot was captured with.
-///
-/// The caller asserts that the two policies are indistinguishable over
-/// the captured prefix — i.e. they would have produced identical tags
-/// for every prefix value. The canonical use: a prefix captured under
-/// `Symbolic::relevant_bytes([])` (all tags `None`) resumed per site
-/// under `Symbolic::relevant_bytes(site_bytes)`, valid because the
-/// prefix ends *before* the first read of any site byte, so the
-/// site-specific policy would also have tagged nothing.
-pub fn run_from_with<S: Shadow + Clone>(
-    program: &Program,
-    input: &[u8],
-    snapshot: &Snapshot<S>,
-    shadow: S,
-    config: &MachineConfig,
-) -> Option<Run<S::Tag, S::CondTag>> {
     let _span = diode_obs::span(Phase::InterpResume);
-    if !snapshot.validates(input) {
-        return None;
-    }
-    let mut m = Machine {
-        program,
-        input,
-        shadow,
-        config,
-        heap: snapshot.heap.clone(),
-        frames: rebuild_frames(program, &snapshot.frames),
-        branches: snapshot.branches.clone(),
-        allocs: snapshot.allocs.clone(),
-        warnings: snapshot.warnings.clone(),
-        steps: snapshot.steps,
-        trace_reads: None,
-        log: None,
-        capture_before: None,
-    };
+    let mut m = Machine::resume(program, input, snapshot, snapshot.shadow.clone(), config)?;
     let outcome = m.drive_to_end();
+    diode_obs::count(RESUME_STEPS, m.steps - snapshot.steps);
     Some(m.finish(outcome))
 }
+
+/// Stage 2's run: executes `program` on `input` — from `main`, or from
+/// `from` — and halts right after the **first** allocation at `label`
+/// records itself. Returns that record and the branch observations
+/// before it, which are exactly `allocs_at(label).next()` and
+/// `branches[..branches_before]` of the complete run under the same
+/// policy and configuration. Returns `None` when the run ends before the
+/// site executes, or when `from` fails
+/// [validation](Snapshot::validates). No `Outcome` is reported: the run
+/// did not end.
+///
+/// The suffix executes under `shadow`, not the policy `from` was
+/// captured with: a **shadow override**. The caller asserts that the two
+/// policies are indistinguishable over the captured prefix — i.e. they
+/// would have produced identical tags for every prefix value. The
+/// canonical use: a prefix captured under `Symbolic::relevant_bytes([])`
+/// (all tags `None`) resumed per site under
+/// `Symbolic::relevant_bytes(site_bytes)`, valid because the prefix ends
+/// *before* the first read of any site byte, so the site-specific policy
+/// would also have tagged nothing.
+///
+/// # Panics
+///
+/// Panics if `program` is not the program `from` was captured from.
+pub fn run_to_alloc<S: Shadow + Clone>(
+    program: &Program,
+    input: &[u8],
+    shadow: S,
+    config: &MachineConfig,
+    from: Option<&Snapshot<S>>,
+    label: Label,
+) -> Option<SiteVisit<S::Tag, S::CondTag>> {
+    let (phase, counter) = match from {
+        Some(_) => (Phase::InterpResume, RESUME_STEPS),
+        None => (Phase::InterpRun, RUN_STEPS),
+    };
+    let _span = diode_obs::span(phase);
+    let mut m = match from {
+        Some(snapshot) => Machine::resume(program, input, snapshot, shadow, config)?,
+        None => Machine::boot(program, input, shadow, config),
+    };
+    let start = m.steps;
+    let end = match m.allocs.iter().position(|a| a.label == label) {
+        // The site already executed within the prefix.
+        Some(first) => {
+            m.allocs.truncate(first + 1);
+            DriveEnd::Visited
+        }
+        None => {
+            m.stop_at = Some(label);
+            m.drive()
+        }
+    };
+    diode_obs::count(counter, m.steps - start);
+    crate::heap::note_peak_heap_bytes(m.heap.peak_bytes());
+    match end {
+        DriveEnd::Visited => {
+            let alloc = m
+                .allocs
+                .pop()
+                .expect("the site's first record is the last kept");
+            m.branches.truncate(alloc.branches_before);
+            Some(SiteVisit {
+                alloc,
+                path: m.branches,
+            })
+        }
+        DriveEnd::Outcome(_) => None,
+        DriveEnd::Captured => unreachable!("no capture in this mode"),
+    }
+}
+
+/// Job-scope counters of executed statements: runs from `main`, resumed
+/// suffixes (after the snapshot), and capture runs.
+const RUN_STEPS: &str = "interp.run_steps";
+const RESUME_STEPS: &str = "interp.resume_steps";
+const CAPTURE_STEPS: &str = "interp.capture_steps";
 
 enum Halt {
     Rejected(String),
@@ -331,17 +412,21 @@ enum Halt {
     Fault(Fault),
     Fuel,
     Runtime(String),
+    /// The allocation [`run_to_alloc`] waits for has recorded itself.
+    Visited,
 }
 
 impl Halt {
-    fn into_outcome(self) -> Outcome {
-        match self {
+    /// The run's outcome; `None` for a stop at the requested site.
+    fn into_outcome(self) -> Option<Outcome> {
+        Some(match self {
             Halt::Rejected(m) => Outcome::InputRejected(m),
             Halt::Aborted(m) => Outcome::Aborted(m),
             Halt::Fault(f) => Outcome::Segfault(f),
             Halt::Fuel => Outcome::OutOfFuel,
             Halt::Runtime(m) => Outcome::RuntimeError(m),
-        }
+            Halt::Visited => return None,
+        })
     }
 }
 
@@ -397,6 +482,8 @@ enum Action<'a> {
 enum DriveEnd {
     Outcome(Outcome),
     Captured,
+    /// The allocation at `Machine::stop_at` recorded itself.
+    Visited,
 }
 
 /// A frame environment with every one of `program`'s variables unbound.
@@ -506,6 +593,9 @@ struct Machine<'a, S: Shadow> {
     log: Option<ReadLog>,
     /// Capture mode: stop just before the tick reaching this step.
     capture_before: Option<u64>,
+    /// Site mode: stop right after the allocation at this label records
+    /// itself.
+    stop_at: Option<Label>,
 }
 
 impl<'a, S: Shadow> Machine<'a, S> {
@@ -547,7 +637,54 @@ impl<'a, S: Shadow> Machine<'a, S> {
             trace_reads: None,
             log: None,
             capture_before: None,
+            stop_at: None,
         }
+    }
+
+    /// A machine at `snapshot`'s boundary, executing under `shadow`;
+    /// `None` unless the snapshot validates for `input`. A
+    /// non-recording `config` starts from an empty branch log and
+    /// stamps the prefix allocations `branches_before: 0`, as a
+    /// non-recording run from `main` does.
+    fn resume(
+        program: &'a Program,
+        input: &'a [u8],
+        snapshot: &Snapshot<S>,
+        shadow: S,
+        config: &'a MachineConfig,
+    ) -> Option<Machine<'a, S>> {
+        if !snapshot.validates(input) {
+            return None;
+        }
+        let (branches, allocs) = if config.record_branches {
+            (snapshot.branch_prefix().to_vec(), snapshot.allocs.clone())
+        } else {
+            let allocs = snapshot
+                .allocs
+                .iter()
+                .map(|a| AllocRecord {
+                    branches_before: 0,
+                    ..a.clone()
+                })
+                .collect();
+            (Vec::new(), allocs)
+        };
+        Some(Machine {
+            program,
+            input,
+            shadow,
+            config,
+            heap: snapshot.heap.clone(),
+            frames: rebuild_frames(program, &snapshot.frames),
+            branches,
+            allocs,
+            warnings: snapshot.warnings.clone(),
+            steps: snapshot.steps,
+            trace_reads: None,
+            log: None,
+            capture_before: None,
+            stop_at: None,
+        })
     }
 
     /// True when `main` took parameters at boot (empty frame stack with
@@ -606,16 +743,22 @@ impl<'a, S: Shadow> Machine<'a, S> {
                 }
             };
             if let Err(halt) = result {
-                return DriveEnd::Outcome(halt.into_outcome());
+                return match halt.into_outcome() {
+                    Some(outcome) => DriveEnd::Outcome(outcome),
+                    None => DriveEnd::Visited,
+                };
             }
         }
     }
 
-    /// Drives to completion in a mode where capture cannot fire.
+    /// Drives to completion in a mode where neither a capture nor a site
+    /// stop can fire.
     fn drive_to_end(&mut self) -> Outcome {
         match self.drive() {
             DriveEnd::Outcome(o) => o,
-            DriveEnd::Captured => unreachable!("capture disabled in this mode"),
+            DriveEnd::Captured | DriveEnd::Visited => {
+                unreachable!("capture and site stops disabled in this mode")
+            }
         }
     }
 
@@ -637,8 +780,11 @@ impl<'a, S: Shadow> Machine<'a, S> {
     }
 
     /// Freezes the current state (capture mode only): the read log so far
-    /// becomes the snapshot's validation log, and logging stops.
-    fn capture(&mut self, keep_logging: bool) -> Snapshot<S>
+    /// becomes the snapshot's validation log, and logging stops unless
+    /// `keep_logging`. The snapshot's branch prefix is the first
+    /// `self.branches.len()` entries of `branches`, a log the caller
+    /// provides (or fills in once its pass ends).
+    fn capture(&mut self, keep_logging: bool, branches: Arc<[BranchObs<S::CondTag>]>) -> Snapshot<S>
     where
         S: Clone,
     {
@@ -654,7 +800,8 @@ impl<'a, S: Shadow> Machine<'a, S> {
             steps: self.steps,
             heap: self.heap.clone(),
             frames: self.frames.iter().map(Machine::<S>::frame_image).collect(),
-            branches: self.branches.clone(),
+            branches,
+            branches_len: self.branches.len(),
             allocs: self.allocs.clone(),
             warnings: self.warnings.clone(),
             reads,
@@ -804,6 +951,9 @@ impl<'a, S: Shadow> Machine<'a, S> {
                     failed: block.is_none(),
                     branches_before: self.branches.len(),
                 });
+                if self.stop_at == Some(*label) {
+                    return Err(Halt::Visited);
+                }
                 match block {
                     Some(b) => {
                         self.bind(*dst, Value::ptr(b));
@@ -1566,6 +1716,34 @@ mod tests {
             assert_eq!(image(&resumed), image(&scratch), "input {cand:02x?}");
             assert_eq!(resumed.steps, scratch.steps);
         }
+    }
+
+    #[test]
+    fn run_to_alloc_returns_the_first_record_and_the_path_to_it() {
+        let p = parse(SNAP_SRC).unwrap();
+        let seed = [0, 8, 0, 4];
+        let cfg = MachineConfig::default();
+        let sym = Symbolic::all_bytes();
+        let full = run(&p, &seed, sym.clone(), &cfg);
+        let (_, probe) = run_probed(&p, &seed, sym.clone(), &cfg, &[2, 3]);
+        let (_, snap) = run_and_capture(&p, &seed, sym.clone(), &cfg, probe.unwrap());
+        let snap = snap.expect("capture point reached");
+        // `pre@1` executes inside the snapshot's prefix, `t@2` after it.
+        assert_eq!(full.allocs.len(), 2);
+        for rec in &full.allocs {
+            let path = format!("{:?}", &full.branches[..rec.branches_before]);
+            for from in [None, Some(&snap)] {
+                let visit = run_to_alloc(&p, &seed, sym.clone(), &cfg, from, rec.label)
+                    .expect("the site executes on the seed");
+                assert_eq!(format!("{:?}", visit.alloc), format!("{rec:?}"));
+                assert_eq!(format!("{:?}", visit.path), path);
+            }
+        }
+        // b = 0xFFFF is rejected before `t@2` executes.
+        let target = full.allocs[1].label;
+        let rejected = [0, 8, 0xFF, 0xFF];
+        assert!(run_to_alloc(&p, &rejected, sym.clone(), &cfg, None, target).is_none());
+        assert!(run_to_alloc(&p, &rejected, sym, &cfg, Some(&snap), target).is_none());
     }
 
     #[test]

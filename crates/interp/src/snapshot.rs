@@ -9,7 +9,8 @@
 //! boundary: heap (cheaply, via the heap's `Arc`-backed copy-on-write
 //! payloads), shadow policy state, call frames with their environments
 //! and control stacks, the recorded branch/allocation/warning prefixes,
-//! and the step counter.
+//! and the step counter. The branch prefix is a length into an `Arc`'d
+//! log, so the snapshots of one capture pass share a single log.
 //!
 //! Soundness does not rest on the caller choosing the snapshot point
 //! well: the capture run logs **every input observation of the prefix**
@@ -26,6 +27,7 @@
 //! never correctness.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use diode_lang::{ProcId, Symbol};
 
@@ -97,7 +99,10 @@ pub struct Snapshot<S: Shadow> {
     pub(crate) steps: u64,
     pub(crate) heap: Heap<S::Tag>,
     pub(crate) frames: Vec<FrameImage<S::Tag>>,
-    pub(crate) branches: Vec<BranchObs<S::CondTag>>,
+    /// The branch log of the capture pass, shared by every snapshot it
+    /// took; this snapshot's prefix is its first `branches_len` entries.
+    pub(crate) branches: Arc<[BranchObs<S::CondTag>]>,
+    pub(crate) branches_len: usize,
     pub(crate) allocs: Vec<AllocRecord<S::Tag>>,
     pub(crate) warnings: Vec<String>,
     /// Sorted `(offset, byte)` log of every prefix input read.
@@ -157,12 +162,18 @@ impl<S: Shadow> Snapshot<S> {
         self.reads.len()
     }
 
+    /// The branch observations recorded before the boundary (empty when
+    /// the capture did not record branches).
+    pub(crate) fn branch_prefix(&self) -> &[BranchObs<S::CondTag>] {
+        &self.branches[..self.branches_len]
+    }
+
     /// Approximate bytes this snapshot keeps resident: the frozen
     /// heap's accounted payload bytes plus the validation log, frames
     /// (per bound variable, not per environment slot), and recorded
     /// prefixes. A pinning estimate for cache gauges, not
-    /// an allocator measurement — COW payloads shared with other
-    /// snapshots are charged to each holder.
+    /// an allocator measurement — COW payloads and the branch log shared
+    /// with other snapshots are charged to each holder.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         let frames: u64 = self
@@ -177,7 +188,7 @@ impl<S: Shadow> Snapshot<S> {
             + frames
             + 10 * self.reads.len() as u64
             + 33 * self.crcs.len() as u64
-            + 24 * self.branches.len() as u64
+            + 24 * self.branches_len as u64
             + 48 * self.allocs.len() as u64
             + self
                 .warnings

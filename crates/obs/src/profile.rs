@@ -340,15 +340,11 @@ impl ProfileReport {
                 ms(row.p99_ns),
             );
         }
+        let counter = |name: &str| self.counters.get(name).copied().unwrap_or(0);
+        let self_ns = |phase| self.breakdown.phase(phase).map_or(0, |row| row.self_ns);
         if let Some(&queries) = self.counters.get("solver.queries") {
-            let counter = |name: &str| self.counters.get(name).copied().unwrap_or(0);
             let conflicts = counter("solver.conflicts");
-            let solve_self_ns = self
-                .breakdown
-                .phases
-                .iter()
-                .find(|row| row.phase == Phase::Solve)
-                .map_or(0, |row| row.self_ns);
+            let solve_self_ns = self_ns(Phase::Solve);
             let per_conflict = if conflicts == 0 {
                 "-".to_string()
             } else {
@@ -360,6 +356,29 @@ impl ProfileReport {
                 counter("solver.cache_hits"),
                 counter("solver.propagations"),
             );
+        }
+        let steps = [
+            ("run", "interp.run_steps", Phase::InterpRun),
+            ("resume", "interp.resume_steps", Phase::InterpResume),
+            ("capture", "interp.capture_steps", Phase::InterpCapture),
+        ];
+        if steps
+            .iter()
+            .any(|(_, name, _)| self.counters.contains_key(*name))
+        {
+            let parts: Vec<String> = steps
+                .iter()
+                .map(|&(kind, name, phase)| {
+                    let n = counter(name);
+                    let per_step = if n == 0 {
+                        "-".to_string()
+                    } else {
+                        format!("{:.1}", self_ns(phase) as f64 / n as f64)
+                    };
+                    format!("{n} {kind} steps at {per_step} ns/step")
+                })
+                .collect();
+            let _ = writeln!(out, "interp: {}", parts.join(", "));
         }
         if !self.top_sites.is_empty() {
             let _ = writeln!(out, "top {} slowest sites:", self.top_sites.len());
@@ -913,6 +932,26 @@ mod tests {
             solve_self_ns as f64 / 1e3 / 8.0
         );
         assert!(report.render().contains(&line), "{}", report.render());
+    }
+
+    #[test]
+    fn render_prints_interp_steps_per_phase() {
+        let mut trace = sample();
+        assert!(!ProfileReport::from_trace(&trace, 3)
+            .render()
+            .contains("interp:"));
+        trace.counters.insert("interp.run_steps".into(), 20);
+        trace.counters.insert("interp.capture_steps".into(), 4);
+        let report = ProfileReport::from_trace(&trace, 3);
+        // interp_run self time is 60 ns; nothing ran under the other two.
+        assert!(
+            report.render().contains(
+                "interp: 20 run steps at 3.0 ns/step, 0 resume steps at - ns/step, \
+                 4 capture steps at 0.0 ns/step"
+            ),
+            "{}",
+            report.render()
+        );
     }
 
     #[test]

@@ -41,7 +41,7 @@ use diode_obs::{
     ANOMALY_SCHEMA_VERSION, FLIGHT_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
     TELEMETRY_SCHEMA_VERSION,
 };
-use diode_synth::{forge, forge_range, score, Fnv64, SynthConfig, SynthOracle};
+use diode_synth::{forge, forge_stall, score, Fnv64, SynthConfig, SynthOracle};
 
 use crate::protocol::{
     parse_request, reject, spec_json, JobSource, Request, MAX_REQUEST_LINE, PROTOCOL_VERSION,
@@ -898,11 +898,12 @@ fn worker_loop(daemon: &Arc<Daemon>, index: usize) {
 /// Builds the job's workloads (forging or loading from the corpus
 /// root), or explains why it can't.
 ///
-/// A nonzero `stall_work` plants one extra single-site app (forged at
-/// offset 100, outside the spec's own range) whose per-site busy loop
-/// dwarfs the rest of the suite — the deliberate `slow_site` trigger.
-/// The plant lies outside the forge oracle, so recall is not scored
-/// for stall jobs (`recall: null` in the report).
+/// A nonzero `stall_work` plants one extra single-site app
+/// ([`forge_stall`]: index 100, outside the spec's own range) whose busy
+/// loop, run by every candidate of its site, dwarfs the rest of the
+/// suite — the deliberate `slow_site` trigger. The plant lies outside
+/// the forge oracle, so recall is not scored for stall jobs (`recall:
+/// null` in the report).
 fn build_apps(
     daemon: &Daemon,
     source: &JobSource,
@@ -913,16 +914,8 @@ fn build_apps(
             if *stall_work == 0 {
                 return Ok((suite.campaign_apps(), Some(suite.oracle.clone())));
             }
-            let stall_cfg = SynthConfig {
-                apps: 1,
-                min_sites: 1,
-                max_sites: 1,
-                site_work: *stall_work,
-                rng_seed: cfg.rng_seed,
-                ..SynthConfig::default()
-            };
             let mut apps = suite.campaign_apps();
-            apps.extend(forge_range(&stall_cfg, 100, 1).campaign_apps());
+            apps.push(forge_stall(*stall_work, cfg.rng_seed));
             Ok((apps, None))
         }
         JobSource::Suite(id) => {

@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use diode_obs::{parse_prometheus, FlightDump, Json, PulseEvent, WatchdogConfig};
 use diode_serve::{serve, ServeConfig, ServerHandle};
-use diode_synth::{forge_range, SynthConfig};
+use diode_synth::{forge_stall, SynthConfig};
 
 /// Sends one request line and reads one response line.
 fn request(addr: std::net::SocketAddr, line: &str) -> Json {
@@ -164,20 +164,7 @@ fn planted_stall_fires_the_watchdog_and_cuts_exactly_one_flight_dump() {
 
     // Exactly one dump, named after the job, parseable, and holding
     // the stall app's events.
-    let stall_app = forge_range(
-        &SynthConfig {
-            apps: 1,
-            min_sites: 1,
-            max_sites: 1,
-            site_work: 2_000_000,
-            ..SynthConfig::default()
-        },
-        100,
-        1,
-    )
-    .campaign_apps()[0]
-        .name
-        .clone();
+    let stall_app = forge_stall(2_000_000, SynthConfig::default().rng_seed).name;
     let job = reply.get("job").and_then(Json::as_str).expect("job id");
     let files: Vec<_> = std::fs::read_dir(&dir)
         .expect("flight dir")

@@ -360,8 +360,39 @@ fn true_extent_expr(shape: Shape, vars: &[Symbol]) -> Aexp {
     }
 }
 
-/// Builds the whole forged program for one application.
-fn build_program(app_idx: usize, plans: &[SitePlan], layout: &Layout, site_work: u32) -> Program {
+/// An input-independent busy loop of `work` iterations for site `k`,
+/// over the fresh variables `acc` and `j`: arithmetic standing in for
+/// parsing/decoding work. Draws nothing from the RNG.
+fn work_loop(b: &mut ProgramBuilder, [acc, j]: [&str; 2], k: usize, work: u32) -> Vec<Stmt> {
+    let acc = b.var(&format!("{acc}{k}"));
+    let j = b.var(&format!("{j}{k}"));
+    let mut stmts = vec![
+        b.assign(acc, exp::c32(0x9E37_0001 ^ (k as u32))),
+        b.assign(j, exp::c32(0)),
+    ];
+    let churn = b.assign(
+        acc,
+        exp::add(exp::mul(exp::v(acc), exp::c32(0x9E37_79B1)), exp::v(j)),
+    );
+    let bump = b.assign(j, exp::add(exp::v(j), exp::c32(1)));
+    stmts.push(b.while_(
+        exp::ult(exp::v(j), exp::c32(work)),
+        Block(vec![churn, bump]),
+    ));
+    stmts
+}
+
+/// Builds the whole forged program for one application. Each site is
+/// preceded by a `site_work` loop (inside the prefix its candidates
+/// share) and, between its field reads and its guards, by a `stall_work`
+/// loop (in the suffix every candidate run executes); 0 plants none.
+fn build_program(
+    app_idx: usize,
+    plans: &[SitePlan],
+    layout: &Layout,
+    site_work: u32,
+    stall_work: u32,
+) -> Program {
     let mut b = ProgramBuilder::new();
     let main = b.declare_proc("main");
     let be16 = b.declare_proc("be16at");
@@ -404,24 +435,11 @@ fn build_program(app_idx: usize, plans: &[SitePlan], layout: &Layout, site_work:
     }
 
     for (k, plan) in plans.iter().enumerate() {
-        // Optional processing-work loop: input-independent arithmetic
-        // standing in for the parsing/decoding work between sites. No
-        // RNG draws (forged content with `site_work = 0` stays
+        // Optional processing-work loop: the parsing/decoding work
+        // between sites (forged content with `site_work = 0` stays
         // byte-identical to older forges).
         if site_work > 0 {
-            let acc = b.var(&format!("work{k}"));
-            let j = b.var(&format!("wj{k}"));
-            stmts.push(b.assign(acc, exp::c32(0x9E37_0001 ^ (k as u32))));
-            stmts.push(b.assign(j, exp::c32(0)));
-            let churn = b.assign(
-                acc,
-                exp::add(exp::mul(exp::v(acc), exp::c32(0x9E37_79B1)), exp::v(j)),
-            );
-            let bump = b.assign(j, exp::add(exp::v(j), exp::c32(1)));
-            stmts.push(b.while_(
-                exp::ult(exp::v(j), exp::c32(site_work)),
-                Block(vec![churn, bump]),
-            ));
+            stmts.extend(work_loop(&mut b, ["work", "wj"], k, site_work));
         }
 
         // Field extraction (parser-style, via the loader helpers).
@@ -443,6 +461,12 @@ fn build_program(app_idx: usize, plans: &[SitePlan], layout: &Layout, site_work:
                 sym
             })
             .collect();
+
+        // Optional stall: work after the first read of the site's fields,
+        // where its candidates' prefix snapshot cannot skip it.
+        if stall_work > 0 {
+            stmts.extend(work_loop(&mut b, ["stall", "sj"], k, stall_work));
+        }
 
         // Guard chain on the driver field.
         for (g, &limit) in plan.guards.iter().enumerate() {
@@ -530,7 +554,12 @@ fn build_seed(
 
 /// Forges one application: plans its sites, assigns the input layout,
 /// builds the program, the seeds, and the oracle entries.
-fn forge_app(cfg: &SynthConfig, app_idx: usize, rng: &mut StdRng) -> (CampaignApp, AppOracle) {
+fn forge_app(
+    cfg: &SynthConfig,
+    app_idx: usize,
+    rng: &mut StdRng,
+    stall_work: u32,
+) -> (CampaignApp, AppOracle) {
     let n_sites = draw(rng, cfg.min_sites as u64, cfg.max_sites as u64) as usize;
     let mut classes: Vec<GroundTruth> = (0..n_sites).map(|_| cfg.mix.draw(rng)).collect();
     if cfg.branch_depth == 0 {
@@ -599,7 +628,7 @@ fn forge_app(cfg: &SynthConfig, app_idx: usize, rng: &mut StdRng) -> (CampaignAp
         })
         .collect();
 
-    let program = build_program(app_idx, &plans, &layout, cfg.site_work);
+    let program = build_program(app_idx, &plans, &layout, cfg.site_work, stall_work);
     let name = format!("forge-{app_idx:03}");
 
     let (first_seed, format) = build_seed(app_idx, &plans, &all_values[0], &layout);
@@ -676,7 +705,7 @@ pub fn forge_range(cfg: &SynthConfig, start: usize, count: usize) -> ForgedSuite
     let mut oracles = Vec::with_capacity(count);
     for i in start..start + count {
         let mut rng = app_rng(cfg, i);
-        let (app, oracle) = forge_app(cfg, i, &mut rng);
+        let (app, oracle) = forge_app(cfg, i, &mut rng, 0);
         apps.push(app);
         oracles.push(oracle);
     }
@@ -684,6 +713,29 @@ pub fn forge_range(cfg: &SynthConfig, start: usize, count: usize) -> ForgedSuite
         apps,
         oracle: SynthOracle { apps: oracles },
     }
+}
+
+/// The app index of [`forge_stall`]'s plant: outside the range of any
+/// suite a job forges.
+const STALL_INDEX: usize = 100;
+
+/// Forges the single-site application a watchdog drill plants beside a
+/// healthy suite: app index 100 of a one-site `rng_seed` forge, with a
+/// `work`-iteration busy loop between the site's field reads and its
+/// guards. The loop lies past the site's prefix-snapshot boundary (the
+/// first read of its fields), so the extraction and every candidate run
+/// execute it and the site is slow however its runs resume.
+#[must_use]
+pub fn forge_stall(work: u32, rng_seed: u64) -> CampaignApp {
+    let cfg = SynthConfig {
+        apps: 1,
+        min_sites: 1,
+        max_sites: 1,
+        rng_seed,
+        ..SynthConfig::default()
+    };
+    let mut rng = app_rng(&cfg, STALL_INDEX);
+    forge_app(&cfg, STALL_INDEX, &mut rng, work).0
 }
 
 /// Forges a complete suite from a configuration. Deterministic: equal

@@ -79,7 +79,7 @@ mod oracle;
 mod score;
 
 pub use config::{ClassMix, ShapeClass, SynthConfig, WidthClass};
-pub use forge::{forge, forge_range, ForgedSuite};
+pub use forge::{forge, forge_range, forge_stall, ForgedSuite};
 pub use manifest::{AppManifest, Fnv64, ManifestError, SuiteManifest};
 pub use oracle::{AppOracle, GroundTruth, PlantedSite, SynthOracle};
 pub use score::{score, Mismatch, ScoreCard};

@@ -9,10 +9,18 @@
 //! outcome, memory errors, every allocation record (values, sticky
 //! overflow flags, shadow tags), branch observations, warnings, and the
 //! step count.
+//!
+//! Captures and resumes pair branch recording the ways the pipeline
+//! does: on for both (stage 2), off for both, and captured on but
+//! resumed off (the candidate tester, whose resume must then match a
+//! non-recording run from `main`). A snapshot captured without recording
+//! holds no prefix log, so it never serves a recording resume. Every
+//! snapshot of one `run_capture_multi` pass, whose snapshots share one
+//! branch log, is checked the same way.
 
 use diode_interp::{
-    run, run_and_capture, run_from, run_probed, Concrete, MachineConfig, Run, Shadow, Symbolic,
-    Taint,
+    run, run_and_capture, run_capture_multi, run_from, run_probed, Concrete, MachineConfig, Run,
+    Shadow, Symbolic, Taint,
 };
 use diode_synth::{forge, SynthConfig};
 use proptest::prelude::*;
@@ -21,9 +29,51 @@ fn image<T: std::fmt::Debug, C: std::fmt::Debug>(r: &Run<T, C>) -> String {
     format!("{r:?}")
 }
 
+fn recording(record_branches: bool) -> MachineConfig {
+    MachineConfig {
+        record_branches,
+        ..MachineConfig::default()
+    }
+}
+
+/// `(capture, resume)` branch-recording pairs a snapshot may serve.
+const PAIRINGS: [(bool, bool); 3] = [(true, true), (false, false), (true, false)];
+
+/// Resumes `snapshot` (captured under `shadow`) on `candidate` under
+/// `resume` and asserts byte-identity against a from-scratch run under
+/// the same policy and config.
+fn assert_resume_matches<S: Shadow + Clone>(
+    app: &diode_engine::CampaignApp,
+    shadow: S,
+    snapshot: &diode_interp::Snapshot<S>,
+    candidate: &[u8],
+    resume: &MachineConfig,
+) -> Result<(), TestCaseError>
+where
+    S::Tag: std::fmt::Debug,
+    S::CondTag: std::fmt::Debug,
+{
+    // Validation must accept the candidate (it differs only at divergent
+    // offsets, none of which the prefix read), and the result must match
+    // a from-scratch run byte for byte.
+    let resumed = run_from(&app.program, candidate, snapshot, resume)
+        .expect("candidate agrees with the prefix log");
+    let scratch = run(&app.program, candidate, shadow, resume);
+    prop_assert_eq!(
+        image(&resumed),
+        image(&scratch),
+        "{}: resumed suffix diverges from from-scratch run (recording {})",
+        app.name,
+        resume.record_branches
+    );
+    prop_assert_eq!(resumed.steps, scratch.steps);
+    Ok(())
+}
+
 /// Probes, captures, and resumes one forged app under one shadow policy,
 /// asserting byte-identity of the resumed suffix run against a
-/// from-scratch run on the same candidate input.
+/// from-scratch run on the same candidate input, for every recording
+/// pairing.
 fn assert_equivalence<S: Shadow + Clone>(
     app: &diode_engine::CampaignApp,
     shadow: S,
@@ -34,36 +84,74 @@ where
     S::Tag: std::fmt::Debug,
     S::CondTag: std::fmt::Debug,
 {
-    let machine = MachineConfig::default();
     let seed = &app.seeds[0];
-    let (_, probe) = run_probed(&app.program, seed, shadow.clone(), &machine, divergent);
-    let Some(step) = probe else {
-        // The divergent bytes are never read on the seed path — nothing
-        // to snapshot, nothing to check.
-        return Ok(());
-    };
-    let (full, snapshot) = run_and_capture(&app.program, seed, shadow.clone(), &machine, step);
-    // The capturing run itself is unperturbed.
-    prop_assert_eq!(
-        image(&full),
-        image(&run(&app.program, seed, shadow.clone(), &machine)),
-        "{}: capture perturbed the run",
-        app.name
-    );
-    let snapshot = snapshot.expect("probe step is reached on the probing input");
-    // Resume on the candidate: validation must accept it (it differs
-    // only at divergent offsets, none of which the prefix read), and the
-    // result must match a from-scratch run byte for byte.
-    let resumed = run_from(&app.program, candidate, &snapshot, &machine)
-        .expect("candidate agrees with the prefix log");
-    let scratch = run(&app.program, candidate, shadow, &machine);
-    prop_assert_eq!(
-        image(&resumed),
-        image(&scratch),
-        "{}: resumed suffix diverges from from-scratch run",
-        app.name
-    );
-    prop_assert_eq!(resumed.steps, scratch.steps);
+    for (capture, resume) in PAIRINGS {
+        let capture = recording(capture);
+        let (_, probe) = run_probed(&app.program, seed, shadow.clone(), &capture, divergent);
+        let Some(step) = probe else {
+            // The divergent bytes are never read on the seed path —
+            // nothing to snapshot, nothing to check.
+            return Ok(());
+        };
+        let (full, snapshot) = run_and_capture(&app.program, seed, shadow.clone(), &capture, step);
+        // The capturing run itself is unperturbed.
+        prop_assert_eq!(
+            image(&full),
+            image(&run(&app.program, seed, shadow.clone(), &capture)),
+            "{}: capture perturbed the run",
+            app.name
+        );
+        let snapshot = snapshot.expect("probe step is reached on the probing input");
+        assert_resume_matches(
+            app,
+            shadow.clone(),
+            &snapshot,
+            candidate,
+            &recording(resume),
+        )?;
+    }
+    Ok(())
+}
+
+/// Captures one snapshot per site in a single `run_capture_multi` pass
+/// and resumes each on its own site's candidate, for every recording
+/// pairing. `sites` pairs each site's divergent bytes with its candidate.
+fn assert_multi_equivalence<S: Shadow + Clone>(
+    app: &diode_engine::CampaignApp,
+    shadow: S,
+    sites: &[(Vec<u32>, Vec<u8>)],
+) -> Result<(), TestCaseError>
+where
+    S::Tag: std::fmt::Debug,
+    S::CondTag: std::fmt::Debug,
+{
+    let seed = &app.seeds[0];
+    for (capture, resume) in PAIRINGS {
+        let capture = recording(capture);
+        let mut stops: Vec<(u64, usize)> = sites
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (divergent, _))| {
+                run_probed(&app.program, seed, shadow.clone(), &capture, divergent)
+                    .1
+                    .map(|step| (step, i))
+            })
+            .collect();
+        stops.sort_unstable();
+        let steps: Vec<u64> = stops.iter().map(|&(step, _)| step).collect();
+        let snapshots = run_capture_multi(&app.program, seed, shadow.clone(), &capture, &steps);
+        prop_assert_eq!(snapshots.len(), stops.len());
+        for (&(_, i), snapshot) in stops.iter().zip(&snapshots) {
+            let snapshot = snapshot.as_ref().expect("every probed step is reached");
+            assert_resume_matches(
+                app,
+                shadow.clone(),
+                snapshot,
+                &sites[i].1,
+                &recording(resume),
+            )?;
+        }
+    }
     Ok(())
 }
 
@@ -90,39 +178,52 @@ proptest! {
         let suite = forge(&cfg);
         let app = &suite.apps[0];
         let oracle = suite.oracle.app(&app.name).expect("oracle entry");
-        let site = &oracle.sites[site_pick % oracle.sites.len()];
 
-        // Divergent set: the picked site's field bytes (what a solver
-        // model would patch), via the format's field map.
-        let mut divergent: Vec<u32> = site
-            .fields
+        // Per site, the divergent set: its field bytes (what a solver
+        // model would patch), via the format's field map; and a
+        // candidate input: those bytes patched with arbitrary values and
+        // the checksums repaired, exactly like generated inputs.
+        let sites: Vec<(Vec<u32>, Vec<u8>)> = oracle
+            .sites
             .iter()
-            .flat_map(|path| {
-                let f = app.format.field(path).expect("planted field exists");
-                f.offset..f.offset + f.len
+            .map(|site| {
+                let mut divergent: Vec<u32> = site
+                    .fields
+                    .iter()
+                    .flat_map(|path| {
+                        let f = app.format.field(path).expect("planted field exists");
+                        f.offset..f.offset + f.len
+                    })
+                    .collect();
+                divergent.sort_unstable();
+                divergent.dedup();
+                let patched = divergent
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &o)| (o, (patch >> ((i % 8) * 8)) as u8));
+                let candidate = app.format.reconstruct(&app.seeds[0], patched);
+                (divergent, candidate)
             })
             .collect();
-        divergent.sort_unstable();
-        divergent.dedup();
+        let (divergent, candidate) = &sites[site_pick % sites.len()];
 
-        // A candidate input: patch the divergent bytes with arbitrary
-        // values and repair the checksums, exactly like generated inputs.
-        let patched = divergent
-            .iter()
-            .enumerate()
-            .map(|(i, &o)| (o, (patch >> ((i % 8) * 8)) as u8));
-        let candidate = app.format.reconstruct(&app.seeds[0], patched);
-
-        assert_equivalence(app, Concrete, &divergent, &candidate)?;
-        assert_equivalence(app, Taint, &divergent, &candidate)?;
-        assert_equivalence(app, Symbolic::all_bytes(), &divergent, &candidate)?;
+        assert_equivalence(app, Concrete, divergent, candidate)?;
+        assert_equivalence(app, Taint, divergent, candidate)?;
+        assert_equivalence(app, Symbolic::all_bytes(), divergent, candidate)?;
         // The staged policy the pipeline actually uses: symbolic
         // recording restricted to the site's relevant bytes.
         assert_equivalence(
             app,
             Symbolic::relevant_bytes(divergent.iter().copied()),
-            &divergent,
-            &candidate,
+            divergent,
+            candidate,
         )?;
+
+        // One capture pass for every site, as the campaign warm-up
+        // takes it (tag-free symbolic), and under the other policies.
+        assert_multi_equivalence(app, Symbolic::relevant_bytes([]), &sites)?;
+        assert_multi_equivalence(app, Concrete, &sites)?;
+        assert_multi_equivalence(app, Taint, &sites)?;
+        assert_multi_equivalence(app, Symbolic::all_bytes(), &sites)?;
     }
 }
