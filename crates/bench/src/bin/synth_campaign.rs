@@ -39,8 +39,7 @@
 //! * `--heartbeat-ms N`  heartbeat sampling interval (default 50)
 //! * `--json`            machine-readable output (throughput, cache
 //!   hit/miss counters, recall/precision) in the BENCH json schema
-//! * `--sequential`      single-threaded reference path (also
-//!   `DIODE_SEQUENTIAL=1`)
+//! * `--sequential`      single-threaded reference path
 //! * `--threads N`       pin the engine's worker count
 //!
 //! Exits non-zero when the recall gate fails — this is the CI

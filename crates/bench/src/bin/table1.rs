@@ -12,8 +12,7 @@
 //!   freshly forged scenarios and grade the result against the synth
 //!   oracle (exit non-zero unless recall is 1.0 and every classification
 //!   matches); combine with `--app` to filter forged app names
-//! * `--sequential`  original single-threaded path (also
-//!   `DIODE_SEQUENTIAL=1`)
+//! * `--sequential`  original single-threaded path
 //! * `--threads N`   pin the engine's worker count
 
 use std::time::Instant;

@@ -22,8 +22,8 @@
 //!
 //! Whole-program analyses run through the `diode-engine` work-stealing
 //! scheduler by default ([`AnalysisBackend::Engine`]); pass
-//! `--sequential` to any binary (or set `DIODE_SEQUENTIAL=1`) to fall
-//! back to the original single-threaded `diode-core` path. Every binary
+//! `--sequential` to any binary to fall back to the original
+//! single-threaded `diode-core` path. Every binary
 //! also accepts `--json` for machine-readable output ([`jsonout`]).
 
 #![warn(missing_docs)]
@@ -64,14 +64,10 @@ impl Default for AnalysisBackend {
 }
 
 impl AnalysisBackend {
-    /// Reads the backend from CLI args (`--sequential`, `--threads N`)
-    /// and the `DIODE_SEQUENTIAL` environment variable.
+    /// Reads the backend from CLI args (`--sequential`, `--threads N`).
     #[must_use]
     pub fn from_args<S: AsRef<str>>(args: &[S]) -> Self {
-        let has = |flag: &str| args.iter().any(|a| a.as_ref() == flag);
-        let sequential =
-            has("--sequential") || std::env::var_os("DIODE_SEQUENTIAL").is_some_and(|v| v != "0");
-        if sequential {
+        if args.iter().any(|a| a.as_ref() == "--sequential") {
             return AnalysisBackend::Sequential;
         }
         let threads = flag_num(args, "--threads").map(|n| n as usize);
@@ -267,9 +263,9 @@ pub fn table1_rows(apps: &[App], config: &DiodeConfig, backend: AnalysisBackend)
 /// Runs `apps` as one engine campaign that behaves like the sequential
 /// `diode-core` path: the caller's config verbatim (its `query_cache` is
 /// the only solver cache, so backend timings stay comparable), no
-/// campaign snapshot cache (with `prefix_snapshots` on, each site uses a
-/// local slot exactly as `analyze_site` does), and no re-validation —
-/// Table 1 and its siblings are pure classification.
+/// snapshot cache (every site runs from `main`, exactly as
+/// `analyze_site` does), and no re-validation — Table 1 and its siblings
+/// are pure classification.
 fn engine_campaign(apps: &[App], config: &DiodeConfig, threads: Option<usize>) -> CampaignReport {
     CampaignSpec {
         config: config.clone(),

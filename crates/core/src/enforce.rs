@@ -13,19 +13,18 @@
 //!    becomes unsatisfiable, or the candidate satisfies all of φ without
 //!    triggering (sanity checks *prevent* the overflow).
 
-use std::collections::BTreeSet;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use diode_format::{Fixup, FormatDesc};
-use diode_interp::{run, run_and_capture, run_from, run_probed, Concrete, MachineConfig, Symbolic};
+use diode_format::FormatDesc;
+use diode_interp::{run, run_from, Concrete, MachineConfig};
 use diode_lang::{Label, Program};
 use diode_solver::{solve_with, SolveResult, SolverCache, SolverConfig};
 use diode_symbolic::SymBool;
 
 use crate::pipeline::{classify_run, extract, extract_resumed, generate_input, CandidateResult};
 use crate::pipeline::{Extraction, TargetSite};
-use crate::snapshot::{SiteSlot, TestPlan};
+use crate::snapshot::SiteSlot;
 
 /// Why the enforcement loop concluded that no overflow-triggering input
 /// exists (within budget).
@@ -110,19 +109,16 @@ pub struct Bug {
 /// Prefix-snapshot telemetry for one site's enforcement loop.
 #[derive(Debug, Clone)]
 pub struct SiteSnapshotInfo {
-    /// Step count of the statement performing the first divergent-byte
-    /// read on the candidate path (`None`: never probed, or the path
-    /// reads no divergent byte).
+    /// Step count of the statement performing the first read of the
+    /// site's relevant or checksum bytes on the seed run, just before
+    /// which the warm pass captured its prefix snapshot (`None`: the
+    /// slot is not ready, so every candidate ran from `main`).
     pub first_divergent_step: Option<u64>,
-    /// Sorted input offsets that may differ between candidate inputs
-    /// (β's bytes, φ's bytes, checksum-fixup destinations).
-    pub divergent_bytes: Vec<u32>,
     /// Candidate inputs executed for this site.
     pub candidates: u64,
     /// Candidate executions resumed from the prefix snapshot.
     pub resumed: u64,
-    /// The stage-2 extraction itself resumed from the prefix snapshot
-    /// (warmed campaigns only).
+    /// The stage-2 extraction itself resumed from the prefix snapshot.
     pub extract_resumed: bool,
 }
 
@@ -146,8 +142,8 @@ pub struct SiteReport {
     pub discovery_time: Duration,
     /// The extraction (target expression, β, φ), for further experiments.
     pub extraction: Option<Extraction>,
-    /// Prefix-snapshot telemetry (`None` when snapshots are disabled or
-    /// the site was never enforced).
+    /// Prefix-snapshot telemetry (`None` when the analysis ran without a
+    /// snapshot slot, or the extraction failed).
     pub snapshot: Option<SiteSnapshotInfo>,
     /// Largest interpreter-heap high-water mark among this site's runs
     /// (extraction, candidates, validation) on this thread — the site's
@@ -172,14 +168,6 @@ pub struct DiodeConfig {
     /// across all workers so repeated φ′∧β queries are answered without
     /// re-blasting. `None` keeps the original solve-from-scratch path.
     pub query_cache: Option<Arc<SolverCache>>,
-    /// Prefix-snapshot re-execution (on by default): the enforcement
-    /// loop's first candidate run locates the first read of a
-    /// solver-patchable byte, the second captures the machine state at
-    /// that boundary, and every later candidate resumes from it —
-    /// replaying only the divergent suffix. Off preserves the original
-    /// full-re-execution path for differential testing; results are
-    /// byte-identical either way.
-    pub prefix_snapshots: bool,
 }
 
 impl Default for DiodeConfig {
@@ -189,7 +177,6 @@ impl Default for DiodeConfig {
             solver: SolverConfig::default(),
             max_enforcements: 32,
             query_cache: None,
-            prefix_snapshots: true,
         }
     }
 }
@@ -251,28 +238,9 @@ impl DiodeConfig {
     }
 }
 
-/// The sorted input offsets that may differ between candidate inputs for
-/// one site: every byte the solver can patch (β's and φ's variables)
-/// plus every byte reconstruction rewrites (checksum destinations). The
-/// first read of any of these is where candidate executions can diverge
-/// — and therefore the prefix-snapshot boundary.
-#[must_use]
-fn divergent_bytes(extraction: &Extraction, format: &FormatDesc) -> Vec<u32> {
-    let mut set: BTreeSet<u32> = extraction.beta_bytes.iter().copied().collect();
-    for cond in &extraction.phi {
-        set.extend(cond.constraint.input_bytes());
-    }
-    for fixup in format.fixups() {
-        let Fixup::Crc32 { dest, .. } = fixup;
-        set.extend(*dest..dest + 4);
-    }
-    set.into_iter().collect()
-}
-
 /// Runs every candidate input of one site's enforcement loop, resuming
-/// from the site's prefix snapshot when one is available (and building it
-/// when not: the first candidate probes for the divergence point, the
-/// second captures the snapshot en route). Without a slot this is plain
+/// from the slot's prefix snapshot when the warm pass left one there.
+/// Without a ready slot this is plain
 /// [`test_candidate`](crate::test_candidate) behaviour.
 struct CandidateTester<'a> {
     program: &'a Program,
@@ -281,11 +249,6 @@ struct CandidateTester<'a> {
     /// resume under it starts from an empty branch log, so it copies
     /// none of the snapshot's prefix log.
     machine: MachineConfig,
-    /// The capture config: the caller's machine config verbatim, so a
-    /// snapshot captured here is also valid for extraction resumes
-    /// (which need the prefix's branch observations).
-    capture_machine: MachineConfig,
-    divergent: Vec<u32>,
     slot: Option<Arc<SiteSlot>>,
     candidates: u64,
     resumed: u64,
@@ -296,18 +259,14 @@ impl<'a> CandidateTester<'a> {
         program: &'a Program,
         label: Label,
         machine: &MachineConfig,
-        divergent: Vec<u32>,
         slot: Option<Arc<SiteSlot>>,
     ) -> CandidateTester<'a> {
-        let capture_machine = machine.clone();
         let mut machine = machine.clone();
         machine.record_branches = false;
         CandidateTester {
             program,
             label,
             machine,
-            capture_machine,
-            divergent,
             slot,
             candidates: 0,
             resumed: 0,
@@ -316,93 +275,28 @@ impl<'a> CandidateTester<'a> {
 
     fn test(&mut self, input: &[u8]) -> CandidateResult {
         self.candidates += 1;
-        let Some(slot) = self.slot.clone() else {
-            return self.plain(input);
-        };
-        match slot.plan() {
-            TestPlan::Resume(snapshot) => {
-                match run_from(self.program, input, &snapshot, &self.machine) {
-                    Some(r) => {
-                        slot.count_hit(true);
+        if let Some(slot) = &self.slot {
+            match slot.snapshot() {
+                Some(snapshot) => {
+                    let resumed = run_from(self.program, input, &snapshot, &self.machine);
+                    slot.count_hit(resumed.is_some());
+                    if let Some(r) = resumed {
                         self.resumed += 1;
-                        classify_run(&r, self.label)
-                    }
-                    None => {
-                        slot.count_hit(false);
-                        self.plain(input)
+                        return classify_run(&r, self.label);
                     }
                 }
-            }
-            TestPlan::Probe => {
-                slot.count_miss();
-                let (r, probe) = run_probed(
-                    self.program,
-                    input,
-                    Concrete,
-                    &self.machine,
-                    &self.divergent,
-                );
-                slot.record_probe(probe);
-                classify_run(&r, self.label)
-            }
-            TestPlan::Capture(step) => {
-                slot.count_miss();
-                // Capture under the tag-free symbolic policy with the
-                // caller's full machine config: the stored snapshot then
-                // serves both later candidates and (in warmed campaigns)
-                // extraction resumes, which need prefix branches.
-                let (r, snapshot) = run_and_capture(
-                    self.program,
-                    input,
-                    Symbolic::relevant_bytes([]),
-                    &self.capture_machine,
-                    step,
-                );
-                if let Some(s) = snapshot {
-                    // Tester captures bound the boundary by β ∪ φ ∪ CRC
-                    // reads, not relevant-byte reads: safe for candidate
-                    // resumes only.
-                    slot.record_snapshot(step, s, false);
-                }
-                classify_run(&r, self.label)
-            }
-            TestPlan::Plain => {
-                slot.count_miss();
-                self.plain(input)
+                None => slot.count_miss(),
             }
         }
-    }
-
-    fn plain(&self, input: &[u8]) -> CandidateResult {
         classify_run(
             &run(self.program, input, Concrete, &self.machine),
             self.label,
         )
     }
-
-    fn info(&self) -> SiteSnapshotInfo {
-        SiteSnapshotInfo {
-            first_divergent_step: self.slot.as_ref().and_then(|s| s.first_divergent_step()),
-            divergent_bytes: self.divergent.clone(),
-            candidates: self.candidates,
-            resumed: self.resumed,
-            extract_resumed: false,
-        }
-    }
 }
 
-/// The slot the enforcement loop should use: the caller's (campaign
-/// cache) slot when snapshots are on, a fresh local slot when the caller
-/// brought none, and none at all when the config disables snapshots.
-fn effective_slot(config: &DiodeConfig, slot: Option<Arc<SiteSlot>>) -> Option<Arc<SiteSlot>> {
-    if config.prefix_snapshots {
-        slot.or_else(|| Some(Arc::new(SiteSlot::local())))
-    } else {
-        None
-    }
-}
-
-/// Runs the complete DIODE analysis for one target site (Figure 7).
+/// Runs the complete DIODE analysis for one target site (Figure 7),
+/// every run from `main`.
 #[must_use]
 pub fn analyze_site(
     program: &Program,
@@ -416,9 +310,11 @@ pub fn analyze_site(
 
 /// [`analyze_site`] with an explicit snapshot slot — the campaign entry
 /// point: `diode-engine` hands every worker the per-`(unit, site)` slot
-/// of its shared [`SnapshotCache`](crate::SnapshotCache) so counters
-/// aggregate campaign-wide. `None` falls back to a site-local slot (or
-/// none, when `config.prefix_snapshots` is off).
+/// of its shared [`SnapshotCache`](crate::SnapshotCache), warmed by
+/// [`warm_unit_slots`](crate::warm_unit_slots), so counters aggregate
+/// campaign-wide. A ready slot's snapshot resumes the extraction and
+/// every candidate; `None` runs everything from `main` and reports no
+/// snapshot telemetry.
 #[must_use]
 pub fn analyze_site_with_snapshots(
     program: &Program,
@@ -428,16 +324,15 @@ pub fn analyze_site_with_snapshots(
     config: &DiodeConfig,
     slot: Option<Arc<SiteSlot>>,
 ) -> SiteReport {
-    let slot = effective_slot(config, slot);
     // Start a fresh per-site window on the thread-local peak-heap
     // gauge; every interpreter run below notes its heap peak there.
     let _ = diode_interp::take_peak_heap_bytes();
-    // Warmed campaigns resume the stage-2 symbolic seed run from the
-    // site's prefix snapshot; everyone else re-executes from `main`.
+    // A ready slot resumes the stage-2 symbolic seed run from the site's
+    // prefix snapshot; everything else re-executes from `main`.
     let mut extract_was_resumed = false;
     let extraction = {
         let _span = diode_obs::span(diode_obs::Phase::Extract);
-        match slot.as_ref().and_then(|s| s.extract_snapshot()) {
+        match slot.as_ref().and_then(|s| s.snapshot()) {
             Some(snapshot) => {
                 match extract_resumed(program, seed, site, &config.machine, &snapshot) {
                     Some(e) => {
@@ -471,13 +366,7 @@ pub fn analyze_site_with_snapshots(
         };
     };
     let start = Instant::now();
-    let mut tester = CandidateTester::new(
-        program,
-        site.label,
-        &config.machine,
-        divergent_bytes(&extraction, format),
-        slot,
-    );
+    let mut tester = CandidateTester::new(program, site.label, &config.machine, slot);
     let outcome = {
         let _span = diode_obs::span(diode_obs::Phase::Enforce);
         enforce_with(seed, format, &extraction, config, &mut tester)
@@ -500,10 +389,11 @@ pub fn analyze_site_with_snapshots(
             witness,
         });
     }
-    let snapshot = tester.slot.is_some().then(|| {
-        let mut info = tester.info();
-        info.extract_resumed = extract_was_resumed;
-        info
+    let snapshot = tester.slot.as_ref().map(|slot| SiteSnapshotInfo {
+        first_divergent_step: slot.first_divergent_step(),
+        candidates: tester.candidates,
+        resumed: tester.resumed,
+        extract_resumed: extract_was_resumed,
     });
     SiteReport {
         site: site.site.to_string(),
@@ -519,7 +409,8 @@ pub fn analyze_site_with_snapshots(
     }
 }
 
-/// The Figure 7 loop, operating on an existing extraction.
+/// The Figure 7 loop, operating on an existing extraction. Every
+/// candidate runs from `main`.
 #[must_use]
 pub fn enforce(
     program: &Program,
@@ -529,13 +420,7 @@ pub fn enforce(
     extraction: &Extraction,
     config: &DiodeConfig,
 ) -> SiteOutcome {
-    let mut tester = CandidateTester::new(
-        program,
-        label,
-        &config.machine,
-        divergent_bytes(extraction, format),
-        effective_slot(config, None),
-    );
+    let mut tester = CandidateTester::new(program, label, &config.machine, None);
     let _span = diode_obs::span(diode_obs::Phase::Enforce);
     enforce_with(seed, format, extraction, config, &mut tester)
 }
@@ -701,8 +586,10 @@ fn _assert_api_types_are_send() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::identify_target_sites;
+    use crate::pipeline::identify_target_sites_traced;
+    use crate::snapshot::{warm_unit_slots, SnapshotCache};
     use diode_lang::parse;
+    use std::collections::HashMap;
 
     /// Two sites behind a shared prefix: site 2's candidates replay the
     /// full processing of site 1 unless snapshots cut it away.
@@ -718,16 +605,77 @@ mod tests {
         buf1 = alloc("s1@9", b * 80000);
     }"#;
 
-    fn reports(prefix_snapshots: bool) -> Vec<SiteReport> {
-        let program = parse(TWO_SITES).unwrap();
-        let seed = vec![0x00, 0x08, 0x00, 0x10];
-        let config = DiodeConfig {
-            prefix_snapshots,
-            ..DiodeConfig::default()
-        };
-        identify_target_sites(&program, &seed, &config.machine)
-            .iter()
-            .map(|t| analyze_site(&program, &seed, &FormatDesc::new("two"), t, &config))
+    const SEED: [u8; 4] = [0x00, 0x08, 0x00, 0x10];
+
+    /// The `TWO_SITES` unit: its sites, the seed's first-read trace, and
+    /// one slot per site from a fresh cache (so the slots share the
+    /// cache's counters).
+    struct Unit {
+        program: Program,
+        format: FormatDesc,
+        config: DiodeConfig,
+        targets: Vec<TargetSite>,
+        first_reads: HashMap<u64, u64>,
+        cache: SnapshotCache,
+        slots: Vec<Arc<SiteSlot>>,
+    }
+
+    impl Unit {
+        fn new() -> Unit {
+            let program = parse(TWO_SITES).unwrap();
+            let config = DiodeConfig::default();
+            let (targets, first_reads) =
+                identify_target_sites_traced(&program, &SEED, &config.machine);
+            let cache = SnapshotCache::new();
+            let slots = targets.iter().map(|t| cache.slot(0, t.label)).collect();
+            Unit {
+                program,
+                format: FormatDesc::new("two"),
+                config,
+                targets,
+                first_reads,
+                cache,
+                slots,
+            }
+        }
+
+        /// Runs the warm pass over every slot with this first-read trace.
+        fn warm(&self, first_reads: &HashMap<u64, u64>) {
+            warm_unit_slots(
+                &self.program,
+                &SEED,
+                &self.format,
+                &self.targets,
+                &self.config.machine,
+                first_reads,
+                &self.slots,
+            );
+        }
+
+        /// Site `i`'s report, through its slot or with none.
+        fn analyze(&self, i: usize, with_slot: bool) -> SiteReport {
+            let slot = with_slot.then(|| Arc::clone(&self.slots[i]));
+            let site = &self.targets[i];
+            analyze_site_with_snapshots(
+                &self.program,
+                &SEED,
+                &self.format,
+                site,
+                &self.config,
+                slot,
+            )
+        }
+    }
+
+    /// Every site's report: from slots the warm pass set (`warmed`), or
+    /// with no slot, every run from `main`.
+    fn reports(warmed: bool) -> Vec<SiteReport> {
+        let unit = Unit::new();
+        if warmed {
+            unit.warm(&unit.first_reads);
+        }
+        (0..unit.targets.len())
+            .map(|i| unit.analyze(i, warmed))
             .collect()
     }
 
@@ -739,32 +687,62 @@ mod tests {
         for (a, b) in on.iter().zip(&off) {
             assert_eq!(a.site, b.site);
             assert_eq!(format!("{:?}", a.outcome), format!("{:?}", b.outcome));
-            assert!(b.snapshot.is_none(), "disabled path reports no telemetry");
+            assert!(b.snapshot.is_none(), "no slot, no telemetry");
         }
     }
 
     #[test]
     fn enforcement_loop_reports_snapshot_telemetry() {
-        let on = reports(true);
-        for r in &on {
-            let info = r.snapshot.as_ref().expect("snapshots on");
+        for r in &reports(true) {
+            let info = r.snapshot.as_ref().expect("warmed slot");
             assert!(info.candidates >= 1, "{}: {info:?}", r.site);
             assert!(
-                !info.divergent_bytes.is_empty(),
-                "{}: both sites are input-driven",
+                info.first_divergent_step.is_some(),
+                "{}: the warm pass set the slot ready",
                 r.site
             );
-            assert!(info.resumed <= info.candidates.saturating_sub(2));
+            // A warmed slot serves every candidate and the extraction.
+            assert_eq!(info.resumed, info.candidates, "{}: {info:?}", r.site);
+            assert!(info.extract_resumed, "{}: {info:?}", r.site);
         }
-        // At least one site's loop ran several candidates; with three or
-        // more, the probe/capture/resume ladder completes and the later
-        // candidates resume.
-        if let Some(deep) = on
-            .iter()
-            .filter_map(|r| r.snapshot.as_ref())
-            .find(|i| i.candidates >= 3)
-        {
-            assert!(deep.resumed >= 1, "{deep:?}");
+    }
+
+    #[test]
+    fn a_boundary_past_the_seed_run_leaves_the_slot_inert() {
+        let unit = Unit::new();
+        let end = run(&unit.program, &SEED, Concrete, &unit.config.machine).steps;
+        // Site 2 reads bytes 2 and 3; claim their first reads lie past the
+        // end of the seed run, so the capture pass never reaches them.
+        let late = 1;
+        let mut moved = unit.first_reads.clone();
+        for &o in &unit.targets[late].relevant_bytes {
+            moved.insert(u64::from(o), end + 1);
         }
+        unit.warm(&moved);
+        assert!(
+            unit.slots[0].first_divergent_step().is_some(),
+            "site 1 is ready"
+        );
+        assert_eq!(unit.slots[late].first_divergent_step(), None);
+        assert_eq!(unit.cache.stats().captures, 1);
+
+        let report = unit.analyze(late, true);
+        let info = report.snapshot.as_ref().expect("a slot was passed");
+        assert_eq!(info.first_divergent_step, None);
+        assert_eq!((info.resumed, info.extract_resumed), (0, false));
+        let stats = unit.cache.stats();
+        assert_eq!(stats.misses, info.candidates, "{stats:?}");
+        assert_eq!(stats.hits, 0);
+        let plain = unit.analyze(late, false);
+        assert_eq!(
+            format!("{:?}", report.outcome),
+            format!("{:?}", plain.outcome)
+        );
+
+        // The inert slot is set: warming again, now with the true trace,
+        // captures nothing.
+        unit.warm(&unit.first_reads);
+        assert_eq!(unit.slots[late].first_divergent_step(), None);
+        assert_eq!(unit.cache.stats().captures, 1);
     }
 }

@@ -6,11 +6,14 @@
 //! processing of every earlier site). This module owns the cache that
 //! turns those re-executions into resumed suffixes:
 //!
-//! * a [`SiteSlot`] is one site's snapshot state machine — *empty* →
-//!   *probed* (the first candidate run located the first divergent read)
-//!   → *ready* (the second candidate run captured the prefix snapshot en
-//!   route) — plus the terminal *inert* state for sites whose candidate
-//!   paths never read a divergent byte;
+//! * a [`SiteSlot`] holds one site's prefix snapshot. It is *unset*
+//!   until the unit's warm pass ([`warm_unit_slots`]) reaches it, which
+//!   then sets it once, for good: *ready* (the boundary step and the
+//!   snapshot) or *inert* (the seed run never read the site's bytes, or
+//!   ended before the first read, so the site runs every candidate from
+//!   `main`). The warm pass is the
+//!   only producer of snapshots, and every snapshot it places serves
+//!   both the stage-2 extraction and the site's candidates;
 //! * a [`SnapshotCache`] maps `(unit, site label)` keys to slots and is
 //!   shared across campaign workers behind an `Arc`, with the same
 //!   discipline as the solver-query cache; its counters ([`hits`,
@@ -24,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use diode_format::{Fixup, FormatDesc};
 use diode_interp::{run_capture_multi, MachineConfig, Snapshot, Symbolic};
@@ -36,10 +39,11 @@ use crate::pipeline::TargetSite;
 /// Aggregate snapshot-cache counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SnapshotStats {
-    /// Candidate tests that found a ready snapshot.
+    /// Candidate tests that found a ready snapshot, whether or not it
+    /// validated for the candidate.
     pub hits: u64,
-    /// Candidate tests that ran from scratch (no snapshot yet, an inert
-    /// site, or a failed validation).
+    /// Candidate tests whose slot held no snapshot (unset or inert), so
+    /// they ran from `main`. A failed validation is a hit, not a miss.
     pub misses: u64,
     /// Candidate tests actually resumed from a snapshot (hits whose
     /// validation passed). `hits - resumes` counts invalidations.
@@ -97,60 +101,27 @@ struct Counters {
     resumes: AtomicU64,
     captures: AtomicU64,
     extract_resumes: AtomicU64,
-    /// Bytes pinned by ready snapshots. Slots only ever *gain* a
-    /// snapshot (Ready is terminal), so the gauge grows monotonically
-    /// and current == peak until a future eviction policy subtracts.
+    /// Bytes pinned by ready snapshots. A slot is set once and a ready
+    /// slot stays ready, so the gauge grows monotonically and current ==
+    /// peak until a future eviction policy subtracts.
     bytes: diode_obs::ByteGauge,
 }
 
-/// One site's snapshot state.
-#[derive(Debug, Default)]
-enum SlotState {
-    /// No candidate has run yet.
-    #[default]
-    Empty,
-    /// A probing run found the first divergent read at this step.
-    Probed {
-        /// Step count of the statement performing the read.
-        step: u64,
-    },
-    /// A prefix snapshot is available.
-    Ready {
-        /// The probe step the snapshot was captured before.
-        step: u64,
-        /// The captured prefix.
-        snapshot: Arc<Snapshot<Symbolic>>,
-        /// The boundary is known to precede the first read of the
-        /// site's *relevant* bytes (warm-up captures watch relevant ∪
-        /// checksum bytes), so stage-2 extraction may resume from it.
-        /// Tester-captured snapshots watch β ∪ φ bytes instead — a set
-        /// that can exclude a relevant byte the symbolic expression
-        /// simplified away — and are only safe for candidate resumes.
-        extract_safe: bool,
-    },
-    /// The site's candidate runs never read a divergent byte; snapshots
-    /// cannot help (every candidate behaves identically anyway).
-    Inert,
-}
-
-/// What the candidate tester should do next, as decided by the slot.
-pub(crate) enum TestPlan {
-    /// Resume from the snapshot (falling back to a full run if the
-    /// candidate fails validation).
-    Resume(Arc<Snapshot<Symbolic>>),
-    /// Full run, watching for the first divergent read.
-    Probe,
-    /// Full run, capturing the prefix snapshot before this step.
-    Capture(u64),
-    /// Full run; snapshots cannot help this site.
-    Plain,
+/// A ready slot's content: the boundary step and the prefix captured
+/// just before it.
+#[derive(Debug)]
+struct Ready {
+    step: u64,
+    snapshot: Arc<Snapshot<Symbolic>>,
 }
 
 /// The per-site snapshot slot. Obtained from a shared [`SnapshotCache`]
-/// (campaigns) or created locally per `analyze_site` call.
+/// (campaigns) or created locally, and set by [`warm_unit_slots`].
 #[derive(Debug)]
 pub struct SiteSlot {
-    state: Mutex<SlotState>,
+    /// Unset until the warm pass reaches the slot; then ready (`Some`)
+    /// or inert (`None`). The first setting wins.
+    state: OnceLock<Option<Ready>>,
     counters: Arc<Counters>,
 }
 
@@ -159,63 +130,52 @@ impl SiteSlot {
     /// outside a campaign cache.
     #[must_use]
     pub fn local() -> SiteSlot {
-        SiteSlot {
-            state: Mutex::new(SlotState::Empty),
-            counters: Arc::new(Counters::default()),
-        }
+        SiteSlot::with_counters(Arc::new(Counters::default()))
     }
 
     fn with_counters(counters: Arc<Counters>) -> SiteSlot {
         SiteSlot {
-            state: Mutex::new(SlotState::Empty),
+            state: OnceLock::new(),
             counters,
         }
     }
 
-    /// The probe result recorded so far, for site reports.
+    fn ready(&self) -> Option<&Ready> {
+        self.state.get()?.as_ref()
+    }
+
+    /// The step of the first read of the site's relevant or checksum
+    /// bytes on the seed run, just before which the ready snapshot was
+    /// captured (`None` unless the slot is ready).
     #[must_use]
     pub fn first_divergent_step(&self) -> Option<u64> {
-        match &*self.state.lock().unwrap() {
-            SlotState::Probed { step } | SlotState::Ready { step, .. } => Some(*step),
-            SlotState::Empty | SlotState::Inert => None,
-        }
+        self.ready().map(|r| r.step)
     }
 
-    pub(crate) fn plan(&self) -> TestPlan {
-        match &*self.state.lock().unwrap() {
-            SlotState::Empty => TestPlan::Probe,
-            SlotState::Probed { step } => TestPlan::Capture(*step),
-            SlotState::Ready { snapshot, .. } => TestPlan::Resume(Arc::clone(snapshot)),
-            SlotState::Inert => TestPlan::Plain,
-        }
+    /// The ready prefix snapshot, which serves the site's extraction and
+    /// its candidates alike.
+    pub(crate) fn snapshot(&self) -> Option<Arc<Snapshot<Symbolic>>> {
+        self.ready().map(|r| Arc::clone(&r.snapshot))
     }
 
-    pub(crate) fn record_probe(&self, probe: Option<u64>) {
-        let mut state = self.state.lock().unwrap();
-        if matches!(*state, SlotState::Empty) {
-            *state = match probe {
-                Some(step) => SlotState::Probed { step },
-                None => SlotState::Inert,
-            };
-        }
-    }
-
-    pub(crate) fn record_snapshot(
-        &self,
-        step: u64,
-        snapshot: Snapshot<Symbolic>,
-        extract_safe: bool,
-    ) {
-        let mut state = self.state.lock().unwrap();
-        if matches!(*state, SlotState::Probed { .. } | SlotState::Empty) {
+    /// Sets the slot ready, unless it is already set. A snapshot that
+    /// loses that race (two identical units warming the same slot) is
+    /// dropped and not counted.
+    fn record_snapshot(&self, step: u64, snapshot: Snapshot<Symbolic>) {
+        let bytes = snapshot.approx_bytes();
+        let ready = Ready {
+            step,
+            snapshot: Arc::new(snapshot),
+        };
+        if self.state.set(Some(ready)).is_ok() {
             self.counters.captures.fetch_add(1, Ordering::Relaxed);
-            self.counters.bytes.add(snapshot.approx_bytes());
-            *state = SlotState::Ready {
-                step,
-                snapshot: Arc::new(snapshot),
-                extract_safe,
-            };
+            self.counters.bytes.add(bytes);
         }
+    }
+
+    /// Sets the slot inert, unless it is already set.
+    fn mark_inert(&self) {
+        let _ = self.state.set(None);
     }
 
     pub(crate) fn count_hit(&self, resumed: bool) {
@@ -239,31 +199,8 @@ impl SiteSlot {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// The ready prefix snapshot, only if its boundary is certified for
-    /// stage-2 extraction resumes (see [`SlotState::Ready`]).
-    #[must_use]
-    pub(crate) fn extract_snapshot(&self) -> Option<Arc<Snapshot<Symbolic>>> {
-        match &*self.state.lock().unwrap() {
-            SlotState::Ready {
-                snapshot,
-                extract_safe: true,
-                ..
-            } => Some(Arc::clone(snapshot)),
-            _ => None,
-        }
-    }
-
     fn is_ready(&self) -> bool {
-        matches!(*self.state.lock().unwrap(), SlotState::Ready { .. })
-    }
-
-    /// True while a capture can still change the slot: a ready or inert
-    /// slot ignores one.
-    fn awaits_capture(&self) -> bool {
-        matches!(
-            *self.state.lock().unwrap(),
-            SlotState::Empty | SlotState::Probed { .. }
-        )
+        self.ready().is_some()
     }
 
     /// This slot's counters as stats (entries counts this slot only).
@@ -359,9 +296,9 @@ pub(crate) fn warm_watch_bytes(target: &TargetSite, format: &FormatDesc) -> Vec<
 /// every enforcement candidate resumes from the first input onward.
 ///
 /// `slots` is parallel to `targets`. Sites whose watch bytes were never
-/// read are marked inert. Slots that are already ready or inert (a warm
-/// daemon job's) are left out of the pass, and when none is left it runs
-/// nothing.
+/// read, or whose boundary the capture run never reached, are marked
+/// inert. Slots that are already ready or inert (a warm daemon job's)
+/// are left out of the pass, and when none is left it runs nothing.
 pub fn warm_unit_slots(
     program: &Program,
     seed: &[u8],
@@ -375,7 +312,7 @@ pub fn warm_unit_slots(
     let _span = diode_obs::span(diode_obs::Phase::Warm);
     let mut stops: Vec<(u64, usize)> = Vec::new();
     for (i, target) in targets.iter().enumerate() {
-        if !slots[i].awaits_capture() {
+        if slots[i].state.get().is_some() {
             continue;
         }
         let step = warm_watch_bytes(target, format)
@@ -384,7 +321,7 @@ pub fn warm_unit_slots(
             .min();
         match step {
             Some(step) => stops.push((step, i)),
-            None => slots[i].record_probe(None),
+            None => slots[i].mark_inert(),
         }
     }
     if stops.is_empty() {
@@ -395,8 +332,8 @@ pub fn warm_unit_slots(
     let snapshots = run_capture_multi(program, seed, Symbolic::relevant_bytes([]), machine, &steps);
     for (&(step, i), snapshot) in stops.iter().zip(snapshots) {
         match snapshot {
-            Some(s) => slots[i].record_snapshot(step, s, true),
-            None => slots[i].record_probe(Some(step)),
+            Some(s) => slots[i].record_snapshot(step, s),
+            None => slots[i].mark_inert(),
         }
     }
 }
@@ -413,22 +350,22 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slot_state_machine_progresses() {
-        let slot = SiteSlot::local();
-        assert!(matches!(slot.plan(), TestPlan::Probe));
-        slot.record_probe(Some(42));
-        assert_eq!(slot.first_divergent_step(), Some(42));
-        assert!(matches!(slot.plan(), TestPlan::Capture(42)));
-        slot.record_probe(Some(7)); // late probe does not regress
-        assert!(matches!(slot.plan(), TestPlan::Capture(42)));
-    }
-
-    #[test]
     fn inert_sites_stay_plain() {
         let slot = SiteSlot::local();
-        slot.record_probe(None);
-        assert!(matches!(slot.plan(), TestPlan::Plain));
+        slot.mark_inert();
+        assert!(slot.snapshot().is_none());
         assert_eq!(slot.first_divergent_step(), None);
+        assert!(slot.state.get().is_some(), "inert is set, not unset");
+        // The first setting wins: a later capture leaves it inert.
+        let program = diode_lang::parse("fn main() { x = in[0]; }").unwrap();
+        let shadow = Symbolic::relevant_bytes([]);
+        let machine = MachineConfig::default();
+        let snapshot = run_capture_multi(&program, &[1], shadow, &machine, &[1])
+            .pop()
+            .flatten();
+        slot.record_snapshot(1, snapshot.expect("step 1 is reached"));
+        assert!(slot.snapshot().is_none());
+        assert_eq!(slot.stats().captures, 0);
     }
 
     #[test]

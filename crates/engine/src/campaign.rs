@@ -116,13 +116,15 @@ pub struct CampaignSpec {
     /// Parallel or sequential execution.
     pub mode: ExecutionMode,
     /// The campaign's prefix-snapshot cache, shared by every job (the
-    /// same `Arc` discipline as the solver cache), so enforcement loops
-    /// resume candidate runs from stored prefixes and the
-    /// hit/miss/resume counters aggregate campaign-wide. Units are keyed
-    /// by a fingerprint of their program text and seed bytes, so a cache
-    /// shared across campaigns hands prefixes only to byte-identical
-    /// units. `None` gives each site a local slot instead; no effect
-    /// when `config.prefix_snapshots` is off.
+    /// same `Arc` discipline as the solver cache), and the campaign's one
+    /// snapshot switch. Each unit's identify job warms its sites' slots
+    /// in one capture pass; stage-2 extraction and every enforcement
+    /// candidate then resume from them, and the hit/miss/resume counters
+    /// aggregate campaign-wide. Units are keyed by a fingerprint of their
+    /// program text and seed bytes, so a cache shared across campaigns
+    /// hands prefixes only to byte-identical units. `None` runs no
+    /// snapshot code: every site executes from `main` and reports no
+    /// snapshot telemetry.
     pub snapshot_cache: Option<Arc<SnapshotCache>>,
     /// Re-validate every exposed bug after discovery: re-solve its final
     /// constraint (a guaranteed cache hit when caching is on) and re-run
@@ -200,7 +202,7 @@ impl CampaignSpec {
     pub fn run(&self) -> CampaignReport {
         let start = Instant::now();
         let cache = self.config.query_cache.clone();
-        let snapshots = self.effective_snapshots();
+        let snapshots = self.snapshot_cache.clone();
         // Only snapshot-slot lookups read the unit keys, so they are
         // built only when a snapshot cache is in play.
         let keys = snapshots.as_ref().map(|_| UnitKeys::new(self));
@@ -251,14 +253,6 @@ impl CampaignSpec {
             });
         }
         report
-    }
-
-    /// The campaign-wide snapshot cache, unless snapshots are disabled in
-    /// the config.
-    fn effective_snapshots(&self) -> Option<Arc<SnapshotCache>> {
-        self.snapshot_cache
-            .clone()
-            .filter(|_| self.config.prefix_snapshots)
     }
 
     fn effective_threads(&self) -> usize {

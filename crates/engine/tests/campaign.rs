@@ -47,6 +47,14 @@ fn parallel_campaign_is_byte_identical_to_sequential() {
         "site outcomes must not depend on scheduling or caching"
     );
     assert!(sequential.cache.is_none());
+    assert!(sequential.snapshots.is_none());
+    for site in sequential.units.iter().flat_map(|u| &u.sites) {
+        assert!(
+            site.report.snapshot.is_none(),
+            "{}: no snapshot cache, no snapshot code",
+            site.report.site
+        );
+    }
     assert_eq!(sequential.threads, 1);
 }
 
@@ -136,12 +144,12 @@ fn cache_hit_on_a_site_requiring_enforcement() {
 
 #[test]
 fn snapshot_campaign_is_byte_identical_to_full_reexecution() {
-    // The differential-testing contract of prefix snapshots: the
-    // snapshot-off config preserves the original full-re-execution path,
-    // and the default snapshot-on campaign must match it byte for byte.
+    // The differential-testing contract of prefix snapshots: a campaign
+    // without a snapshot cache runs every site from `main`, and the
+    // default snapshot-on campaign must match it byte for byte.
     let with_snapshots = CampaignSpec::new(benchmark_campaign()).run();
     let mut spec = CampaignSpec::new(benchmark_campaign());
-    spec.config.prefix_snapshots = false;
+    spec.snapshot_cache = None;
     let without = spec.run();
 
     assert_eq!(with_snapshots.counts(), without.counts());

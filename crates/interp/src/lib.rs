@@ -39,8 +39,8 @@ mod value;
 
 pub use heap::{take_peak_heap_bytes, Cell, Fault, Heap, MemError, MemErrorKind};
 pub use machine::{
-    run, run_and_capture, run_capture_multi, run_from, run_probed, run_to_alloc, run_traced,
-    AllocRecord, BranchObs, MachineConfig, Outcome, Run, SiteVisit,
+    run, run_capture_multi, run_from, run_to_alloc, run_traced, AllocRecord, BranchObs,
+    MachineConfig, Outcome, Run, SiteVisit,
 };
 pub use shadow::{Concrete, LabelSet, Shadow, Symbolic, Taint};
 pub use snapshot::Snapshot;

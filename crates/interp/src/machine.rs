@@ -204,59 +204,6 @@ pub fn run_traced<S: Shadow>(
     (m.finish(outcome), trace)
 }
 
-/// Like [`run`], additionally watching for the first read of a byte in
-/// `divergent` (a **sorted** list of input offsets). Returns the run plus
-/// the step count of the statement that performed the first such read —
-/// the natural prefix-snapshot point for candidate inputs that differ
-/// from this one only at divergent offsets. `None` when the run never
-/// read a divergent byte.
-pub fn run_probed<S: Shadow>(
-    program: &Program,
-    input: &[u8],
-    shadow: S,
-    config: &MachineConfig,
-    divergent: &[u32],
-) -> (Run<S::Tag, S::CondTag>, Option<u64>) {
-    debug_assert!(divergent.windows(2).all(|w| w[0] < w[1]));
-    let (run, trace) = run_traced(program, input, shadow, config);
-    let probe = divergent
-        .iter()
-        .filter_map(|&o| trace.get(&u64::from(o)).copied())
-        .min();
-    (run, probe)
-}
-
-/// Like [`run`], additionally capturing a [`Snapshot`] of the machine
-/// state just before the statement whose tick would reach
-/// `stop_before_step` (as reported by [`run_probed`]), then continuing to
-/// completion. The snapshot is `None` when the run halts before reaching
-/// that step.
-#[allow(clippy::type_complexity)]
-pub fn run_and_capture<S: Shadow + Clone>(
-    program: &Program,
-    input: &[u8],
-    shadow: S,
-    config: &MachineConfig,
-    stop_before_step: u64,
-) -> (Run<S::Tag, S::CondTag>, Option<Snapshot<S>>) {
-    let _span = diode_obs::span(Phase::InterpCapture);
-    let mut m = Machine::boot(program, input, shadow, config);
-    m.log = Some(ReadLog::default());
-    m.capture_before = Some(stop_before_step);
-    let (outcome, snapshot) = match m.drive() {
-        DriveEnd::Outcome(outcome) => (outcome, None),
-        DriveEnd::Captured => {
-            let log = Arc::from(m.branches.as_slice());
-            let snapshot = m.capture(false, log);
-            m.capture_before = None;
-            (m.drive_to_end(), Some(snapshot))
-        }
-        DriveEnd::Visited => unreachable!("no site stop in this mode"),
-    };
-    diode_obs::count(CAPTURE_STEPS, m.steps);
-    (m.finish(outcome), snapshot)
-}
-
 /// Captures prefix snapshots at **several** step boundaries in a single
 /// pass — the per-unit warm-up that hands every site of a multi-site
 /// program its own resumption point for the price of one partial run.
@@ -728,7 +675,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
                     // Both statement execution and loop-condition
                     // evaluation tick; capture fires right before the tick
                     // that would reach the requested step, i.e. at the
-                    // exact statement boundary the probe identified.
+                    // exact statement boundary a traced run reported.
                     if self.capture_due() {
                         return DriveEnd::Captured;
                     }
@@ -782,8 +729,9 @@ impl<'a, S: Shadow> Machine<'a, S> {
     /// Freezes the current state (capture mode only): the read log so far
     /// becomes the snapshot's validation log, and logging stops unless
     /// `keep_logging`. The snapshot's branch prefix is the first
-    /// `self.branches.len()` entries of `branches`, a log the caller
-    /// provides (or fills in once its pass ends).
+    /// `self.branches.len()` entries of `branches`, a placeholder that
+    /// [`run_capture_multi`] replaces with the pass's log once the pass
+    /// ends.
     fn capture(&mut self, keep_logging: bool, branches: Arc<[BranchObs<S::CondTag>]>) -> Snapshot<S>
     where
         S: Clone,
@@ -1344,8 +1292,9 @@ impl<'a, S: Shadow> Machine<'a, S> {
         outcome
     }
 
-    /// Records one direct input-byte observation: probe mode notes the
-    /// first divergent read's step, capture mode logs the observed value.
+    /// Records one direct input-byte observation: trace mode notes the
+    /// step of each offset's first read, capture mode logs the observed
+    /// value.
     fn observe_read(&mut self, off: u64) {
         if let Some(trace) = &mut self.trace_reads {
             trace.entry(off).or_insert(self.steps);
@@ -1657,6 +1606,33 @@ mod tests {
         format!("{r:?}")
     }
 
+    /// The step of the first direct read of any of `bytes` on `input`,
+    /// as the warm pass places a site's snapshot boundary.
+    fn first_read<S: Shadow>(
+        p: &Program,
+        input: &[u8],
+        shadow: S,
+        cfg: &MachineConfig,
+        bytes: &[u64],
+    ) -> Option<u64> {
+        let (_, trace) = run_traced(p, input, shadow, cfg);
+        bytes.iter().filter_map(|o| trace.get(o).copied()).min()
+    }
+
+    /// The one snapshot a capture pass takes before `step` (`None` when
+    /// the run ends first).
+    fn capture_at<S: Shadow + Clone>(
+        p: &Program,
+        input: &[u8],
+        shadow: S,
+        cfg: &MachineConfig,
+        step: u64,
+    ) -> Option<Snapshot<S>> {
+        run_capture_multi(p, input, shadow, cfg, &[step])
+            .pop()
+            .flatten()
+    }
+
     const SNAP_SRC: &str = r#"
         fn be16(p) { return zext32(in[p]) << 8 | zext32(in[p + 1]); }
         fn main() {
@@ -1679,17 +1655,22 @@ mod tests {
     fn probe_finds_first_divergent_read() {
         let p = parse(SNAP_SRC).unwrap();
         let seed = [0, 8, 0, 4];
+        let cfg = MachineConfig::default();
         // Bytes 2..4 are divergent (the `b` field); bytes 0..2 drive the
         // prefix loop and are read first.
-        let (r, probe) = run_probed(&p, &seed, Concrete, &MachineConfig::default(), &[2, 3]);
-        assert_eq!(r.outcome, Outcome::Completed);
-        let step = probe.expect("b is read on this path");
+        let (r, _) = run_traced(&p, &seed, Concrete, &cfg);
+        assert_eq!(
+            image(&r),
+            image(&run(&p, &seed, Concrete, &cfg)),
+            "tracing is passive"
+        );
+        let step = first_read(&p, &seed, Concrete, &cfg, &[2, 3]).expect("b is read on this path");
         // The prefix (field a, the 8-iteration loop) executes first, so
         // the divergent read happens well past the first statements.
         assert!(step > 10, "divergent read at step {step}");
         // A watch on the first field fires at the very first statement's
         // call argument evaluation instead.
-        let (_, early) = run_probed(&p, &seed, Concrete, &MachineConfig::default(), &[0, 1]);
+        let early = first_read(&p, &seed, Concrete, &cfg, &[0, 1]);
         assert!(early.expect("a is read") < step);
     }
 
@@ -1698,14 +1679,13 @@ mod tests {
         let p = parse(SNAP_SRC).unwrap();
         let seed = [0, 8, 0, 4];
         let cfg = MachineConfig::default();
-        let (_, probe) = run_probed(&p, &seed, Concrete, &cfg, &[2, 3]);
-        let (full, snap) = run_and_capture(&p, &seed, Concrete, &cfg, probe.unwrap());
-        let snap = snap.expect("capture point reached");
+        let step = first_read(&p, &seed, Concrete, &cfg, &[2, 3]).unwrap();
+        let snap = capture_at(&p, &seed, Concrete, &cfg, step).expect("capture point reached");
         assert!(snap.steps() > 0);
-        assert_eq!(image(&full), image(&run(&p, &seed, Concrete, &cfg)));
         // Resume on candidates that differ only in the divergent field:
-        // a triggering one (b = 0xEA60 = 60000, 60000*80000 wraps) and a
-        // rejected one (b = 0xFFFF fails the check).
+        // a triggering one (b = 0xEA60 = 60000, 60000*80000 wraps), a
+        // rejected one (b = 0xFFFF fails the check), and the seed itself,
+        // on which the snapshot must reproduce the run from `main`.
         for cand in [
             vec![0, 8, 0xEA, 0x60],
             vec![0, 8, 0xFF, 0xFF],
@@ -1725,9 +1705,8 @@ mod tests {
         let cfg = MachineConfig::default();
         let sym = Symbolic::all_bytes();
         let full = run(&p, &seed, sym.clone(), &cfg);
-        let (_, probe) = run_probed(&p, &seed, sym.clone(), &cfg, &[2, 3]);
-        let (_, snap) = run_and_capture(&p, &seed, sym.clone(), &cfg, probe.unwrap());
-        let snap = snap.expect("capture point reached");
+        let step = first_read(&p, &seed, sym.clone(), &cfg, &[2, 3]).unwrap();
+        let snap = capture_at(&p, &seed, sym.clone(), &cfg, step).expect("capture point reached");
         // `pre@1` executes inside the snapshot's prefix, `t@2` after it.
         assert_eq!(full.allocs.len(), 2);
         for rec in &full.allocs {
@@ -1751,9 +1730,8 @@ mod tests {
         let p = parse(SNAP_SRC).unwrap();
         let seed = [0, 8, 0, 4];
         let cfg = MachineConfig::default();
-        let (_, probe) = run_probed(&p, &seed, Concrete, &cfg, &[2, 3]);
-        let (_, snap) = run_and_capture(&p, &seed, Concrete, &cfg, probe.unwrap());
-        let snap = snap.unwrap();
+        let step = first_read(&p, &seed, Concrete, &cfg, &[2, 3]).unwrap();
+        let snap = capture_at(&p, &seed, Concrete, &cfg, step).unwrap();
         // Byte 1 feeds the prefix loop: a snapshot resumed on an input
         // that disagrees there would replay the wrong prefix, so the
         // validation log must reject it.
@@ -1782,10 +1760,9 @@ mod tests {
         let seed = build(4);
         let cfg = MachineConfig::default();
         // The divergent field is read by the crc intrinsic first, but that
-        // read is semantic: the probe only fires at the direct in[0] read.
-        let (_, probe) = run_probed(&p, &seed, Concrete, &cfg, &[0, 1]);
-        let (_, snap) = run_and_capture(&p, &seed, Concrete, &cfg, probe.unwrap());
-        let snap = snap.unwrap();
+        // read is semantic: the trace only notes the direct in[0] read.
+        let step = first_read(&p, &seed, Concrete, &cfg, &[0, 1]).unwrap();
+        let snap = capture_at(&p, &seed, Concrete, &cfg, step).unwrap();
         // A repaired candidate with a different field value resumes...
         let cand = build(0xFFFF);
         let resumed = run_from(&p, &cand, &snap, &cfg).expect("repaired crc validates");
@@ -1820,14 +1797,14 @@ mod tests {
         let p = parse(src).unwrap();
         let seed = [5, 0, 0, 0, 7, 0, 0, 0, 1];
         let cfg = MachineConfig::default();
-        let (_, probe) = run_probed(&p, &seed, Concrete, &cfg, &[4]);
-        let step = probe.expect("in[4] read inside the loop");
+        let step = first_read(&p, &seed, Concrete, &cfg, &[4]).expect("in[4] read inside the loop");
         // Capture one step *after* the first in[4] read as well, to land
         // mid-loop with the callee frame live.
         for target in [step, step + 2] {
-            let (full, snap) = run_and_capture(&p, &seed, Concrete, &cfg, target);
-            let snap = snap.expect("capture point reached");
-            assert_eq!(image(&full), image(&run(&p, &seed, Concrete, &cfg)));
+            let snap =
+                capture_at(&p, &seed, Concrete, &cfg, target).expect("capture point reached");
+            let resumed = run_from(&p, &seed, &snap, &cfg).expect("the seed validates");
+            assert_eq!(image(&resumed), image(&run(&p, &seed, Concrete, &cfg)));
             let mut cand = seed.to_vec();
             cand[8] = 0xEA; // post * 90000 overflows
             if let Some(resumed) = run_from(&p, &cand, &snap, &cfg) {
@@ -1846,28 +1823,31 @@ mod tests {
         let seed = [0, 8, 0, 4];
         let cfg = MachineConfig::default();
         let cand = vec![0, 8, 0xEA, 0x60];
-        let (_, probe) = run_probed(&p, &seed, Taint, &cfg, &[2, 3]);
-        let (_, snap) = run_and_capture(&p, &seed, Taint, &cfg, probe.unwrap());
-        let resumed = run_from(&p, &cand, &snap.unwrap(), &cfg).unwrap();
+        let step = first_read(&p, &seed, Taint, &cfg, &[2, 3]).unwrap();
+        let snap = capture_at(&p, &seed, Taint, &cfg, step).unwrap();
+        let resumed = run_from(&p, &cand, &snap, &cfg).unwrap();
         assert_eq!(image(&resumed), image(&run(&p, &cand, Taint, &cfg)));
 
         let sym = Symbolic::all_bytes();
-        let (_, probe) = run_probed(&p, &seed, sym.clone(), &cfg, &[2, 3]);
-        let (_, snap) = run_and_capture(&p, &seed, sym.clone(), &cfg, probe.unwrap());
-        let resumed = run_from(&p, &cand, &snap.unwrap(), &cfg).unwrap();
+        let step = first_read(&p, &seed, sym.clone(), &cfg, &[2, 3]).unwrap();
+        let snap = capture_at(&p, &seed, sym.clone(), &cfg, step).unwrap();
+        let resumed = run_from(&p, &cand, &snap, &cfg).unwrap();
         assert_eq!(image(&resumed), image(&run(&p, &cand, sym, &cfg)));
     }
 
     #[test]
     fn run_halting_before_capture_point_yields_no_snapshot() {
         let p = parse(SNAP_SRC).unwrap();
+        let seed = [0, 8, 0, 4];
         let cfg = MachineConfig::default();
-        // b = 0xFFFF is rejected before... actually the error sits *after*
-        // the capture point; instead pick a capture step beyond the run's
-        // length to exercise the no-capture path.
-        let (r, snap) = run_and_capture(&p, &[0, 8, 0, 4], Concrete, &cfg, 1_000_000);
-        assert_eq!(r.outcome, Outcome::Completed);
-        assert!(snap.is_none());
+        // A stop beyond the run's length is never reached: that entry,
+        // and only that one, comes back empty.
+        let step = first_read(&p, &seed, Concrete, &cfg, &[2, 3]).unwrap();
+        let snaps = run_capture_multi(&p, &seed, Concrete, &cfg, &[step, 1_000_000]);
+        assert_eq!(snaps.len(), 2);
+        assert!(snaps[0].is_some());
+        assert!(snaps[1].is_none());
+        assert!(capture_at(&p, &seed, Concrete, &cfg, 1_000_000).is_none());
     }
 
     #[test]

@@ -21,10 +21,10 @@
 //! input; only when every observation agrees is the resumed execution
 //! guaranteed byte-identical to a from-scratch run, and
 //! [`run_from`](crate::run_from) refuses to resume otherwise. The
-//! divergence-*probing* run ([`run_probed`](crate::run_probed)) merely
-//! picks a good snapshot point (the last statement boundary before the
-//! first read of a divergent byte); a bad pick costs resumption misses,
-//! never correctness.
+//! first-read trace of [`run_traced`](crate::run_traced) merely picks a
+//! good snapshot point (the last statement boundary before the first
+//! read of a byte candidates may change); a bad pick costs resumption
+//! misses, never correctness.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -172,7 +172,7 @@ fn deep_suite_reports_are_identical_with_snapshots_on_and_off() {
     let suite = forge(&cfg);
     let on = CampaignSpec::new(suite.campaign_apps()).run();
     let mut spec = CampaignSpec::new(suite.campaign_apps());
-    spec.config.prefix_snapshots = false;
+    spec.snapshot_cache = None;
     let off = spec.run();
 
     assert_eq!(

@@ -10,6 +10,12 @@
 //! overflow flags, shadow tags), branch observations, warnings, and the
 //! step count.
 //!
+//! Snapshots are placed as the campaign warm pass places them: a traced
+//! seed run (`run_traced`) gives the step of the first read of a site's
+//! bytes, and `run_capture_multi` captures just before it. Each snapshot
+//! resumed on the seed itself must reproduce the run from `main`, and
+//! resumed on a candidate, the candidate's run from `main`.
+//!
 //! Captures and resumes pair branch recording the ways the pipeline
 //! does: on for both (stage 2), off for both, and captured on but
 //! resumed off (the candidate tester, whose resume must then match a
@@ -18,9 +24,11 @@
 //! snapshot of one `run_capture_multi` pass, whose snapshots share one
 //! branch log, is checked the same way.
 
+use std::collections::HashMap;
+
 use diode_interp::{
-    run, run_and_capture, run_capture_multi, run_from, run_probed, Concrete, MachineConfig, Run,
-    Shadow, Symbolic, Taint,
+    run, run_capture_multi, run_from, run_traced, Concrete, MachineConfig, Run, Shadow, Symbolic,
+    Taint,
 };
 use diode_synth::{forge, SynthConfig};
 use proptest::prelude::*;
@@ -38,6 +46,25 @@ fn recording(record_branches: bool) -> MachineConfig {
 
 /// `(capture, resume)` branch-recording pairs a snapshot may serve.
 const PAIRINGS: [(bool, bool); 3] = [(true, true), (false, false), (true, false)];
+
+/// The seed run's first-read trace: input offset → step of its first
+/// direct read.
+fn seed_trace<S: Shadow>(
+    app: &diode_engine::CampaignApp,
+    shadow: S,
+    config: &MachineConfig,
+) -> HashMap<u64, u64> {
+    run_traced(&app.program, &app.seeds[0], shadow, config).1
+}
+
+/// The step of the first read of any of `divergent` in `trace`, where
+/// the warm pass places the site's snapshot (`None`: never read).
+fn first_read(trace: &HashMap<u64, u64>, divergent: &[u32]) -> Option<u64> {
+    divergent
+        .iter()
+        .filter_map(|&o| trace.get(&u64::from(o)).copied())
+        .min()
+}
 
 /// Resumes `snapshot` (captured under `shadow`) on `candidate` under
 /// `resume` and asserts byte-identity against a from-scratch run under
@@ -70,10 +97,10 @@ where
     Ok(())
 }
 
-/// Probes, captures, and resumes one forged app under one shadow policy,
+/// Traces, captures, and resumes one forged app under one shadow policy,
 /// asserting byte-identity of the resumed suffix run against a
-/// from-scratch run on the same candidate input, for every recording
-/// pairing.
+/// from-scratch run, on the seed and on the candidate input, for every
+/// recording pairing.
 fn assert_equivalence<S: Shadow + Clone>(
     app: &diode_engine::CampaignApp,
     shadow: S,
@@ -87,28 +114,21 @@ where
     let seed = &app.seeds[0];
     for (capture, resume) in PAIRINGS {
         let capture = recording(capture);
-        let (_, probe) = run_probed(&app.program, seed, shadow.clone(), &capture, divergent);
-        let Some(step) = probe else {
+        let trace = seed_trace(app, shadow.clone(), &capture);
+        let Some(step) = first_read(&trace, divergent) else {
             // The divergent bytes are never read on the seed path —
             // nothing to snapshot, nothing to check.
             return Ok(());
         };
-        let (full, snapshot) = run_and_capture(&app.program, seed, shadow.clone(), &capture, step);
-        // The capturing run itself is unperturbed.
-        prop_assert_eq!(
-            image(&full),
-            image(&run(&app.program, seed, shadow.clone(), &capture)),
-            "{}: capture perturbed the run",
-            app.name
-        );
-        let snapshot = snapshot.expect("probe step is reached on the probing input");
-        assert_resume_matches(
-            app,
-            shadow.clone(),
-            &snapshot,
-            candidate,
-            &recording(resume),
-        )?;
+        let snapshot = run_capture_multi(&app.program, seed, shadow.clone(), &capture, &[step])
+            .pop()
+            .flatten()
+            .expect("the first-read step is reached on the seed");
+        // The snapshot is unperturbed: resumed on the seed, it
+        // reproduces the seed's run from `main`.
+        for input in [seed.as_slice(), candidate] {
+            assert_resume_matches(app, shadow.clone(), &snapshot, input, &recording(resume))?;
+        }
     }
     Ok(())
 }
@@ -128,21 +148,18 @@ where
     let seed = &app.seeds[0];
     for (capture, resume) in PAIRINGS {
         let capture = recording(capture);
+        let trace = seed_trace(app, shadow.clone(), &capture);
         let mut stops: Vec<(u64, usize)> = sites
             .iter()
             .enumerate()
-            .filter_map(|(i, (divergent, _))| {
-                run_probed(&app.program, seed, shadow.clone(), &capture, divergent)
-                    .1
-                    .map(|step| (step, i))
-            })
+            .filter_map(|(i, (divergent, _))| first_read(&trace, divergent).map(|step| (step, i)))
             .collect();
         stops.sort_unstable();
         let steps: Vec<u64> = stops.iter().map(|&(step, _)| step).collect();
         let snapshots = run_capture_multi(&app.program, seed, shadow.clone(), &capture, &steps);
         prop_assert_eq!(snapshots.len(), stops.len());
         for (&(_, i), snapshot) in stops.iter().zip(&snapshots) {
-            let snapshot = snapshot.as_ref().expect("every probed step is reached");
+            let snapshot = snapshot.as_ref().expect("every traced step is reached");
             assert_resume_matches(
                 app,
                 shadow.clone(),
