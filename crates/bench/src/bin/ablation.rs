@@ -5,23 +5,22 @@
 //! `diode-engine` scheduler.
 //!
 //! Usage: `cargo run --release -p diode-bench --bin ablation [-- FLAGS]`
-//! (`--sequential` / `--threads N` select the analysis backend).
+//! (`--threads N` pins the engine's worker count).
 
 use std::time::Instant;
 
-use diode_bench::{ablation_rows, config_with_cache, render_ablation, AnalysisBackend};
+use diode_bench::{
+    ablation_rows, analyze_apps, config_with_cache, execution_mode, render_ablation,
+};
 use diode_core::DiodeConfig;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let backend = AnalysisBackend::from_args(&args);
+    let mode = execution_mode(&args);
     let apps = diode_apps::all_apps();
     let (config, cache) = config_with_cache(DiodeConfig::default());
-    let rows = ablation_rows(&apps, &config, backend);
-    println!(
-        "Ablation A (§5.4): full seed-path constraint satisfiability (backend: {})\n",
-        backend.name()
-    );
+    let rows = ablation_rows(&apps, &config, mode);
+    println!("Ablation A (§5.4): full seed-path constraint satisfiability\n");
     println!("{}", render_ablation(&rows));
     let sat = rows
         .iter()
@@ -45,9 +44,7 @@ fn main() {
         let mut cfg = DiodeConfig::default();
         cfg.solver.interval_presolve = presolve;
         let t = Instant::now();
-        for app in &apps {
-            let _ = backend.analyze(app, &cfg);
-        }
+        let _ = analyze_apps(&apps, &cfg, mode);
         println!("  interval_presolve = {presolve:<5} -> {:?}", t.elapsed());
     }
 }

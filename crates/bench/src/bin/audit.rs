@@ -12,12 +12,9 @@
 //!   witness, an enforcement count that does not match the enforced
 //!   steps, a missing extraction, ...).
 //! * `audit diff OLD NEW` — did a change alter *how* verdicts are
-//!   derived, even where the verdicts themselves are unchanged? For two
-//!   audit documents, reports derivation drift. For two profiled runs
-//!   (JSONL traces, `profile --json` documents, or `synth_campaign
-//!   --profile --json` lines), delegates to the profile differ and
-//!   attributes wall-clock regressions to phases, sites, and
-//!   solver-cache shifts.
+//!   derived, even where the verdicts themselves are unchanged? Reports
+//!   derivation drift between two `diode_audit` documents; any other
+//!   input is invalid (profiled runs are compared by `profile --diff`).
 //!
 //! Record sources (explain/check):
 //!
@@ -30,13 +27,13 @@
 //! Filters (explain): `--app NAME`, `--seed N`, `--site SITE` narrow
 //! the printed records; `--site` matches substrings.
 //!
-//! Exit codes: 0 clean, 1 failed check / attributed regression /
-//! derivation drift, 2 invalid input.
+//! Exit codes: 0 clean, 1 failed check / derivation drift, 2 invalid
+//! input.
 
-use diode_bench::profload::{load_audit_records, load_profile};
+use diode_bench::profload::load_audit_records;
 use diode_bench::{flag_num, flag_str};
 use diode_corpus::{record_key, AuditSet, CorpusStore, DerivationDrift};
-use diode_obs::{Json, ProfileDiff, ProvenanceRecord};
+use diode_obs::{Json, ProvenanceRecord};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -57,15 +54,7 @@ fn main() {
 
 /// Flags that consume a value, for positional-argument extraction.
 const VALUE_FLAGS: &[&str] = &[
-    "--file",
-    "--root",
-    "--suite",
-    "--label",
-    "--app",
-    "--seed",
-    "--site",
-    "--top",
-    "--threshold",
+    "--file", "--root", "--suite", "--label", "--app", "--seed", "--site",
 ];
 
 fn positionals(args: &[String]) -> Vec<&String> {
@@ -214,51 +203,13 @@ fn run_check(args: &[String]) {
     }
 }
 
-/// True when `path` parses as a single JSON document tagged
-/// `diode_audit` (as opposed to a trace/profile/artifact).
-fn is_audit_doc(path: &str) -> bool {
-    std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| Json::parse(&text).ok())
-        .and_then(|doc| doc.get("table").and_then(Json::as_str).map(String::from))
-        .is_some_and(|table| table == "diode_audit")
-}
-
 fn run_diff(args: &[String]) {
     let json = args.iter().any(|a| a == "--json");
     let pos = positionals(args);
     let [old_path, new_path] = pos.as_slice() else {
-        eprintln!("audit: usage: audit diff OLD NEW [--json] [--top N] [--threshold F]");
+        eprintln!("audit: usage: audit diff OLD NEW [--json]");
         std::process::exit(2);
     };
-    match (is_audit_doc(old_path), is_audit_doc(new_path)) {
-        (true, true) => diff_audits(old_path, new_path, json),
-        (false, false) => diff_profiles(args, old_path, new_path, json),
-        _ => {
-            eprintln!(
-                "audit: cannot diff {old_path} against {new_path}: one is a diode_audit \
-                 document and the other is not"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-fn load_set(path: &str) -> AuditSet {
-    match load_audit_records(path) {
-        Ok(records) => AuditSet {
-            suite_id: String::new(),
-            label: path.to_string(),
-            records,
-        },
-        Err(e) => {
-            eprintln!("audit: {e}");
-            std::process::exit(2);
-        }
-    }
-}
-
-fn diff_audits(old_path: &str, new_path: &str, json: bool) {
     let old = load_set(old_path);
     let new = load_set(new_path);
     let drift = DerivationDrift::between(&old, &new);
@@ -284,33 +235,16 @@ fn diff_audits(old_path: &str, new_path: &str, json: bool) {
     }
 }
 
-fn diff_profiles(args: &[String], old_path: &str, new_path: &str, json: bool) {
-    let top = flag_num(args, "--top").unwrap_or(10) as usize;
-    let threshold = flag_str(args, "--threshold")
-        .map(|v| match v.parse::<f64>() {
-            Ok(f) if f.is_finite() && f > 0.0 => f,
-            _ => {
-                eprintln!("audit: --threshold expects a positive number, got {v:?}");
-                std::process::exit(2);
-            }
-        })
-        .unwrap_or(0.15);
-    let load = |path: &str| match load_profile(path, top) {
-        Ok(report) => report,
+fn load_set(path: &str) -> AuditSet {
+    match load_audit_records(path) {
+        Ok(records) => AuditSet {
+            suite_id: String::new(),
+            label: path.to_string(),
+            records,
+        },
         Err(e) => {
             eprintln!("audit: {e}");
             std::process::exit(2);
         }
-    };
-    let old = load(old_path);
-    let new = load(new_path);
-    let diff = ProfileDiff::between(&old, &new, top, threshold);
-    if json {
-        println!("{}", diff.to_json());
-    } else {
-        println!("{}", diff.render());
-    }
-    if diff.is_regression() {
-        std::process::exit(1);
     }
 }

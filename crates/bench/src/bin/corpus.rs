@@ -25,18 +25,18 @@
 //! `forge`, `replay`, and `grow` accept `--audit`: record per-site
 //! decision provenance under `audit/<label>/` next to `witnesses/`
 //! (inspect with the `audit` bin). Every command accepts `--json`
-//! (machine-readable output on stdout), `--sequential`, and
-//! `--threads N`. The store root defaults to `./corpus`. Per-site
-//! snapshot metadata that earlier versions recorded in suite directories
-//! is ignored: replays warm their snapshot caches from the seed run.
+//! (machine-readable output on stdout) and `--threads N`. The store
+//! root defaults to `./corpus`. Per-site snapshot metadata that earlier
+//! versions recorded in suite directories is ignored: replays warm their
+//! snapshot caches from the seed run.
 
 use std::process::ExitCode;
 
-use diode_bench::{flag_num, flag_str, AnalysisBackend};
+use diode_bench::{execution_mode, flag_num, flag_str};
 use diode_corpus::{
     CorpusDiff, CorpusError, CorpusStore, DerivationDrift, ReplayableSuite, WitnessSet,
 };
-use diode_engine::CampaignReport;
+use diode_engine::{CampaignReport, ExecutionMode};
 use diode_obs::Json;
 use diode_synth::{ScoreCard, SynthConfig};
 
@@ -55,7 +55,7 @@ fn run(args: &[String]) -> Result<ExitCode, CorpusError> {
     let json = args.iter().any(|a| a == "--json");
     let root = flag_str(args, "--root").unwrap_or_else(|| "corpus".to_string());
     let store = CorpusStore::open(&root)?;
-    let backend = AnalysisBackend::from_args(args);
+    let mode = execution_mode(args);
     // First non-flag token is the command; flag values are consumed by
     // their flags, so skip the token after any `--x value` flag.
     let positional = positionals(args);
@@ -64,10 +64,10 @@ fn run(args: &[String]) -> Result<ExitCode, CorpusError> {
         return Ok(ExitCode::from(2));
     };
     match command.as_str() {
-        "forge" => forge(&store, args, json, backend),
-        "replay" => replay(&store, args, &positional[1..], json, backend),
+        "forge" => forge(&store, args, json, mode),
+        "replay" => replay(&store, args, &positional[1..], json, mode),
         "diff" => diff(&store, &positional[1..], json),
-        "grow" => grow(&store, args, &positional[1..], json, backend),
+        "grow" => grow(&store, args, &positional[1..], json, mode),
         "ls" => ls(&store, json),
         other => {
             eprintln!("corpus: unknown command {other:?} (forge|replay|diff|grow|ls)");
@@ -122,10 +122,10 @@ fn replay_and_record(
     store: &CorpusStore,
     suite: &ReplayableSuite,
     label: &str,
-    backend: AnalysisBackend,
+    mode: ExecutionMode,
     audit: bool,
 ) -> Result<(CampaignReport, ScoreCard, WitnessSet), CorpusError> {
-    let (report, card) = suite.replay_with(backend.execution_mode(), audit);
+    let (report, card) = suite.replay_with(mode, audit);
     let witnesses = suite.witnesses(label, &report);
     store.record_witnesses(&witnesses)?;
     if let Some(set) = suite.audit(label, &report) {
@@ -138,7 +138,7 @@ fn forge(
     store: &CorpusStore,
     args: &[String],
     json: bool,
-    backend: AnalysisBackend,
+    mode: ExecutionMode,
 ) -> Result<ExitCode, CorpusError> {
     let apps = flag_num(args, "--apps").unwrap_or(10) as usize;
     if apps == 0 {
@@ -161,7 +161,7 @@ fn forge(
     let label = flag_str(args, "--label").unwrap_or_else(|| "baseline".to_string());
     let audit = args.iter().any(|a| a == "--audit");
     let suite = store.forge_and_save(&cfg)?;
-    let (report, card, _) = replay_and_record(store, &suite, &label, backend, audit)?;
+    let (report, card, _) = replay_and_record(store, &suite, &label, mode, audit)?;
     if json {
         let out = Json::obj()
             .field("command", "forge")
@@ -190,7 +190,7 @@ fn replay(
     args: &[String],
     positional: &[String],
     json: bool,
-    backend: AnalysisBackend,
+    mode: ExecutionMode,
 ) -> Result<ExitCode, CorpusError> {
     let Some(id) = positional.first() else {
         eprintln!("usage: corpus replay <suite-id|latest> [--label L --against BASE]");
@@ -210,7 +210,7 @@ fn replay(
     // Load the comparison run before recording anything, so a recording
     // mishap can never make a run compare against itself.
     let baseline = store.load_witnesses(suite.id(), &against)?;
-    let (report, card, witnesses) = replay_and_record(store, &suite, &label, backend, audit)?;
+    let (report, card, witnesses) = replay_and_record(store, &suite, &label, mode, audit)?;
     let snapstats = report.snapshots;
     let scorecard_identical = baseline.scorecard == witnesses.scorecard;
     let findings_identical = baseline.fingerprint() == witnesses.fingerprint();
@@ -228,7 +228,7 @@ fn replay(
             .field("identical", identical);
         println!("{out}");
     } else {
-        println!("replayed {} ({} backend)", suite.id(), backend.name());
+        println!("replayed {}", suite.id());
         println!("  score: {card}");
         if identical {
             println!("  identical to recorded {against:?} (scorecard + findings)");
@@ -318,7 +318,7 @@ fn grow(
     args: &[String],
     positional: &[String],
     json: bool,
-    backend: AnalysisBackend,
+    mode: ExecutionMode,
 ) -> Result<ExitCode, CorpusError> {
     let (Some(id), Some(n)) = (positional.first(), positional.get(1)) else {
         eprintln!("usage: corpus grow <suite-id|latest> <n> [--label L]");
@@ -332,7 +332,7 @@ fn grow(
     let audit = args.iter().any(|a| a == "--audit");
     let old_id = store.resolve(id)?;
     let grown = store.grow(&old_id, n)?;
-    let (_, card, _) = replay_and_record(store, &grown, &label, backend, audit)?;
+    let (_, card, _) = replay_and_record(store, &grown, &label, mode, audit)?;
     if json {
         let out = Json::obj()
             .field("command", "grow")

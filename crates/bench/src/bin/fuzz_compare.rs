@@ -6,31 +6,25 @@
 //!
 //! * `--trials N`    fuzzing trials per fuzzer per site (default 200)
 //! * `--json`        machine-readable output
-//! * `--sequential`  original single-threaded analysis path
 //! * `--threads N`   pin the engine's worker count
 
 use std::time::Instant;
 
 use diode_bench::jsonout::ms;
-use diode_bench::{config_with_cache, fuzz_rows, render_fuzz, AnalysisBackend, FuzzRow};
+use diode_bench::{config_with_cache, execution_mode, flag_num, fuzz_rows, render_fuzz, FuzzRow};
 use diode_core::DiodeConfig;
 use diode_obs::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let backend = AnalysisBackend::from_args(&args);
-    let trials = args
-        .iter()
-        .position(|a| a == "--trials")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
+    let mode = execution_mode(&args);
+    let trials = flag_num(&args, "--trials").map_or(200, |n| n as u32);
     let apps = diode_apps::all_apps();
     let (config, cache) = config_with_cache(DiodeConfig::default());
 
     let start = Instant::now();
-    let rows = fuzz_rows(&apps, &config, trials, backend);
+    let rows = fuzz_rows(&apps, &config, trials, mode);
     let wall = start.elapsed();
     let diode_found = rows.iter().filter(|r| r.diode.is_some()).count();
     let fuzz_found = rows
@@ -41,7 +35,6 @@ fn main() {
     if json {
         let out = Json::obj()
             .field("table", "fuzz_compare")
-            .field("backend", backend.name())
             .field("trials", trials)
             .field("wall_ms", ms(wall))
             .field("diode_found", diode_found)
@@ -50,10 +43,7 @@ fn main() {
             .field("sites", rows.iter().map(site_json).collect::<Vec<_>>());
         println!("{out}");
     } else {
-        println!(
-            "DIODE vs fuzzing baselines ({trials} trials per fuzzer; backend: {})\n",
-            backend.name()
-        );
+        println!("DIODE vs fuzzing baselines ({trials} trials per fuzzer)\n");
         println!("{}", render_fuzz(&rows));
         println!(
             "\nDIODE exposes {}/{} sites; fuzzing finds an overflow at {}/{} (mostly the check-free ones).",

@@ -39,7 +39,6 @@
 //! * `--heartbeat-ms N`  heartbeat sampling interval (default 50)
 //! * `--json`            machine-readable output (throughput, cache
 //!   hit/miss counters, recall/precision) in the BENCH json schema
-//! * `--sequential`      single-threaded reference path
 //! * `--threads N`       pin the engine's worker count
 //!
 //! Exits non-zero when the recall gate fails — this is the CI
@@ -50,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use diode_bench::jsonout::{counts_json, ms, score_json};
 use diode_bench::profload::audit_document;
-use diode_bench::{flag_f64, flag_num, flag_str, render_synth, synth_rows, AnalysisBackend};
+use diode_bench::{execution_mode, flag_f64, flag_num, flag_str, render_synth, synth_rows};
 use diode_engine::{
     CampaignReport, CampaignSpec, PulseConfig, Recorder, SnapshotCache, SolverCache,
 };
@@ -63,7 +62,7 @@ use diode_synth::{forge, score, ScoreCard, SynthConfig};
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let backend = AnalysisBackend::from_args(&args);
+    let mode = execution_mode(&args);
 
     let apps = flag_num(&args, "--apps").unwrap_or(25) as usize;
     if apps == 0 {
@@ -110,7 +109,7 @@ fn main() {
     });
     let pulse_opts = PulseOpts::from_args(&args);
     let mut spec = CampaignSpec {
-        mode: backend.execution_mode(),
+        mode,
         recorder: recorder.clone(),
         ..CampaignSpec::from_corpus(&suite)
     };
@@ -143,7 +142,6 @@ fn main() {
     if json {
         let mut out = Json::obj()
             .field("table", "synth_campaign")
-            .field("backend", backend.name())
             .field("config", config_json(&cfg))
             .field("forge_ms", ms(forge_time))
             .field("wall_ms", ms(report.wall_time))
@@ -179,12 +177,8 @@ fn main() {
         println!("{out}");
     } else {
         println!(
-            "Forged campaign: {} apps x {} seed(s), depth {}, rng seed {:#x} (backend: {})\n",
-            cfg.apps,
-            cfg.seeds_per_app,
-            cfg.branch_depth,
-            cfg.rng_seed,
-            backend.name()
+            "Forged campaign: {} apps x {} seed(s), depth {}, rng seed {:#x}\n",
+            cfg.apps, cfg.seeds_per_app, cfg.branch_depth, cfg.rng_seed
         );
         println!("{}", render_synth(&rows));
         println!(

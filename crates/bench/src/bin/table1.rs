@@ -5,32 +5,32 @@
 //! Usage: `cargo run --release -p diode-bench --bin table1 [-- FLAGS]`
 //!
 //! * `--json`        machine-readable output (per-app timings + counts,
-//!   cache hit-rate, engine-vs-sequential speedup)
+//!   cache hit-rate, and the engine's speedup over `analyze_program`, the
+//!   paper's per-app loop, run without a cache)
 //! * `--app NAME`    single-app run: keep only benchmark apps whose name
 //!   contains `NAME` (case-insensitive)
 //! * `--synth N`     forged-suite run: replace the five §5 apps with `N`
 //!   freshly forged scenarios and grade the result against the synth
 //!   oracle (exit non-zero unless recall is 1.0 and every classification
 //!   matches); combine with `--app` to filter forged app names
-//! * `--sequential`  original single-threaded path
 //! * `--threads N`   pin the engine's worker count
 
 use std::time::Instant;
 
 use diode_bench::jsonout::{counts_json, ms, score_json};
 use diode_bench::{
-    config_with_cache, flag_num, flag_str, render_synth, render_table1, synth_rows,
-    table1_matches_paper, table1_rows, AnalysisBackend, Table1Row,
+    config_with_cache, execution_mode, flag_num, flag_str, render_synth, render_table1, synth_rows,
+    table1_matches_paper, table1_rows, Table1Row,
 };
-use diode_core::DiodeConfig;
-use diode_engine::CampaignSpec;
+use diode_core::{analyze_program, DiodeConfig};
+use diode_engine::{CampaignSpec, ExecutionMode};
 use diode_obs::Json;
 use diode_synth::{forge, score, SynthConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let backend = AnalysisBackend::from_args(&args);
+    let mode = execution_mode(&args);
     let app_filter = flag_str(&args, "--app").map(|f| f.to_lowercase());
 
     if let Some(n) = flag_num(&args, "--synth") {
@@ -38,7 +38,7 @@ fn main() {
             eprintln!("--synth must be at least 1");
             std::process::exit(2);
         }
-        run_forged_suite(n as usize, app_filter.as_deref(), backend, json);
+        run_forged_suite(n as usize, app_filter.as_deref(), mode, json);
         return;
     }
 
@@ -53,24 +53,26 @@ fn main() {
     let (config, cache) = config_with_cache(DiodeConfig::default());
 
     let start = Instant::now();
-    let rows = table1_rows(&apps, &config, backend);
+    let rows = table1_rows(&apps, &config, mode);
     let wall = start.elapsed();
     let matches = table1_matches_paper(&rows);
 
     if json {
-        // Time the sequential reference once (cache-free, so the engine's
-        // caching does not flatter the comparison) to report the speedup.
-        let speedup = match backend {
-            AnalysisBackend::Engine { .. } => {
-                let seq_start = Instant::now();
-                let _ = table1_rows(&apps, &DiodeConfig::default(), AnalysisBackend::Sequential);
-                Some(seq_start.elapsed().as_secs_f64() / wall.as_secs_f64().max(1e-9))
-            }
-            AnalysisBackend::Sequential => None,
-        };
+        // Time the reference, `analyze_program` app by app, once and
+        // without a cache, so the engine's caching does not flatter the
+        // comparison.
+        let reference_start = Instant::now();
+        for app in &apps {
+            let _ = analyze_program(
+                &app.program,
+                &app.seed,
+                &app.format,
+                &DiodeConfig::default(),
+            );
+        }
+        let speedup = reference_start.elapsed().as_secs_f64() / wall.as_secs_f64().max(1e-9);
         let out = Json::obj()
             .field("table", "table1")
-            .field("backend", backend.name())
             .field("wall_ms", ms(wall))
             .field("engine_speedup", speedup)
             .field("matches_paper", matches)
@@ -89,10 +91,7 @@ fn main() {
             );
         println!("{out}");
     } else {
-        println!(
-            "Table 1: Target Site Classification (measured vs paper; backend: {})\n",
-            backend.name()
-        );
+        println!("Table 1: Target Site Classification (measured vs paper)\n");
         println!("{}", render_table1(&rows));
         let stats = cache.stats();
         println!(
@@ -115,7 +114,7 @@ fn main() {
 
 /// The `--synth N` path: a Table 1-style run over a forged suite, graded
 /// against the by-construction oracle instead of the paper.
-fn run_forged_suite(n: usize, filter: Option<&str>, backend: AnalysisBackend, json: bool) {
+fn run_forged_suite(n: usize, filter: Option<&str>, mode: ExecutionMode, json: bool) {
     let cfg = SynthConfig::default().with_apps(n);
     let suite = forge(&cfg);
     let mut apps = suite.campaign_apps();
@@ -127,7 +126,7 @@ fn run_forged_suite(n: usize, filter: Option<&str>, backend: AnalysisBackend, js
         }
     }
     let spec = CampaignSpec {
-        mode: backend.execution_mode(),
+        mode,
         ..CampaignSpec::new(apps)
     };
     let report = spec.run();
@@ -137,7 +136,6 @@ fn run_forged_suite(n: usize, filter: Option<&str>, backend: AnalysisBackend, js
     if json {
         let out = Json::obj()
             .field("table", "table1-synth")
-            .field("backend", backend.name())
             .field("forged_apps", n)
             .field("wall_ms", ms(report.wall_time))
             .field("cache", report.cache)
@@ -145,10 +143,7 @@ fn run_forged_suite(n: usize, filter: Option<&str>, backend: AnalysisBackend, js
             .field("score", score_json(&card));
         println!("{out}");
     } else {
-        println!(
-            "Table 1 (forged suite of {n}; backend: {})\n",
-            backend.name()
-        );
+        println!("Table 1 (forged suite of {n})\n");
         println!("{}", render_synth(&rows));
         println!("Score vs oracle: {card}");
         for m in &card.mismatches {

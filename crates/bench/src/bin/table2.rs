@@ -8,15 +8,18 @@
 //!   the paper)
 //! * `--json`        machine-readable output (per-site timings, rates,
 //!   cache hit-rate)
-//! * `--sequential`  original single-threaded analysis path
 //! * `--threads N`   pin the engine's worker count
+//!
+//! "Time (A)" is each app's aggregate work time in the one campaign that
+//! analyses every app (identification + extraction + discovery), as in
+//! Table 1; "B" is the site's own discovery time.
 
 use std::time::Instant;
 
 use diode_bench::jsonout::ms;
 use diode_bench::{
-    config_with_cache, render_table2, table2_rows, table2_shape_matches_paper, AnalysisBackend,
-    Table2Row,
+    config_with_cache, execution_mode, flag_num, render_table2, table2_rows,
+    table2_shape_matches_paper, Table2Row,
 };
 use diode_core::DiodeConfig;
 use diode_obs::Json;
@@ -24,25 +27,19 @@ use diode_obs::Json;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
-    let backend = AnalysisBackend::from_args(&args);
-    let samples = args
-        .iter()
-        .position(|a| a == "--samples")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(200);
+    let mode = execution_mode(&args);
+    let samples = flag_num(&args, "--samples").map_or(200, |n| n as u32);
     let apps = diode_apps::all_apps();
     let (config, cache) = config_with_cache(DiodeConfig::default());
 
     let start = Instant::now();
-    let rows = table2_rows(&apps, &config, samples, 0xD10DE, backend);
+    let rows = table2_rows(&apps, &config, samples, 0xD10DE, mode);
     let wall = start.elapsed();
     let problems = table2_shape_matches_paper(&rows, &apps);
 
     if json {
         let out = Json::obj()
             .field("table", "table2")
-            .field("backend", backend.name())
             .field("samples", samples)
             .field("wall_ms", ms(wall))
             .field("shape_matches_paper", problems.is_empty())
@@ -51,10 +48,7 @@ fn main() {
             .field("sites", rows.iter().map(site_json).collect::<Vec<_>>());
         println!("{out}");
     } else {
-        println!(
-            "Table 2: Evaluation Summary ({samples} samples per rate column; backend: {})\n",
-            backend.name()
-        );
+        println!("Table 2: Evaluation Summary ({samples} samples per rate column)\n");
         println!("{}", render_table2(&rows));
         let stats = cache.stats();
         println!(

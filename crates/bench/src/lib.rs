@@ -20,11 +20,13 @@
 //! Performance is measured by the repository's benchmark, `perfbench/`
 //! (workloads and metrics declared in `BENCHMARK.json`), not here.
 //!
-//! Whole-program analyses run through the `diode-engine` work-stealing
-//! scheduler by default ([`AnalysisBackend::Engine`]); pass
-//! `--sequential` to any binary to fall back to the original
-//! single-threaded `diode-core` path. Every binary
-//! also accepts `--json` for machine-readable output ([`jsonout`]).
+//! Every table runs its whole-program analyses as one `diode-engine`
+//! campaign over all its apps ([`analyze_apps`]); `--threads N` pins the
+//! scheduler's worker count ([`execution_mode`]), and outcomes are
+//! identical at every count. `diode_core::analyze_program`, the paper's
+//! per-app loop, stays the reference the campaign is tested against.
+//! Every binary also accepts `--json` for machine-readable output
+//! ([`jsonout`]).
 
 #![warn(missing_docs)]
 
@@ -33,81 +35,16 @@ use std::time::Duration;
 
 use diode_apps::{App, SiteClass};
 use diode_core::{
-    analyze_program, full_path_constraint_satisfiable, success_rate, DiodeConfig, ProgramAnalysis,
-    SiteOutcome, SuccessRate,
+    full_path_constraint_satisfiable, success_rate, DiodeConfig, ProgramAnalysis, SiteOutcome,
+    SuccessRate,
 };
-use diode_engine::{CampaignApp, CampaignReport, CampaignSpec, ExecutionMode, UnitReport};
+use diode_engine::{CampaignApp, CampaignReport, CampaignSpec, ExecutionMode};
 use diode_fuzz::{FuzzOutcome, RandomFuzzer, TaintFuzzer};
 use diode_solver::SolverCache;
 use diode_synth::SynthOracle;
 
 pub mod jsonout;
 pub mod profload;
-
-/// How the harness runs whole-program analyses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AnalysisBackend {
-    /// Fan per-site jobs out over the `diode-engine` work-stealing
-    /// scheduler (`None` = all cores).
-    Engine {
-        /// Worker count override.
-        threads: Option<usize>,
-    },
-    /// The original sequential `diode-core` path.
-    Sequential,
-}
-
-impl Default for AnalysisBackend {
-    fn default() -> Self {
-        AnalysisBackend::Engine { threads: None }
-    }
-}
-
-impl AnalysisBackend {
-    /// Reads the backend from CLI args (`--sequential`, `--threads N`).
-    #[must_use]
-    pub fn from_args<S: AsRef<str>>(args: &[S]) -> Self {
-        if args.iter().any(|a| a.as_ref() == "--sequential") {
-            return AnalysisBackend::Sequential;
-        }
-        let threads = flag_num(args, "--threads").map(|n| n as usize);
-        AnalysisBackend::Engine { threads }
-    }
-
-    /// Short name for report headers.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            AnalysisBackend::Engine { .. } => "engine",
-            AnalysisBackend::Sequential => "sequential",
-        }
-    }
-
-    /// The campaign [`ExecutionMode`] equivalent to this backend.
-    #[must_use]
-    pub fn execution_mode(&self) -> ExecutionMode {
-        match self {
-            AnalysisBackend::Engine { threads } => ExecutionMode::Parallel { threads: *threads },
-            AnalysisBackend::Sequential => ExecutionMode::Sequential,
-        }
-    }
-
-    /// Runs one whole-program analysis through this backend.
-    #[must_use]
-    pub fn analyze(&self, app: &App, config: &DiodeConfig) -> ProgramAnalysis {
-        match self {
-            AnalysisBackend::Engine { threads } => {
-                let report = engine_campaign(std::slice::from_ref(app), config, *threads);
-                let wall_time = report.wall_time;
-                let unit = report.units.into_iter().next().expect("one unit per app");
-                unit_analysis(unit, wall_time)
-            }
-            AnalysisBackend::Sequential => {
-                analyze_program(&app.program, &app.seed, &app.format, config)
-            }
-        }
-    }
-}
 
 /// Reads the string value following `flag` from CLI args.
 #[must_use]
@@ -146,6 +83,70 @@ pub fn flag_f64<S: AsRef<str>>(args: &[S], flag: &str) -> Option<f64> {
             std::process::exit(2);
         }
     }
+}
+
+/// The campaign's [`ExecutionMode`] from CLI args: `--threads N` pins the
+/// scheduler's worker count; without it every core is used.
+#[must_use]
+pub fn execution_mode<S: AsRef<str>>(args: &[S]) -> ExecutionMode {
+    ExecutionMode::Parallel {
+        threads: flag_num(args, "--threads").map(|n| n as usize),
+    }
+}
+
+/// Runs `apps` as **one** engine campaign and returns one
+/// [`ProgramAnalysis`] per app, in order, with sites in label order —
+/// what `diode_core::analyze_program` returns app by app. Every app's
+/// per-site jobs share the work-stealing pool, so a slow site in one
+/// application overlaps with every other application's work.
+///
+/// The campaign takes the caller's config verbatim (its `query_cache` is
+/// the only solver cache), no snapshot cache (every site runs from
+/// `main`, exactly as `analyze_site` does), and no re-validation: the
+/// tables are pure classification. Each analysis's `analysis_time` is the
+/// app's aggregate work time (identification + extraction + discovery),
+/// since interleaving makes per-app wall clock meaningless.
+#[must_use]
+pub fn analyze_apps(
+    apps: &[App],
+    config: &DiodeConfig,
+    mode: ExecutionMode,
+) -> Vec<ProgramAnalysis> {
+    let report = CampaignSpec {
+        config: config.clone(),
+        mode,
+        snapshot_cache: None,
+        verify_exposed: false,
+        ..CampaignSpec::new(
+            apps.iter()
+                .map(|a| {
+                    CampaignApp::new(a.name, a.program.clone(), a.format.clone(), a.seed.clone())
+                })
+                .collect(),
+        )
+    }
+    .run();
+    report
+        .units
+        .into_iter()
+        .map(|unit| {
+            let work: Duration = unit
+                .sites
+                .iter()
+                .map(|s| {
+                    s.report.discovery_time
+                        + s.report
+                            .extraction
+                            .as_ref()
+                            .map_or(Duration::ZERO, |e| e.extraction_time)
+                })
+                .sum();
+            ProgramAnalysis {
+                analysis_time: unit.identify_time + work,
+                sites: unit.sites.into_iter().map(|s| s.report).collect(),
+            }
+        })
+        .collect()
 }
 
 /// A config with a fresh shared solver-query cache installed, plus a
@@ -207,49 +208,18 @@ pub struct Table1Row {
     pub measured: (usize, usize, usize, usize),
     /// Paper's (total, exposed, unsat, prevented).
     pub paper: (usize, usize, usize, usize),
-    /// Whole-app analysis time.
+    /// The app's aggregate work time (see [`analyze_apps`]).
     pub analysis_time: Duration,
     /// The raw analysis, for further experiments.
     pub analysis: ProgramAnalysis,
 }
 
-/// Runs the Table 1 experiment over the given apps.
-///
-/// With [`AnalysisBackend::Engine`] the whole suite runs as **one
-/// campaign**: every app's per-site jobs share the same work-stealing
-/// pool, so a slow site in one application overlaps with every other
-/// application's work. Per-app `analysis_time` then reports aggregate
-/// work time (identification + extraction + discovery) rather than wall
-/// clock, which interleaving makes meaningless per app.
+/// Runs the Table 1 experiment over the given apps, as one campaign
+/// ([`analyze_apps`]).
 #[must_use]
-pub fn table1_rows(apps: &[App], config: &DiodeConfig, backend: AnalysisBackend) -> Vec<Table1Row> {
-    let analyses: Vec<ProgramAnalysis> = match backend {
-        AnalysisBackend::Sequential => apps
-            .iter()
-            .map(|app| analyze_program(&app.program, &app.seed, &app.format, config))
-            .collect(),
-        AnalysisBackend::Engine { threads } => engine_campaign(apps, config, threads)
-            .units
-            .into_iter()
-            .map(|unit| {
-                let work: Duration = unit
-                    .sites
-                    .iter()
-                    .map(|s| {
-                        s.report.discovery_time
-                            + s.report
-                                .extraction
-                                .as_ref()
-                                .map_or(Duration::ZERO, |e| e.extraction_time)
-                    })
-                    .sum();
-                let analysis_time = unit.identify_time + work;
-                unit_analysis(unit, analysis_time)
-            })
-            .collect(),
-    };
+pub fn table1_rows(apps: &[App], config: &DiodeConfig, mode: ExecutionMode) -> Vec<Table1Row> {
     apps.iter()
-        .zip(analyses)
+        .zip(analyze_apps(apps, config, mode))
         .map(|(app, analysis)| Table1Row {
             app: app.name,
             measured: analysis.counts(),
@@ -258,37 +228,6 @@ pub fn table1_rows(apps: &[App], config: &DiodeConfig, backend: AnalysisBackend)
             analysis,
         })
         .collect()
-}
-
-/// Runs `apps` as one engine campaign that behaves like the sequential
-/// `diode-core` path: the caller's config verbatim (its `query_cache` is
-/// the only solver cache, so backend timings stay comparable), no
-/// snapshot cache (every site runs from `main`, exactly as
-/// `analyze_site` does), and no re-validation — Table 1 and its siblings
-/// are pure classification.
-fn engine_campaign(apps: &[App], config: &DiodeConfig, threads: Option<usize>) -> CampaignReport {
-    CampaignSpec {
-        config: config.clone(),
-        mode: ExecutionMode::Parallel { threads },
-        snapshot_cache: None,
-        verify_exposed: false,
-        ..CampaignSpec::new(
-            apps.iter()
-                .map(|a| {
-                    CampaignApp::new(a.name, a.program.clone(), a.format.clone(), a.seed.clone())
-                })
-                .collect(),
-        )
-    }
-    .run()
-}
-
-/// A campaign unit as the [`ProgramAnalysis`] `analyze_program` returns.
-fn unit_analysis(unit: UnitReport, analysis_time: Duration) -> ProgramAnalysis {
-    ProgramAnalysis {
-        analysis_time,
-        sites: unit.sites.into_iter().map(|s| s.report).collect(),
-    }
 }
 
 /// Renders Table 1 with measured-vs-paper columns.
@@ -346,7 +285,8 @@ pub struct Table2Row {
     pub error_type: String,
     /// Paper's error type.
     pub paper_error: String,
-    /// App analysis time (shared across the app's rows).
+    /// The app's aggregate work time (see [`analyze_apps`]), shared
+    /// across the app's rows, as in Table 1.
     pub analysis_time: Duration,
     /// Per-site discovery time.
     pub discovery_time: Duration,
@@ -364,19 +304,19 @@ pub struct Table2Row {
     pub paper_enforced_rate: Option<(u32, u32)>,
 }
 
-/// Runs the full Table 2 experiment: per-site discovery plus the
-/// success-rate sampling of §5.5/§5.6 with `samples` inputs per column.
+/// Runs the full Table 2 experiment: per-site discovery (one campaign,
+/// [`analyze_apps`]) plus the success-rate sampling of §5.5/§5.6 with
+/// `samples` inputs per column.
 #[must_use]
 pub fn table2_rows(
     apps: &[App],
     config: &DiodeConfig,
     samples: u32,
     rng_seed: u64,
-    backend: AnalysisBackend,
+    mode: ExecutionMode,
 ) -> Vec<Table2Row> {
     let mut rows = Vec::new();
-    for app in apps {
-        let analysis = backend.analyze(app, config);
+    for (app, analysis) in apps.iter().zip(analyze_apps(apps, config, mode)) {
         for report in &analysis.sites {
             let SiteOutcome::Exposed(bug) = &report.outcome else {
                 continue;
@@ -489,16 +429,12 @@ pub struct AblationRow {
     pub paper_sat: bool,
 }
 
-/// Runs the §5.4 experiment over every exposed site.
+/// Runs the §5.4 experiment over every exposed site (one campaign,
+/// [`analyze_apps`]).
 #[must_use]
-pub fn ablation_rows(
-    apps: &[App],
-    config: &DiodeConfig,
-    backend: AnalysisBackend,
-) -> Vec<AblationRow> {
+pub fn ablation_rows(apps: &[App], config: &DiodeConfig, mode: ExecutionMode) -> Vec<AblationRow> {
     let mut rows = Vec::new();
-    for app in apps {
-        let analysis = backend.analyze(app, config);
+    for (app, analysis) in apps.iter().zip(analyze_apps(apps, config, mode)) {
         for report in &analysis.sites {
             if !matches!(report.outcome, SiteOutcome::Exposed(_)) {
                 continue;
@@ -558,17 +494,17 @@ pub struct FuzzRow {
     pub taint: FuzzOutcome,
 }
 
-/// Runs the fuzzing comparison over every exposed site.
+/// Runs the fuzzing comparison over every exposed site (one campaign,
+/// [`analyze_apps`]).
 #[must_use]
 pub fn fuzz_rows(
     apps: &[App],
     config: &DiodeConfig,
     trials: u32,
-    backend: AnalysisBackend,
+    mode: ExecutionMode,
 ) -> Vec<FuzzRow> {
     let mut rows = Vec::new();
-    for app in apps {
-        let analysis = backend.analyze(app, config);
+    for (app, analysis) in apps.iter().zip(analyze_apps(apps, config, mode)) {
         for report in &analysis.sites {
             let diode = match &report.outcome {
                 SiteOutcome::Exposed(bug) => Some(bug.enforced),

@@ -1,8 +1,13 @@
-//! The harness must produce identical Table 1 classifications through the
-//! engine and sequential backends, with or without a shared query cache.
+//! Every table runs its analyses as one engine campaign over all its
+//! apps. The classifications must not depend on the worker count or on a
+//! shared query cache, and must equal `diode_core::analyze_program`, the
+//! paper's per-app loop, site for site.
 
-use diode_bench::{config_with_cache, table1_matches_paper, table1_rows, AnalysisBackend};
+use diode_bench::{
+    analyze_apps, config_with_cache, execution_mode, table1_matches_paper, table1_rows,
+};
 use diode_core::{analyze_program, DiodeConfig, SiteOutcome};
+use diode_engine::ExecutionMode;
 
 fn fingerprint(outcome: &SiteOutcome) -> String {
     match outcome {
@@ -17,16 +22,20 @@ fn fingerprint(outcome: &SiteOutcome) -> String {
 }
 
 #[test]
-fn backends_agree_on_table1() {
+fn table1_agrees_across_worker_counts_and_caches() {
     let apps = diode_apps::all_apps();
     let (cached_config, cache) = config_with_cache(DiodeConfig::default());
-    let engine = table1_rows(&apps, &cached_config, AnalysisBackend::default());
-    let sequential = table1_rows(&apps, &DiodeConfig::default(), AnalysisBackend::Sequential);
-    assert!(table1_matches_paper(&engine));
-    assert!(table1_matches_paper(&sequential));
-    for (e, s) in engine.iter().zip(&sequential) {
-        assert_eq!(e.app, s.app);
-        assert_eq!(e.measured, s.measured, "{}", e.app);
+    let cached = table1_rows(&apps, &cached_config, ExecutionMode::default());
+    let one_worker = table1_rows(
+        &apps,
+        &DiodeConfig::default(),
+        ExecutionMode::Parallel { threads: Some(1) },
+    );
+    assert!(table1_matches_paper(&cached));
+    assert!(table1_matches_paper(&one_worker));
+    for (c, o) in cached.iter().zip(&one_worker) {
+        assert_eq!(c.app, o.app);
+        assert_eq!(c.measured, o.measured, "{}", c.app);
     }
     let stats = cache.stats();
     assert!(stats.misses > 0);
@@ -37,34 +46,33 @@ fn backends_agree_on_table1() {
 }
 
 #[test]
-fn engine_backend_analyze_is_a_drop_in_replacement() {
-    // One app through a one-unit engine campaign must equal
-    // `diode_core::analyze_program` site for site, in site-label order.
+fn analyze_apps_matches_analyze_program() {
+    // All five apps in one four-worker campaign must equal
+    // `diode_core::analyze_program` app by app, site for site, in
+    // site-label order.
     let config = DiodeConfig::default();
-    for app in diode_apps::all_apps() {
-        let seq = analyze_program(&app.program, &app.seed, &app.format, &config);
-        let par = AnalysisBackend::Engine { threads: Some(4) }.analyze(&app, &config);
-        assert_eq!(par.counts(), seq.counts(), "{}", app.name);
-        assert_eq!(par.sites.len(), seq.sites.len(), "{}", app.name);
-        for (p, s) in par.sites.iter().zip(&seq.sites) {
-            assert_eq!(p.site, s.site, "{}: order preserved", app.name);
-            assert_eq!(fingerprint(&p.outcome), fingerprint(&s.outcome));
+    let apps = diode_apps::all_apps();
+    let analyses = analyze_apps(&apps, &config, ExecutionMode::Parallel { threads: Some(4) });
+    assert_eq!(analyses.len(), apps.len());
+    for (app, got) in apps.iter().zip(&analyses) {
+        let want = analyze_program(&app.program, &app.seed, &app.format, &config);
+        assert_eq!(got.counts(), want.counts(), "{}", app.name);
+        assert_eq!(got.sites.len(), want.sites.len(), "{}", app.name);
+        for (g, w) in got.sites.iter().zip(&want.sites) {
+            assert_eq!(g.site, w.site, "{}: order preserved", app.name);
+            assert_eq!(fingerprint(&g.outcome), fingerprint(&w.outcome));
         }
     }
 }
 
 #[test]
-fn backend_flag_parsing() {
+fn execution_mode_parses_threads() {
     assert_eq!(
-        AnalysisBackend::from_args(&["--json"]),
-        AnalysisBackend::Engine { threads: None }
+        execution_mode(&["--json"]),
+        ExecutionMode::Parallel { threads: None }
     );
     assert_eq!(
-        AnalysisBackend::from_args(&["--threads", "3"]),
-        AnalysisBackend::Engine { threads: Some(3) }
-    );
-    assert_eq!(
-        AnalysisBackend::from_args(&["--sequential", "--threads", "3"]),
-        AnalysisBackend::Sequential
+        execution_mode(&["--threads", "3"]),
+        ExecutionMode::Parallel { threads: Some(3) }
     );
 }

@@ -54,19 +54,20 @@ fn forge_then_replay_in_separate_processes_is_byte_identical() {
     assert!(ok, "diff of identical runs must be clean:\n{out}");
     assert!(out.contains("\"clean\":true"), "{out}");
 
-    // Process 4: the sequential backend reproduces the parallel record.
+    // Process 4: one worker reproduces the all-cores record.
     let (ok, out) = corpus(
         &root,
         &[
             "replay",
             &suite_id,
-            "--sequential",
+            "--threads",
+            "1",
             "--label",
-            "seq",
+            "one-worker",
             "--json",
         ],
     );
-    assert!(ok, "sequential replay drifted:\n{out}");
+    assert!(ok, "one-worker replay drifted:\n{out}");
     assert!(out.contains("\"identical\":true"), "{out}");
 
     std::fs::remove_dir_all(&root).ok();

@@ -41,19 +41,22 @@ fn run_pulsed(
     (spec.run(), sub)
 }
 
+/// The one-worker reference run.
+const ONE_WORKER: ExecutionMode = ExecutionMode::Parallel { threads: Some(1) };
+
 #[test]
 fn telemetry_is_passive_and_byte_identical_across_thread_counts() {
-    let baseline = spec(suite_apps(), ExecutionMode::Sequential).run();
+    let baseline = spec(suite_apps(), ONE_WORKER).run();
     for threads in [1usize, 2, 4, 8] {
         let mode = ExecutionMode::Parallel {
             threads: Some(threads),
         };
         let plain = spec(suite_apps(), mode).run();
-        let (pulsed, _sub) = run_pulsed(suite_apps(), mode, 1 << 14);
+        let (pulsed, sub) = run_pulsed(suite_apps(), mode, 1 << 14);
         assert_eq!(
             plain.outcome_fingerprint(),
             baseline.outcome_fingerprint(),
-            "parallel({threads}) diverged from sequential"
+            "{threads} worker(s) diverged from one"
         );
         assert_eq!(
             pulsed.outcome_fingerprint(),
@@ -65,6 +68,22 @@ fn telemetry_is_passive_and_byte_identical_across_thread_counts() {
             "peak heap accounting must be deterministic at {threads} thread(s)"
         );
         assert!(baseline.peak_heap_bytes > 0, "heap accounting is always on");
+        if threads == 1 {
+            // One worker runs through the scheduler too, so its
+            // heartbeats count the jobs it has finished.
+            let jobs_done = sub
+                .drain()
+                .iter()
+                .filter_map(|e| match e {
+                    PulseEvent::Heartbeat(h) => Some(h.jobs_done),
+                    _ => None,
+                })
+                .max();
+            assert!(
+                jobs_done > Some(0),
+                "no one-worker heartbeat counted a finished job: {jobs_done:?}"
+            );
+        }
     }
 }
 
@@ -115,7 +134,7 @@ fn pulse_stream_covers_every_unit_and_site_and_finishes_last() {
 
 #[test]
 fn slow_subscriber_drops_without_changing_the_campaign() {
-    let baseline = spec(suite_apps(), ExecutionMode::Sequential).run();
+    let baseline = spec(suite_apps(), ONE_WORKER).run();
     let bus = Arc::new(PulseBus::new());
     let fast = bus.subscribe(1 << 14);
     let slow = bus.subscribe(2); // attached, never drained

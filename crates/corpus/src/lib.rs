@@ -47,7 +47,7 @@
 //! store.record_witnesses(&loaded.witnesses("baseline", &report))?;
 //!
 //! // Later runs diff against the recorded baseline.
-//! let (rerun, _) = loaded.replay(ExecutionMode::Sequential);
+//! let (rerun, _) = loaded.replay(ExecutionMode::Parallel { threads: Some(1) });
 //! let baseline = store.load_witnesses(saved.id(), "baseline")?;
 //! let diff = CorpusDiff::between(&baseline, &loaded.witnesses("rerun", &rerun));
 //! assert!(diff.is_clean());

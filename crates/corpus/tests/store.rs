@@ -61,10 +61,10 @@ fn replay_reproduces_the_saved_scorecard_byte_for_byte() {
     assert!(rerun_card.is_perfect());
     assert!(CorpusDiff::between(&recorded, &fresh).is_clean());
 
-    // Sequential execution agrees too (same scheduler determinism
-    // contract, now across the store boundary).
-    let (seq, _) = loaded.replay(ExecutionMode::Sequential);
-    assert_eq!(report.outcome_fingerprint(), seq.outcome_fingerprint());
+    // One worker agrees too (same scheduler determinism contract, now
+    // across the store boundary).
+    let (one, _) = loaded.replay(ExecutionMode::Parallel { threads: Some(1) });
+    assert_eq!(report.outcome_fingerprint(), one.outcome_fingerprint());
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -339,7 +339,7 @@ fn audit_records_persist_and_roundtrip_byte_for_byte() {
     assert_eq!(loaded.canonical(), set.canonical());
 
     // Re-auditing drifts nowhere: same suite, same derivations.
-    let (rerun, _) = saved.replay_audited(ExecutionMode::Sequential);
+    let (rerun, _) = saved.replay_audited(ExecutionMode::Parallel { threads: Some(1) });
     let rerun_set = saved.audit("rerun", &rerun).expect("audited run");
     let drift = diode_corpus::DerivationDrift::between(&loaded, &rerun_set);
     assert!(drift.is_clean(), "{drift}");

@@ -4,8 +4,8 @@
 //! or more seed inputs) and how to run them; [`CampaignSpec::run`] fans
 //! the work out over the work-stealing scheduler and returns a
 //! [`CampaignReport`] whose per-site outcomes are aggregated in
-//! **site-label order** — byte-identical to what the sequential path
-//! produces, regardless of thread count or stealing interleavings.
+//! **site-label order** — byte-identical at every worker count and under
+//! any stealing interleaving.
 //!
 //! Each spec holds one handle per cache: `config.query_cache` (a
 //! [`SolverCache`]) and `snapshot_cache` (a prefix [`SnapshotCache`]).
@@ -73,7 +73,9 @@ impl CampaignApp {
     }
 }
 
-/// How the campaign executes.
+/// How the campaign executes: always over the work-stealing scheduler,
+/// whose worker count is the one scheduling choice. One worker runs
+/// inline on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecutionMode {
     /// Fan out over the work-stealing scheduler. `threads: None` uses all
@@ -82,9 +84,6 @@ pub enum ExecutionMode {
         /// Worker count; `None` = all cores.
         threads: Option<usize>,
     },
-    /// The original single-threaded path, in spec order. Kept as the
-    /// reference implementation that determinism tests compare against.
-    Sequential,
 }
 
 impl Default for ExecutionMode {
@@ -113,7 +112,7 @@ pub struct CampaignSpec {
     /// `query_cache` is the campaign's solver cache: every job solves
     /// through it, and `None` solves every query from scratch.
     pub config: DiodeConfig,
-    /// Parallel or sequential execution.
+    /// The scheduler's worker count.
     pub mode: ExecutionMode,
     /// The campaign's prefix-snapshot cache, shared by every job (the
     /// same `Arc` discipline as the solver cache), and the campaign's one
@@ -207,7 +206,7 @@ impl CampaignSpec {
         // built only when a snapshot cache is in play.
         let keys = snapshots.as_ref().map(|_| UnitKeys::new(self));
         let slots = snapshots.as_deref().zip(keys.as_ref());
-        let recorder = self.recorder.as_ref().filter(|r| r.is_enabled());
+        let recorder = self.recorder.as_ref();
         let pulse = self
             .pulse
             .as_ref()
@@ -215,10 +214,7 @@ impl CampaignSpec {
         let sampler = pulse
             .as_ref()
             .map(|p| p.spawn_sampler(cache.clone(), snapshots.clone()));
-        let done = match self.mode {
-            ExecutionMode::Sequential => self.run_sequential(slots, pulse.as_ref()),
-            ExecutionMode::Parallel { .. } => self.run_parallel(slots, pulse.as_ref()),
-        };
+        let done = self.execute(slots, pulse.as_ref());
         if let Some(s) = sampler {
             s.stop();
         }
@@ -256,15 +252,11 @@ impl CampaignSpec {
     }
 
     fn effective_threads(&self) -> usize {
-        match self.mode {
-            ExecutionMode::Sequential => 1,
-            ExecutionMode::Parallel { threads } => {
-                threads.unwrap_or_else(scheduler::default_threads).max(1)
-            }
-        }
+        let ExecutionMode::Parallel { threads } = self.mode;
+        threads.unwrap_or_else(scheduler::default_threads).max(1)
     }
 
-    fn run_parallel(&self, slots: Slots<'_>, pulse: Option<&PulseRun>) -> Vec<Done> {
+    fn execute(&self, slots: Slots<'_>, pulse: Option<&PulseRun>) -> Vec<Done> {
         let initial: Vec<Job> = self
             .apps
             .iter()
@@ -276,48 +268,21 @@ impl CampaignSpec {
             self.effective_threads(),
             self.recorder.as_ref(),
             pulse.map(|p| p.gauges.as_ref()),
-            |job, spawner: &Spawner<'_, Job>| self.run_job(job, slots, Some(spawner), pulse),
+            |job, spawner: &Spawner<'_, Job>| self.run_job(job, slots, spawner, pulse),
         )
     }
 
-    fn run_sequential(&self, slots: Slots<'_>, pulse: Option<&PulseRun>) -> Vec<Done> {
-        let mut done = Vec::new();
-        for (app, a) in self.apps.iter().enumerate() {
-            for seed in 0..a.seeds.len() {
-                let identified = self.run_job(Job::Identify { app, seed }, slots, None, pulse);
-                let Done::Identified { ref targets, .. } = identified else {
-                    unreachable!("identify job returns Identified");
-                };
-                let site_jobs: Vec<Job> = targets
-                    .iter()
-                    .map(|t| Job::Site {
-                        app,
-                        seed,
-                        target: t.clone(),
-                    })
-                    .collect();
-                done.push(identified);
-                for job in site_jobs {
-                    done.push(self.run_job(job, slots, None, pulse));
-                }
-            }
-        }
-        done
-    }
-
-    /// Executes one job. In parallel mode `spawner` is present and
-    /// identification pushes per-site jobs onto the worker's own deque; in
-    /// sequential mode the caller schedules them in order.
+    /// Executes one job. Identification pushes its per-site jobs onto the
+    /// running worker's own deque.
     fn run_job(
         &self,
         job: Job,
         slots: Slots<'_>,
-        spawner: Option<&Spawner<'_, Job>>,
+        spawner: &Spawner<'_, Job>,
         pulse: Option<&PulseRun>,
     ) -> Done {
         let config = &self.config;
-        // Worker 0 covers the sequential and inline single-thread paths.
-        let worker = spawner.map_or(0, Spawner::index);
+        let worker = spawner.index();
         match job {
             Job::Identify { app, seed } => {
                 let a = &self.apps[app];
@@ -363,27 +328,21 @@ impl CampaignSpec {
                 } else {
                     identify_target_sites(&a.program, &a.seeds[seed], &config.machine)
                 };
-                if let Some(spawner) = spawner {
-                    for target in &targets {
-                        spawner.spawn(Job::Site {
-                            app,
-                            seed,
-                            target: target.clone(),
-                        });
-                    }
+                let sites = targets.len() as u64;
+                for target in targets {
+                    spawner.spawn(Job::Site { app, seed, target });
                 }
                 if let Some(p) = pulse {
                     p.bus.publish(&PulseEvent::SitesIdentified {
                         app: a.name.clone(),
                         seed: seed as u32,
-                        sites: targets.len() as u64,
+                        sites,
                     });
                     p.workers.set(worker, WorkerState::Idle);
                 }
                 Done::Identified {
                     app,
                     seed,
-                    targets,
                     identify_time: start.elapsed(),
                 }
             }
@@ -486,7 +445,6 @@ impl CampaignSpec {
                     app,
                     seed,
                     identify_time,
-                    ..
                 } => units[app][seed].identify_time = identify_time,
                 Done::Site { app, seed, record } => units[app][seed].sites.push(*record),
             }
@@ -664,7 +622,6 @@ enum Done {
     Identified {
         app: usize,
         seed: usize,
-        targets: Vec<TargetSite>,
         identify_time: Duration,
     },
     Site {

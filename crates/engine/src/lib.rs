@@ -18,12 +18,14 @@
 //!   deterministic site-label-ordered aggregation, and per-bug
 //!   re-validation.
 //!
-//! Determinism is a contract: a parallel campaign's [`CampaignReport`] is
+//! Determinism is a contract: a campaign's [`CampaignReport`] is
 //! byte-identical (site outcomes, enforcement counts, triggering inputs)
-//! to the sequential path's, because every job is a pure function and
-//! aggregation ignores completion order. [`ExecutionMode::Sequential`]
-//! keeps the single-threaded path as the reference that determinism
-//! tests compare against.
+//! at every worker count, because every job is a pure function and
+//! aggregation ignores completion order. The worker count
+//! ([`ExecutionMode::Parallel`]) is the one scheduling choice; a single
+//! worker runs inline on the calling thread. Determinism tests compare
+//! campaigns against `diode_core::analyze_program`, the paper's per-app
+//! loop, and against a one-worker run without caches.
 //!
 //! ```
 //! use diode_engine::{CampaignApp, CampaignSpec};

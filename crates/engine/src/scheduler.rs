@@ -23,8 +23,8 @@
 //! Determinism: the scheduler makes **no ordering promises** (completion
 //! order depends on stealing), so it returns results tagged however the
 //! caller's `worker` function chooses; `diode-engine`'s campaign layer
-//! re-aggregates them in site-label order, which is what makes parallel
-//! campaigns byte-identical to sequential ones.
+//! re-aggregates them in site-label order, which is what makes campaigns
+//! byte-identical at every worker count.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -146,7 +146,7 @@ where
         injector: Mutex::new(initial.into()),
         deques: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
     };
-    let recorder = recorder.filter(|r| r.is_enabled()).map(Arc::as_ref);
+    let recorder = recorder.map(Arc::as_ref);
     let results: Mutex<Vec<R>> = Mutex::new(Vec::with_capacity(total_hint));
     if threads == 1 {
         // Degenerate single-worker pool: run inline, no thread spawn.

@@ -1,6 +1,7 @@
 //! Engine integration tests on the five §5 benchmark applications:
-//! parallel campaigns must be byte-identical to the sequential path, and
-//! the shared solver cache must absorb repeated enforcement queries.
+//! campaigns must be byte-identical at every worker count, with or
+//! without caches, and to `diode_core::analyze_program`, and the shared
+//! solver cache must absorb repeated enforcement queries.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -28,39 +29,40 @@ fn fingerprint(outcome: &SiteOutcome) -> String {
 }
 
 #[test]
-fn parallel_campaign_is_byte_identical_to_sequential() {
+fn parallel_campaign_is_byte_identical_to_one_uncached_worker() {
     let parallel = CampaignSpec::new(benchmark_campaign()).run();
-    let sequential = CampaignSpec {
-        mode: ExecutionMode::Sequential,
-        // The reference run: no caches at all, original solve path.
+    let reference = CampaignSpec {
+        mode: ExecutionMode::Parallel { threads: Some(1) },
+        // The reference run: one worker, no caches at all, original
+        // solve path.
         config: DiodeConfig::default(),
         snapshot_cache: None,
         ..CampaignSpec::new(benchmark_campaign())
     }
     .run();
 
-    assert_eq!(parallel.counts(), sequential.counts());
+    assert_eq!(parallel.counts(), reference.counts());
     assert_eq!(parallel.counts(), (40, 14, 17, 9), "paper Table 1 totals");
     assert_eq!(
         parallel.outcome_fingerprint(),
-        sequential.outcome_fingerprint(),
+        reference.outcome_fingerprint(),
         "site outcomes must not depend on scheduling or caching"
     );
-    assert!(sequential.cache.is_none());
-    assert!(sequential.snapshots.is_none());
-    for site in sequential.units.iter().flat_map(|u| &u.sites) {
+    assert!(reference.cache.is_none());
+    assert!(reference.snapshots.is_none());
+    for site in reference.units.iter().flat_map(|u| &u.sites) {
         assert!(
             site.report.snapshot.is_none(),
             "{}: no snapshot cache, no snapshot code",
             site.report.site
         );
     }
-    assert_eq!(sequential.threads, 1);
+    assert_eq!(reference.threads, 1);
 }
 
 #[test]
 fn parallel_campaign_matches_core_analyze_program() {
-    // The engine against the untouched diode-core sequential entry point.
+    // The engine against the untouched diode-core per-app entry point.
     let report = CampaignSpec::new(benchmark_campaign()).run();
     let config = DiodeConfig::default();
     for (unit, app) in report.units.iter().zip(diode_apps::all_apps()) {

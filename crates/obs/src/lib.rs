@@ -6,8 +6,8 @@
 //!
 //! The model: the campaign driver creates one [`Recorder`] per run and
 //! installs a [`job_scope`] on the worker thread for each job. Inside a
-//! scope, [`span`] guards time individual phases and [`count`] /
-//! [`observe_ns`] accumulate metrics — all into a thread-local buffer,
+//! scope, [`span`] guards time individual phases and [`count`]
+//! accumulates counters — all into a thread-local buffer,
 //! so recording takes no locks while a job runs. Buffers flush into the
 //! recorder when the scope drops, and [`Recorder::trace`] merges them
 //! deterministically: span identity is `(app, seed, site, phase, seq,
@@ -40,9 +40,9 @@
 //! assert!(breakdown.phase(Phase::Enforce).is_some());
 //! ```
 //!
-//! When instrumentation is off (`Recorder::disabled()` or no recorder at
-//! all), `job_scope` installs nothing and every `span`/`count` call is a
-//! thread-local read and a branch — cheap enough to leave in hot paths.
+//! When instrumentation is off (no recorder), `job_scope` installs
+//! nothing and every `span`/`count` call is a thread-local read and a
+//! branch — cheap enough to leave in hot paths.
 
 #![warn(missing_docs)]
 
@@ -80,8 +80,8 @@ pub use pulse::{
 };
 pub use sink::TRACE_SCHEMA_VERSION;
 pub use span::{
-    audit_active, audit_event, count, job_scope, observe_ns, span, JobScope, Phase, Recorder, Span,
-    SpanGuard, Trace,
+    audit_active, audit_event, count, job_scope, span, JobScope, Phase, Recorder, Span, SpanGuard,
+    Trace,
 };
 pub use telemetry::{pulse_event_lines, telemetry_header, TelemetryLog, TELEMETRY_SCHEMA_VERSION};
 pub use watchdog::{

@@ -4,10 +4,10 @@
 //! Design: instrumented code never threads a recorder handle through its
 //! API. Instead the campaign driver installs a [`JobScope`] on the worker
 //! thread at the start of each job (one identify pass or one site
-//! analysis), and every [`span`]/[`count`]/[`observe_ns`] call inside the
-//! job body writes into a thread-local buffer owned by that scope. The
-//! buffer is flushed into the shared [`Recorder`] exactly once, when the
-//! scope drops — so recording is lock-free while the job runs.
+//! analysis), and every [`span`]/[`count`] call inside the job body
+//! writes into a thread-local buffer owned by that scope. The buffer is
+//! flushed into the shared [`Recorder`] exactly once, when the scope
+//! drops — so recording is lock-free while the job runs.
 //!
 //! Span identity is deterministic: each job assigns its spans a dense
 //! per-job sequence number, so the tuple `(app, seed, site, phase, seq,
@@ -199,7 +199,6 @@ struct JobBuf {
     open: Vec<u32>,
     spans: Vec<Span>,
     counters: BTreeMap<&'static str, u64>,
-    hists: BTreeMap<&'static str, Hist>,
     events: Vec<ProvenanceEvent>,
 }
 
@@ -216,11 +215,10 @@ thread_local! {
 }
 
 /// Collects spans and metrics from worker threads and merges them
-/// deterministically. Create one per campaign with [`Recorder::new`], or
-/// use [`Recorder::disabled`] to make every instrumentation point a
-/// no-op (one thread-local read and a branch).
+/// deterministically. Create one per campaign with [`Recorder::new`];
+/// without one ([`job_scope`] given `None`) every instrumentation point
+/// is a no-op (one thread-local read and a branch).
 pub struct Recorder {
-    enabled: bool,
     audit: bool,
     epoch: Instant,
     shards: Mutex<Vec<Vec<Span>>>,
@@ -232,7 +230,6 @@ pub struct Recorder {
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Recorder")
-            .field("enabled", &self.enabled)
             .field("audit", &self.audit)
             .finish_non_exhaustive()
     }
@@ -245,10 +242,9 @@ impl Default for Recorder {
 }
 
 impl Recorder {
-    /// An enabled recorder with a fresh monotonic epoch.
+    /// A recorder with a fresh monotonic epoch.
     pub fn new() -> Recorder {
         Recorder {
-            enabled: true,
             audit: false,
             epoch: Instant::now(),
             shards: Mutex::new(Vec::new()),
@@ -263,27 +259,13 @@ impl Recorder {
     /// records. Off by default — auditing costs one event allocation per
     /// pipeline decision.
     pub fn with_audit(mut self) -> Recorder {
-        self.audit = self.enabled;
+        self.audit = true;
         self
     }
 
     /// Whether this recorder collects provenance events.
     pub fn audit_enabled(&self) -> bool {
         self.audit
-    }
-
-    /// A recorder that records nothing: [`job_scope`] installs no
-    /// thread-local state, so every span/metric call short-circuits.
-    pub fn disabled() -> Recorder {
-        Recorder {
-            enabled: false,
-            ..Recorder::new()
-        }
-    }
-
-    /// Whether this recorder collects anything.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Nanoseconds since this recorder's epoch.
@@ -294,9 +276,6 @@ impl Recorder {
     /// Record a context-free volatile span (e.g. scheduler queue wait)
     /// directly, bypassing the thread-local job buffer.
     pub fn record_volatile(&self, phase: Phase, start_ns: u64, dur_ns: u64) {
-        if !self.enabled {
-            return;
-        }
         self.shards.lock().unwrap().push(vec![Span {
             phase,
             app: String::new(),
@@ -313,7 +292,7 @@ impl Recorder {
     /// Bump a named monotonic counter directly (for code that runs
     /// outside any job scope, like the scheduler).
     pub fn count_direct(&self, name: &str, delta: u64) {
-        if !self.enabled || delta == 0 {
+        if delta == 0 {
             return;
         }
         *self
@@ -326,9 +305,6 @@ impl Recorder {
 
     /// Record a nanosecond observation into a named histogram directly.
     pub fn observe_direct(&self, name: &str, ns: u64) {
-        if !self.enabled {
-            return;
-        }
         self.hists
             .lock()
             .unwrap()
@@ -341,7 +317,6 @@ impl Recorder {
         &self,
         spans: Vec<Span>,
         counters: BTreeMap<&'static str, u64>,
-        hists: BTreeMap<&'static str, Hist>,
         job: Option<ProvenanceJob>,
     ) {
         if !spans.is_empty() {
@@ -354,12 +329,6 @@ impl Recorder {
             let mut merged = self.counters.lock().unwrap();
             for (name, delta) in counters {
                 *merged.entry(name.to_string()).or_insert(0) += delta;
-            }
-        }
-        if !hists.is_empty() {
-            let mut merged = self.hists.lock().unwrap();
-            for (name, h) in hists {
-                merged.entry(name.to_string()).or_default().merge(&h);
             }
         }
     }
@@ -441,16 +410,15 @@ pub struct JobScope {
 }
 
 /// Install a recording scope for one job on the current thread. Returns
-/// an inert guard when `recorder` is `None` or disabled — in that state
-/// every [`span`]/[`count`]/[`observe_ns`] call in the job body is a
-/// no-op.
+/// an inert guard when `recorder` is `None` — in that state every
+/// [`span`]/[`count`] call in the job body is a no-op.
 pub fn job_scope(
     recorder: Option<&Arc<Recorder>>,
     app: &str,
     seed: u32,
     site: Option<&str>,
 ) -> JobScope {
-    let Some(recorder) = recorder.filter(|r| r.is_enabled()) else {
+    let Some(recorder) = recorder else {
         return JobScope {
             installed: false,
             prev: None,
@@ -466,7 +434,6 @@ pub fn job_scope(
         open: Vec::new(),
         spans: Vec::new(),
         counters: BTreeMap::new(),
-        hists: BTreeMap::new(),
         events: Vec::new(),
     };
     let prev = ACTIVE.with(|a| a.borrow_mut().replace(buf));
@@ -489,7 +456,7 @@ impl Drop for JobScope {
                 site: buf.site.clone(),
                 events: buf.events,
             });
-            buf.recorder.flush(buf.spans, buf.counters, buf.hists, job);
+            buf.recorder.flush(buf.spans, buf.counters, job);
         }
     }
 }
@@ -593,16 +560,6 @@ pub fn count(name: &'static str, delta: u64) {
     });
 }
 
-/// Record a nanosecond observation into a named histogram within the
-/// current job scope (no-op outside one).
-pub fn observe_ns(name: &'static str, ns: u64) {
-    ACTIVE.with(|a| {
-        if let Some(buf) = a.borrow_mut().as_mut() {
-            buf.hists.entry(name).or_default().record(ns);
-        }
-    });
-}
-
 /// Whether the current job scope collects provenance events. Emitters
 /// with non-trivial payloads (byte sets, fingerprints) should check this
 /// first so a disabled recorder costs no allocations in the hot loop.
@@ -632,7 +589,6 @@ mod tests {
         assert!(!guard.is_active());
         drop(guard);
         count("x", 1);
-        observe_ns("y", 10);
     }
 
     #[test]
@@ -646,8 +602,8 @@ mod tests {
                 inner.cache_hit(true);
             }
             count("solver.queries", 1);
-            observe_ns("lat", 5);
         }
+        rec.observe_direct("lat", 5);
         let trace = rec.trace();
         assert_eq!(trace.spans.len(), 2);
         // Merged order is by seq: outer (seq 0) first even though the
@@ -667,17 +623,17 @@ mod tests {
 
     #[test]
     fn disabled_recorder_records_nothing() {
-        let rec = Arc::new(Recorder::disabled());
-        {
-            let _scope = job_scope(Some(&rec), "a", 0, None);
-            let guard = span(Phase::Identify);
-            assert!(!guard.is_active());
-        }
-        rec.record_volatile(Phase::QueueWait, 0, 10);
-        rec.count_direct("c", 1);
-        let trace = rec.trace();
-        assert!(trace.spans.is_empty());
-        assert!(trace.counters.is_empty());
+        // No recorder is the disabled state: the scope installs no
+        // thread-local buffer, so every instrumentation call is inert.
+        let scope = job_scope(None, "a", 0, None);
+        assert!(!scope.installed);
+        let guard = span(Phase::Identify);
+        assert!(!guard.is_active());
+        assert!(!audit_active());
+        count("c", 1);
+        drop(guard);
+        drop(scope);
+        assert!(ACTIVE.with(|a| a.borrow().is_none()));
     }
 
     #[test]

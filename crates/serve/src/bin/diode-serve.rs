@@ -39,12 +39,30 @@ fn flag_str(args: &[String], name: &str) -> Option<String> {
         .and_then(|i| args.get(i + 1).cloned())
 }
 
+/// A present but unparsable value is a usage error (exit 2): a typo like
+/// `--workers x` must not silently serve with the default.
 fn flag_num(args: &[String], name: &str) -> Option<u64> {
-    flag_str(args, name).and_then(|v| v.parse().ok())
+    let raw = flag_str(args, name)?;
+    match raw.parse() {
+        Ok(n) => Some(n),
+        Err(_) => {
+            eprintln!("diode-serve: {name} expects a number, got {raw:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
+/// As [`flag_num`], rejecting non-finite values too: a NaN threshold
+/// would silently disable the detector it tunes.
 fn flag_f64(args: &[String], name: &str) -> Option<f64> {
-    flag_str(args, name).and_then(|v| v.parse().ok())
+    let raw = flag_str(args, name)?;
+    match raw.parse::<f64>() {
+        Ok(v) if v.is_finite() => Some(v),
+        _ => {
+            eprintln!("diode-serve: {name} expects a finite number, got {raw:?}");
+            std::process::exit(2);
+        }
+    }
 }
 
 /// The daemon-default watchdog: `--watchdog` opts in with stock

@@ -34,7 +34,7 @@ pub struct ForgedSuite {
 
 impl ForgedSuite {
     /// Fresh campaign workloads (cloned, so the suite can be run several
-    /// times — e.g. once parallel and once sequential).
+    /// times — e.g. once on all cores and once on one worker).
     #[must_use]
     pub fn campaign_apps(&self) -> Vec<CampaignApp> {
         self.apps.clone()

@@ -41,7 +41,7 @@
 //! Determinism is part of the contract: a [`SynthConfig`] (site counts,
 //! branch depth, arithmetic shapes, input-width classes, RNG seed) maps to
 //! a byte-identical suite every time, and campaign reports over forged
-//! suites are byte-identical between parallel and sequential execution.
+//! suites are byte-identical at every worker count.
 //!
 //! ## Example
 //!

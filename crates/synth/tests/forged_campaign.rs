@@ -1,7 +1,7 @@
 //! Campaign-scale acceptance tests for the scenario forge: a 50-app
 //! forged suite must grade perfectly (100% recall *and* exact three-way
-//! classification) and produce byte-identical reports in parallel and
-//! sequential execution modes, and with prefix snapshots on and off.
+//! classification) and produce byte-identical reports on all cores and on
+//! one worker, and with caches and prefix snapshots on and off.
 
 use diode_core::DiodeConfig;
 use diode_engine::{CampaignSpec, ExecutionMode};
@@ -24,9 +24,9 @@ fn fifty_app_campaign_has_full_recall_and_identical_reports_across_modes() {
     );
 
     let parallel = CampaignSpec::new(suite.campaign_apps()).run();
-    let sequential = CampaignSpec {
-        mode: ExecutionMode::Sequential,
-        // The reference run: no caches at all.
+    let reference = CampaignSpec {
+        mode: ExecutionMode::Parallel { threads: Some(1) },
+        // The reference run: one worker, no caches at all.
         config: DiodeConfig::default(),
         snapshot_cache: None,
         ..CampaignSpec::new(suite.campaign_apps())
@@ -36,10 +36,10 @@ fn fifty_app_campaign_has_full_recall_and_identical_reports_across_modes() {
     // Byte-identical reports regardless of scheduling and caching.
     assert_eq!(
         parallel.outcome_fingerprint(),
-        sequential.outcome_fingerprint(),
-        "forged-campaign outcomes must not depend on execution mode"
+        reference.outcome_fingerprint(),
+        "forged-campaign outcomes must not depend on worker count or caching"
     );
-    assert_eq!(parallel.counts(), sequential.counts());
+    assert_eq!(parallel.counts(), reference.counts());
 
     // Perfect grade against the by-construction oracle.
     let card = score(&parallel, &suite.oracle);

@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("\n== Campaign scale: the same analysis through diode-engine ==");
     // Production runs batch many programs × seeds through the engine's
     // work-stealing scheduler with a shared solver-query cache; site
-    // outcomes are byte-identical to the sequential stages above.
+    // outcomes are byte-identical to the stage-by-stage run above.
     let spec = diode::engine::CampaignSpec::new(vec![diode::engine::CampaignApp::new(
         "quickstart-demo",
         program,

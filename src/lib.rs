@@ -22,12 +22,13 @@
 //! | [`serve`] | resident campaign daemon: warm-cache job queue over line-delimited JSON TCP |
 //!
 //! Start with the `quickstart` example (or `campaign` for batch
-//! analysis), or regenerate the paper's tables — analyses fan out over
-//! the [`engine`] scheduler by default; add `--sequential` for the
-//! single-threaded path and `--json` for machine-readable output:
+//! analysis), or regenerate the paper's tables — each table runs one
+//! campaign over its apps on the [`engine`] scheduler; `--threads N`
+//! pins the worker count (reports are identical at every count) and
+//! `--json` gives machine-readable output:
 //!
 //! ```text
-//! cargo run --release -p diode-bench --bin table1 [-- --json | --sequential | --threads N]
+//! cargo run --release -p diode-bench --bin table1 [-- --json | --threads N]
 //! cargo run --release -p diode-bench --bin table2
 //! cargo run --release -p diode-bench --bin ablation
 //! cargo run --release -p diode-bench --bin fuzz_compare

@@ -15,9 +15,9 @@ fn forged_suite_grades_perfectly_through_the_facade() {
     };
     let suite = forge(&cfg);
     let parallel = CampaignSpec::new(suite.campaign_apps()).run();
-    let sequential = CampaignSpec {
-        mode: ExecutionMode::Sequential,
-        // The reference run: no caches at all.
+    let reference = CampaignSpec {
+        mode: ExecutionMode::Parallel { threads: Some(1) },
+        // The reference run: one worker, no caches at all.
         config: DiodeConfig::default(),
         snapshot_cache: None,
         ..CampaignSpec::new(suite.campaign_apps())
@@ -25,7 +25,7 @@ fn forged_suite_grades_perfectly_through_the_facade() {
     .run();
     assert_eq!(
         parallel.outcome_fingerprint(),
-        sequential.outcome_fingerprint()
+        reference.outcome_fingerprint()
     );
     let card = score(&parallel, &suite.oracle);
     assert!(card.is_perfect(), "mismatches: {:?}", card.mismatches);
