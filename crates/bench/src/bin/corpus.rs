@@ -140,7 +140,7 @@ fn forge(
     json: bool,
     mode: ExecutionMode,
 ) -> Result<ExitCode, CorpusError> {
-    let apps = flag_num(args, "--apps").unwrap_or(10) as usize;
+    let apps = flag_num::<usize>(args, "--apps").unwrap_or(10);
     if apps == 0 {
         eprintln!("corpus forge: --apps must be at least 1");
         return Ok(ExitCode::from(2));
@@ -150,13 +150,13 @@ fn forge(
         ..SynthConfig::default()
     };
     if let Some(d) = flag_num(args, "--depth") {
-        cfg.branch_depth = d as usize;
+        cfg.branch_depth = d;
     }
     if let Some(s) = flag_num(args, "--seed") {
         cfg.rng_seed = s;
     }
-    if let Some(k) = flag_num(args, "--seeds-per-app") {
-        cfg.seeds_per_app = (k as usize).max(1);
+    if let Some(k) = flag_num::<usize>(args, "--seeds-per-app") {
+        cfg.seeds_per_app = k.max(1);
     }
     let label = flag_str(args, "--label").unwrap_or_else(|| "baseline".to_string());
     let audit = args.iter().any(|a| a == "--audit");

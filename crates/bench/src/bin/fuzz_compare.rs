@@ -19,7 +19,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     let mode = execution_mode(&args);
-    let trials = flag_num(&args, "--trials").map_or(200, |n| n as u32);
+    let trials = flag_num::<u32>(&args, "--trials").unwrap_or(200);
     let apps = diode_apps::all_apps();
     let (config, cache) = config_with_cache(DiodeConfig::default());
 

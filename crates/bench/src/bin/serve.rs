@@ -122,7 +122,7 @@ fn submit_line(args: &[String]) -> String {
             ("--rng-seed", "rng_seed"),
             ("--stall-work", "stall_work"),
         ] {
-            if let Some(v) = flag_num(args, flag) {
+            if let Some(v) = flag_num::<u64>(args, flag) {
                 spec = spec.field(key, v);
             }
         }
@@ -131,7 +131,7 @@ fn submit_line(args: &[String]) -> String {
     if args.iter().any(|a| a == "--wait") {
         obj = obj.field("wait", true);
     }
-    if let Some(t) = flag_num(args, "--threads") {
+    if let Some(t) = flag_num::<u64>(args, "--threads") {
         obj = obj.field("threads", t);
     }
     if let Some(w) = watchdog_json(args) {
@@ -150,19 +150,19 @@ fn watchdog_json(args: &[String]) -> Option<Json> {
         overrides = overrides.field("slow_factor", f);
         tuned = true;
     }
-    if let Some(ms) = flag_num(args, "--slow-floor-ms") {
+    if let Some(ms) = flag_num::<u64>(args, "--slow-floor-ms") {
         overrides = overrides.field("slow_floor_ms", ms);
         tuned = true;
     }
-    if let Some(n) = flag_num(args, "--min-sites") {
+    if let Some(n) = flag_num::<u64>(args, "--min-sites") {
         overrides = overrides.field("min_sites", n);
         tuned = true;
     }
-    if let Some(n) = flag_num(args, "--idle-heartbeats") {
+    if let Some(n) = flag_num::<u32>(args, "--idle-heartbeats") {
         overrides = overrides.field("idle_heartbeats", n);
         tuned = true;
     }
-    if let Some(b) = flag_num(args, "--cache-ceiling") {
+    if let Some(b) = flag_num::<u64>(args, "--cache-ceiling") {
         overrides = overrides.field("cache_ceiling", b);
         tuned = true;
     }

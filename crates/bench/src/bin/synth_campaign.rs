@@ -64,7 +64,7 @@ fn main() {
     let json = args.iter().any(|a| a == "--json");
     let mode = execution_mode(&args);
 
-    let apps = flag_num(&args, "--apps").unwrap_or(25) as usize;
+    let apps = flag_num::<usize>(&args, "--apps").unwrap_or(25);
     if apps == 0 {
         eprintln!("--apps must be at least 1");
         std::process::exit(2);
@@ -76,20 +76,20 @@ fn main() {
     }
     let mut cfg = SynthConfig::default()
         .with_apps(apps)
-        .with_depth(flag_num(&args, "--depth").unwrap_or(3) as usize);
+        .with_depth(flag_num(&args, "--depth").unwrap_or(3));
     if let Some(seed) = flag_num(&args, "--seed") {
         cfg = cfg.with_rng_seed(seed);
     }
-    if let Some(k) = flag_num(&args, "--seeds-per-app") {
-        cfg.seeds_per_app = (k as usize).max(1);
+    if let Some(k) = flag_num::<usize>(&args, "--seeds-per-app") {
+        cfg.seeds_per_app = k.max(1);
     }
-    if let Some(n) = flag_num(&args, "--sites") {
-        let n = (n as usize).max(1);
+    if let Some(n) = flag_num::<usize>(&args, "--sites") {
+        let n = n.max(1);
         cfg.min_sites = n;
         cfg.max_sites = n;
     }
     if let Some(w) = flag_num(&args, "--site-work") {
-        cfg.site_work = w as u32;
+        cfg.site_work = w;
     }
 
     let forge_start = Instant::now();
@@ -265,7 +265,9 @@ impl PulseOpts {
             telemetry_path: flag_str(args, "--telemetry"),
             watchdog: args.iter().any(|a| a == "--watchdog"),
             anomalies_path: flag_str(args, "--anomalies"),
-            heartbeat: Duration::from_millis(flag_num(args, "--heartbeat-ms").unwrap_or(50).max(1)),
+            heartbeat: Duration::from_millis(
+                flag_num::<u64>(args, "--heartbeat-ms").unwrap_or(50).max(1),
+            ),
         }
     }
 

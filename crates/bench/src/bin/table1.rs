@@ -33,12 +33,12 @@ fn main() {
     let mode = execution_mode(&args);
     let app_filter = flag_str(&args, "--app").map(|f| f.to_lowercase());
 
-    if let Some(n) = flag_num(&args, "--synth") {
+    if let Some(n) = flag_num::<usize>(&args, "--synth") {
         if n == 0 {
             eprintln!("--synth must be at least 1");
             std::process::exit(2);
         }
-        run_forged_suite(n as usize, app_filter.as_deref(), mode, json);
+        run_forged_suite(n, app_filter.as_deref(), mode, json);
         return;
     }
 

@@ -28,7 +28,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     let mode = execution_mode(&args);
-    let samples = flag_num(&args, "--samples").map_or(200, |n| n as u32);
+    let samples = flag_num::<u32>(&args, "--samples").unwrap_or(200);
     let apps = diode_apps::all_apps();
     let (config, cache) = config_with_cache(DiodeConfig::default());
 

@@ -233,14 +233,18 @@ fn watchdog_config(args: &[String]) -> WatchdogConfig {
     if let Some(f) = flag_f64(args, "--slow-factor") {
         config.slow_site_factor = f;
     }
-    if let Some(ms) = flag_num(args, "--slow-floor-ms") {
-        config.slow_site_floor_ns = ms * 1_000_000;
+    if let Some(ms) = flag_num::<u64>(args, "--slow-floor-ms") {
+        let Some(ns) = ms.checked_mul(1_000_000) else {
+            eprintln!("--slow-floor-ms expects a number, got {ms} (too large to count in ns)");
+            std::process::exit(2);
+        };
+        config.slow_site_floor_ns = ns;
     }
     if let Some(n) = flag_num(args, "--min-sites") {
-        config.min_sites_for_median = n as usize;
+        config.min_sites_for_median = n;
     }
     if let Some(n) = flag_num(args, "--idle-heartbeats") {
-        config.idle_heartbeats = n as u32;
+        config.idle_heartbeats = n;
     }
     if let Some(b) = flag_num(args, "--cache-ceiling") {
         config.cache_ceiling_bytes = Some(b);

@@ -55,17 +55,24 @@ pub fn flag_str<S: AsRef<str>>(args: &[S], flag: &str) -> Option<String> {
         .map(|v| v.as_ref().to_string())
 }
 
-/// Reads the numeric value following `flag` from CLI args.
+/// Reads the numeric value following `flag` from CLI args, parsed into
+/// the type it is stored in.
 ///
 /// A *present but unparsable* value is a hard usage error (exit 2): a
-/// typo like `--apps 1OO` must not silently run a different workload.
+/// typo like `--apps 1OO` must not silently run a different workload,
+/// and neither may a value the type cannot hold (`--site-work
+/// 4294967296` into a `u32` would wrap to 0).
 #[must_use]
-pub fn flag_num<S: AsRef<str>>(args: &[S], flag: &str) -> Option<u64> {
+pub fn flag_num<T>(args: &[impl AsRef<str>], flag: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     let raw = flag_str(args, flag)?;
     match raw.parse() {
         Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("{flag} expects a number, got {raw:?}");
+        Err(e) => {
+            eprintln!("{flag} expects a number, got {raw:?} ({e})");
             std::process::exit(2);
         }
     }
@@ -90,7 +97,7 @@ pub fn flag_f64<S: AsRef<str>>(args: &[S], flag: &str) -> Option<f64> {
 #[must_use]
 pub fn execution_mode<S: AsRef<str>>(args: &[S]) -> ExecutionMode {
     ExecutionMode::Parallel {
-        threads: flag_num(args, "--threads").map(|n| n as usize),
+        threads: flag_num(args, "--threads"),
     }
 }
 

@@ -240,8 +240,9 @@ impl DiodeConfig {
 
 /// Runs every candidate input of one site's enforcement loop, resuming
 /// from the slot's prefix snapshot when the warm pass left one there.
-/// Without a ready slot this is plain
-/// [`test_candidate`](crate::test_candidate) behaviour.
+/// The snapshot is `Concrete`, so a resumed candidate runs its suffix as
+/// a run from `main` does, with no shadow tags. Without a ready slot
+/// this is plain [`test_candidate`](crate::test_candidate) behaviour.
 struct CandidateTester<'a> {
     program: &'a Program,
     label: Label,
@@ -328,7 +329,8 @@ pub fn analyze_site_with_snapshots(
     // gauge; every interpreter run below notes its heap peak there.
     let _ = diode_interp::take_peak_heap_bytes();
     // A ready slot resumes the stage-2 symbolic seed run from the site's
-    // prefix snapshot; everything else re-executes from `main`.
+    // prefix snapshot, lifted into the site's policy; a lift that
+    // refuses, like a slot without a snapshot, re-executes from `main`.
     let mut extract_was_resumed = false;
     let extraction = {
         let _span = diode_obs::span(diode_obs::Phase::Extract);
@@ -607,11 +609,24 @@ mod tests {
 
     const SEED: [u8; 4] = [0x00, 0x08, 0x00, 0x10];
 
-    /// The `TWO_SITES` unit: its sites, the seed's first-read trace, and
-    /// one slot per site from a fresh cache (so the slots share the
-    /// cache's counters).
+    /// One site that reads its two size bytes in two statements, with a
+    /// guard on the first between them.
+    const SPLIT_READS: &str = r#"fn main() {
+        k = zext32(in[0]);
+        if k != 7 { error("bad kind"); }
+        n = zext32(in[1]);
+        buf = alloc("s@4", (k + n) * 20000000);
+        t = zext64(k + n) * 20000000u64;
+        p = 0u64;
+        while p < 16u64 { buf[t * p / 16u64] = 0u8; p = p + 1u64; }
+    }"#;
+
+    /// One unit: its sites, the seed's first-read trace, and one slot
+    /// per site from a fresh cache (so the slots share the cache's
+    /// counters).
     struct Unit {
         program: Program,
+        seed: Vec<u8>,
         format: FormatDesc,
         config: DiodeConfig,
         targets: Vec<TargetSite>,
@@ -621,16 +636,17 @@ mod tests {
     }
 
     impl Unit {
-        fn new() -> Unit {
-            let program = parse(TWO_SITES).unwrap();
+        fn new(src: &str, seed: &[u8]) -> Unit {
+            let program = parse(src).unwrap();
             let config = DiodeConfig::default();
             let (targets, first_reads) =
-                identify_target_sites_traced(&program, &SEED, &config.machine);
+                identify_target_sites_traced(&program, seed, &config.machine);
             let cache = SnapshotCache::new();
             let slots = targets.iter().map(|t| cache.slot(0, t.label)).collect();
             Unit {
                 program,
-                format: FormatDesc::new("two"),
+                seed: seed.to_vec(),
+                format: FormatDesc::new("unit"),
                 config,
                 targets,
                 first_reads,
@@ -643,7 +659,7 @@ mod tests {
         fn warm(&self, first_reads: &HashMap<u64, u64>) {
             warm_unit_slots(
                 &self.program,
-                &SEED,
+                &self.seed,
                 &self.format,
                 &self.targets,
                 &self.config.machine,
@@ -658,7 +674,7 @@ mod tests {
             let site = &self.targets[i];
             analyze_site_with_snapshots(
                 &self.program,
-                &SEED,
+                &self.seed,
                 &self.format,
                 site,
                 &self.config,
@@ -670,7 +686,7 @@ mod tests {
     /// Every site's report: from slots the warm pass set (`warmed`), or
     /// with no slot, every run from `main`.
     fn reports(warmed: bool) -> Vec<SiteReport> {
-        let unit = Unit::new();
+        let unit = Unit::new(TWO_SITES, &SEED);
         if warmed {
             unit.warm(&unit.first_reads);
         }
@@ -709,8 +725,8 @@ mod tests {
 
     #[test]
     fn a_boundary_past_the_seed_run_leaves_the_slot_inert() {
-        let unit = Unit::new();
-        let end = run(&unit.program, &SEED, Concrete, &unit.config.machine).steps;
+        let unit = Unit::new(TWO_SITES, &SEED);
+        let end = run(&unit.program, &unit.seed, Concrete, &unit.config.machine).steps;
         // Site 2 reads bytes 2 and 3; claim their first reads lie past the
         // end of the seed run, so the capture pass never reaches them.
         let late = 1;
@@ -744,5 +760,40 @@ mod tests {
         unit.warm(&unit.first_reads);
         assert_eq!(unit.slots[late].first_divergent_step(), None);
         assert_eq!(unit.cache.stats().captures, 1);
+    }
+
+    /// A report's verdict and extraction, without timings.
+    fn image(r: &SiteReport) -> String {
+        let e = r.extraction.as_ref().expect("the site was extracted");
+        format!(
+            "bytes {:?}\nbeta {:?}\ntarget {:?}\nphi {:?}\nrelevant {}\n{:?}",
+            e.beta_bytes, e.beta, e.target_expr, e.phi, e.total_relevant, r.outcome
+        )
+    }
+
+    #[test]
+    fn a_boundary_past_a_site_byte_read_extracts_from_main() {
+        let unit = Unit::new(SPLIT_READS, &[7, 1]);
+        assert_eq!(unit.targets.len(), 1);
+        assert_eq!(unit.targets[0].relevant_bytes, vec![0, 1]);
+        // Claim byte 0 is first read where byte 1 is, so the boundary
+        // lands between the two reads and the prefix has read byte 0.
+        let second = unit.first_reads[&1];
+        let mut moved = unit.first_reads.clone();
+        moved.insert(0, second);
+        unit.warm(&moved);
+        assert_eq!(unit.slots[0].first_divergent_step(), Some(second));
+
+        let report = unit.analyze(0, true);
+        let plain = unit.analyze(0, false);
+        // The site's policy tags byte 0, so the lift refuses that prefix
+        // and stage 2 runs from `main`: β keeps both bytes.
+        assert_eq!(image(&report), image(&plain));
+        assert!(matches!(report.outcome, SiteOutcome::Exposed(_)));
+        let info = report.snapshot.as_ref().expect("a slot was passed");
+        assert!(!info.extract_resumed, "{info:?}");
+        // A concrete resume has no such precondition: candidates that
+        // keep byte 0 still resume.
+        assert!(info.resumed >= 1, "{info:?}");
     }
 }

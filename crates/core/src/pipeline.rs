@@ -125,23 +125,23 @@ pub fn extract(
     extraction_from_visit(visit, start, false)
 }
 
-/// [`extract`] resuming the site's symbolic seed run from a prefix
-/// snapshot instead of re-executing from `main`. The snapshot must have
-/// been captured under `Symbolic::relevant_bytes([])` at a boundary
-/// *before* the first read of any of the site's relevant bytes (the
-/// warm-up guarantees this): up to there the tag-free and site-specific
-/// policies record identically (everything `None`), so swapping the
-/// shadow at resume reproduces the from-scratch extraction byte for
-/// byte. Returns `None` if the snapshot fails validation — impossible
-/// for the seed it was captured from — or, as [`extract`] does, when the
-/// site is not reached or records no symbolic size.
+/// [`extract`] resuming the site's symbolic seed run from a concrete
+/// prefix snapshot instead of re-executing from `main`: `run_to_alloc`
+/// lifts the prefix into the site's `Symbolic::relevant_bytes` policy
+/// with no prefix value tagged. That reproduces the extraction from
+/// `main` byte for byte when the prefix read none of the site's relevant
+/// bytes; the warm pass places the boundary before the first such read,
+/// and the lift checks it. Returns `None` when the lift refuses (the
+/// prefix read a relevant byte, or the snapshot fails validation; the
+/// caller then runs [`extract`]) or, as [`extract`] does, when the site
+/// is not reached or records no symbolic size.
 #[must_use]
 pub(crate) fn extract_resumed(
     program: &Program,
     seed: &[u8],
     site: &TargetSite,
     machine: &MachineConfig,
-    snapshot: &diode_interp::Snapshot<Symbolic>,
+    snapshot: &diode_interp::Snapshot<Concrete>,
 ) -> Option<Extraction> {
     let start = Instant::now();
     let shadow = Symbolic::relevant_bytes(site.relevant_bytes.iter().copied());
@@ -224,9 +224,9 @@ pub fn test_candidate(
 
 /// Classifies an already-executed run against `label` — the §4.6
 /// decision shared by [`test_candidate`] and the snapshot-resumed
-/// candidate path (which obtains its `Run` via `diode_interp::run_from`
-/// under whatever shadow policy the snapshot carries; the decision only
-/// reads shadow-independent facts).
+/// candidate path (which obtains its `Run` from `diode_interp::run_from`
+/// on the site's `Concrete` prefix snapshot). The decision reads only
+/// shadow-independent facts, so any policy's run classifies alike.
 #[must_use]
 pub fn classify_run<T, C>(r: &diode_interp::Run<T, C>, label: Label) -> CandidateResult {
     let site_executed = r.allocs_at(label).next().is_some();

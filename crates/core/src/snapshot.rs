@@ -11,9 +11,10 @@
 //!   then sets it once, for good: *ready* (the boundary step and the
 //!   snapshot) or *inert* (the seed run never read the site's bytes, or
 //!   ended before the first read, so the site runs every candidate from
-//!   `main`). The warm pass is the
-//!   only producer of snapshots, and every snapshot it places serves
-//!   both the stage-2 extraction and the site's candidates;
+//!   `main`). The warm pass is the only producer of snapshots. It
+//!   captures under `Concrete`, and every snapshot it places serves both
+//!   the site's candidates, which resume it at concrete speed, and the
+//!   stage-2 extraction, which lifts it into the site's symbolic policy;
 //! * a [`SnapshotCache`] maps `(unit, site label)` keys to slots and is
 //!   shared across campaign workers behind an `Arc`, with the same
 //!   discipline as the solver-query cache; its counters ([`hits`,
@@ -22,15 +23,16 @@
 //! Correctness never depends on the cache: every resume revalidates the
 //! snapshot's input-observation log against the candidate (see
 //! `diode_interp::Snapshot::validates`), and a mismatch falls back to a
-//! full run. Snapshot-on and snapshot-off runs are byte-identical by
-//! contract.
+//! full run. The lift likewise refuses a prefix that read a byte the
+//! site's policy tags, and the extraction then runs from `main`.
+//! Snapshot-on and snapshot-off runs are byte-identical by contract.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use diode_format::{Fixup, FormatDesc};
-use diode_interp::{run_capture_multi, MachineConfig, Snapshot, Symbolic};
+use diode_interp::{run_capture_multi, Concrete, MachineConfig, Snapshot};
 use diode_lang::{Label, Program};
 use diode_obs::Json;
 
@@ -112,7 +114,7 @@ struct Counters {
 #[derive(Debug)]
 struct Ready {
     step: u64,
-    snapshot: Arc<Snapshot<Symbolic>>,
+    snapshot: Arc<Snapshot<Concrete>>,
 }
 
 /// The per-site snapshot slot. Obtained from a shared [`SnapshotCache`]
@@ -153,15 +155,16 @@ impl SiteSlot {
     }
 
     /// The ready prefix snapshot, which serves the site's extraction and
-    /// its candidates alike.
-    pub(crate) fn snapshot(&self) -> Option<Arc<Snapshot<Symbolic>>> {
+    /// its candidates alike: candidates resume it as it is, stage 2
+    /// lifts it into the site's symbolic policy.
+    pub(crate) fn snapshot(&self) -> Option<Arc<Snapshot<Concrete>>> {
         self.ready().map(|r| Arc::clone(&r.snapshot))
     }
 
     /// Sets the slot ready, unless it is already set. A snapshot that
     /// loses that race (two identical units warming the same slot) is
     /// dropped and not counted.
-    fn record_snapshot(&self, step: u64, snapshot: Snapshot<Symbolic>) {
+    fn record_snapshot(&self, step: u64, snapshot: Snapshot<Concrete>) {
         let bytes = snapshot.approx_bytes();
         let ready = Ready {
             step,
@@ -289,11 +292,14 @@ pub(crate) fn warm_watch_bytes(target: &TargetSite, format: &FormatDesc) -> Vec<
 /// given the first-read trace of the identification run (see
 /// `diode_interp::run_traced`), each site's snapshot boundary is the
 /// earliest first-read among its watch bytes, and **one** capture run —
-/// under the tag-free `Symbolic::relevant_bytes([])` policy, stopping at
-/// the last boundary — produces every site's prefix snapshot. Stage-2
-/// extraction then resumes each site's symbolic seed run from its
-/// snapshot (with the site's own relevant-byte policy swapped in), and
-/// every enforcement candidate resumes from the first input onward.
+/// under `Concrete`, stopping at the last boundary — produces every
+/// site's prefix snapshot. Every enforcement candidate resumes its
+/// site's snapshot as it is, at concrete speed. Stage-2 extraction lifts
+/// it into the site's own relevant-byte policy (`run_to_alloc`): the
+/// prefix ends before the first read of any of the site's bytes, so that
+/// policy would have tagged nothing in it. The capture runs under the
+/// caller's machine config (recording on by default), so the lift has
+/// the prefix branch log.
 ///
 /// `slots` is parallel to `targets`. Sites whose watch bytes were never
 /// read, or whose boundary the capture run never reached, are marked
@@ -329,7 +335,7 @@ pub fn warm_unit_slots(
     }
     stops.sort_unstable();
     let steps: Vec<u64> = stops.iter().map(|&(s, _)| s).collect();
-    let snapshots = run_capture_multi(program, seed, Symbolic::relevant_bytes([]), machine, &steps);
+    let snapshots = run_capture_multi(program, seed, Concrete, machine, &steps);
     for (&(step, i), snapshot) in stops.iter().zip(snapshots) {
         match snapshot {
             Some(s) => slots[i].record_snapshot(step, s),
@@ -358,9 +364,8 @@ mod tests {
         assert!(slot.state.get().is_some(), "inert is set, not unset");
         // The first setting wins: a later capture leaves it inert.
         let program = diode_lang::parse("fn main() { x = in[0]; }").unwrap();
-        let shadow = Symbolic::relevant_bytes([]);
         let machine = MachineConfig::default();
-        let snapshot = run_capture_multi(&program, &[1], shadow, &machine, &[1])
+        let snapshot = run_capture_multi(&program, &[1], Concrete, &machine, &[1])
             .pop()
             .flatten();
         slot.record_snapshot(1, snapshot.expect("step 1 is reached"));

@@ -23,14 +23,16 @@
 //! * the values, one host byte per simulated byte (`vec![0; n]`, so a
 //!   large block arrives as lazily zeroed pages);
 //! * the sticky overflow flags, one bit per byte in `n/64` words;
-//! * the shadow tags, in a side-table holding an entry only for cells
-//!   that were stored — and never touched at all when the tag type is
-//!   `()` (plain concrete execution).
+//! * the shadow tags, in a side-table beside them holding an entry only
+//!   for cells that were stored — and never touched at all when the tag
+//!   type is `()` (plain concrete execution).
 //!
 //! A dense block therefore costs ~1.125 host bytes per simulated byte
 //! plus one entry per tagged cell, and a copy-on-write after a snapshot
-//! copies that much. A sparse block keeps a map of whole [`Cell`]s,
-//! one entry per touched byte.
+//! copies that much. The values and overflow bits do not depend on the
+//! tag type, so a concrete heap lifts into any tagged one
+//! (`Heap::lift`) by sharing them, with every cell untagged. A sparse
+//! block keeps a map of whole [`Cell`]s, one entry per touched byte.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -136,29 +138,33 @@ impl<T: Default> Default for Cell<T> {
 /// are shared and only copied again when a post-snapshot write lands in
 /// them (`Arc::make_mut` copy-on-write).
 enum Payload<T> {
-    Dense(Arc<Dense<T>>),
+    Dense {
+        /// Values and overflow bits, shared by every heap lifted from
+        /// this one.
+        cells: Arc<Dense>,
+        /// Shadow tags of the cells stored so far, by offset (`None`: no
+        /// cell was tagged yet). Never set when `T` is zero-sized.
+        tags: Option<Arc<HashMap<u32, T>>>,
+    },
     Sparse(Arc<HashMap<u64, Cell<T>>>),
 }
 
-/// A dense block's cells, split into values, overflow bits and tags.
+/// A dense block's values and overflow bits: everything of its cells
+/// but their tags.
 #[derive(Clone, Default)]
-struct Dense<T> {
+struct Dense {
     /// Stored byte values.
     bytes: Vec<u8>,
     /// Sticky overflow flags, bit `i % 64` of word `i / 64`.
     ovf: Vec<u64>,
-    /// Shadow tags of the cells stored so far, by offset. Empty (and
-    /// never consulted) when `T` is zero-sized.
-    tags: HashMap<u32, T>,
 }
 
-impl<T: Default + Clone> Dense<T> {
+impl Dense {
     /// A zero-filled block of `size` bytes.
     fn zeroed(size: u32) -> Self {
         Dense {
             bytes: vec![0; size as usize],
             ovf: vec![0; (size as usize).div_ceil(64)],
-            tags: HashMap::new(),
         }
     }
 
@@ -167,28 +173,18 @@ impl<T: Default + Clone> Dense<T> {
         self.bytes.len() as u64 + 8 * self.ovf.len() as u64
     }
 
-    fn load(&self, offset: usize) -> Cell<T> {
-        Cell {
-            value: Bv::byte(self.bytes[offset]),
-            ovf: self.ovf[offset / 64] >> (offset % 64) & 1 == 1,
-            tag: if tags_stored::<T>() {
-                self.tags.get(&(offset as u32)).cloned().unwrap_or_default()
-            } else {
-                T::default()
-            },
-        }
+    fn ovf_at(&self, offset: usize) -> bool {
+        self.ovf[offset / 64] >> (offset % 64) & 1 == 1
     }
 
-    /// Stores one cell; true when it gave a never-tagged cell a tag.
-    fn store(&mut self, offset: usize, cell: Cell<T>) -> bool {
-        self.bytes[offset] = cell.value.value() as u8;
+    fn store(&mut self, offset: usize, value: Bv, ovf: bool) {
+        self.bytes[offset] = value.value() as u8;
         let bit = 1u64 << (offset % 64);
-        if cell.ovf {
+        if ovf {
             self.ovf[offset / 64] |= bit;
         } else {
             self.ovf[offset / 64] &= !bit;
         }
-        tags_stored::<T>() && self.tags.insert(offset as u32, cell.tag).is_none()
     }
 }
 
@@ -201,7 +197,10 @@ const fn tags_stored<T>() -> bool {
 impl<T: Clone> Clone for Payload<T> {
     fn clone(&self) -> Self {
         match self {
-            Payload::Dense(cells) => Payload::Dense(Arc::clone(cells)),
+            Payload::Dense { cells, tags } => Payload::Dense {
+                cells: Arc::clone(cells),
+                tags: tags.clone(),
+            },
             Payload::Sparse(cells) => Payload::Sparse(Arc::clone(cells)),
         }
     }
@@ -315,7 +314,8 @@ impl<T: Default + Clone> Heap<T> {
         let (payload, accounted) = if size <= self.dense_limit {
             let dense = Dense::zeroed(size);
             let bytes = BLOCK_OVERHEAD_BYTES + dense.payload_bytes();
-            (Payload::Dense(Arc::new(dense)), bytes)
+            let cells = Arc::new(dense);
+            (Payload::Dense { cells, tags: None }, bytes)
         } else {
             (
                 Payload::Sparse(Arc::new(HashMap::new())),
@@ -359,7 +359,10 @@ impl<T: Default + Clone> Heap<T> {
             // unreachable from here on: drop them eagerly. This keeps
             // long-lived heap clones — prefix snapshots — from pinning
             // (and later re-dropping) megabytes of dead payload.
-            block.payload = Payload::Dense(Arc::default());
+            block.payload = Payload::Dense {
+                cells: Arc::default(),
+                tags: None,
+            };
             let released = std::mem::take(&mut block.accounted);
             self.cur_bytes = self.cur_bytes.saturating_sub(released);
         }
@@ -400,7 +403,17 @@ impl<T: Default + Clone> Heap<T> {
             return Ok(Cell::default());
         }
         Ok(match &block.payload {
-            Payload::Dense(dense) => dense.load(offset as usize),
+            Payload::Dense { cells, tags } => {
+                let offset = offset as usize;
+                Cell {
+                    value: Bv::byte(cells.bytes[offset]),
+                    ovf: cells.ovf_at(offset),
+                    tag: tags
+                        .as_ref()
+                        .and_then(|tags| tags.get(&(offset as u32)).cloned())
+                        .unwrap_or_default(),
+                }
+            }
             Payload::Sparse(cells) => cells.get(&offset).cloned().unwrap_or_default(),
         })
     }
@@ -452,11 +465,16 @@ impl<T: Default + Clone> Heap<T> {
             return Ok(());
         }
         match &mut block.payload {
-            Payload::Dense(dense) => {
-                if Arc::make_mut(dense).store(offset as usize, cell) {
-                    let cost = entry_bytes::<T>();
-                    block.accounted += cost;
-                    self.account(cost);
+            Payload::Dense { cells, tags } => {
+                Arc::make_mut(cells).store(offset as usize, cell.value, cell.ovf);
+                if tags_stored::<T>() {
+                    let tags = Arc::make_mut(tags.get_or_insert_with(Arc::default));
+                    if tags.insert(offset as u32, cell.tag).is_none() {
+                        // A never-tagged cell got a tag.
+                        let cost = entry_bytes::<T>();
+                        block.accounted += cost;
+                        self.account(cost);
+                    }
                 }
             }
             Payload::Sparse(cells) => {
@@ -505,6 +523,55 @@ impl<T: Default + Clone> Heap<T> {
     #[must_use]
     pub fn peak_bytes(&self) -> u64 {
         self.peak_bytes
+    }
+}
+
+impl Heap<()> {
+    /// This concrete heap under tag type `T`, every cell untagged: the
+    /// heap a run under a tagging policy holds when none of its values
+    /// ever carried a tag. Dense payloads are shared, not copied (a
+    /// later store into either heap copies on write), tag tables start
+    /// empty, and sparse blocks are rebuilt from their touched cells.
+    /// The memory errors and both byte gauges carry over.
+    pub(crate) fn lift<T: Default + Clone>(&self) -> Heap<T> {
+        let blocks = self
+            .blocks
+            .iter()
+            .map(|b| Block {
+                site: b.site.clone(),
+                size: b.size,
+                freed: b.freed,
+                payload: match &b.payload {
+                    Payload::Dense { cells, .. } => Payload::Dense {
+                        cells: Arc::clone(cells),
+                        tags: None,
+                    },
+                    Payload::Sparse(cells) => Payload::Sparse(Arc::new(
+                        cells
+                            .iter()
+                            .map(|(&offset, c)| {
+                                let cell = Cell {
+                                    value: c.value,
+                                    ovf: c.ovf,
+                                    tag: T::default(),
+                                };
+                                (offset, cell)
+                            })
+                            .collect(),
+                    )),
+                },
+                accounted: b.accounted,
+            })
+            .collect();
+        Heap {
+            blocks,
+            errors: self.errors.clone(),
+            alloc_limit: self.alloc_limit,
+            redzone: self.redzone,
+            dense_limit: self.dense_limit,
+            cur_bytes: self.cur_bytes,
+            peak_bytes: self.peak_bytes,
+        }
     }
 }
 
@@ -741,6 +808,77 @@ mod tests {
             (c.value, c.ovf, c.tag.labels()),
             (Bv::byte(0x33), true, &[3][..])
         );
+    }
+
+    #[test]
+    fn lifting_a_concrete_heap_shares_its_payloads_and_tags_nothing() {
+        let mut h = heap();
+        let dense = h.alloc("t@1".into(), 130).unwrap();
+        let sparse = h.alloc("t@2".into(), (1 << 30) - 1).unwrap();
+        let freed = h.alloc("t@3".into(), 8).unwrap();
+        let flagged = |v: u8| Cell {
+            value: Bv::byte(v),
+            ovf: true,
+            tag: (),
+        };
+        h.store(dense, 3, cell(0xaa), Label(0)).unwrap();
+        h.store(dense, 129, flagged(7), Label(0)).unwrap();
+        h.store(dense, 130, cell(1), Label(0)).unwrap(); // recorded error
+        h.store(sparse, 1 << 29, flagged(0x5a), Label(0)).unwrap();
+        h.store(sparse, 17, cell(0x11), Label(0)).unwrap();
+        h.free(freed, Label(0));
+
+        let mut lifted: Heap<LabelSet> = h.lift();
+        assert_eq!(
+            (lifted.current_bytes(), lifted.peak_bytes()),
+            (h.current_bytes(), h.peak_bytes())
+        );
+        assert_eq!(lifted.errors().len(), 1);
+        assert_eq!(lifted.live_blocks(), 2);
+        let (Payload::Dense { cells: a, .. }, Payload::Dense { cells: b, tags }) =
+            (&h.blocks[0].payload, &lifted.blocks[0].payload)
+        else {
+            panic!("a 130-byte block is dense");
+        };
+        assert!(Arc::ptr_eq(a, b), "the dense payload is shared");
+        assert!(tags.is_none());
+        for (b, off, value, ovf) in [
+            (dense, 3, 0xaa, false),
+            (dense, 129, 7, true),
+            (dense, 128, 0, false),
+            (sparse, 1 << 29, 0x5a, true),
+            (sparse, 17, 0x11, false),
+            (sparse, 99, 0, false),
+        ] {
+            let c = lifted.load(b, off, Label(0)).unwrap();
+            assert_eq!(
+                (c.value, c.ovf, c.tag.is_empty()),
+                (Bv::byte(value), ovf, true),
+                "block {b:?} offset {off}"
+            );
+        }
+        let _ = lifted.load(freed, 0, Label(1)).unwrap();
+        assert_eq!(
+            lifted.errors().last().map(|e| e.kind),
+            Some(MemErrorKind::UseAfterFreeRead)
+        );
+
+        // Stores into the lifted heap copy on write.
+        lifted
+            .store(dense, 3, tagged(0x22, true, &[5]), Label(0))
+            .unwrap();
+        lifted
+            .store(sparse, 1 << 29, tagged(0x33, false, &[6]), Label(0))
+            .unwrap();
+        let c = lifted.load(dense, 3, Label(0)).unwrap();
+        assert_eq!(
+            (c.value, c.ovf, c.tag.labels()),
+            (Bv::byte(0x22), true, &[5][..])
+        );
+        let c = h.load(dense, 3, Label(0)).unwrap();
+        assert_eq!((c.value, c.ovf), (Bv::byte(0xaa), false));
+        let c = h.load(sparse, 1 << 29, Label(0)).unwrap();
+        assert_eq!((c.value, c.ovf), (Bv::byte(0x5a), true));
     }
 
     #[test]

@@ -18,7 +18,7 @@ use diode_obs::Phase;
 use diode_symbolic::eval_bin;
 
 use crate::heap::{Cell, Fault, Heap, MemError};
-use crate::shadow::Shadow;
+use crate::shadow::{Concrete, Shadow};
 use crate::snapshot::{crc_check, ContImage, FrameImage, ReadLog, Snapshot};
 use crate::value::{BlockId, Raw, Value};
 
@@ -270,41 +270,45 @@ pub fn run_from<S: Shadow + Clone>(
     config: &MachineConfig,
 ) -> Option<Run<S::Tag, S::CondTag>> {
     let _span = diode_obs::span(Phase::InterpResume);
-    let mut m = Machine::resume(program, input, snapshot, snapshot.shadow.clone(), config)?;
+    let mut m = Machine::resume(program, input, snapshot, config)?;
     let outcome = m.drive_to_end();
     diode_obs::count(RESUME_STEPS, m.steps - snapshot.steps);
     Some(m.finish(outcome))
 }
 
-/// Stage 2's run: executes `program` on `input` — from `main`, or from
-/// `from` — and halts right after the **first** allocation at `label`
-/// records itself. Returns that record and the branch observations
-/// before it, which are exactly `allocs_at(label).next()` and
-/// `branches[..branches_before]` of the complete run under the same
-/// policy and configuration. Returns `None` when the run ends before the
-/// site executes, or when `from` fails
-/// [validation](Snapshot::validates). No `Outcome` is reported: the run
-/// did not end.
+/// Stage 2's run: executes `program` on `input` under `shadow` — from
+/// `main`, or from the concrete snapshot `from` — and halts right after
+/// the **first** allocation at `label` records itself. Returns that
+/// record and the branch observations before it, which are exactly
+/// `allocs_at(label).next()` and `branches[..branches_before]` of the
+/// complete run from `main` under the same policy and configuration. No
+/// `Outcome` is reported: the run did not end.
 ///
-/// The suffix executes under `shadow`, not the policy `from` was
-/// captured with: a **shadow override**. The caller asserts that the two
-/// policies are indistinguishable over the captured prefix — i.e. they
-/// would have produced identical tags for every prefix value. The
-/// canonical use: a prefix captured under `Symbolic::relevant_bytes([])`
-/// (all tags `None`) resumed per site under
-/// `Symbolic::relevant_bytes(site_bytes)`, valid because the prefix ends
-/// *before* the first read of any site byte, so the site-specific policy
-/// would also have tagged nothing.
+/// A resume from `from` *lifts* the concrete prefix into `shadow`: every
+/// prefix value, heap cell and allocation size gets the policy's default
+/// tag, and every prefix branch observation gets its `cond_true()`. That
+/// is exactly what `shadow` records over a prefix that read none of the
+/// input bytes it tags, and the lift checks this against the snapshot's
+/// read log (`crc32_ok` outcomes and `inlen` carry no tags). The
+/// canonical use: the warm pass's `Concrete` prefix, ending before the
+/// first read of any of the site's bytes, resumed under
+/// `Symbolic::relevant_bytes(site_bytes)`. A resume that records
+/// branches needs a snapshot captured with recording on: one captured
+/// without has no prefix log.
+///
+/// Returns `None` when the run ends before the site executes, when
+/// `from` fails [validation](Snapshot::validates), or when its prefix
+/// read an input byte `shadow` tags (run from `main` instead).
 ///
 /// # Panics
 ///
 /// Panics if `program` is not the program `from` was captured from.
-pub fn run_to_alloc<S: Shadow + Clone>(
+pub fn run_to_alloc<S: Shadow>(
     program: &Program,
     input: &[u8],
     shadow: S,
     config: &MachineConfig,
-    from: Option<&Snapshot<S>>,
+    from: Option<&Snapshot<Concrete>>,
     label: Label,
 ) -> Option<SiteVisit<S::Tag, S::CondTag>> {
     let (phase, counter) = match from {
@@ -313,7 +317,7 @@ pub fn run_to_alloc<S: Shadow + Clone>(
     };
     let _span = diode_obs::span(phase);
     let mut m = match from {
-        Some(snapshot) => Machine::resume(program, input, snapshot, shadow, config)?,
+        Some(snapshot) => Machine::lift(program, input, snapshot, shadow, config)?,
         None => Machine::boot(program, input, shadow, config),
     };
     let start = m.steps;
@@ -438,15 +442,17 @@ fn empty_env<T: Clone>(program: &Program) -> Vec<Option<Value<T>>> {
     vec![None; program.interner().len()]
 }
 
-/// Rebuilds a borrowed control stack from its program-independent image.
+/// Rebuilds borrowed control stacks from their program-independent
+/// images, each bound value's tag carried over by `tag`.
 ///
 /// # Panics
 ///
 /// Panics when the image does not fit the program's structure (i.e. the
 /// snapshot was captured from a different program).
-fn rebuild_frames<'a, T: Clone>(
+fn rebuild_frames<'a, U, T>(
     program: &'a Program,
-    images: &[FrameImage<T>],
+    images: &[FrameImage<U>],
+    tag: impl Fn(&U) -> T,
 ) -> Vec<Frame<'a, T>> {
     images
         .iter()
@@ -513,10 +519,21 @@ fn rebuild_frames<'a, T: Clone>(
                 };
                 control.push(next);
             }
+            let env = img
+                .env
+                .iter()
+                .map(|v| {
+                    v.as_ref().map(|v| Value {
+                        raw: v.raw,
+                        ovf: v.ovf,
+                        tag: tag(&v.tag),
+                    })
+                })
+                .collect();
             Frame {
                 proc: img.proc,
                 ret_dst: img.ret_dst,
-                env: img.env.clone(),
+                env,
                 control,
             }
         })
@@ -588,41 +605,115 @@ impl<'a, S: Shadow> Machine<'a, S> {
         }
     }
 
-    /// A machine at `snapshot`'s boundary, executing under `shadow`;
-    /// `None` unless the snapshot validates for `input`. A
-    /// non-recording `config` starts from an empty branch log and
-    /// stamps the prefix allocations `branches_before: 0`, as a
-    /// non-recording run from `main` does.
+    /// A machine at `snapshot`'s boundary, executing under the policy it
+    /// was captured with; `None` unless the snapshot validates for
+    /// `input`.
     fn resume(
         program: &'a Program,
         input: &'a [u8],
         snapshot: &Snapshot<S>,
-        shadow: S,
         config: &'a MachineConfig,
-    ) -> Option<Machine<'a, S>> {
+    ) -> Option<Machine<'a, S>>
+    where
+        S: Clone,
+    {
         if !snapshot.validates(input) {
             return None;
         }
-        let (branches, allocs) = if config.record_branches {
-            (snapshot.branch_prefix().to_vec(), snapshot.allocs.clone())
-        } else {
-            let allocs = snapshot
-                .allocs
+        Some(Machine::at(
+            program,
+            input,
+            config,
+            snapshot,
+            snapshot.shadow.clone(),
+            snapshot.heap.clone(),
+            S::Tag::clone,
+            S::CondTag::clone,
+        ))
+    }
+
+    /// A machine at a concrete snapshot's boundary, executing under
+    /// `shadow`: the lift of [`run_to_alloc`]. Every prefix tag is the
+    /// default and every prefix branch constraint `cond_true()`, which is
+    /// what `shadow` records when the prefix read none of the bytes it
+    /// tags. `None` unless the snapshot validates for `input` and its
+    /// read log holds no such byte.
+    fn lift(
+        program: &'a Program,
+        input: &'a [u8],
+        snapshot: &Snapshot<Concrete>,
+        mut shadow: S,
+        config: &'a MachineConfig,
+    ) -> Option<Machine<'a, S>> {
+        let tagged = |off: u64| u32::try_from(off).is_ok_and(|o| shadow.tags_input(o));
+        if snapshot.reads.iter().any(|&(off, _)| tagged(off)) || !snapshot.validates(input) {
+            return None;
+        }
+        let cond = shadow.cond_true();
+        let heap = snapshot.heap.lift();
+        Some(Machine::at(
+            program,
+            input,
+            config,
+            snapshot,
+            shadow,
+            heap,
+            |()| S::Tag::default(),
+            |()| cond.clone(),
+        ))
+    }
+
+    /// The machine at `snapshot`'s boundary running under `shadow` on
+    /// `heap`, each prefix tag carried over by `tag` and each prefix
+    /// branch constraint by `cond`, copying each observation once. A
+    /// non-recording `config` starts from an empty branch log and stamps
+    /// the prefix allocations `branches_before: 0`, as a non-recording
+    /// run from `main` does.
+    #[allow(clippy::too_many_arguments)]
+    fn at<U: Shadow>(
+        program: &'a Program,
+        input: &'a [u8],
+        config: &'a MachineConfig,
+        snapshot: &Snapshot<U>,
+        shadow: S,
+        heap: Heap<S::Tag>,
+        tag: impl Fn(&U::Tag) -> S::Tag,
+        cond: impl Fn(&U::CondTag) -> S::CondTag,
+    ) -> Machine<'a, S> {
+        let recording = config.record_branches;
+        let branches = if recording {
+            snapshot
+                .branch_prefix()
                 .iter()
-                .map(|a| AllocRecord {
-                    branches_before: 0,
-                    ..a.clone()
+                .map(|b| BranchObs {
+                    label: b.label,
+                    taken: b.taken,
+                    constraint: cond(&b.constraint),
                 })
-                .collect();
-            (Vec::new(), allocs)
+                .collect()
+        } else {
+            Vec::new()
         };
-        Some(Machine {
+        let allocs = snapshot
+            .allocs
+            .iter()
+            .map(|a| AllocRecord {
+                label: a.label,
+                site: a.site.clone(),
+                size: a.size,
+                size_ovf: a.size_ovf,
+                size_tag: tag(&a.size_tag),
+                failed: a.failed,
+                branches_before: if recording { a.branches_before } else { 0 },
+            })
+            .collect();
+        Machine {
             program,
             input,
             shadow,
             config,
-            heap: snapshot.heap.clone(),
-            frames: rebuild_frames(program, &snapshot.frames),
+            heap,
+            frames: rebuild_frames(program, &snapshot.frames, tag),
             branches,
             allocs,
             warnings: snapshot.warnings.clone(),
@@ -631,7 +722,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
             log: None,
             capture_before: None,
             stop_at: None,
-        })
+        }
     }
 
     /// True when `main` took parameters at boot (empty frame stack with
@@ -1703,12 +1794,16 @@ mod tests {
         let p = parse(SNAP_SRC).unwrap();
         let seed = [0, 8, 0, 4];
         let cfg = MachineConfig::default();
-        let sym = Symbolic::all_bytes();
+        // The policy of the site whose bytes are 2 and 3, and the
+        // concrete prefix before their first read, as the warm pass
+        // places it.
+        let sym = Symbolic::relevant_bytes([2, 3]);
         let full = run(&p, &seed, sym.clone(), &cfg);
-        let step = first_read(&p, &seed, sym.clone(), &cfg, &[2, 3]).unwrap();
-        let snap = capture_at(&p, &seed, sym.clone(), &cfg, step).expect("capture point reached");
+        let step = first_read(&p, &seed, Concrete, &cfg, &[2, 3]).unwrap();
+        let snap = capture_at(&p, &seed, Concrete, &cfg, step).expect("capture point reached");
         // `pre@1` executes inside the snapshot's prefix, `t@2` after it.
         assert_eq!(full.allocs.len(), 2);
+        assert!(full.allocs[1].size_tag.is_some(), "t@2's size is symbolic");
         for rec in &full.allocs {
             let path = format!("{:?}", &full.branches[..rec.branches_before]);
             for from in [None, Some(&snap)] {
@@ -1723,6 +1818,28 @@ mod tests {
         let rejected = [0, 8, 0xFF, 0xFF];
         assert!(run_to_alloc(&p, &rejected, sym.clone(), &cfg, None, target).is_none());
         assert!(run_to_alloc(&p, &rejected, sym, &cfg, Some(&snap), target).is_none());
+    }
+
+    #[test]
+    fn the_lift_refuses_a_policy_that_tags_a_prefix_read() {
+        let p = parse(SNAP_SRC).unwrap();
+        let seed = [0, 8, 0, 4];
+        let cfg = MachineConfig::default();
+        let step = first_read(&p, &seed, Concrete, &cfg, &[2, 3]).unwrap();
+        let snap = capture_at(&p, &seed, Concrete, &cfg, step).unwrap();
+        let target = run(&p, &seed, Concrete, &cfg).allocs[1].label;
+        // The prefix read bytes 0 and 1 (field `a`): a policy tagging
+        // either would have tagged prefix values the lift leaves bare.
+        assert!(
+            run_to_alloc(&p, &seed, Symbolic::all_bytes(), &cfg, Some(&snap), target).is_none()
+        );
+        let one = Symbolic::relevant_bytes([1, 2, 3]);
+        assert!(run_to_alloc(&p, &seed, one, &cfg, Some(&snap), target).is_none());
+        assert!(run_to_alloc(&p, &seed, Taint, &cfg, Some(&snap), target).is_none());
+        // A policy that tags none of them resumes.
+        assert!(run_to_alloc(&p, &seed, Concrete, &cfg, Some(&snap), target).is_some());
+        let past = Symbolic::relevant_bytes([2, 3, 9]);
+        assert!(run_to_alloc(&p, &seed, past, &cfg, Some(&snap), target).is_some());
     }
 
     #[test]

@@ -23,10 +23,10 @@ use diode_symbolic::{SymBool, SymExpr};
 
 /// A policy describing what shadow state accompanies each value.
 ///
-/// This trait is sealed in spirit: it is implemented by [`Concrete`],
-/// [`Taint`] and [`Symbolic`], and the interpreter drives it; downstream
-/// crates normally just pick a policy.
-pub trait Shadow {
+/// This trait is sealed: it is implemented by [`Concrete`], [`Taint`]
+/// and [`Symbolic`], and the interpreter drives it; downstream crates
+/// just pick a policy.
+pub trait Shadow: sealed::InputTags {
     /// Tag carried by every value and memory cell.
     type Tag: Clone + Default;
     /// Tag carried by every recorded branch observation.
@@ -63,6 +63,17 @@ pub trait Shadow {
     fn cond_and(&mut self, a: Self::CondTag, b: Self::CondTag) -> Self::CondTag;
 }
 
+pub(crate) mod sealed {
+    /// Which input bytes a policy tags: what the interpreter needs to
+    /// know, beyond the trait's operations, to lift a concrete snapshot
+    /// into the policy (`Machine::lift`).
+    pub trait InputTags {
+        /// True when [`input_byte`](super::Shadow::input_byte) gives
+        /// `offset` a non-default tag.
+        fn tags_input(&self, offset: u32) -> bool;
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Concrete
 // ---------------------------------------------------------------------------
@@ -70,6 +81,12 @@ pub trait Shadow {
 /// No shadow state: plain concrete execution.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Concrete;
+
+impl sealed::InputTags for Concrete {
+    fn tags_input(&self, _offset: u32) -> bool {
+        false
+    }
+}
 
 impl Shadow for Concrete {
     type Tag = ();
@@ -163,6 +180,12 @@ impl LabelSet {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Taint;
 
+impl sealed::InputTags for Taint {
+    fn tags_input(&self, _offset: u32) -> bool {
+        true
+    }
+}
+
 impl Shadow for Taint {
     type Tag = LabelSet;
     type CondTag = LabelSet;
@@ -237,6 +260,14 @@ fn materialize(tag: &Option<SymExpr>, concrete: Bv) -> SymExpr {
     match tag {
         Some(e) => e.clone(),
         None => SymExpr::constant(concrete),
+    }
+}
+
+impl sealed::InputTags for Symbolic {
+    fn tags_input(&self, offset: u32) -> bool {
+        self.relevant
+            .as_ref()
+            .is_none_or(|set| set.contains(&offset))
     }
 }
 
@@ -348,6 +379,22 @@ mod tests {
         let mut s = Symbolic::relevant_bytes([4, 5]);
         assert!(s.input_byte(4).is_some());
         assert!(s.input_byte(9).is_none());
+    }
+
+    #[test]
+    fn tags_input_agrees_with_input_byte() {
+        use sealed::InputTags;
+        for offset in [0, 4, 9] {
+            let mut sym = Symbolic::relevant_bytes([4, 5]);
+            assert_eq!(sym.tags_input(offset), sym.input_byte(offset).is_some());
+            let mut all = Symbolic::all_bytes();
+            assert_eq!(all.tags_input(offset), all.input_byte(offset).is_some());
+            assert_eq!(
+                Taint.tags_input(offset),
+                !Taint.input_byte(offset).is_empty()
+            );
+            assert!(!Concrete.tags_input(offset));
+        }
     }
 
     #[test]

@@ -25,6 +25,15 @@
 //! good snapshot point (the last statement boundary before the first
 //! read of a byte candidates may change); a bad pick costs resumption
 //! misses, never correctness.
+//!
+//! A snapshot resumes under the policy it was captured with
+//! ([`run_from`](crate::run_from)), or, when captured under
+//! [`Concrete`](crate::Concrete), under any policy through stage 2's
+//! [`run_to_alloc`](crate::run_to_alloc), which *lifts* it: the prefix
+//! gets the policy's default tags, which is what the policy records
+//! when the prefix read none of the bytes it tags. The read log is what
+//! the lift checks that against, so a boundary placed too late is
+//! refused rather than resumed with a byte untracked.
 
 use std::collections::HashMap;
 use std::sync::Arc;

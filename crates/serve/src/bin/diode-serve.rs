@@ -40,13 +40,18 @@ fn flag_str(args: &[String], name: &str) -> Option<String> {
 }
 
 /// A present but unparsable value is a usage error (exit 2): a typo like
-/// `--workers x` must not silently serve with the default.
-fn flag_num(args: &[String], name: &str) -> Option<u64> {
+/// `--workers x` must not silently serve with the default, and neither
+/// may a value the setting's type cannot hold.
+fn flag_num<T>(args: &[String], name: &str) -> Option<T>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
     let raw = flag_str(args, name)?;
     match raw.parse() {
         Ok(n) => Some(n),
-        Err(_) => {
-            eprintln!("diode-serve: {name} expects a number, got {raw:?}");
+        Err(e) => {
+            eprintln!("diode-serve: {name} expects a number, got {raw:?} ({e})");
             std::process::exit(2);
         }
     }
@@ -74,16 +79,16 @@ fn watchdog_config(args: &[String]) -> Option<WatchdogConfig> {
         cfg.slow_site_factor = f;
         enabled = true;
     }
-    if let Some(ms) = flag_num(args, "--slow-floor-ms") {
+    if let Some(ms) = flag_num::<u64>(args, "--slow-floor-ms") {
         cfg.slow_site_floor_ns = ms.saturating_mul(1_000_000);
         enabled = true;
     }
     if let Some(n) = flag_num(args, "--min-sites") {
-        cfg.min_sites_for_median = n as usize;
+        cfg.min_sites_for_median = n;
         enabled = true;
     }
     if let Some(n) = flag_num(args, "--idle-heartbeats") {
-        cfg.idle_heartbeats = if n == 0 { u32::MAX } else { n as u32 };
+        cfg.idle_heartbeats = if n == 0 { u32::MAX } else { n };
         enabled = true;
     }
     if let Some(bytes) = flag_num(args, "--cache-ceiling") {
@@ -106,14 +111,22 @@ fn main() {
     };
     let cfg = ServeConfig {
         addr: flag_str(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7070".to_string()),
-        workers: flag_num(&args, "--workers").unwrap_or(1).max(1) as usize,
-        queue_depth: flag_num(&args, "--queue-depth").unwrap_or(16).max(1) as usize,
+        workers: flag_num::<usize>(&args, "--workers").unwrap_or(1).max(1),
+        queue_depth: flag_num::<usize>(&args, "--queue-depth")
+            .unwrap_or(16)
+            .max(1),
         corpus_root: flag_str(&args, "--corpus").map(Into::into),
         telemetry_file: flag_str(&args, "--telemetry-file").map(Into::into),
-        heartbeat: Duration::from_millis(flag_num(&args, "--heartbeat-ms").unwrap_or(50).max(1)),
+        heartbeat: Duration::from_millis(
+            flag_num::<u64>(&args, "--heartbeat-ms")
+                .unwrap_or(50)
+                .max(1),
+        ),
         metrics: !args.iter().any(|a| a == "--no-metrics"),
         flight_dir,
-        flight_capacity: flag_num(&args, "--flight-cap").unwrap_or(256).max(1) as usize,
+        flight_capacity: flag_num::<usize>(&args, "--flight-cap")
+            .unwrap_or(256)
+            .max(1),
         watchdog: watchdog_config(&args),
     };
     let handle = match serve(cfg) {

@@ -23,13 +23,19 @@
 //! holds no prefix log, so it never serves a recording resume. Every
 //! snapshot of one `run_capture_multi` pass, whose snapshots share one
 //! branch log, is checked the same way.
+//!
+//! Stage 2's lift is checked as the campaign uses it: one `Concrete`
+//! pass with recording on captures every site's snapshot, and
+//! `run_to_alloc` under the site's `Symbolic::relevant_bytes` policy
+//! from that snapshot must return exactly what it returns from `main`.
 
 use std::collections::HashMap;
 
 use diode_interp::{
-    run, run_capture_multi, run_from, run_traced, Concrete, MachineConfig, Run, Shadow, Symbolic,
-    Taint,
+    run, run_capture_multi, run_from, run_to_alloc, run_traced, Concrete, MachineConfig, Run,
+    Shadow, Symbolic, Taint,
 };
+use diode_lang::Label;
 use diode_synth::{forge, SynthConfig};
 use proptest::prelude::*;
 
@@ -64,6 +70,19 @@ fn first_read(trace: &HashMap<u64, u64>, divergent: &[u32]) -> Option<u64> {
         .iter()
         .filter_map(|&o| trace.get(&u64::from(o)).copied())
         .min()
+}
+
+/// Every site's snapshot boundary in `trace`, paired with the site's
+/// index and sorted as `run_capture_multi` takes its stops. Sites whose
+/// divergent bytes are never read are left out.
+fn warm_stops(trace: &HashMap<u64, u64>, sites: &[(Vec<u32>, Vec<u8>)]) -> Vec<(u64, usize)> {
+    let mut stops: Vec<(u64, usize)> = sites
+        .iter()
+        .enumerate()
+        .filter_map(|(i, (divergent, _))| first_read(trace, divergent).map(|step| (step, i)))
+        .collect();
+    stops.sort_unstable();
+    stops
 }
 
 /// Resumes `snapshot` (captured under `shadow`) on `candidate` under
@@ -148,13 +167,7 @@ where
     let seed = &app.seeds[0];
     for (capture, resume) in PAIRINGS {
         let capture = recording(capture);
-        let trace = seed_trace(app, shadow.clone(), &capture);
-        let mut stops: Vec<(u64, usize)> = sites
-            .iter()
-            .enumerate()
-            .filter_map(|(i, (divergent, _))| first_read(&trace, divergent).map(|step| (step, i)))
-            .collect();
-        stops.sort_unstable();
+        let stops = warm_stops(&seed_trace(app, shadow.clone(), &capture), sites);
         let steps: Vec<u64> = stops.iter().map(|&(step, _)| step).collect();
         let snapshots = run_capture_multi(&app.program, seed, shadow.clone(), &capture, &steps);
         prop_assert_eq!(snapshots.len(), stops.len());
@@ -167,6 +180,54 @@ where
                 &sites[i].1,
                 &recording(resume),
             )?;
+        }
+    }
+    Ok(())
+}
+
+/// The lift: one `Concrete` pass with recording on captures every
+/// site's snapshot, as the warm pass does, and `run_to_alloc` under the
+/// site's `Symbolic::relevant_bytes` policy from that snapshot visits
+/// the site at `labels[i]` exactly as it does from `main`, on the seed
+/// and on the site's candidate.
+fn assert_lift_equivalence(
+    app: &diode_engine::CampaignApp,
+    sites: &[(Vec<u32>, Vec<u8>)],
+    labels: &[Label],
+) -> Result<(), TestCaseError> {
+    let seed = &app.seeds[0];
+    let config = recording(true);
+    let stops = warm_stops(&seed_trace(app, Concrete, &config), sites);
+    let steps: Vec<u64> = stops.iter().map(|&(step, _)| step).collect();
+    let snapshots = run_capture_multi(&app.program, seed, Concrete, &config, &steps);
+    for (&(_, i), snapshot) in stops.iter().zip(&snapshots) {
+        let snapshot = snapshot.as_ref().expect("every traced step is reached");
+        let (divergent, candidate) = &sites[i];
+        let policy = Symbolic::relevant_bytes(divergent.iter().copied());
+        for input in [seed.as_slice(), candidate] {
+            let visit = |from| {
+                run_to_alloc(
+                    &app.program,
+                    input,
+                    policy.clone(),
+                    &config,
+                    from,
+                    labels[i],
+                )
+            };
+            let (lifted, scratch) = (visit(Some(snapshot)), visit(None));
+            prop_assert!(
+                lifted.is_some() || scratch.is_none(),
+                "{}: the lift refused a prefix before the site's bytes",
+                app.name
+            );
+            prop_assert_eq!(
+                format!("{lifted:?}"),
+                format!("{scratch:?}"),
+                "{}: the lifted visit of {:?} differs from the one from main",
+                app.name,
+                labels[i]
+            );
         }
     }
     Ok(())
@@ -223,6 +284,18 @@ proptest! {
             })
             .collect();
         let (divergent, candidate) = &sites[site_pick % sites.len()];
+        let alloc_sites = app.program.alloc_sites();
+        let labels: Vec<Label> = oracle
+            .sites
+            .iter()
+            .map(|site| {
+                alloc_sites
+                    .iter()
+                    .find(|(_, name)| **name == *site.site)
+                    .expect("planted site exists")
+                    .0
+            })
+            .collect();
 
         assert_equivalence(app, Concrete, divergent, candidate)?;
         assert_equivalence(app, Taint, divergent, candidate)?;
@@ -237,10 +310,12 @@ proptest! {
         )?;
 
         // One capture pass for every site, as the campaign warm-up
-        // takes it (tag-free symbolic), and under the other policies.
-        assert_multi_equivalence(app, Symbolic::relevant_bytes([]), &sites)?;
+        // takes it (concrete), and under the other policies.
         assert_multi_equivalence(app, Concrete, &sites)?;
         assert_multi_equivalence(app, Taint, &sites)?;
         assert_multi_equivalence(app, Symbolic::all_bytes(), &sites)?;
+        assert_multi_equivalence(app, Symbolic::relevant_bytes([]), &sites)?;
+        // Stage 2 lifts the concrete pass into each site's policy.
+        assert_lift_equivalence(app, &sites, &labels)?;
     }
 }
