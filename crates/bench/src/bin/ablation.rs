@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use diode_bench::{
-    ablation_rows, analyze_apps, config_with_cache, execution_mode, render_ablation,
+    ablation_rows, analyze_apps, config_with_cache, execution_mode, outln, render_ablation,
 };
 use diode_core::DiodeConfig;
 
@@ -20,31 +20,31 @@ fn main() {
     let apps = diode_apps::all_apps();
     let (config, cache) = config_with_cache(DiodeConfig::default());
     let rows = ablation_rows(&apps, &config, mode);
-    println!("Ablation A (§5.4): full seed-path constraint satisfiability\n");
-    println!("{}", render_ablation(&rows));
+    outln!("Ablation A (§5.4): full seed-path constraint satisfiability\n");
+    outln!("{}", render_ablation(&rows));
     let sat = rows
         .iter()
         .filter(|r| r.full_path_sat == Some(true))
         .count();
-    println!(
+    outln!(
         "\n{} of {} exposed sites have a satisfiable full-path constraint (paper: 2 of 14).",
         sat,
         rows.len()
     );
     let stats = cache.stats();
-    println!(
+    outln!(
         "Solver cache: {} hits / {} misses ({:.0}% hit rate)\n",
         stats.hits,
         stats.misses,
         stats.hit_rate() * 100.0
     );
 
-    println!("Ablation B: interval pre-solve on/off (full Table 1 classification)");
+    outln!("Ablation B: interval pre-solve on/off (full Table 1 classification)");
     for presolve in [true, false] {
         let mut cfg = DiodeConfig::default();
         cfg.solver.interval_presolve = presolve;
         let t = Instant::now();
         let _ = analyze_apps(&apps, &cfg, mode);
-        println!("  interval_presolve = {presolve:<5} -> {:?}", t.elapsed());
+        outln!("  interval_presolve = {presolve:<5} -> {:?}", t.elapsed());
     }
 }

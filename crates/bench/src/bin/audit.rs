@@ -31,7 +31,7 @@
 //! input.
 
 use diode_bench::profload::load_audit_records;
-use diode_bench::{flag_num, flag_str};
+use diode_bench::{flag_num, flag_str, out, outln};
 use diode_corpus::{record_key, AuditSet, CorpusStore, DerivationDrift};
 use diode_obs::{Json, ProvenanceRecord};
 
@@ -146,11 +146,11 @@ fn run_explain(args: &[String]) {
     }
     for (i, r) in selected.iter().enumerate() {
         if i > 0 {
-            println!();
+            outln!();
         }
-        print!("{}", r.explain());
+        out!("{}", r.explain());
     }
-    println!("\n{} of {} record(s) shown", selected.len(), total);
+    outln!("\n{} of {} record(s) shown", selected.len(), total);
 }
 
 fn run_check(args: &[String]) {
@@ -177,10 +177,10 @@ fn run_check(args: &[String]) {
             .field("records", records.len() as u64)
             .field("broken", Json::Arr(rows))
             .field("ok", broken.is_empty() && !records.is_empty());
-        println!("{doc}");
+        outln!("{doc}");
     } else {
         for (key, reason) in &broken {
-            println!("BROKEN  {key}: {reason}");
+            outln!("BROKEN  {key}: {reason}");
         }
     }
     if records.is_empty() {
@@ -196,7 +196,7 @@ fn run_check(args: &[String]) {
         std::process::exit(1);
     }
     if !json {
-        println!(
+        outln!(
             "audit check passed: {} record(s), every verdict chains to its evidence",
             records.len()
         );
@@ -226,9 +226,9 @@ fn run_diff(args: &[String]) {
             .field("verdict_changed", drift.verdict_changed as u64)
             .field("drifted", Json::Arr(drifted))
             .field("clean", drift.is_clean());
-        println!("{doc}");
+        outln!("{doc}");
     } else {
-        print!("{drift}");
+        out!("{drift}");
     }
     if !drift.is_clean() {
         std::process::exit(1);

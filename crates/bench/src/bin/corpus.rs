@@ -32,7 +32,7 @@
 
 use std::process::ExitCode;
 
-use diode_bench::{execution_mode, flag_num, flag_str};
+use diode_bench::{execution_mode, flag_num, flag_str, out, outln};
 use diode_corpus::{
     CorpusDiff, CorpusError, CorpusStore, DerivationDrift, ReplayableSuite, WitnessSet,
 };
@@ -172,15 +172,15 @@ fn forge(
             .field("witness_label", label)
             .field("wall_ms", report.wall_time.as_secs_f64() * 1e3)
             .field("scorecard", scorecard_json(&card));
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!("forged {} into {}", suite.id(), store.root().display());
-        println!(
+        outln!("forged {} into {}", suite.id(), store.root().display());
+        outln!(
             "  {} apps, {} sites; recorded witnesses {label:?}",
             suite.suite.apps.len(),
             suite.suite.total_sites()
         );
-        println!("  score: {card}");
+        outln!("  score: {card}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -226,15 +226,15 @@ fn replay(
             .field("scorecard_identical", scorecard_identical)
             .field("findings_identical", findings_identical)
             .field("identical", identical);
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!("replayed {}", suite.id());
-        println!("  score: {card}");
+        outln!("replayed {}", suite.id());
+        outln!("  score: {card}");
         if identical {
-            println!("  identical to recorded {against:?} (scorecard + findings)");
+            outln!("  identical to recorded {against:?} (scorecard + findings)");
         } else {
-            println!("  DRIFT against recorded {against:?}:");
-            println!("{}", CorpusDiff::between(&baseline, &witnesses));
+            outln!("  DRIFT against recorded {against:?}:");
+            outln!("{}", CorpusDiff::between(&baseline, &witnesses));
         }
     }
     Ok(if identical {
@@ -298,12 +298,12 @@ fn diff(store: &CorpusStore, positional: &[String], json: bool) -> Result<ExitCo
             );
         }
         out = out.field("clean", diff.is_clean() && drift_clean);
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!("diff {id} {old_label:?} -> {new_label:?}");
-        print!("{diff}");
+        outln!("diff {id} {old_label:?} -> {new_label:?}");
+        out!("{diff}");
         if let Some(drift) = &drift {
-            print!("{drift}");
+            out!("{drift}");
         }
     }
     Ok(if diff.is_clean() && drift_clean {
@@ -341,15 +341,15 @@ fn grow(
             .field("apps", grown.suite.apps.len())
             .field("sites", grown.suite.total_sites())
             .field("scorecard", scorecard_json(&card));
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!("grew {old_id} by {n} apps -> {}", grown.id());
-        println!(
+        outln!("grew {old_id} by {n} apps -> {}", grown.id());
+        outln!(
             "  {} apps, {} sites; recorded witnesses {label:?}",
             grown.suite.apps.len(),
             grown.suite.total_sites()
         );
-        println!("  score: {card}");
+        outln!("  score: {card}");
     }
     Ok(ExitCode::SUCCESS)
 }
@@ -373,12 +373,12 @@ fn ls(store: &CorpusStore, json: bool) -> Result<ExitCode, CorpusError> {
             .field("command", "ls")
             .field("root", store.root().display().to_string())
             .field("suites", Json::Arr(rows));
-        println!("{out}");
+        outln!("{out}");
     } else if suites.is_empty() {
-        println!("no suites under {}", store.root().display());
+        outln!("no suites under {}", store.root().display());
     } else {
         for s in &suites {
-            println!(
+            outln!(
                 "{}  {} apps, {} sites, {} seed(s), rng {:#x}, witnesses: [{}]",
                 s.id,
                 s.apps,

@@ -11,7 +11,9 @@
 use std::time::Instant;
 
 use diode_bench::jsonout::ms;
-use diode_bench::{config_with_cache, execution_mode, flag_num, fuzz_rows, render_fuzz, FuzzRow};
+use diode_bench::{
+    config_with_cache, execution_mode, flag_num, fuzz_rows, outln, render_fuzz, FuzzRow,
+};
 use diode_core::DiodeConfig;
 use diode_obs::Json;
 
@@ -41,11 +43,11 @@ fn main() {
             .field("fuzz_found", fuzz_found)
             .field("cache", cache.stats())
             .field("sites", rows.iter().map(site_json).collect::<Vec<_>>());
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!("DIODE vs fuzzing baselines ({trials} trials per fuzzer)\n");
-        println!("{}", render_fuzz(&rows));
-        println!(
+        outln!("DIODE vs fuzzing baselines ({trials} trials per fuzzer)\n");
+        outln!("{}", render_fuzz(&rows));
+        outln!(
             "\nDIODE exposes {}/{} sites; fuzzing finds an overflow at {}/{} (mostly the check-free ones).",
             diode_found,
             rows.len(),

@@ -25,8 +25,8 @@
 //!
 //! Exits 2 on unreadable/invalid traces, 1 on a failed phase gate.
 
-use diode_bench::flag_str;
 use diode_bench::profload::load_profile;
+use diode_bench::{flag_str, outln};
 use diode_obs::{collapsed_stacks, Phase, ProfileDiff, ProfileReport, Trace};
 
 fn main() {
@@ -76,14 +76,14 @@ fn main() {
             std::process::exit(2);
         }
         if !json {
-            println!("Wrote collapsed stacks to {out} (fold with flamegraph.pl)");
+            outln!("Wrote collapsed stacks to {out} (fold with flamegraph.pl)");
         }
     }
 
     if json {
-        println!("{}", report.to_json());
+        outln!("{}", report.to_json());
     } else {
-        println!("{}", report.render());
+        outln!("{}", report.render());
     }
 
     if let Some(required) = flag_str(&args, "--require-phases") {
@@ -106,7 +106,7 @@ fn main() {
             std::process::exit(1);
         }
         if !json {
-            println!("Phase gate passed: {required}");
+            outln!("Phase gate passed: {required}");
         }
     }
 }
@@ -134,9 +134,9 @@ fn run_diff(args: &[String], old_path: &str, new_path: &str, json: bool, top: us
     let new = load(new_path);
     let diff = ProfileDiff::between(&old, &new, top, threshold);
     if json {
-        println!("{}", diff.to_json());
+        outln!("{}", diff.to_json());
     } else {
-        println!("{}", diff.render());
+        outln!("{}", diff.render());
     }
     if diff.is_regression() {
         std::process::exit(1);

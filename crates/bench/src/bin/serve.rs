@@ -33,7 +33,7 @@
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
-use diode_bench::{flag_f64, flag_num, flag_str};
+use diode_bench::{flag_f64, flag_num, flag_str, out, outln};
 use diode_obs::{anomalies_to_jsonl, AnomalyReport, Json};
 
 fn main() {
@@ -49,7 +49,7 @@ fn main() {
     match cmd {
         "submit" => {
             let reply = request(&addr, &submit_line(&args));
-            println!("{reply}");
+            outln!("{reply}");
             handle_anomalies(&args, &reply);
             exit_by_ok(&reply);
         }
@@ -58,7 +58,7 @@ fn main() {
                 .field("op", "status")
                 .field_opt("job", flag_str(&args, "--job"));
             let reply = request(&addr, &line.to_string());
-            println!("{reply}");
+            outln!("{reply}");
             exit_by_ok(&reply);
         }
         "watch" => {
@@ -78,16 +78,16 @@ fn main() {
                         std::process::exit(1);
                     }
                 }
-                print!("{text}");
+                out!("{text}");
             } else {
                 let reply = request(&addr, r#"{"op":"metrics"}"#);
-                println!("{reply}");
+                outln!("{reply}");
                 exit_by_ok(&reply);
             }
         }
         "health" => {
             let reply = request(&addr, r#"{"op":"health"}"#);
-            println!("{reply}");
+            outln!("{reply}");
             exit_by_ok(&reply);
             if reply.get("healthy").and_then(Json::as_bool) != Some(true) {
                 std::process::exit(1);
@@ -95,7 +95,7 @@ fn main() {
         }
         "shutdown" => {
             let reply = request(&addr, r#"{"op":"shutdown"}"#);
-            println!("{reply}");
+            outln!("{reply}");
             exit_by_ok(&reply);
         }
         "assert-warmer" => assert_warmer(&args),
@@ -285,13 +285,13 @@ fn stream_watch(addr: &str, job: &str) {
             std::process::exit(1);
         }
     }
-    print!("{first}");
+    out!("{first}");
     let mut rest = String::new();
     if let Err(e) = reader.read_to_string(&mut rest) {
         eprintln!("serve: watch stream interrupted: {e}");
         std::process::exit(2);
     }
-    print!("{rest}");
+    out!("{rest}");
 }
 
 fn exit_by_ok(reply: &Json) {
@@ -333,11 +333,11 @@ fn assert_warmer(args: &[String]) {
         std::process::exit(2);
     };
     let (cold, warm) = (job_hit_rate(cold_path), job_hit_rate(warm_path));
-    println!("serve assert-warmer: cold hit rate {cold:.4}, warm {warm:.4}");
+    outln!("serve assert-warmer: cold hit rate {cold:.4}, warm {warm:.4}");
     if warm > cold {
-        println!("  warm strictly exceeds cold: PASS");
+        outln!("  warm strictly exceeds cold: PASS");
     } else {
-        println!("  warm does not exceed cold: FAIL");
+        outln!("  warm does not exceed cold: FAIL");
         std::process::exit(1);
     }
 }

@@ -49,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use diode_bench::jsonout::{counts_json, ms, score_json};
 use diode_bench::profload::audit_document;
-use diode_bench::{execution_mode, flag_f64, flag_num, flag_str, render_synth, synth_rows};
+use diode_bench::{execution_mode, flag_f64, flag_num, flag_str, outln, render_synth, synth_rows};
 use diode_engine::{
     CampaignReport, CampaignSpec, PulseConfig, Recorder, SnapshotCache, SolverCache,
 };
@@ -174,14 +174,17 @@ fn main() {
         if let Some(outcome) = &pulse_outcome {
             out = out.field("telemetry", outcome.json());
         }
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!(
+        outln!(
             "Forged campaign: {} apps x {} seed(s), depth {}, rng seed {:#x}\n",
-            cfg.apps, cfg.seeds_per_app, cfg.branch_depth, cfg.rng_seed
+            cfg.apps,
+            cfg.seeds_per_app,
+            cfg.branch_depth,
+            cfg.rng_seed
         );
-        println!("{}", render_synth(&rows));
-        println!(
+        outln!("{}", render_synth(&rows));
+        outln!(
             "Forged in {:.1}ms, analyzed {} sites in {} units in {:.1}ms \
              ({:.0} sites/s on {} thread(s), {} jobs)",
             forge_time.as_secs_f64() * 1e3,
@@ -193,7 +196,7 @@ fn main() {
             report.jobs,
         );
         if let Some(stats) = report.cache {
-            println!(
+            outln!(
                 "Solver cache: {} hits / {} misses ({:.0}% hit rate, {} entries)",
                 stats.hits,
                 stats.misses,
@@ -202,7 +205,7 @@ fn main() {
             );
         }
         if let Some(stats) = report.snapshots {
-            println!(
+            outln!(
                 "Prefix snapshots: {} resumed / {} candidate runs ({} captured, {} held)",
                 stats.resumes,
                 stats.hits + stats.misses,
@@ -210,25 +213,25 @@ fn main() {
                 stats.entries
             );
         }
-        println!("Score vs oracle: {card}");
+        outln!("Score vs oracle: {card}");
         for m in &card.mismatches {
-            println!("  MISMATCH {m}");
+            outln!("  MISMATCH {m}");
         }
-        println!(
+        outln!(
             "Achieved recall {:.3} against gate {:.3}: {}",
             card.recall(),
             min_recall,
             if passed { "PASS" } else { "FAIL" }
         );
         if min_recall >= 1.0 && !card.is_perfect() {
-            println!("RESULT: MISCLASSIFICATION against the forge oracle.");
+            outln!("RESULT: MISCLASSIFICATION against the forge oracle.");
         }
         if let Some(trace) = &trace {
             if profile {
-                println!("\n{}", ProfileReport::from_trace(trace, 10).render());
+                outln!("\n{}", ProfileReport::from_trace(trace, 10).render());
             }
             if let Some(path) = &trace_path {
-                println!("Wrote JSONL trace to {path}");
+                outln!("Wrote JSONL trace to {path}");
             }
         }
     }
@@ -374,7 +377,7 @@ impl PulseOutcome {
                 std::process::exit(2);
             }
             if !json {
-                println!(
+                outln!(
                     "Wrote telemetry JSONL ({} event(s), {} heartbeat(s), {} drop(s)) to {path}",
                     self.log.events.len(),
                     self.heartbeats,
@@ -388,7 +391,7 @@ impl PulseOutcome {
                 std::process::exit(2);
             }
             if !json {
-                println!(
+                outln!(
                     "Wrote anomaly digest ({} record(s)) to {path}",
                     self.anomalies.len()
                 );
@@ -396,11 +399,11 @@ impl PulseOutcome {
         }
         if !json && (opts.watchdog || opts.anomalies_path.is_some()) {
             if self.anomalies.is_empty() {
-                println!("Watchdog: no anomalies");
+                outln!("Watchdog: no anomalies");
             } else {
-                println!("Watchdog: {} anomaly(ies)", self.anomalies.len());
+                outln!("Watchdog: {} anomaly(ies)", self.anomalies.len());
                 for a in &self.anomalies {
-                    println!("  [{}] {}: {}", a.kind.as_str(), a.subject, a.detail);
+                    outln!("  [{}] {}: {}", a.kind.as_str(), a.subject, a.detail);
                 }
             }
         }
@@ -506,7 +509,7 @@ fn write_audit(path: &str, report: &CampaignReport, json: bool) {
         std::process::exit(2);
     }
     if !json {
-        println!(
+        outln!(
             "Wrote audit document ({} provenance record(s)) to {path}",
             records.len()
         );

@@ -19,8 +19,8 @@ use std::time::Instant;
 
 use diode_bench::jsonout::{counts_json, ms, score_json};
 use diode_bench::{
-    config_with_cache, execution_mode, flag_num, flag_str, render_synth, render_table1, synth_rows,
-    table1_matches_paper, table1_rows, Table1Row,
+    config_with_cache, execution_mode, flag_num, flag_str, outln, render_synth, render_table1,
+    synth_rows, table1_matches_paper, table1_rows, Table1Row,
 };
 use diode_core::{analyze_program, DiodeConfig};
 use diode_engine::{CampaignSpec, ExecutionMode};
@@ -89,12 +89,12 @@ fn main() {
                     )
                 })),
             );
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!("Table 1: Target Site Classification (measured vs paper)\n");
-        println!("{}", render_table1(&rows));
+        outln!("Table 1: Target Site Classification (measured vs paper)\n");
+        outln!("{}", render_table1(&rows));
         let stats = cache.stats();
-        println!(
+        outln!(
             "Solver cache: {} hits / {} misses ({:.0}% hit rate, {} entries)",
             stats.hits,
             stats.misses,
@@ -102,9 +102,9 @@ fn main() {
             stats.entries
         );
         if matches {
-            println!("RESULT: every per-application classification count matches the paper.");
+            outln!("RESULT: every per-application classification count matches the paper.");
         } else {
-            println!("RESULT: MISMATCH against the paper's Table 1.");
+            outln!("RESULT: MISMATCH against the paper's Table 1.");
         }
     }
     if !matches {
@@ -141,13 +141,13 @@ fn run_forged_suite(n: usize, filter: Option<&str>, mode: ExecutionMode, json: b
             .field("cache", report.cache)
             .field("counts", counts_json(report.counts()))
             .field("score", score_json(&card));
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!("Table 1 (forged suite of {n})\n");
-        println!("{}", render_synth(&rows));
-        println!("Score vs oracle: {card}");
+        outln!("Table 1 (forged suite of {n})\n");
+        outln!("{}", render_synth(&rows));
+        outln!("Score vs oracle: {card}");
         for m in &card.mismatches {
-            println!("  MISMATCH {m}");
+            outln!("  MISMATCH {m}");
         }
     }
     // A false negative is never an exact match, so perfection subsumes

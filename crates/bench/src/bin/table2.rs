@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use diode_bench::jsonout::ms;
 use diode_bench::{
-    config_with_cache, execution_mode, flag_num, render_table2, table2_rows,
+    config_with_cache, execution_mode, flag_num, outln, render_table2, table2_rows,
     table2_shape_matches_paper, Table2Row,
 };
 use diode_core::DiodeConfig;
@@ -46,12 +46,12 @@ fn main() {
             .field("problems", problems.clone())
             .field("cache", cache.stats())
             .field("sites", rows.iter().map(site_json).collect::<Vec<_>>());
-        println!("{out}");
+        outln!("{out}");
     } else {
-        println!("Table 2: Evaluation Summary ({samples} samples per rate column)\n");
-        println!("{}", render_table2(&rows));
+        outln!("Table 2: Evaluation Summary ({samples} samples per rate column)\n");
+        outln!("{}", render_table2(&rows));
         let stats = cache.stats();
-        println!(
+        outln!(
             "Solver cache: {} hits / {} misses ({:.0}% hit rate, {} entries)",
             stats.hits,
             stats.misses,
@@ -59,11 +59,11 @@ fn main() {
             stats.entries
         );
         if problems.is_empty() {
-            println!("RESULT: all shape invariants hold (14 exposed rows; 0-enforcement sites; enforcement bands; exhaustive CVE-2008-2430 enumeration).");
+            outln!("RESULT: all shape invariants hold (14 exposed rows; 0-enforcement sites; enforcement bands; exhaustive CVE-2008-2430 enumeration).");
         } else {
-            println!("RESULT: shape mismatches:");
+            outln!("RESULT: shape mismatches:");
             for p in &problems {
-                println!("  - {p}");
+                outln!("  - {p}");
             }
         }
     }

@@ -31,7 +31,7 @@
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use diode_bench::{flag_f64, flag_num, flag_str};
+use diode_bench::{flag_f64, flag_num, flag_str, outln};
 use diode_obs::{
     anomalies_to_jsonl, AnomalyReport, FlightDump, Json, PulseEvent, TelemetryLog, Watchdog,
     WatchdogConfig, WorkerState,
@@ -77,7 +77,7 @@ fn main() {
     }
     let summary = Summary::from_log(&log);
     if json {
-        println!("{}", summary.to_json(&anomalies));
+        outln!("{}", summary.to_json(&anomalies));
     } else {
         summary.render(&anomalies);
     }
@@ -121,7 +121,7 @@ fn flight_dump(path: &str, json: bool) -> FlightDump {
         }
     };
     if !json {
-        println!(
+        outln!(
             "flight: job {} dumped ({}); ring retained {} of {} event(s)",
             dump.job,
             dump.reason,
@@ -160,7 +160,7 @@ fn follow_log(path: &str, args: &[String], json: bool) -> TelemetryLog {
                     if !json {
                         for event in &log.events[shown.min(log.events.len())..] {
                             if let Some(line) = live_line(event) {
-                                println!("{line}");
+                                outln!("{line}");
                             }
                         }
                     }
@@ -183,7 +183,7 @@ fn follow_log(path: &str, args: &[String], json: bool) -> TelemetryLog {
                 eprintln!("watch: timed out after {timeout}ms without a finished record");
                 let summary = Summary::from_log(&log);
                 if json {
-                    println!("{}", summary.to_json(&[]));
+                    outln!("{}", summary.to_json(&[]));
                 } else {
                     summary.render(&[]);
                 }
@@ -373,7 +373,7 @@ impl Summary {
 
     fn render(&self, anomalies: &[AnomalyReport]) {
         match self.finished {
-            Some((wall, sites, exposed)) => println!(
+            Some((wall, sites, exposed)) => outln!(
                 "watch: {sites} site(s), {exposed} exposed, wall {}, {} worker(s), \
                  {} heartbeat(s), {} event(s)",
                 fmt_ms(wall),
@@ -381,15 +381,21 @@ impl Summary {
                 self.heartbeats,
                 self.events
             ),
-            None => println!(
+            None => outln!(
                 "watch: stream still running — {} worker(s), {} heartbeat(s), {} event(s)",
-                self.threads, self.heartbeats, self.events
+                self.threads,
+                self.heartbeats,
+                self.events
             ),
         }
-        println!(
+        outln!(
             "  progress: {} unit(s) started, {} site(s) identified; \
              scheduler max queue {}, {} steal(s), {} job(s) done",
-            self.units, self.sites_identified, self.max_queued, self.steals, self.jobs_done
+            self.units,
+            self.sites_identified,
+            self.max_queued,
+            self.steals,
+            self.jobs_done
         );
         for (i, w) in self.workers.iter().enumerate() {
             let pct = |n: u64| {
@@ -399,7 +405,7 @@ impl Summary {
                     n as f64 * 100.0 / w.sampled as f64
                 }
             };
-            println!(
+            outln!(
                 "  worker {i}: busy {:.0}% of {} sample(s) (site {:.0}%, unit {:.0}%)",
                 pct(w.unit + w.site),
                 w.sampled,
@@ -407,10 +413,10 @@ impl Summary {
                 pct(w.unit)
             );
         }
-        println!("  outcomes:");
+        outln!("  outcomes:");
         for (outcome, agg) in &self.outcomes {
             let mean = agg.total_ns / agg.count.max(1);
-            println!(
+            outln!(
                 "    {outcome}: {} site(s), mean {}, max {}",
                 agg.count,
                 fmt_ms(mean),
@@ -418,23 +424,23 @@ impl Summary {
             );
         }
         if !self.slowest.is_empty() {
-            println!("  slowest sites:");
+            outln!("  slowest sites:");
             for (subject, outcome, wall) in &self.slowest {
-                println!("    {subject}: {} ({outcome})", fmt_ms(*wall));
+                outln!("    {subject}: {} ({outcome})", fmt_ms(*wall));
             }
         }
-        println!(
+        outln!(
             "  cache pressure: solver {} peak, snapshots {} peak, interp heap {} peak",
             fmt_bytes(self.peak_cache_bytes),
             fmt_bytes(self.peak_snapshot_bytes),
             fmt_bytes(self.peak_heap_bytes)
         );
         if anomalies.is_empty() {
-            println!("  watchdog: no anomalies");
+            outln!("  watchdog: no anomalies");
         } else {
-            println!("  watchdog: {} anomaly(ies)", anomalies.len());
+            outln!("  watchdog: {} anomaly(ies)", anomalies.len());
             for a in anomalies {
-                println!("    [{}] {}: {}", a.kind.as_str(), a.subject, a.detail);
+                outln!("    [{}] {}: {}", a.kind.as_str(), a.subject, a.detail);
             }
         }
     }

@@ -46,6 +46,46 @@ use diode_synth::SynthOracle;
 pub mod jsonout;
 pub mod profload;
 
+/// Writes report output to stdout and flushes it; [`out!`] and
+/// [`outln!`] call this. A reader that closed the pipe (`table1 | head
+/// -1`) ends the process at once with status 141 (128 + SIGPIPE, what a
+/// shell reports for a tool that signal killed), printing nothing more;
+/// any other write error ends it with status 1 and a message on stderr.
+pub fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    let written = {
+        let mut stdout = std::io::stdout().lock();
+        stdout.write_fmt(args).and_then(|()| stdout.flush())
+    };
+    match written {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => std::process::exit(141),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            std::process::exit(1);
+        }
+    }
+}
+
+/// `print!` for a bin's report output, through [`write_stdout`].
+#[macro_export]
+macro_rules! out {
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!($($arg)*))
+    };
+}
+
+/// `println!` for a bin's report output, through [`write_stdout`].
+#[macro_export]
+macro_rules! outln {
+    () => {
+        $crate::write_stdout(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        $crate::write_stdout(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 /// Reads the string value following `flag` from CLI args.
 #[must_use]
 pub fn flag_str<S: AsRef<str>>(args: &[S], flag: &str) -> Option<String> {

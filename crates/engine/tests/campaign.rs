@@ -61,6 +61,29 @@ fn parallel_campaign_is_byte_identical_to_one_uncached_worker() {
 }
 
 #[test]
+fn per_site_peak_heap_bytes_are_pinned() {
+    // A site's peak is the heap's logical charge (a sparse block pays per
+    // touched cell, not per host page), so a heap layout change that
+    // keeps the accounting leaves every figure where it is.
+    let report = CampaignSpec {
+        mode: ExecutionMode::Parallel { threads: Some(1) },
+        ..CampaignSpec::new(benchmark_campaign())
+    }
+    .run();
+    let peaks: Vec<u64> = report
+        .units
+        .iter()
+        .flat_map(|u| &u.sites)
+        .map(|s| s.report.peak_heap_bytes)
+        .collect();
+    assert_eq!(peaks.len(), 40);
+    assert_eq!(
+        (peaks.iter().max().copied(), peaks.iter().sum::<u64>()),
+        (Some(10_783_846), 29_159_007)
+    );
+}
+
+#[test]
 fn parallel_campaign_matches_core_analyze_program() {
     // The engine against the untouched diode-core per-app entry point.
     let report = CampaignSpec::new(benchmark_campaign()).run();

@@ -15,26 +15,35 @@
 //! * allocation sizes ≥ the allocator limit fail (null return or abort,
 //!   depending on the site's wrapper, matching `malloc` vs `g_malloc`).
 //!
-//! Block payloads are stored densely for ordinary sizes (at most 1 MiB)
-//! and sparsely for huge allocations, so simulating a 2 GB allocation
-//! costs no host memory. A dense block splits each byte cell the way
-//! memcheck splits shadow memory from data:
+//! Every block splits its byte cells the way memcheck splits shadow
+//! memory from data:
 //!
-//! * the values, one host byte per simulated byte (`vec![0; n]`, so a
-//!   large block arrives as lazily zeroed pages);
-//! * the sticky overflow flags, one bit per byte in `n/64` words;
+//! * the values, one host byte per simulated byte;
+//! * the sticky overflow flags, one bit per byte;
 //! * the shadow tags, in a side-table beside them holding an entry only
 //!   for cells that were stored — and never touched at all when the tag
 //!   type is `()` (plain concrete execution).
 //!
-//! A dense block therefore costs ~1.125 host bytes per simulated byte
-//! plus one entry per tagged cell, and a copy-on-write after a snapshot
-//! copies that much. The values and overflow bits do not depend on the
-//! tag type, so a concrete heap lifts into any tagged one
-//! (`Heap::lift`) by sharing them, with every cell untagged. A sparse
-//! block keeps a map of whole [`Cell`]s, one entry per touched byte.
+//! Ordinary blocks (at most 1 MiB) keep their values and overflow bits
+//! densely (`vec![0; n]`, so a large block arrives as lazily zeroed
+//! pages), which costs ~1.125 host bytes per simulated byte; a
+//! copy-on-write after a snapshot copies that much. Larger blocks are
+//! sparse, so simulating a 2 GB allocation costs no host memory. Like
+//! memcheck's secondary shadow maps, a sparse block keeps fixed pages of
+//! 256 cells, each page holding the values, overflow bits and a touched
+//! bit per cell, in a map keyed by page index that holds only the pages
+//! a store reached. A page costs ~350 host bytes, so a block touched at
+//! one cell per page pays that much per cell; fuel bounds how many cells
+//! a run can touch. A sparse block's charge to the byte gauges is
+//! logical, one map entry of a whole [`Cell`] per touched cell, not its
+//! host pages.
+//!
+//! The values and overflow bits do not depend on the tag type, so a
+//! concrete heap lifts into any tagged one (`Heap::lift`) by sharing
+//! them, with every cell untagged.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use diode_lang::{Bv, Label};
@@ -133,20 +142,43 @@ impl<T: Default> Default for Cell<T> {
     }
 }
 
-/// Block payloads sit behind `Arc`s so cloning a whole heap — the
-/// prefix-snapshot operation — is O(blocks), not O(bytes): the payloads
-/// are shared and only copied again when a post-snapshot write lands in
-/// them (`Arc::make_mut` copy-on-write).
-enum Payload<T> {
-    Dense {
-        /// Values and overflow bits, shared by every heap lifted from
-        /// this one.
-        cells: Arc<Dense>,
-        /// Shadow tags of the cells stored so far, by offset (`None`: no
-        /// cell was tagged yet). Never set when `T` is zero-sized.
-        tags: Option<Arc<HashMap<u32, T>>>,
-    },
-    Sparse(Arc<HashMap<u64, Cell<T>>>),
+/// Block payloads at most this large are stored densely, larger ones in
+/// pages.
+const DENSE_LIMIT: u32 = 1 << 20;
+
+/// A block's cells. The values and overflow bits sit behind an `Arc` so
+/// cloning a whole heap — the prefix-snapshot operation — is O(blocks),
+/// not O(bytes): they are shared and only copied again when a
+/// post-snapshot write lands in them (`Arc::make_mut` copy-on-write).
+#[derive(Clone)]
+struct Payload<T> {
+    /// Values and overflow bits, shared by every heap lifted from this
+    /// one.
+    cells: Cells,
+    /// Shadow tags of the cells stored so far, by offset (`None`: no
+    /// cell was tagged yet). Never set when `T` is zero-sized.
+    tags: Option<Arc<HashMap<u32, T>>>,
+}
+
+#[derive(Clone)]
+enum Cells {
+    /// A block of at most `DENSE_LIMIT` bytes.
+    Dense(Arc<Dense>),
+    /// A larger block's touched pages.
+    Sparse(Arc<Pages>),
+}
+
+/// Bit `i % 64` of word `i / 64`.
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Sets bit `i` of `words` to `on` and returns its previous value.
+fn set_bit(words: &mut [u64], i: usize, on: bool) -> bool {
+    let word = &mut words[i / 64];
+    let was = *word >> (i % 64) & 1 == 1;
+    *word = *word & !(1 << (i % 64)) | u64::from(on) << (i % 64);
+    was
 }
 
 /// A dense block's values and overflow bits: everything of its cells
@@ -155,7 +187,7 @@ enum Payload<T> {
 struct Dense {
     /// Stored byte values.
     bytes: Vec<u8>,
-    /// Sticky overflow flags, bit `i % 64` of word `i / 64`.
+    /// Sticky overflow flags, one bit per byte.
     ovf: Vec<u64>,
 }
 
@@ -173,18 +205,97 @@ impl Dense {
         self.bytes.len() as u64 + 8 * self.ovf.len() as u64
     }
 
-    fn ovf_at(&self, offset: usize) -> bool {
-        self.ovf[offset / 64] >> (offset % 64) & 1 == 1
+    /// The value and overflow flag at `offset`.
+    fn get(&self, offset: u32) -> (u8, bool) {
+        let i = offset as usize;
+        (self.bytes[i], bit(&self.ovf, i))
     }
 
-    fn store(&mut self, offset: usize, value: Bv, ovf: bool) {
-        self.bytes[offset] = value.value() as u8;
-        let bit = 1u64 << (offset % 64);
-        if ovf {
-            self.ovf[offset / 64] |= bit;
-        } else {
-            self.ovf[offset / 64] &= !bit;
+    fn store(&mut self, offset: u32, value: u8, ovf: bool) {
+        let i = offset as usize;
+        self.bytes[i] = value;
+        set_bit(&mut self.ovf, i, ovf);
+    }
+}
+
+/// Simulated bytes per page of a sparse block: a power of two, at least
+/// one overflow word's worth. A page costs ~350 host bytes (320 of
+/// values and bits, its allocation and its map entry), which is the worst
+/// case per touched cell: a program storing one cell per page pays that
+/// for each store, and fuel bounds its stores.
+const PAGE_BYTES: usize = 256;
+
+const _: () = assert!(PAGE_BYTES.is_power_of_two() && PAGE_BYTES >= 64);
+
+/// One page of a sparse block: the values, overflow bits and touched
+/// bits of `PAGE_BYTES` consecutive cells. A cell never stored has a
+/// clear touched bit and reads as the default cell.
+#[derive(Clone)]
+struct Page {
+    bytes: [u8; PAGE_BYTES],
+    ovf: [u64; PAGE_BYTES / 64],
+    touched: [u64; PAGE_BYTES / 64],
+}
+
+impl Page {
+    const EMPTY: Page = Page {
+        bytes: [0; PAGE_BYTES],
+        ovf: [0; PAGE_BYTES / 64],
+        touched: [0; PAGE_BYTES / 64],
+    };
+}
+
+/// A sparse block's values and overflow bits: the pages a store reached,
+/// by page index.
+#[derive(Clone, Default)]
+struct Pages(HashMap<u32, Box<Page>, BuildHasherDefault<PageHasher>>);
+
+impl Pages {
+    /// The value and overflow flag at `offset`: zero and clear for a cell
+    /// never stored.
+    fn get(&self, offset: u32) -> (u8, bool) {
+        let i = offset as usize % PAGE_BYTES;
+        self.0
+            .get(&(offset / PAGE_BYTES as u32))
+            .map_or((0, false), |page| (page.bytes[i], bit(&page.ovf, i)))
+    }
+
+    /// Stores a cell's value and overflow flag; true when the cell was
+    /// never stored before.
+    fn store(&mut self, offset: u32, value: u8, ovf: bool) -> bool {
+        let page = self
+            .0
+            .entry(offset / PAGE_BYTES as u32)
+            .or_insert_with(|| Box::new(Page::EMPTY));
+        let i = offset as usize % PAGE_BYTES;
+        page.bytes[i] = value;
+        set_bit(&mut page.ovf, i, ovf);
+        !set_bit(&mut page.touched, i, true)
+    }
+}
+
+/// Hashes a sparse block's page indices. A block's size is a `u32`, so
+/// its page indices are small dense integers below 2³² / `PAGE_BYTES`
+/// (2³¹ / `PAGE_BYTES` under the default allocator limit): one multiply
+/// spreads them over the high bits, and folding those into the low bits
+/// spreads strided indices too. SipHash's protection against crafted
+/// collisions buys nothing here: fuel bounds the pages a run can touch.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32(u32::from(b));
         }
+    }
+
+    fn write_u32(&mut self, index: u32) {
+        self.0 = (self.0 ^ u64::from(index)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0 ^ self.0 >> 32
     }
 }
 
@@ -194,18 +305,7 @@ const fn tags_stored<T>() -> bool {
     std::mem::size_of::<T>() != 0
 }
 
-impl<T: Clone> Clone for Payload<T> {
-    fn clone(&self) -> Self {
-        match self {
-            Payload::Dense { cells, tags } => Payload::Dense {
-                cells: Arc::clone(cells),
-                tags: tags.clone(),
-            },
-            Payload::Sparse(cells) => Payload::Sparse(Arc::clone(cells)),
-        }
-    }
-}
-
+#[derive(Clone)]
 struct Block<T> {
     site: Arc<str>,
     size: u32,
@@ -215,18 +315,6 @@ struct Block<T> {
     /// payload (dense: bytes + overflow words, then per tagged cell;
     /// sparse: grows per touched cell).
     accounted: u64,
-}
-
-impl<T: Clone> Clone for Block<T> {
-    fn clone(&self) -> Self {
-        Block {
-            site: self.site.clone(),
-            size: self.size,
-            freed: self.freed,
-            payload: self.payload.clone(),
-            accounted: self.accounted,
-        }
-    }
 }
 
 /// Fixed per-block bookkeeping charge (site arc, size, flags, vec slot).
@@ -246,6 +334,7 @@ fn entry_bytes<V>() -> u64 {
 pub type AccessResult<V> = Result<V, Fault>;
 
 /// The simulated heap.
+#[derive(Clone)]
 pub struct Heap<T> {
     blocks: Vec<Block<T>>,
     errors: Vec<MemError>,
@@ -253,28 +342,12 @@ pub struct Heap<T> {
     alloc_limit: u64,
     /// Accesses past `size + redzone` fault instead of being recorded.
     redzone: u64,
-    /// Block payloads at most this large are stored densely.
-    dense_limit: u32,
     /// Approximate bytes resident in live block payloads right now.
     cur_bytes: u64,
     /// High-water mark of `cur_bytes` over the heap's lifetime. Plain
     /// (non-atomic) state updated on the interpreter's single thread,
     /// so accounting is deterministic and costs one add per event.
     peak_bytes: u64,
-}
-
-impl<T: Clone> Clone for Heap<T> {
-    fn clone(&self) -> Self {
-        Heap {
-            blocks: self.blocks.clone(),
-            errors: self.errors.clone(),
-            alloc_limit: self.alloc_limit,
-            redzone: self.redzone,
-            dense_limit: self.dense_limit,
-            cur_bytes: self.cur_bytes,
-            peak_bytes: self.peak_bytes,
-        }
-    }
 }
 
 impl<T: Default + Clone> Heap<T> {
@@ -291,7 +364,6 @@ impl<T: Default + Clone> Heap<T> {
             errors: Vec::new(),
             alloc_limit,
             redzone,
-            dense_limit: 1 << 20,
             cur_bytes: 0,
             peak_bytes: 0,
         }
@@ -311,23 +383,19 @@ impl<T: Default + Clone> Heap<T> {
         if u64::from(size) >= self.alloc_limit {
             return None;
         }
-        let (payload, accounted) = if size <= self.dense_limit {
+        let (cells, accounted) = if size <= DENSE_LIMIT {
             let dense = Dense::zeroed(size);
             let bytes = BLOCK_OVERHEAD_BYTES + dense.payload_bytes();
-            let cells = Arc::new(dense);
-            (Payload::Dense { cells, tags: None }, bytes)
+            (Cells::Dense(Arc::new(dense)), bytes)
         } else {
-            (
-                Payload::Sparse(Arc::new(HashMap::new())),
-                BLOCK_OVERHEAD_BYTES,
-            )
+            (Cells::Sparse(Arc::default()), BLOCK_OVERHEAD_BYTES)
         };
         self.account(accounted);
         self.blocks.push(Block {
             site,
             size,
             freed: false,
-            payload,
+            payload: Payload { cells, tags: None },
             accounted,
         });
         Some(BlockId(
@@ -359,8 +427,8 @@ impl<T: Default + Clone> Heap<T> {
             // unreachable from here on: drop them eagerly. This keeps
             // long-lived heap clones — prefix snapshots — from pinning
             // (and later re-dropping) megabytes of dead payload.
-            block.payload = Payload::Dense {
-                cells: Arc::default(),
+            block.payload = Payload {
+                cells: Cells::Dense(Arc::default()),
                 tags: None,
             };
             let released = std::mem::take(&mut block.accounted);
@@ -402,19 +470,22 @@ impl<T: Default + Clone> Heap<T> {
             });
             return Ok(Cell::default());
         }
-        Ok(match &block.payload {
-            Payload::Dense { cells, tags } => {
-                let offset = offset as usize;
-                Cell {
-                    value: Bv::byte(cells.bytes[offset]),
-                    ovf: cells.ovf_at(offset),
-                    tag: tags
-                        .as_ref()
-                        .and_then(|tags| tags.get(&(offset as u32)).cloned())
-                        .unwrap_or_default(),
-                }
-            }
-            Payload::Sparse(cells) => cells.get(&offset).cloned().unwrap_or_default(),
+        // In bounds, so below the block's `u32` size.
+        let offset = offset as u32;
+        let (value, ovf) = match &block.payload.cells {
+            Cells::Dense(cells) => cells.get(offset),
+            Cells::Sparse(pages) => pages.get(offset),
+        };
+        let tag = block
+            .payload
+            .tags
+            .as_ref()
+            .and_then(|tags| tags.get(&offset).cloned())
+            .unwrap_or_default();
+        Ok(Cell {
+            value: Bv::byte(value),
+            ovf,
+            tag,
         })
     }
 
@@ -464,27 +535,31 @@ impl<T: Default + Clone> Heap<T> {
             });
             return Ok(());
         }
-        match &mut block.payload {
-            Payload::Dense { cells, tags } => {
-                Arc::make_mut(cells).store(offset as usize, cell.value, cell.ovf);
-                if tags_stored::<T>() {
-                    let tags = Arc::make_mut(tags.get_or_insert_with(Arc::default));
-                    if tags.insert(offset as u32, cell.tag).is_none() {
-                        // A never-tagged cell got a tag.
-                        let cost = entry_bytes::<T>();
-                        block.accounted += cost;
-                        self.account(cost);
-                    }
-                }
+        // In bounds, so below the block's `u32` size.
+        let offset = offset as u32;
+        let value = cell.value.value() as u8;
+        let (mut cost, dense) = match &mut block.payload.cells {
+            Cells::Dense(cells) => {
+                Arc::make_mut(cells).store(offset, value, cell.ovf);
+                (0, true)
             }
-            Payload::Sparse(cells) => {
-                if Arc::make_mut(cells).insert(offset, cell).is_none() {
-                    // A never-touched sparse cell materialised.
-                    let cost = entry_bytes::<Cell<T>>();
-                    block.accounted += cost;
-                    self.account(cost);
-                }
+            Cells::Sparse(pages) => {
+                // A never-touched sparse cell materialised: one charge
+                // for the whole cell, its tag included.
+                let fresh = Arc::make_mut(pages).store(offset, value, cell.ovf);
+                (if fresh { entry_bytes::<Cell<T>>() } else { 0 }, false)
             }
+        };
+        if tags_stored::<T>() {
+            let tags = Arc::make_mut(block.payload.tags.get_or_insert_with(Arc::default));
+            if tags.insert(offset, cell.tag).is_none() && dense {
+                // A never-tagged dense cell got a tag.
+                cost += entry_bytes::<T>();
+            }
+        }
+        if cost > 0 {
+            block.accounted += cost;
+            self.account(cost);
         }
         Ok(())
     }
@@ -529,10 +604,10 @@ impl<T: Default + Clone> Heap<T> {
 impl Heap<()> {
     /// This concrete heap under tag type `T`, every cell untagged: the
     /// heap a run under a tagging policy holds when none of its values
-    /// ever carried a tag. Dense payloads are shared, not copied (a
-    /// later store into either heap copies on write), tag tables start
-    /// empty, and sparse blocks are rebuilt from their touched cells.
-    /// The memory errors and both byte gauges carry over.
+    /// ever carried a tag. Values and overflow bits, dense or paged, are
+    /// shared, not copied (a later store into either heap copies on
+    /// write), and tag tables start empty. The memory errors and both
+    /// byte gauges carry over.
     pub(crate) fn lift<T: Default + Clone>(&self) -> Heap<T> {
         let blocks = self
             .blocks
@@ -541,24 +616,9 @@ impl Heap<()> {
                 site: b.site.clone(),
                 size: b.size,
                 freed: b.freed,
-                payload: match &b.payload {
-                    Payload::Dense { cells, .. } => Payload::Dense {
-                        cells: Arc::clone(cells),
-                        tags: None,
-                    },
-                    Payload::Sparse(cells) => Payload::Sparse(Arc::new(
-                        cells
-                            .iter()
-                            .map(|(&offset, c)| {
-                                let cell = Cell {
-                                    value: c.value,
-                                    ovf: c.ovf,
-                                    tag: T::default(),
-                                };
-                                (offset, cell)
-                            })
-                            .collect(),
-                    )),
+                payload: Payload {
+                    cells: b.payload.cells.clone(),
+                    tags: None,
                 },
                 accounted: b.accounted,
             })
@@ -568,7 +628,6 @@ impl Heap<()> {
             errors: self.errors.clone(),
             alloc_limit: self.alloc_limit,
             redzone: self.redzone,
-            dense_limit: self.dense_limit,
             cur_bytes: self.cur_bytes,
             peak_bytes: self.peak_bytes,
         }
@@ -835,13 +894,19 @@ mod tests {
         );
         assert_eq!(lifted.errors().len(), 1);
         assert_eq!(lifted.live_blocks(), 2);
-        let (Payload::Dense { cells: a, .. }, Payload::Dense { cells: b, tags }) =
-            (&h.blocks[0].payload, &lifted.blocks[0].payload)
+        let (Cells::Dense(a), Cells::Dense(b)) =
+            (&h.blocks[0].payload.cells, &lifted.blocks[0].payload.cells)
         else {
             panic!("a 130-byte block is dense");
         };
         assert!(Arc::ptr_eq(a, b), "the dense payload is shared");
-        assert!(tags.is_none());
+        let (Cells::Sparse(a), Cells::Sparse(b)) =
+            (&h.blocks[1].payload.cells, &lifted.blocks[1].payload.cells)
+        else {
+            panic!("a 1 GiB block is sparse");
+        };
+        assert!(Arc::ptr_eq(a, b), "the page map is shared");
+        assert!(lifted.blocks.iter().all(|b| b.payload.tags.is_none()));
         for (b, off, value, ovf) in [
             (dense, 3, 0xaa, false),
             (dense, 129, 7, true),
@@ -914,5 +979,321 @@ mod tests {
         })
         .join()
         .unwrap();
+    }
+
+    /// A tag as a comparable list of labels.
+    trait TagView: Default + Clone + std::fmt::Debug {
+        fn view(&self) -> Vec<u32>;
+    }
+
+    impl TagView for () {
+        fn view(&self) -> Vec<u32> {
+            Vec::new()
+        }
+    }
+
+    impl TagView for LabelSet {
+        fn view(&self) -> Vec<u32> {
+            self.labels().to_vec()
+        }
+    }
+
+    /// Splitmix64: a seeded op sequence without a dependency.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % n
+        }
+    }
+
+    /// A 1 GiB block whose last page is partial.
+    const BIG: u32 = (1 << 30) + 37;
+    const REDZONE: u64 = 4096;
+
+    /// The per-cell reference the paged block must match: one map entry
+    /// of a whole `Cell` per touched byte, charged as one entry each.
+    #[derive(Clone)]
+    struct Model<T> {
+        cells: HashMap<u64, Cell<T>>,
+        /// Touched offsets in first-touch order, for picking rewrites
+        /// deterministically.
+        order: Vec<u64>,
+        errors: Vec<(MemErrorKind, u64, Label)>,
+        freed: bool,
+        current: u64,
+        peak: u64,
+    }
+
+    impl<T: TagView> Model<T> {
+        fn new() -> Self {
+            Model {
+                cells: HashMap::new(),
+                order: Vec::new(),
+                errors: Vec::new(),
+                freed: false,
+                current: BLOCK_OVERHEAD_BYTES,
+                peak: BLOCK_OVERHEAD_BYTES,
+            }
+        }
+
+        fn lift<U: TagView>(&self) -> Model<U> {
+            Model {
+                cells: self
+                    .cells
+                    .iter()
+                    .map(|(&off, c)| {
+                        let cell = Cell {
+                            value: c.value,
+                            ovf: c.ovf,
+                            tag: U::default(),
+                        };
+                        (off, cell)
+                    })
+                    .collect(),
+                order: self.order.clone(),
+                errors: self.errors.clone(),
+                freed: self.freed,
+                current: self.current,
+                peak: self.peak,
+            }
+        }
+
+        /// The access's outcome before it touches a cell: `Err` for a
+        /// wild access, `Ok(false)` for a recorded error.
+        fn check(&mut self, off: u64, at: Label, write: bool) -> Result<bool, ()> {
+            let (uaf, oob) = if write {
+                (MemErrorKind::UseAfterFreeWrite, MemErrorKind::InvalidWrite)
+            } else {
+                (MemErrorKind::UseAfterFreeRead, MemErrorKind::InvalidRead)
+            };
+            if self.freed {
+                self.errors.push((uaf, off, at));
+                return Ok(false);
+            }
+            if off >= u64::from(BIG) {
+                if off >= u64::from(BIG) + REDZONE {
+                    return Err(());
+                }
+                self.errors.push((oob, off, at));
+                return Ok(false);
+            }
+            Ok(true)
+        }
+
+        fn load(&mut self, off: u64, at: Label) -> Result<Cell<T>, ()> {
+            Ok(if self.check(off, at, false)? {
+                self.cells.get(&off).cloned().unwrap_or_default()
+            } else {
+                Cell::default()
+            })
+        }
+
+        fn store(&mut self, off: u64, cell: Cell<T>, at: Label) -> Result<(), ()> {
+            if self.check(off, at, true)? && self.cells.insert(off, cell).is_none() {
+                self.order.push(off);
+                self.current += entry_bytes::<Cell<T>>();
+                self.peak = self.peak.max(self.current);
+            }
+            Ok(())
+        }
+
+        fn free(&mut self, at: Label) {
+            if self.freed {
+                self.errors.push((MemErrorKind::DoubleFree, 0, at));
+            } else {
+                self.freed = true;
+                self.current = 0;
+            }
+        }
+    }
+
+    /// One heap holding one huge block, beside its model.
+    #[derive(Clone)]
+    struct World<T> {
+        heap: Heap<T>,
+        model: Model<T>,
+        block: BlockId,
+    }
+
+    impl<T: TagView> World<T> {
+        fn new() -> Self {
+            let mut heap = Heap::new(1 << 31, REDZONE);
+            let block = heap.alloc("big@1".into(), BIG).unwrap();
+            World {
+                heap,
+                model: Model::new(),
+                block,
+            }
+        }
+
+        /// Everything observable agrees with the model: the byte gauges,
+        /// the recorded errors and, while the block lives, every cell in
+        /// `probes` (loaded from a clone, so the check records nothing).
+        fn assert_matches(&self, probes: &[u64], context: &str) {
+            let (heap, model) = (&self.heap, &self.model);
+            assert_eq!(
+                (heap.current_bytes(), heap.peak_bytes()),
+                (model.current, model.peak),
+                "{context}: byte gauges"
+            );
+            let errors: Vec<_> = heap
+                .errors()
+                .iter()
+                .map(|e| (e.kind, e.offset, e.at))
+                .collect();
+            assert_eq!(errors, model.errors, "{context}: recorded errors");
+            if model.freed {
+                return;
+            }
+            let mut heap = heap.clone();
+            for &off in probes.iter().filter(|&&off| off < u64::from(BIG)) {
+                let got = heap.load(self.block, off, Label(0)).unwrap();
+                let want = model.cells.get(&off).cloned().unwrap_or_default();
+                assert_eq!(
+                    (got.value, got.ovf, got.tag.view()),
+                    (want.value, want.ovf, want.tag.view()),
+                    "{context}: cell {off}"
+                );
+            }
+        }
+    }
+
+    /// An offset clustered around a page boundary, far from any other,
+    /// a rewrite of a touched cell, or at and past the block's end.
+    fn pick_offset<T>(rng: &mut Rng, model: &Model<T>) -> u64 {
+        let page = PAGE_BYTES as u64;
+        let pages = u64::from(BIG) / page;
+        match rng.below(8) {
+            0..=2 => {
+                let anchor = [1, 2, 1000, pages / 2, pages - 1, pages][rng.below(6) as usize];
+                (anchor + rng.below(3)) * page + rng.below(3) - 1
+            }
+            3 | 4 => rng.below(u64::from(BIG)),
+            5 | 6 if !model.order.is_empty() => {
+                model.order[rng.below(model.order.len() as u64) as usize]
+            }
+            7 if rng.below(8) == 0 => u64::from(BIG) + REDZONE + rng.below(4),
+            _ => u64::from(BIG) - 2 + rng.below(4),
+        }
+    }
+
+    /// Runs `ops` seeded ops over `worlds`, checking every world against
+    /// its model after each one.
+    fn drive<T: TagView>(
+        worlds: &mut Vec<World<T>>,
+        rng: &mut Rng,
+        ops: usize,
+        tag: impl Fn(&mut Rng) -> T,
+    ) {
+        for op in 0..ops {
+            let w = rng.below(worlds.len() as u64) as usize;
+            let at = Label(op as u32);
+            let context = format!("op {op} on world {w}");
+            let live = |w: &World<T>| !w.model.freed;
+            match rng.below(64) {
+                0 | 1 => {
+                    // Clone a live world over a freed one, if any; later
+                    // writes land on either side.
+                    let from = if live(&worlds[w]) {
+                        w
+                    } else {
+                        worlds.iter().position(live).unwrap_or(w)
+                    };
+                    let copy = worlds[from].clone();
+                    match worlds.iter().position(|w| !live(w)) {
+                        _ if worlds.len() < 3 => worlds.push(copy),
+                        Some(dead) => worlds[dead] = copy,
+                        None => worlds[(from + 1) % 3] = copy,
+                    }
+                }
+                2 if worlds.iter().filter(|w| live(w)).count() > 1 => {
+                    let world = &mut worlds[w];
+                    world.heap.free(world.block, at);
+                    world.model.free(at);
+                }
+                3..=20 => {
+                    let world = &mut worlds[w];
+                    let off = pick_offset(rng, &world.model);
+                    let got = world.heap.load(world.block, off, at);
+                    let want = world.model.load(off, at);
+                    match (got, want) {
+                        (Ok(got), Ok(want)) => assert_eq!(
+                            (got.value, got.ovf, got.tag.view()),
+                            (want.value, want.ovf, want.tag.view()),
+                            "{context}: load {off}"
+                        ),
+                        (Err(Fault::WildAccess { offset, .. }), Err(())) => {
+                            assert_eq!(offset, off, "{context}");
+                        }
+                        (got, want) => panic!("{context}: load {off}: {got:?} vs {want:?}"),
+                    }
+                }
+                _ => {
+                    let cell = Cell {
+                        value: Bv::byte(rng.below(256) as u8),
+                        ovf: rng.below(2) == 1,
+                        tag: tag(rng),
+                    };
+                    let world = &mut worlds[w];
+                    let off = pick_offset(rng, &world.model);
+                    let got = world.heap.store(world.block, off, cell.clone(), at);
+                    let want = world.model.store(off, cell, at);
+                    assert_eq!(got.is_err(), want.is_err(), "{context}: store {off}");
+                }
+            }
+            // Every cell touched in any world, its neighbours, and the
+            // boundary cells of the anchor pages.
+            let mut probes: Vec<u64> = worlds
+                .iter()
+                .flat_map(|w| w.model.order.iter())
+                .flat_map(|&off| [off.saturating_sub(1), off, off + 1])
+                .collect();
+            probes.extend([
+                0,
+                PAGE_BYTES as u64 - 1,
+                PAGE_BYTES as u64,
+                u64::from(BIG) - 1,
+            ]);
+            probes.sort_unstable();
+            probes.dedup();
+            for (i, world) in worlds.iter().enumerate() {
+                world.assert_matches(&probes, &format!("{context}, then world {i}"));
+            }
+        }
+    }
+
+    #[test]
+    fn paged_blocks_match_a_per_cell_model() {
+        for seed in 1..=3 {
+            let mut rng = Rng(seed);
+            let mut concrete = vec![World::<()>::new()];
+            drive(&mut concrete, &mut rng, 600, |_| ());
+            // Lift every concrete world and keep writing tagged cells;
+            // the concrete worlds they share pages with stay unchanged.
+            let mut lifted: Vec<World<LabelSet>> = concrete
+                .iter()
+                .map(|w| World {
+                    heap: w.heap.lift(),
+                    model: w.model.lift(),
+                    block: w.block,
+                })
+                .collect();
+            drive(&mut lifted, &mut rng, 600, |rng| {
+                let labels: Vec<u32> = (0..rng.below(3)).map(|_| rng.below(16) as u32).collect();
+                tagged(0, false, &labels).tag
+            });
+            for (i, world) in concrete.iter().enumerate() {
+                let probes = world.model.order.clone();
+                world.assert_matches(
+                    &probes,
+                    &format!("seed {seed}: concrete world {i} after lifting"),
+                );
+            }
+        }
     }
 }

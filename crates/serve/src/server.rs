@@ -886,12 +886,15 @@ fn worker_loop(daemon: &Arc<Daemon>, index: usize) {
             }
         };
         *stat.current.lock().expect("worker stat lock poisoned") = Some(entry.id.clone());
-        run_job(daemon, &entry);
+        let finished = run_job(daemon, &entry);
         *stat.current.lock().expect("worker stat lock poisoned") = None;
         stat.completed.fetch_add(1, Ordering::Relaxed);
         if let Some(ops) = &daemon.ops {
             ops.worker_jobs(index).inc();
         }
+        // Only now may a waiting client see the job finish: a `status`
+        // it sends next counts the job in this worker's tallies.
+        entry.set_state(finished);
     }
 }
 
@@ -964,7 +967,9 @@ fn write_flight(
     }
 }
 
-fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
+/// Runs one job and returns its final state (`Done` or `Failed`), which
+/// the caller publishes.
+fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) -> JobState {
     entry.set_state(JobState::Running);
     if let Some(ops) = &daemon.ops {
         let waited = entry.submitted.elapsed().as_nanos();
@@ -981,8 +986,7 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
             if let Some(ops) = &daemon.ops {
                 ops.jobs_failed.inc();
             }
-            entry.set_state(JobState::Failed(e));
-            return;
+            return JobState::Failed(e);
         }
     };
     let threads = entry.threads();
@@ -1077,8 +1081,7 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
                     ops.anomalies(a.kind.as_str()).inc();
                 }
             }
-            entry.set_state(JobState::Failed("campaign panicked".to_string()));
-            return;
+            return JobState::Failed("campaign panicked".to_string());
         }
     };
     let (flight, watchdog) = pump.join().unwrap_or((None, None));
@@ -1116,7 +1119,7 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) {
         flight_path.as_deref(),
     );
     daemon.jobs_done.fetch_add(1, Ordering::Relaxed);
-    entry.set_state(JobState::Done(report_json));
+    JobState::Done(report_json)
 }
 
 /// The per-job report line: outcome counts, the determinism
