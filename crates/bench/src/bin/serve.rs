@@ -12,14 +12,14 @@
 //!   anomaly fires; `--slow-factor F`, `--slow-floor-ms N`,
 //!   `--min-sites N`, `--idle-heartbeats N` (0 disables), and
 //!   `--cache-ceiling BYTES` tune it (each implies `--watchdog`'s
-//!   detectors); `--anomalies PATH` saves the reply's anomaly digest
-//!   JSONL (render with `watch --anomalies`). `--stall-work N` plants
-//!   one deliberately slow site (the flight-recorder drill).
+//!   detectors). The reply's `anomalies` array lists what fired.
+//!   `--stall-work N` plants one deliberately slow site (the
+//!   flight-dump drill).
 //! * `serve status [--job ID]` — daemon summary, or one job's state.
-//! * `serve watch --job ID` — stream the job's telemetry JSONL to
-//!   stdout until its `finished` record (pipe to a file and render it
-//!   with `watch --replay`, or point `watch --follow` at the daemon's
-//!   `--telemetry-file`).
+//! * `serve watch --job ID` — copy the job's telemetry JSONL to stdout,
+//!   each line as it arrives, until its `finished` record: pipe it to
+//!   `watch --follow` for a live narration, or save it and render it
+//!   with `watch --replay`.
 //! * `serve metrics [--prometheus]` — scrape the daemon's service
 //!   metrics: one JSON object by default, Prometheus text format with
 //!   `--prometheus`.
@@ -34,7 +34,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 
 use diode_bench::{flag_f64, flag_num, flag_str, out, outln};
-use diode_obs::{anomalies_to_jsonl, AnomalyReport, Json};
+use diode_obs::{AnomalyReport, Json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -180,9 +180,8 @@ fn watchdog_requested(args: &[String]) -> bool {
     args.iter().any(|a| a == "--watchdog") || watchdog_json(args).is_some()
 }
 
-/// Post-processes a `submit --wait` reply's `anomalies` array:
-/// optionally saves the digest JSONL, and applies the `synth_campaign`
-/// exit gate (any anomaly under `--watchdog` exits 1).
+/// Applies the `synth_campaign` exit gate to a `submit --wait` reply's
+/// `anomalies` array: any anomaly under `--watchdog` exits 1.
 fn handle_anomalies(args: &[String], reply: &Json) {
     let anomalies: Vec<AnomalyReport> = reply
         .get("anomalies")
@@ -193,18 +192,6 @@ fn handle_anomalies(args: &[String], reply: &Json) {
                 .collect()
         })
         .unwrap_or_default();
-    if let Some(path) = flag_str(args, "--anomalies") {
-        if reply.get("anomalies").is_none() {
-            eprintln!(
-                "serve submit: --anomalies needs a watchdog report (pass --watchdog and --wait)"
-            );
-            std::process::exit(2);
-        }
-        if let Err(e) = std::fs::write(&path, anomalies_to_jsonl(&anomalies)) {
-            eprintln!("serve submit: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
-    }
     if watchdog_requested(args) && !anomalies.is_empty() {
         eprintln!(
             "serve submit: WATCHDOG FAIL: {} anomaly(ies) fired",
@@ -264,8 +251,9 @@ fn connect(addr: &str) -> TcpStream {
     }
 }
 
-/// Streams a watch to stdout. The first line may be a typed rejection
-/// (e.g. 404) rather than a telemetry header; detect it and exit 1.
+/// Streams a watch to stdout, one line as soon as it arrives. The first
+/// line may be a typed rejection (e.g. 404) rather than a telemetry
+/// header; detect it and exit 1.
 fn stream_watch(addr: &str, job: &str) {
     let mut conn = connect(addr);
     let line = Json::obj().field("op", "watch").field("job", job);
@@ -286,12 +274,15 @@ fn stream_watch(addr: &str, job: &str) {
         }
     }
     out!("{first}");
-    let mut rest = String::new();
-    if let Err(e) = reader.read_to_string(&mut rest) {
-        eprintln!("serve: watch stream interrupted: {e}");
-        std::process::exit(2);
+    for line in reader.lines() {
+        match line {
+            Ok(line) => outln!("{line}"),
+            Err(e) => {
+                eprintln!("serve: watch stream interrupted: {e}");
+                std::process::exit(2);
+            }
+        }
     }
-    out!("{rest}");
 }
 
 fn exit_by_ok(reply: &Json) {

@@ -30,12 +30,12 @@
 //!   rate, from a pump on the diode-pulse bus
 //! * `--telemetry PATH`  attach the diode-pulse bus and write the full
 //!   event stream (progress events + heartbeats) to PATH as versioned
-//!   telemetry JSONL — replay it with the `watch` bin
-//! * `--watchdog`        run the stall/anomaly watchdog over the pulse
-//!   stream and exit non-zero if any anomaly fires (implies attaching
-//!   the bus; CI's zero-anomaly gate)
-//! * `--anomalies PATH`  write the watchdog's anomaly digest JSONL to
-//!   PATH (implies `--watchdog`'s detectors, but not its exit gate)
+//!   telemetry JSONL, followed by the anomaly records the watchdog
+//!   raised over it — replay it with the `watch` bin
+//! * `--watchdog`        exit non-zero if the stall/anomaly watchdog
+//!   raises any anomaly over the pulse stream (implies attaching the
+//!   bus; CI's zero-anomaly gate). The watchdog runs whenever
+//!   `--telemetry` or `--watchdog` is set.
 //! * `--heartbeat-ms N`  heartbeat sampling interval (default 50)
 //! * `--json`            machine-readable output (throughput, cache
 //!   hit/miss counters, recall/precision) in the BENCH json schema
@@ -54,8 +54,7 @@ use diode_engine::{
     CampaignReport, CampaignSpec, PulseConfig, Recorder, SnapshotCache, SolverCache,
 };
 use diode_obs::{
-    anomalies_to_jsonl, AnomalyReport, Json, ProfileReport, PulseBus, PulseEvent, TelemetryLog,
-    Trace, Watchdog, WatchdogConfig,
+    Json, ProfileReport, PulseBus, PulseEvent, TelemetryLog, Trace, Watchdog, WatchdogConfig,
 };
 use diode_synth::{forge, score, ScoreCard, SynthConfig};
 
@@ -258,7 +257,6 @@ fn config_json(cfg: &SynthConfig) -> Json {
 struct PulseOpts {
     telemetry_path: Option<String>,
     watchdog: bool,
-    anomalies_path: Option<String>,
     heartbeat: Duration,
 }
 
@@ -267,7 +265,6 @@ impl PulseOpts {
         PulseOpts {
             telemetry_path: flag_str(args, "--telemetry"),
             watchdog: args.iter().any(|a| a == "--watchdog"),
-            anomalies_path: flag_str(args, "--anomalies"),
             heartbeat: Duration::from_millis(
                 flag_num::<u64>(args, "--heartbeat-ms").unwrap_or(50).max(1),
             ),
@@ -276,7 +273,7 @@ impl PulseOpts {
 
     /// True when any telemetry flag is set.
     fn enabled(&self) -> bool {
-        self.telemetry_path.is_some() || self.watchdog || self.anomalies_path.is_some()
+        self.telemetry_path.is_some() || self.watchdog
     }
 }
 
@@ -344,18 +341,20 @@ impl PulseCapture {
             log: TelemetryLog {
                 threads: threads as u32,
                 events,
+                anomalies: watchdog.finish(),
+                ..TelemetryLog::default()
             },
             dropped,
             heartbeats,
             peak_cache_bytes,
             peak_snapshot_bytes,
             peak_heap_bytes,
-            anomalies: watchdog.finish(),
         }
     }
 }
 
-/// Everything the campaign's pulse stream yielded, post-processed.
+/// Everything the campaign's pulse stream yielded, post-processed: the
+/// stream with the watchdog's anomalies, and its peaks.
 struct PulseOutcome {
     log: TelemetryLog,
     dropped: u64,
@@ -363,14 +362,14 @@ struct PulseOutcome {
     peak_cache_bytes: u64,
     peak_snapshot_bytes: u64,
     peak_heap_bytes: u64,
-    anomalies: Vec<AnomalyReport>,
 }
 
 impl PulseOutcome {
-    /// Writes the requested telemetry/anomaly files, prints the human
-    /// digest unless `json`, and returns `false` when `--watchdog`
-    /// gates and an anomaly fired.
+    /// Writes the requested telemetry file, prints the human digest
+    /// unless `json`, and returns `false` when `--watchdog` gates and an
+    /// anomaly fired.
     fn emit(&self, opts: &PulseOpts, json: bool) -> bool {
+        let anomalies = &self.log.anomalies;
         if let Some(path) = &opts.telemetry_path {
             if let Err(e) = std::fs::write(path, self.log.to_jsonl()) {
                 eprintln!("synth_campaign: cannot write {path}: {e}");
@@ -378,36 +377,26 @@ impl PulseOutcome {
             }
             if !json {
                 outln!(
-                    "Wrote telemetry JSONL ({} event(s), {} heartbeat(s), {} drop(s)) to {path}",
+                    "Wrote telemetry JSONL ({} event(s), {} heartbeat(s), {} drop(s), \
+                     {} anomaly(ies)) to {path}",
                     self.log.events.len(),
                     self.heartbeats,
-                    self.dropped
+                    self.dropped,
+                    anomalies.len()
                 );
             }
         }
-        if let Some(path) = &opts.anomalies_path {
-            if let Err(e) = std::fs::write(path, anomalies_to_jsonl(&self.anomalies)) {
-                eprintln!("synth_campaign: cannot write {path}: {e}");
-                std::process::exit(2);
-            }
-            if !json {
-                outln!(
-                    "Wrote anomaly digest ({} record(s)) to {path}",
-                    self.anomalies.len()
-                );
-            }
-        }
-        if !json && (opts.watchdog || opts.anomalies_path.is_some()) {
-            if self.anomalies.is_empty() {
+        if !json && opts.watchdog {
+            if anomalies.is_empty() {
                 outln!("Watchdog: no anomalies");
             } else {
-                outln!("Watchdog: {} anomaly(ies)", self.anomalies.len());
-                for a in &self.anomalies {
+                outln!("Watchdog: {} anomaly(ies)", anomalies.len());
+                for a in anomalies {
                     outln!("  [{}] {}: {}", a.kind.as_str(), a.subject, a.detail);
                 }
             }
         }
-        !opts.watchdog || self.anomalies.is_empty()
+        !opts.watchdog || anomalies.is_empty()
     }
 
     /// The `--json` summary of the stream.
@@ -419,7 +408,7 @@ impl PulseOutcome {
             .field("peak_cache_bytes", self.peak_cache_bytes)
             .field("peak_snapshot_bytes", self.peak_snapshot_bytes)
             .field("peak_heap_bytes", self.peak_heap_bytes)
-            .field("anomalies", self.anomalies.len())
+            .field("anomalies", self.log.anomalies.len())
             .field("host_parallelism", host_parallelism())
     }
 }

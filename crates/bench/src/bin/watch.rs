@@ -1,87 +1,74 @@
 //! watch — render a diode-pulse telemetry stream as a campaign summary.
 //!
-//! Three modes over the same renderer:
+//! Two modes over the same renderer:
 //!
 //! * `watch --replay PATH` parses a recorded telemetry JSONL (written by
-//!   `synth_campaign --telemetry PATH`) and prints the per-worker /
-//!   per-outcome / cache-pressure summary plus the anomaly digest the
-//!   watchdog raises over the replayed stream.
-//! * `watch --flight PATH` renders a flight recording (written by
-//!   `diode-serve` when a watchdog anomaly fires or a job fails):
-//!   the dump's own header and recorded anomalies first — those are
-//!   the incident, the watchdog is not re-run — then the retained
-//!   event window through the standard summary.
-//! * `watch --follow PATH` attaches to a live run: it tails the growing
-//!   JSONL, printing site completions as they land, until the `finished`
-//!   record appears — a truncated tail (the writer mid-line) just means
-//!   "not yet" and is retried, and a stream that *shrinks* (the daemon
-//!   truncating the file to start its next job) is a rotation: the new
-//!   stream is followed from its first event. `--poll-ms` sets the tail
-//!   interval
-//!   (default 200); `--timeout-ms` bounds the wait (default unbounded),
-//!   rendering whatever arrived and exiting 1 on expiry.
+//!   `synth_campaign --telemetry PATH`, saved from `serve watch`, or a
+//!   flight dump `diode-serve` cut when a watchdog anomaly fired or a
+//!   job failed) and prints the per-worker / per-outcome /
+//!   cache-pressure summary plus the stream's anomalies.
+//! * `watch --follow` reads a stream on stdin (`serve watch --job J |
+//!   watch --follow`), printing each site completion as its line
+//!   arrives, and renders the summary at EOF. A stream that ends before
+//!   its `finished` record exits 1.
 //!
-//! Watchdog thresholds mirror the library defaults and can be tuned with
-//! `--slow-factor F`, `--slow-floor-ms N`, `--min-sites N`,
-//! `--idle-heartbeats N`, `--cache-ceiling BYTES`. `--anomalies PATH`
-//! writes the schema-versioned digest JSONL; `--fail-on-anomaly` turns
-//! any raised anomaly into exit code 1 (the CI gate). `--json` emits the
-//! whole summary as one JSON object instead of text.
+//! A stream that carries its own verdict (a flight dump's incident
+//! header, or any `anomaly` record) is shown with those anomalies: the
+//! job that wrote them may have run under other thresholds. A flight
+//! dump's header is printed first. Over any other stream the watchdog
+//! runs with thresholds that mirror the library defaults and can be
+//! tuned with `--slow-factor F`, `--slow-floor-ms N`, `--min-sites N`,
+//! `--idle-heartbeats N` (0 disables), `--cache-ceiling BYTES`.
+//! `--fail-on-anomaly` turns any anomaly into exit code 1 (the CI
+//! gate). `--json` emits the whole summary as one JSON object instead
+//! of text.
 
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::io::BufRead;
 
 use diode_bench::{flag_f64, flag_num, flag_str, outln};
 use diode_obs::{
-    anomalies_to_jsonl, AnomalyReport, FlightDump, Json, PulseEvent, TelemetryLog, Watchdog,
-    WatchdogConfig, WorkerState,
+    AnomalyReport, Json, PulseEvent, TelemetryLog, Watchdog, WatchdogConfig, WorkerState,
 };
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let json = args.iter().any(|a| a == "--json");
     let replay = flag_str(&args, "--replay");
-    let follow = flag_str(&args, "--follow");
-    let flight = flag_str(&args, "--flight");
+    let follow = args.iter().any(|a| a == "--follow");
     let config = watchdog_config(&args);
-    let anomalies_path = flag_str(&args, "--anomalies");
     let fail_on_anomaly = args.iter().any(|a| a == "--fail-on-anomaly");
 
-    let (log, recorded) = match (replay, follow, flight) {
-        (Some(path), None, None) => (replay_log(&path), None),
-        (None, Some(path), None) => (follow_log(&path, &args, json), None),
-        (None, None, Some(path)) => {
-            let dump = flight_dump(&path, json);
-            (
-                TelemetryLog {
-                    threads: dump.threads,
-                    events: dump.events,
-                },
-                Some(dump.anomalies),
-            )
-        }
+    let log = match (replay, follow) {
+        (Some(path), false) => replay_log(&path),
+        (None, true) => follow_log(json),
         _ => {
-            eprintln!("watch: pass exactly one of --replay PATH, --follow PATH, or --flight PATH");
+            eprintln!("watch: pass exactly one of --replay PATH or --follow");
             std::process::exit(2);
         }
     };
-
-    // A flight dump carries the incident's own anomalies; re-running
-    // the watchdog over a truncated window would mis-judge medians.
-    let anomalies = recorded.unwrap_or_else(|| run_watchdog(&log, config));
-    if let Some(path) = anomalies_path {
-        if let Err(e) = std::fs::write(&path, anomalies_to_jsonl(&anomalies)) {
-            eprintln!("watch: cannot write {path}: {e}");
-            std::process::exit(2);
-        }
+    if let (Some(job), Some(reason), false) = (&log.job, &log.reason, json) {
+        outln!(
+            "flight: job {job} dumped ({reason}), {} event(s)",
+            log.events.len()
+        );
     }
+    let anomalies = if log.job.is_some() || !log.anomalies.is_empty() {
+        log.anomalies.clone()
+    } else {
+        run_watchdog(&log, config)
+    };
     let summary = Summary::from_log(&log);
     if json {
         outln!("{}", summary.to_json(&anomalies));
     } else {
         summary.render(&anomalies);
     }
-    if fail_on_anomaly && !anomalies.is_empty() {
+    let cut = follow && summary.finished.is_none();
+    if cut {
+        eprintln!("watch: the stream ended before its finished record");
+    }
+    if cut || (fail_on_anomaly && !anomalies.is_empty()) {
         std::process::exit(1);
     }
 }
@@ -103,102 +90,36 @@ fn replay_log(path: &str) -> TelemetryLog {
     }
 }
 
-/// Parses a flight recording and narrates its header: which job, why
-/// the dump was cut, and how much of the stream the ring retained.
-fn flight_dump(path: &str, json: bool) -> FlightDump {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("watch: cannot read {path}: {e}");
-            std::process::exit(2);
-        }
+/// Reads a stream from stdin line by line until EOF, narrating each
+/// event as its line arrives (unless `json`).
+fn follow_log(json: bool) -> TelemetryLog {
+    let fail = |e: String| -> ! {
+        eprintln!("watch: stdin: {e}");
+        std::process::exit(2);
     };
-    let dump = match FlightDump::from_jsonl(&text) {
-        Ok(d) => d,
-        Err(e) => {
-            eprintln!("watch: {path}: {e}");
-            std::process::exit(2);
+    let mut lines = std::io::stdin()
+        .lock()
+        .lines()
+        .enumerate()
+        .map(|(i, line)| (i + 1, line.unwrap_or_else(|e| fail(e.to_string()))))
+        .filter(|(_, line)| !line.trim().is_empty());
+    let header = lines.next().map(|(_, line)| line).unwrap_or_default();
+    let mut log = TelemetryLog::from_jsonl(&header).unwrap_or_else(|e| fail(e));
+    for (lineno, line) in lines {
+        let events = log.events.len();
+        if let Err(e) = log.read_record(&line) {
+            fail(format!("telemetry line {lineno}: {e}"));
         }
-    };
-    if !json {
-        outln!(
-            "flight: job {} dumped ({}); ring retained {} of {} event(s)",
-            dump.job,
-            dump.reason,
-            dump.events.len(),
-            dump.seen
-        );
-    }
-    dump
-}
-
-/// Tails `path` until the stream carries a `finished` record. Every
-/// successful parse is a consistent prefix of the stream; a parse error
-/// only means the writer is mid-line, so it is retried until the
-/// deadline (if any) expires.
-fn follow_log(path: &str, args: &[String], json: bool) -> TelemetryLog {
-    let poll = Duration::from_millis(flag_num(args, "--poll-ms").unwrap_or(200));
-    let timeout = flag_num(args, "--timeout-ms").unwrap_or(0);
-    let deadline = (timeout > 0).then(|| Instant::now() + Duration::from_millis(timeout));
-    let mut shown = 0usize;
-    let mut last: Option<TelemetryLog> = None;
-    let mut last_err = String::new();
-    loop {
-        if let Ok(text) = std::fs::read_to_string(path) {
-            match TelemetryLog::from_jsonl(&text) {
-                Ok(log) => {
-                    if log.events.len() < shown {
-                        // The stream shrank: the writer truncated and
-                        // recreated the file (daemon job rotation).
-                        // This is a new stream — narrate it from its
-                        // first event instead of swallowing the prefix.
-                        if !json {
-                            eprintln!("watch: stream rotated; following the new stream");
-                        }
-                        shown = 0;
-                    }
-                    if !json {
-                        for event in &log.events[shown.min(log.events.len())..] {
-                            if let Some(line) = live_line(event) {
-                                outln!("{line}");
-                            }
-                        }
-                    }
-                    shown = log.events.len();
-                    let finished = log
-                        .events
-                        .last()
-                        .is_some_and(|e| matches!(e, PulseEvent::Finished { .. }));
-                    if finished {
-                        return log;
-                    }
-                    last = Some(log);
-                }
-                Err(e) => last_err = e,
+        if let (Some(event), false) = (log.events.get(events), json) {
+            if let Some(text) = live_line(event) {
+                outln!("{text}");
             }
         }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            // Render what we have; an unfinished stream is still exit 1.
-            if let Some(log) = last {
-                eprintln!("watch: timed out after {timeout}ms without a finished record");
-                let summary = Summary::from_log(&log);
-                if json {
-                    outln!("{}", summary.to_json(&[]));
-                } else {
-                    summary.render(&[]);
-                }
-            } else {
-                eprintln!(
-                    "watch: timed out after {timeout}ms without a parseable stream: {last_err}"
-                );
-            }
-            std::process::exit(1);
-        }
-        std::thread::sleep(poll);
     }
+    log
 }
 
-/// One-line live narration for follow mode; heartbeats and worker noise
+/// One-line live narration for follow mode; unit starts and heartbeats
 /// stay silent — the summary covers them.
 fn live_line(event: &PulseEvent) -> Option<String> {
     match event {
@@ -303,7 +224,8 @@ impl Summary {
             heartbeats: 0,
             units: 0,
             sites_identified: 0,
-            workers: vec![WorkerAgg::default(); log.threads as usize],
+            // Grown from the heartbeats read, never sized by the header.
+            workers: Vec::new(),
             outcomes: BTreeMap::new(),
             slowest: Vec::new(),
             max_queued: 0,

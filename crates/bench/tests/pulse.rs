@@ -4,7 +4,7 @@
 //! (a never-drained subscriber only loses its own events), and useful
 //! (a planted stall is exactly the anomaly the watchdog raises).
 
-use std::process::Command;
+use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -206,7 +206,6 @@ fn watch_cli_renders_a_recorded_stream() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
     let telemetry = dir.join("telemetry.jsonl");
-    let digest = dir.join("anomalies.jsonl");
 
     let out = Command::new(env!("CARGO_BIN_EXE_synth_campaign"))
         .args([
@@ -225,14 +224,15 @@ fn watch_cli_renders_a_recorded_stream() {
     );
     let stream = std::fs::read_to_string(&telemetry).expect("telemetry written");
     assert!(
-        stream.starts_with("{\"type\":\"pulse\",\"v\":1"),
+        stream.starts_with("{\"type\":\"pulse\",\"v\":2"),
         "{stream}"
     );
     assert!(stream.contains("\"type\":\"finished\""), "{stream}");
 
-    let watch = |args: &[&str]| {
+    let watch = |args: &[&str], stdin: Stdio| {
         let out = Command::new(env!("CARGO_BIN_EXE_watch"))
             .args(args)
+            .stdin(stdin)
             .output()
             .expect("watch runs");
         (
@@ -242,12 +242,7 @@ fn watch_cli_renders_a_recorded_stream() {
     };
 
     // Text mode: per-worker, per-outcome, cache-pressure, watchdog.
-    let (ok, text) = watch(&[
-        "--replay",
-        telemetry.to_str().unwrap(),
-        "--anomalies",
-        digest.to_str().unwrap(),
-    ]);
+    let (ok, text) = watch(&["--replay", telemetry.to_str().unwrap()], Stdio::null());
     assert!(ok, "{text}");
     for needle in [
         "watch: ",
@@ -258,14 +253,12 @@ fn watch_cli_renders_a_recorded_stream() {
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
-    let digest_text = std::fs::read_to_string(&digest).expect("digest written");
-    assert!(
-        digest_text.starts_with("{\"type\":\"anomalies\",\"v\":1,\"count\":0}"),
-        "{digest_text}"
-    );
 
     // JSON mode carries the same summary machine-readably.
-    let (ok, json) = watch(&["--replay", telemetry.to_str().unwrap(), "--json"]);
+    let (ok, json) = watch(
+        &["--replay", telemetry.to_str().unwrap(), "--json"],
+        Stdio::null(),
+    );
     assert!(ok, "{json}");
     for needle in [
         "\"table\":\"pulse_watch\"",
@@ -279,12 +272,8 @@ fn watch_cli_renders_a_recorded_stream() {
     }
 
     // Follow mode on an already-finished stream narrates and exits.
-    let (ok, live) = watch(&[
-        "--follow",
-        telemetry.to_str().unwrap(),
-        "--timeout-ms",
-        "10000",
-    ]);
+    let file = std::fs::File::open(&telemetry).expect("open telemetry");
+    let (ok, live) = watch(&["--follow"], Stdio::from(file));
     assert!(ok, "{live}");
     assert!(live.contains("finished: "), "{live}");
     assert!(live.contains("watchdog: no anomalies"), "{live}");

@@ -29,7 +29,7 @@ use diode_lang::Program;
 use diode_obs::{
     HeartbeatSample, PulseBus, PulseEvent, SchedGauges, WorkerState, WorkerStateTable,
 };
-use diode_obs::{PhaseBreakdown, ProvenanceRecord, Recorder};
+use diode_obs::{ProvenanceRecord, Recorder};
 use diode_solver::{CacheStats, SolveResult, SolverCache};
 
 use crate::scheduler::{self, Spawner};
@@ -132,8 +132,8 @@ pub struct CampaignSpec {
     /// Structured-tracing recorder (`diode-obs`). When set and enabled,
     /// every job runs under a recording scope: phase spans, solver
     /// cache attribution, and scheduler queue-wait metrics land in the
-    /// recorder, and the report gains a [`PhaseBreakdown`]. Tracing is
-    /// passive — outcomes are byte-identical with it on or off.
+    /// recorder. Tracing is passive — outcomes are byte-identical with
+    /// it on or off.
     pub recorder: Option<Arc<Recorder>>,
     /// Live telemetry (`diode-pulse`), the campaign's only live-progress
     /// hook. When set, workers publish unit and site progress into the
@@ -233,7 +233,6 @@ impl CampaignSpec {
             threads: self.effective_threads(),
             jobs,
             peak_heap_bytes,
-            phases: recorder.map(|r| PhaseBreakdown::from_trace(&r.trace())),
             provenance: recorder
                 .filter(|r| r.audit_enabled())
                 .map(|r| r.provenance()),
@@ -694,9 +693,6 @@ pub struct CampaignReport {
     /// a deterministic function of the executed programs, not of timing
     /// or telemetry settings.
     pub peak_heap_bytes: u64,
-    /// Per-phase timing summary, when the spec carried an enabled
-    /// recorder. Purely additive: outcomes are unaffected by tracing.
-    pub phases: Option<PhaseBreakdown>,
     /// Per-site decision provenance, when the spec's recorder was built
     /// with auditing on ([`Recorder::with_audit`]); sorted by
     /// `(app, seed, site)`. Like tracing, purely additive.

@@ -67,7 +67,5 @@ pub use campaign::{
     UnitReport,
 };
 pub use diode_core::{SnapshotCache, SnapshotStats};
-pub use diode_obs::{
-    HeartbeatSample, PhaseBreakdown, PulseBus, PulseEvent, Recorder, Subscriber, WorkerState,
-};
+pub use diode_obs::{HeartbeatSample, PulseBus, PulseEvent, Recorder, Subscriber, WorkerState};
 pub use diode_solver::{CacheStats, SolverCache};

@@ -2,7 +2,7 @@
 //!
 //! The workspace builds offline (no serde), so this zero-dependency
 //! crate carries a small JSON codec, and every artifact and wire format
-//! goes through it: traces, telemetry, anomaly digests, flight dumps,
+//! goes through it: traces, telemetry (flight dumps included),
 //! provenance records, profiles and metrics here; corpus documents,
 //! daemon requests and replies, and the harness's `--json` output in
 //! the crates above. It round-trips: [`Json::parse`] accepts everything

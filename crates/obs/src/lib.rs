@@ -47,7 +47,6 @@
 #![warn(missing_docs)]
 
 mod audit;
-mod flight;
 mod gauge;
 mod json;
 mod metrics;
@@ -63,7 +62,6 @@ pub use audit::{
     canonical_record_set, fnv64_hex, EnforceAction, ProvenanceEvent, ProvenanceRecord, QueryOrigin,
     QueryVerdict, AUDIT_SCHEMA_VERSION,
 };
-pub use flight::{FlightDump, FlightRecorder, FLIGHT_SCHEMA_VERSION};
 pub use gauge::ByteGauge;
 pub use json::{Json, JsonError};
 pub use metrics::{Hist, HistSummary};
@@ -84,7 +82,4 @@ pub use span::{
     Trace,
 };
 pub use telemetry::{pulse_event_lines, telemetry_header, TelemetryLog, TELEMETRY_SCHEMA_VERSION};
-pub use watchdog::{
-    anomalies_from_jsonl, anomalies_to_jsonl, AnomalyKind, AnomalyReport, Watchdog, WatchdogConfig,
-    ANOMALY_SCHEMA_VERSION,
-};
+pub use watchdog::{AnomalyKind, AnomalyReport, Watchdog, WatchdogConfig};

@@ -18,22 +18,20 @@
 //! - [`CachePressure`](AnomalyKind::CachePressure): combined cache
 //!   resident bytes crossed the configured ceiling.
 //!
-//! Reports are deduplicated (one per kind × subject), serialised to a
-//! schema-versioned JSONL digest ([`anomalies_to_jsonl`]), and parsed
-//! back for CI gating ([`anomalies_from_jsonl`]).
+//! Reports are deduplicated (one per kind × subject). A stream's
+//! anomalies travel as `anomaly` records of its telemetry
+//! ([`TelemetryLog::anomalies`](crate::TelemetryLog::anomalies)) and as
+//! the rows of a daemon job report's `anomalies` array
+//! ([`AnomalyReport::to_json`]).
 //!
 //! Default thresholds are deliberately conservative — the CI deep suite
 //! gates on *zero* anomalies, so only order-of-magnitude outliers may
 //! fire.
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 
-use crate::json::{jsonl_header, jsonl_lines, jsonl_records, Json};
+use crate::json::Json;
 use crate::pulse::{PulseEvent, WorkerState};
-
-/// Version stamped into (and required from) the anomaly digest header.
-pub const ANOMALY_SCHEMA_VERSION: u64 = 1;
 
 /// The typed anomaly taxonomy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -98,8 +96,13 @@ impl AnomalyReport {
         self.fields(Json::obj())
     }
 
-    /// The report's fields appended to `obj`: a digest line is the same
-    /// object behind a `"type":"anomaly"` tag.
+    /// The report as a telemetry `anomaly` record: the same object
+    /// behind a `"type":"anomaly"` tag.
+    pub(crate) fn record(&self) -> Json {
+        self.fields(Json::obj().field("type", "anomaly"))
+    }
+
+    /// The report's fields appended to `obj`.
     fn fields(&self, obj: Json) -> Json {
         obj.field("kind", self.kind.as_str())
             .field("subject", self.subject.as_str())
@@ -109,7 +112,7 @@ impl AnomalyReport {
     }
 
     /// Reads a report back from [`to_json`](Self::to_json)'s object (or
-    /// a digest line; its `type` tag is not checked here).
+    /// a telemetry `anomaly` record; its `type` tag is not checked here).
     pub fn from_json(doc: &Json) -> Result<AnomalyReport, String> {
         let kind = doc.str_field("kind")?;
         Ok(AnomalyReport {
@@ -133,7 +136,7 @@ pub struct WatchdogConfig {
     /// Median is only trusted with at least this many finished sites.
     pub min_sites_for_median: usize,
     /// IdleWorker fires after this many consecutive idle-with-backlog
-    /// heartbeats.
+    /// heartbeats; `0` disables the detector.
     pub idle_heartbeats: u32,
     /// CachePressure ceiling over combined solver + snapshot resident
     /// bytes; `None` disables the detector.
@@ -227,9 +230,9 @@ impl Watchdog {
                 if self.idle_streaks.len() < hb.workers.len() {
                     self.idle_streaks.resize(hb.workers.len(), 0);
                 }
-                let backlog = hb.queued > 0;
+                let watch_idle = self.config.idle_heartbeats > 0 && hb.queued > 0;
                 for (i, state) in hb.workers.iter().enumerate() {
-                    if backlog && matches!(state, WorkerState::Idle) {
+                    if watch_idle && matches!(state, WorkerState::Idle) {
                         self.idle_streaks[i] += 1;
                         if self.idle_streaks[i] >= self.config.idle_heartbeats {
                             let streak = self.idle_streaks[i];
@@ -301,54 +304,6 @@ impl Watchdog {
         }
         self.anomalies
     }
-}
-
-/// Serialises anomalies to the schema-versioned JSONL digest.
-#[must_use]
-pub fn anomalies_to_jsonl(anomalies: &[AnomalyReport]) -> String {
-    let head = Json::obj()
-        .field("type", "anomalies")
-        .field("v", ANOMALY_SCHEMA_VERSION)
-        .field("count", anomalies.len());
-    let mut out = format!("{head}\n");
-    for a in anomalies {
-        let _ = writeln!(out, "{}", digest_record(a));
-    }
-    out
-}
-
-/// One anomaly line of a digest (and of a flight dump).
-pub(crate) fn digest_record(a: &AnomalyReport) -> Json {
-    a.fields(Json::obj().field("type", "anomaly"))
-}
-
-/// Reads one anomaly line of a digest (or of a flight dump).
-pub(crate) fn read_digest_record(rec: &Json) -> Result<AnomalyReport, String> {
-    if rec.get("type").and_then(Json::as_str) != Some("anomaly") {
-        return Err("expected an anomaly record".to_string());
-    }
-    AnomalyReport::from_json(rec)
-}
-
-/// Parses a digest produced by [`anomalies_to_jsonl`]. Strict on the
-/// header version and the declared count.
-pub fn anomalies_from_jsonl(text: &str) -> Result<Vec<AnomalyReport>, String> {
-    let mut lines = jsonl_lines(text);
-    let head = jsonl_header(&mut lines, "anomalies", "anomalies", ANOMALY_SCHEMA_VERSION)?;
-    let mut out = Vec::new();
-    jsonl_records(lines, "anomalies", |rec| {
-        out.push(read_digest_record(&rec)?);
-        Ok(())
-    })?;
-    if let Some(n) = head.get("count").and_then(Json::as_u64) {
-        if n as usize != out.len() {
-            return Err(format!(
-                "anomalies: header declares {n} record(s) but {} parsed",
-                out.len()
-            ));
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -463,6 +418,26 @@ mod tests {
     }
 
     #[test]
+    fn zero_idle_heartbeats_disables_the_idle_detector() {
+        let mut wd = Watchdog::new(WatchdogConfig {
+            idle_heartbeats: 0,
+            ..tight_config()
+        });
+        let busy_and_idle = vec![
+            WorkerState::Unit {
+                app: "a".into(),
+                seed: 0,
+            },
+            WorkerState::Idle,
+        ];
+        for _ in 0..3 {
+            wd.feed(&heartbeat(3, busy_and_idle.clone()));
+        }
+        let anomalies = wd.finish();
+        assert!(anomalies.is_empty(), "{anomalies:?}");
+    }
+
+    #[test]
     fn cache_pressure_fires_once_above_ceiling() {
         let mut wd = Watchdog::new(tight_config());
         let mut hb = HeartbeatSample {
@@ -479,62 +454,6 @@ mod tests {
         assert_eq!(anomalies[0].kind, AnomalyKind::CachePressure);
         assert_eq!(anomalies[0].value, 1200);
         assert_eq!(anomalies[0].threshold, 1000);
-    }
-
-    fn sample_reports() -> Vec<AnomalyReport> {
-        vec![
-            AnomalyReport {
-                kind: AnomalyKind::SlowSite,
-                subject: "app/0/b0@7".into(),
-                detail: "site took 900ms against a campaign median of 12ms".into(),
-                value: 900_000_000,
-                threshold: 250_000_000,
-            },
-            AnomalyReport {
-                kind: AnomalyKind::CachePressure,
-                subject: "cache".into(),
-                detail: "solver+snapshot caches hold 2048 bytes (ceiling 1024)".into(),
-                value: 2048,
-                threshold: 1024,
-            },
-        ]
-    }
-
-    #[test]
-    fn digest_round_trips() {
-        let reports = sample_reports();
-        let text = anomalies_to_jsonl(&reports);
-        assert_eq!(anomalies_from_jsonl(&text).unwrap(), reports);
-        assert_eq!(
-            anomalies_from_jsonl(&anomalies_to_jsonl(&[])).unwrap(),
-            vec![]
-        );
-    }
-
-    #[test]
-    fn digest_bytes_are_pinned() {
-        let want = r#"{"type":"anomalies","v":1,"count":2}
-{"type":"anomaly","kind":"slow_site","subject":"app/0/b0@7","detail":"site took 900ms against a campaign median of 12ms","value":900000000,"threshold":250000000}
-{"type":"anomaly","kind":"cache_pressure","subject":"cache","detail":"solver+snapshot caches hold 2048 bytes (ceiling 1024)","value":2048,"threshold":1024}
-"#;
-        assert_eq!(anomalies_to_jsonl(&sample_reports()), want);
-    }
-
-    #[test]
-    fn digest_rejects_bad_input() {
-        assert!(anomalies_from_jsonl("").unwrap_err().contains("empty"));
-        assert!(anomalies_from_jsonl("{\"type\":\"anomalies\",\"v\":99}\n")
-            .unwrap_err()
-            .contains("unsupported schema version"));
-        let wrong_count = "{\"type\":\"anomalies\",\"v\":1,\"count\":5}\n";
-        assert!(anomalies_from_jsonl(wrong_count)
-            .unwrap_err()
-            .contains("declares 5"));
-        let bad_kind = "{\"type\":\"anomalies\",\"v\":1,\"count\":1}\n\
-            {\"type\":\"anomaly\",\"kind\":\"gremlin\",\"subject\":\"x\",\"detail\":\"d\",\"value\":1,\"threshold\":2}\n";
-        assert!(anomalies_from_jsonl(bad_kind)
-            .unwrap_err()
-            .contains("unknown kind"));
     }
 
     #[test]

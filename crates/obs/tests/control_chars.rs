@@ -2,9 +2,8 @@
 //! every writer: each output parses as JSON and reads back equal.
 
 use diode_obs::{
-    anomalies_from_jsonl, anomalies_to_jsonl, AnomalyKind, AnomalyReport, FlightDump,
-    FlightRecorder, HeartbeatSample, Json, Phase, ProfileDiff, ProfileReport, ProvenanceEvent,
-    ProvenanceRecord, PulseEvent, Span, TelemetryLog, Trace, WorkerState,
+    AnomalyKind, AnomalyReport, HeartbeatSample, Json, Phase, ProfileDiff, ProfileReport,
+    ProvenanceEvent, ProvenanceRecord, PulseEvent, Span, TelemetryLog, Trace, WorkerState,
 };
 
 /// An app and a site name with `\t`, `\n`, `"`, `\\` and `\u{1}` in them.
@@ -41,47 +40,44 @@ fn names_with_control_characters_survive_every_writer() {
     trace.counters.insert(format!("{APP}.{SITE}"), 7);
     assert_eq!(Trace::from_jsonl(&trace.to_jsonl()), Ok(trace.clone()));
 
-    let events = vec![
-        PulseEvent::Heartbeat(HeartbeatSample {
-            workers: vec![WorkerState::Site {
+    // A flight dump: control characters in the header's job and reason,
+    // in every event, and in the anomaly records.
+    let log = TelemetryLog {
+        threads: 2,
+        job: Some(APP.into()),
+        reason: Some(SITE.into()),
+        events: vec![
+            PulseEvent::Heartbeat(HeartbeatSample {
+                workers: vec![WorkerState::Site {
+                    app: APP.into(),
+                    seed: 0,
+                    site: SITE.into(),
+                }],
+                ..HeartbeatSample::default()
+            }),
+            PulseEvent::SiteFinished {
                 app: APP.into(),
                 seed: 0,
                 site: SITE.into(),
-            }],
-            ..HeartbeatSample::default()
-        }),
-        PulseEvent::SiteFinished {
-            app: APP.into(),
-            seed: 0,
-            site: SITE.into(),
-            outcome: "exposed".into(),
-            wall_ns: 9,
-            cache_bytes: 0,
-            snapshot_bytes: 0,
-            peak_heap_bytes: 0,
-        },
-    ];
-    let log = TelemetryLog {
-        threads: 2,
-        events: events.clone(),
+                outcome: "exposed".into(),
+                wall_ns: 9,
+                cache_bytes: 0,
+                snapshot_bytes: 0,
+                peak_heap_bytes: 0,
+            },
+        ],
+        anomalies: vec![AnomalyReport {
+            kind: AnomalyKind::SlowSite,
+            subject: format!("{APP}/0/{SITE}"),
+            detail: format!("site {SITE} took long"),
+            value: 2,
+            threshold: 1,
+        }],
     };
-    assert_eq!(TelemetryLog::from_jsonl(&log.to_jsonl()), Ok(log));
-
-    let anomalies = vec![AnomalyReport {
-        kind: AnomalyKind::SlowSite,
-        subject: format!("{APP}/0/{SITE}"),
-        detail: format!("site {SITE} took long"),
-        value: 2,
-        threshold: 1,
-    }];
-    let digest = anomalies_to_jsonl(&anomalies);
-    assert_eq!(anomalies_from_jsonl(&digest), Ok(anomalies.clone()));
-
-    let mut recorder = FlightRecorder::new(8);
-    events.iter().for_each(|e| recorder.record(e));
-    let dump = FlightDump::from_jsonl(&recorder.dump(APP, SITE, 2, &anomalies)).unwrap();
-    assert_eq!((dump.job.as_str(), dump.reason.as_str()), (APP, SITE));
-    assert_eq!((dump.anomalies, dump.events), (anomalies, events));
+    let text = log.to_jsonl();
+    assert_eq!(text.lines().count(), 4, "one line per record:\n{text}");
+    text.lines().for_each(|line| drop(parse(line)));
+    assert_eq!(TelemetryLog::from_jsonl(&text), Ok(log));
 
     let record = ProvenanceRecord {
         app: APP.into(),

@@ -7,22 +7,19 @@
 //! * `--workers N`        concurrent campaign jobs (default 1)
 //! * `--queue-depth N`    per-worker admission bound (default 16)
 //! * `--corpus PATH`      corpus root for `{"suite": ...}` jobs
-//! * `--telemetry-file P` write each running job's telemetry JSONL to
-//!   P, truncating per job (tail it with `watch --follow`)
 //! * `--heartbeat-ms N`   pulse heartbeat interval (default 50)
 //! * `--no-metrics`       disable the service-level metrics registry
 //!   (the `metrics` op answers `400`; campaigns are unaffected)
 //! * `--flight-dir DIR`   directory for flight dumps (default
-//!   `flight`; one `<job-id>.jsonl` per anomalous or failed job)
-//! * `--no-flight`        disable the flight recorder entirely
-//! * `--flight-cap N`     events the per-job flight ring retains
-//!   (default 256)
+//!   `flight`; one `<job-id>.jsonl` per anomalous or failed job: the
+//!   job's telemetry stream with its anomalies)
+//! * `--no-flight`        write no flight dumps
 //! * `--watchdog`         run every job under the default watchdog
 //!   thresholds (per-job submissions can still override)
 //! * `--slow-factor F`, `--slow-floor-ms N`, `--min-sites N`,
-//!   `--idle-heartbeats N`, `--cache-ceiling BYTES` — tune the default
-//!   watchdog (each implies `--watchdog`; same knobs as the `watch`
-//!   bin)
+//!   `--idle-heartbeats N` (0 disables), `--cache-ceiling BYTES` —
+//!   tune the default watchdog (each implies `--watchdog`; same knobs
+//!   as the `watch` bin)
 //!
 //! The daemon prints one `listening on ADDR` line to stdout once bound,
 //! then serves until a `shutdown` request drains the queue. See
@@ -88,7 +85,7 @@ fn watchdog_config(args: &[String]) -> Option<WatchdogConfig> {
         enabled = true;
     }
     if let Some(n) = flag_num(args, "--idle-heartbeats") {
-        cfg.idle_heartbeats = if n == 0 { u32::MAX } else { n };
+        cfg.idle_heartbeats = n;
         enabled = true;
     }
     if let Some(bytes) = flag_num(args, "--cache-ceiling") {
@@ -116,7 +113,6 @@ fn main() {
             .unwrap_or(16)
             .max(1),
         corpus_root: flag_str(&args, "--corpus").map(Into::into),
-        telemetry_file: flag_str(&args, "--telemetry-file").map(Into::into),
         heartbeat: Duration::from_millis(
             flag_num::<u64>(&args, "--heartbeat-ms")
                 .unwrap_or(50)
@@ -124,9 +120,6 @@ fn main() {
         ),
         metrics: !args.iter().any(|a| a == "--no-metrics"),
         flight_dir,
-        flight_capacity: flag_num::<usize>(&args, "--flight-cap")
-            .unwrap_or(256)
-            .max(1),
         watchdog: watchdog_config(&args),
     };
     let handle = match serve(cfg) {

@@ -30,8 +30,8 @@
 //! object tuning `slow_factor`, `slow_floor_ms`, `min_sites`,
 //! `idle_heartbeats` — `0` disables the idle detector — and
 //! `cache_ceiling` bytes): the daemon runs the job under those
-//! thresholds and the job report gains an `"anomalies"` digest, which
-//! also triggers the flight recorder. A forge spec may carry
+//! thresholds and the job report gains an `"anomalies"` array; any
+//! anomaly also cuts the job's flight dump. A forge spec may carry
 //! `"stall_work"` to plant one extra single-site app with that much
 //! per-site work — the operational fire drill for the slow-site
 //! detector (plants lie outside the forge oracle, so `"recall"` is
@@ -68,8 +68,8 @@ pub enum Request {
         wait: bool,
         /// Pin the campaign's worker-thread count (`None`: all cores).
         threads: Option<usize>,
-        /// Run the job under these watchdog thresholds and report the
-        /// anomaly digest (`None`: the daemon's default, if any).
+        /// Run the job under these watchdog thresholds and report its
+        /// anomalies (`None`: the daemon's default, if any).
         watchdog: Option<WatchdogConfig>,
     },
     /// Daemon-wide counters, or one job's state when `job` is set.
@@ -103,7 +103,7 @@ pub enum Request {
 pub enum JobSource {
     /// Forge a fresh synthetic suite from this config, then run it.
     /// `stall_work > 0` plants one extra single-site app with that much
-    /// per-site busy work (the flight-recorder fire drill).
+    /// per-site busy work (the flight-dump fire drill).
     Forge {
         /// The forge knobs.
         cfg: SynthConfig,
@@ -260,16 +260,12 @@ fn parse_watchdog(v: &Json) -> Result<Option<WatchdogConfig>, Json> {
                             as usize;
                     }
                     "idle_heartbeats" => {
-                        // 0 disables the detector (a streak can never
-                        // reach u32::MAX heartbeats).
+                        // A streak past u32::MAX heartbeats cannot occur,
+                        // so a larger limit means the same as u32::MAX.
                         let n = value
                             .as_u64()
                             .ok_or_else(|| bad("watchdog.idle_heartbeats must be an integer"))?;
-                        cfg.idle_heartbeats = if n == 0 {
-                            u32::MAX
-                        } else {
-                            n.min(u64::from(u32::MAX)) as u32
-                        };
+                        cfg.idle_heartbeats = u32::try_from(n).unwrap_or(u32::MAX);
                     }
                     "cache_ceiling" => {
                         cfg.cache_ceiling_bytes = Some(
@@ -443,7 +439,7 @@ mod tests {
         assert_eq!(cfg.slow_site_factor, 4.5);
         assert_eq!(cfg.slow_site_floor_ns, 0);
         assert_eq!(cfg.min_sites_for_median, 4);
-        assert_eq!(cfg.idle_heartbeats, u32::MAX, "0 disables the detector");
+        assert_eq!(cfg.idle_heartbeats, 0, "0 disables the detector");
         assert_eq!(cfg.cache_ceiling_bytes, Some(1024));
 
         let Request::Submit { watchdog, .. } =

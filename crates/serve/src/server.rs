@@ -36,10 +36,9 @@ use diode_engine::{
     PulseConfig, PulseEvent, SnapshotCache, SnapshotStats, SolverCache,
 };
 use diode_obs::{
-    fnv64_hex, pulse_event_lines, telemetry_header, AnomalyReport, Counter, FlightRecorder,
-    Histogram, Json, MetricsRegistry, Phase, PhaseBreakdown, Recorder, Watchdog, WatchdogConfig,
-    ANOMALY_SCHEMA_VERSION, FLIGHT_SCHEMA_VERSION, METRICS_SCHEMA_VERSION,
-    TELEMETRY_SCHEMA_VERSION,
+    fnv64_hex, pulse_event_lines, telemetry_header, AnomalyReport, Counter, Histogram, Json,
+    MetricsRegistry, Phase, PhaseBreakdown, Recorder, TelemetryLog, Watchdog, WatchdogConfig,
+    METRICS_SCHEMA_VERSION, TELEMETRY_SCHEMA_VERSION,
 };
 use diode_synth::{forge, forge_stall, score, Fnv64, SynthConfig, SynthOracle};
 
@@ -59,20 +58,15 @@ pub struct ServeConfig {
     pub queue_depth: usize,
     /// Corpus root for `{"suite": ...}` jobs (`None`: forge-only).
     pub corpus_root: Option<PathBuf>,
-    /// Telemetry JSONL file, truncated and rewritten per job (the
-    /// rotation `watch --follow` must survive).
-    pub telemetry_file: Option<PathBuf>,
     /// Heartbeat sampling interval for per-job pulse telemetry.
     pub heartbeat: Duration,
     /// Service-level metrics registry (the `metrics` op). Strictly
     /// passive: campaign outcomes are byte-identical either way.
     pub metrics: bool,
-    /// Directory for flight dumps (`<dir>/<job-id>.jsonl`, written when
-    /// a watchdog anomaly fires or a job ends abnormally). `None`
-    /// disables the flight recorder.
+    /// Directory for flight dumps (`<dir>/<job-id>.jsonl`: the job's
+    /// telemetry stream, written when a watchdog anomaly fires or a job
+    /// ends abnormally). `None` writes none.
     pub flight_dir: Option<PathBuf>,
-    /// Events the per-job flight ring retains.
-    pub flight_capacity: usize,
     /// Default watchdog thresholds applied to every job that doesn't
     /// carry its own (`None`: jobs run unwatched unless they ask).
     pub watchdog: Option<WatchdogConfig>,
@@ -85,11 +79,9 @@ impl Default for ServeConfig {
             workers: 1,
             queue_depth: 16,
             corpus_root: None,
-            telemetry_file: None,
             heartbeat: Duration::from_millis(50),
             metrics: true,
             flight_dir: None,
-            flight_capacity: 256,
             watchdog: None,
         }
     }
@@ -126,7 +118,8 @@ struct JobEntry {
     bus: Arc<PulseBus>,
     state: Mutex<JobState>,
     cv: Condvar,
-    /// Full telemetry stream so far, for watch replay after the fact.
+    /// Full telemetry stream so far, for watch replay after the fact
+    /// and for the job's flight dump.
     archive: Mutex<String>,
     /// Watchdog thresholds this job runs under (submission override or
     /// the daemon default).
@@ -695,9 +688,7 @@ fn versions_json() -> Json {
     Json::obj()
         .field("protocol", PROTOCOL_VERSION)
         .field("telemetry", TELEMETRY_SCHEMA_VERSION)
-        .field("anomalies", ANOMALY_SCHEMA_VERSION)
         .field("metrics", METRICS_SCHEMA_VERSION)
-        .field("flight", FLIGHT_SCHEMA_VERSION)
 }
 
 /// One row per worker: liveness, what it's doing, and how much it has
@@ -937,23 +928,34 @@ fn build_apps(
     }
 }
 
-/// Writes one flight dump next to the other per-job telemetry and
-/// counts it. Returns the path on success.
+/// Cuts the job's flight dump, `<dir>/<job-id>.jsonl`, from its
+/// archived stream (complete: the pump has taken the terminal event),
+/// marked with `reason` and followed by `anomalies`, and counts it.
+/// Returns the path on success.
 fn write_flight(
     daemon: &Daemon,
     dir: &std::path::Path,
-    job: &str,
-    flight: &FlightRecorder,
+    entry: &JobEntry,
     reason: &str,
-    threads: u32,
     anomalies: &[AnomalyReport],
 ) -> Option<PathBuf> {
+    let archived = TelemetryLog::from_jsonl(&entry.archive.lock().expect("archive lock poisoned"));
+    let mut log = match archived {
+        Ok(log) => log,
+        Err(e) => {
+            eprintln!("diode-serve: {} archive unreadable: {e}", entry.id);
+            return None;
+        }
+    };
+    log.job = Some(entry.id.clone());
+    log.reason = Some(reason.to_string());
+    log.anomalies = anomalies.to_vec();
     if let Err(e) = std::fs::create_dir_all(dir) {
         eprintln!("diode-serve: cannot create {}: {e}", dir.display());
         return None;
     }
-    let path = dir.join(format!("{job}.jsonl"));
-    match std::fs::write(&path, flight.dump(job, reason, threads, anomalies)) {
+    let path = dir.join(format!("{}.jsonl", entry.id));
+    match std::fs::write(&path, log.to_jsonl()) {
         Ok(()) => {
             if let Some(ops) = &daemon.ops {
                 ops.flight_dumps.inc();
@@ -992,46 +994,30 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) -> JobState {
     let threads = entry.threads();
 
     // The pump: one subscriber feeding the in-memory archive (for watch
-    // replay), the rotating telemetry file, the watchdog and the flight
-    // ring — all pure consumers on this side thread, never in the
-    // campaign's path. It blocks in `recv` until the bus closes.
+    // replay and flight dumps) and the watchdog — pure consumers on this
+    // side thread, never in the campaign's path. It blocks in `recv`
+    // until the bus closes.
     let sub = entry.bus.subscribe(1 << 14);
-    let mut tfile = daemon.cfg.telemetry_file.as_ref().and_then(|p| {
-        std::fs::File::create(p)
-            .map_err(|e| eprintln!("diode-serve: cannot rotate {}: {e}", p.display()))
-            .ok()
-    });
-    let mut flight = daemon
-        .cfg
-        .flight_dir
-        .as_ref()
-        .map(|_| FlightRecorder::new(daemon.cfg.flight_capacity));
     let mut watchdog = entry.watchdog.clone().map(Watchdog::new);
     let pump_entry = Arc::clone(entry);
     let pump = std::thread::Builder::new()
         .name("serve-pump".to_string())
         .spawn(move || {
-            let mut write = |lines: &str| {
+            let write = |line: &str| {
                 pump_entry
                     .archive
                     .lock()
                     .expect("archive lock poisoned")
-                    .push_str(lines);
-                if let Some(f) = &mut tfile {
-                    let _ = f.write_all(lines.as_bytes());
-                }
+                    .push_str(line);
             };
             write(&telemetry_header(threads));
             while let Some(event) = sub.recv() {
                 if let Some(w) = &mut watchdog {
                     w.feed(&event);
                 }
-                if let Some(f) = &mut flight {
-                    f.record(&event);
-                }
                 write(&pulse_event_lines(&event));
             }
-            (flight, watchdog)
+            watchdog
         })
         .expect("spawn pump thread");
 
@@ -1062,17 +1048,16 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) -> JobState {
         Err(_) => {
             // Close the bus with a terminal event, ending the pump and
             // every watcher, then record the failure — with a flight
-            // dump of the window leading up to it, when the recorder is
-            // on.
+            // dump of the stream leading up to it, when dumps are on.
             entry.bus.publish(&PulseEvent::Finished {
                 wall_ns: 0,
                 sites: 0,
                 exposed: 0,
             });
-            let (flight, watchdog) = pump.join().unwrap_or((None, None));
+            let watchdog = pump.join().unwrap_or(None);
             let anomalies = watchdog.map(Watchdog::finish).unwrap_or_default();
-            if let (Some(dir), Some(f)) = (&daemon.cfg.flight_dir, &flight) {
-                write_flight(daemon, dir, &entry.id, f, "job_failed", threads, &anomalies);
+            if let Some(dir) = &daemon.cfg.flight_dir {
+                write_flight(daemon, dir, entry, "job_failed", &anomalies);
             }
             daemon.jobs_failed.fetch_add(1, Ordering::Relaxed);
             if let Some(ops) = &daemon.ops {
@@ -1084,14 +1069,14 @@ fn run_job(daemon: &Arc<Daemon>, entry: &Arc<JobEntry>) -> JobState {
             return JobState::Failed("campaign panicked".to_string());
         }
     };
-    let (flight, watchdog) = pump.join().unwrap_or((None, None));
+    let watchdog = pump.join().unwrap_or(None);
     let watched = watchdog.is_some();
     let anomalies = watchdog.map(Watchdog::finish).unwrap_or_default();
     let mut flight_path = None;
     if !anomalies.is_empty() {
-        if let (Some(dir), Some(f)) = (&daemon.cfg.flight_dir, &flight) {
+        if let Some(dir) = &daemon.cfg.flight_dir {
             let reason = format!("anomaly:{}", anomalies[0].kind.as_str());
-            flight_path = write_flight(daemon, dir, &entry.id, f, &reason, threads, &anomalies);
+            flight_path = write_flight(daemon, dir, entry, &reason, &anomalies);
         }
     }
     if let Some(ops) = &daemon.ops {

@@ -1,13 +1,13 @@
 //! Service-level observability end-to-end: passivity of the metrics
-//! registry and flight recorder, the planted-stall anomaly drill, and
-//! the metrics/health wire surface.
+//! registry and flight dumps, the planted-stall anomaly drill, and the
+//! metrics/health wire surface.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
 
-use diode_obs::{parse_prometheus, FlightDump, Json, PulseEvent, WatchdogConfig};
+use diode_obs::{parse_prometheus, AnomalyReport, Json, PulseEvent, TelemetryLog, WatchdogConfig};
 use diode_serve::{serve, ServeConfig, ServerHandle};
 use diode_synth::{forge_stall, SynthConfig};
 
@@ -57,7 +57,7 @@ fn fingerprint(reply: &Json) -> String {
 #[test]
 fn metrics_flight_and_watchdog_are_passive_across_thread_counts() {
     let dir = temp_dir("passive");
-    // Fully instrumented daemon: registry, recorder, flight ring, and
+    // Fully instrumented daemon: registry, recorder, flight dumps, and
     // an attached-but-silent watchdog (thresholds that cannot fire, so
     // the comparison isn't muddied by flight dumps).
     let instrumented = serve(ServeConfig {
@@ -162,8 +162,8 @@ fn planted_stall_fires_the_watchdog_and_cuts_exactly_one_flight_dump() {
         assert_eq!(a.get("kind").and_then(Json::as_str), Some("slow_site"));
     }
 
-    // Exactly one dump, named after the job, parseable, and holding
-    // the stall app's events.
+    // Exactly one dump, named after the job: the job's telemetry stream,
+    // marked with the incident and carrying the reply's anomalies.
     let stall_app = forge_stall(2_000_000, SynthConfig::default().rng_seed).name;
     let job = reply.get("job").and_then(Json::as_str).expect("job id");
     let files: Vec<_> = std::fs::read_dir(&dir)
@@ -177,11 +177,15 @@ fn planted_stall_fires_the_watchdog_and_cuts_exactly_one_flight_dump() {
     );
     let flight_field = reply.get("flight").and_then(Json::as_str).expect("path");
     assert_eq!(PathBuf::from(flight_field), files[0]);
-    let dump = FlightDump::from_jsonl(&std::fs::read_to_string(&files[0]).expect("read dump"))
+    let dump = TelemetryLog::from_jsonl(&std::fs::read_to_string(&files[0]).expect("read dump"))
         .expect("dump parses");
-    assert_eq!(dump.job, job);
-    assert_eq!(dump.reason, "anomaly:slow_site");
-    assert_eq!(dump.anomalies.len(), anomalies.len());
+    assert_eq!(dump.job.as_deref(), Some(job));
+    assert_eq!(dump.reason.as_deref(), Some("anomaly:slow_site"));
+    let replied: Vec<AnomalyReport> = anomalies
+        .iter()
+        .map(|a| AnomalyReport::from_json(a).expect("reply anomaly parses"))
+        .collect();
+    assert_eq!(dump.anomalies, replied);
     assert!(
         dump.anomalies
             .iter()
@@ -196,7 +200,18 @@ fn planted_stall_fires_the_watchdog_and_cuts_exactly_one_flight_dump() {
         dump.events.iter().any(
             |e| matches!(e, PulseEvent::SiteFinished { app, .. } if app.as_str() == stall_app)
         ),
-        "the retained window must hold the stall site's events"
+        "the dump must hold the stall site's events"
+    );
+    // The dump holds the whole job: the stream a late watch replays.
+    let replay = TelemetryLog::from_jsonl(&request_text(
+        addr,
+        &format!(r#"{{"op":"watch","job":"{job}"}}"#),
+    ))
+    .expect("replay parses");
+    assert_eq!(dump.events, replay.events);
+    assert!(
+        matches!(dump.events.last(), Some(PulseEvent::Finished { .. })),
+        "the dump ends with the job's finished event"
     );
 
     // A healthy watched job adds no second dump — and says so.
@@ -323,8 +338,13 @@ fn metrics_health_and_status_expose_service_state() {
     let s = request(addr, r#"{"op":"status"}"#);
     let versions = s.get("versions").expect("versions object");
     assert!(versions.get("protocol").and_then(Json::as_u64).is_some());
+    assert_eq!(versions.get("telemetry").and_then(Json::as_u64), Some(2));
     assert_eq!(versions.get("metrics").and_then(Json::as_u64), Some(1));
-    assert_eq!(versions.get("flight").and_then(Json::as_u64), Some(1));
+    let keys: Vec<&str> = match versions {
+        Json::Obj(fields) => fields.iter().map(|(k, _)| k.as_str()).collect(),
+        other => panic!("versions is an object: {other}"),
+    };
+    assert_eq!(keys, ["protocol", "telemetry", "metrics"]);
     let stats = s.get("worker_stats").and_then(Json::as_arr).expect("stats");
     let completed: u64 = stats
         .iter()

@@ -70,8 +70,6 @@ fn tracing_leaves_the_campaign_report_identical() {
         "tracing must be passive: outcomes byte-identical with it on or off"
     );
     assert_eq!(plain.counts(), traced.counts());
-    assert!(plain.phases.is_none(), "untraced report has no breakdown");
-    assert!(traced.phases.is_some(), "traced report carries a breakdown");
 }
 
 #[test]

@@ -18,11 +18,17 @@
 //! every heap path the others reach rarely: overflowed and tagged bytes
 //! stored and loaded back, red-zone accesses, use-after-free, double
 //! free, a sparse (> 1 MiB) block, and a wild write.
+//!
+//! The three policies' runs of each input must also agree with each
+//! other: the same outcome, steps, memory errors, branch directions and
+//! allocation records; each symbolic allocation size, evaluated on the
+//! input, must give the concrete size and overflow flag; and its input
+//! bytes must lie within the size's taint labels.
 
 use std::fmt::Write as _;
 
 use diode::format::{Endian, FormatDesc};
-use diode::interp::{run, Concrete, MachineConfig, Symbolic, Taint};
+use diode::interp::{run, Concrete, MachineConfig, Run, Symbolic, Taint};
 use diode::lang::Program;
 use diode::obs::fnv64_hex;
 use diode::synth::{forge, SynthConfig};
@@ -80,8 +86,23 @@ fn inputs(format: &FormatDesc, seed: &[u8]) -> Vec<Vec<u8>> {
     out
 }
 
+/// What every policy's run must agree on: the run without its shadow
+/// tags.
+fn untagged<T, C>(r: &Run<T, C>) -> String {
+    let branches: Vec<_> = r.branches.iter().map(|b| (b.label, b.taken)).collect();
+    let allocs: Vec<_> = r
+        .allocs
+        .iter()
+        .map(|a| (a.label, a.size, a.size_ovf, a.failed, a.branches_before))
+        .collect();
+    format!(
+        "{:?}, {} steps, {:?}, {branches:?}, {allocs:?}",
+        r.outcome, r.steps, r.mem_errors
+    )
+}
+
 /// Appends the `Debug` text of all three policies' runs of `program` on
-/// every input; returns how many runs it took.
+/// every input, checking that they agree; returns how many runs it took.
 fn image(
     out: &mut String,
     name: &str,
@@ -92,14 +113,35 @@ fn image(
     let config = MachineConfig::default();
     let mut runs = 0;
     for (i, input) in inputs(format, seed).iter().enumerate() {
-        let _ = writeln!(out, "== {name} input {i}");
-        let _ = writeln!(out, "{:?}", run(program, input, Concrete, &config));
-        let _ = writeln!(out, "{:?}", run(program, input, Taint, &config));
-        let _ = writeln!(
-            out,
-            "{:?}",
-            run(program, input, Symbolic::all_bytes(), &config)
-        );
+        let concrete = run(program, input, Concrete, &config);
+        let taint = run(program, input, Taint, &config);
+        let symbolic = run(program, input, Symbolic::all_bytes(), &config);
+        let at = format!("{name} input {i}");
+        assert_eq!(untagged(&taint), untagged(&concrete), "{at}: taint");
+        assert_eq!(untagged(&symbolic), untagged(&concrete), "{at}: symbolic");
+        let byte = |offset: u32| input.get(offset as usize).copied().unwrap_or(0);
+        let sizes = concrete.allocs.iter().zip(&taint.allocs);
+        for ((c, t), s) in sizes.zip(&symbolic.allocs) {
+            let Some(size) = &s.size_tag else { continue };
+            assert_eq!(
+                size.eval_overflow(&byte),
+                (c.size, c.size_ovf),
+                "{at}: symbolic size {size} of {}",
+                c.site
+            );
+            for b in size.input_bytes() {
+                assert!(
+                    t.size_tag.labels().contains(b),
+                    "{at}: {} size reads byte {b} outside its taint {:?}",
+                    c.site,
+                    t.size_tag.labels()
+                );
+            }
+        }
+        let _ = writeln!(out, "== {at}");
+        let _ = writeln!(out, "{concrete:?}");
+        let _ = writeln!(out, "{taint:?}");
+        let _ = writeln!(out, "{symbolic:?}");
         runs += 3;
     }
     runs
