@@ -512,6 +512,9 @@ fn enforce_with(
                 label: cond.label.0,
                 action: diode_obs::EnforceAction::Considered,
             });
+            // β is the right-hand conjunct on purpose: the solver encodes
+            // it first and replays that encoding, recorded by the site's
+            // β query, instead of encoding β again (`diode_solver::blast`).
             let query = phi_prime.and(&cond.constraint).and(&extraction.beta);
             match config.solve_query_for(&query, diode_obs::QueryOrigin::Enforce) {
                 SolveResult::Unsat => {

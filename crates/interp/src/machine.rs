@@ -19,7 +19,9 @@ use diode_symbolic::eval_bin;
 
 use crate::heap::{Cell, Fault, Heap, MemError};
 use crate::shadow::{Concrete, Shadow};
-use crate::snapshot::{crc_check, ContImage, FrameImage, ReadLog, Snapshot};
+use crate::snapshot::{
+    branch_runs, crc_check, BranchRun, ContImage, FrameImage, ReadLog, Snapshot,
+};
 use crate::value::{BlockId, Raw, Value};
 
 /// Interpreter limits and switches.
@@ -213,8 +215,8 @@ pub fn run_traced<S: Shadow>(
 /// are `None` from the first stop the run halted before reaching.
 ///
 /// The snapshots are prefixes of one execution, so they share one branch
-/// log: the pass's log, built once at its end, of which each snapshot
-/// holds its own length.
+/// log: the pass's log, run-length encoded once at its end, of which each
+/// snapshot holds its own length.
 pub fn run_capture_multi<S: Shadow + Clone>(
     program: &Program,
     input: &[u8],
@@ -226,7 +228,7 @@ pub fn run_capture_multi<S: Shadow + Clone>(
     let _span = diode_obs::span(Phase::InterpCapture);
     let mut m = Machine::boot(program, input, shadow, config);
     m.log = Some(ReadLog::default());
-    let pending: Arc<[BranchObs<S::CondTag>]> = Arc::new([]);
+    let pending: Arc<[BranchRun<S::CondTag>]> = Arc::new([]);
     let mut out: Vec<Option<Snapshot<S>>> = Vec::with_capacity(stops.len());
     for (i, &stop) in stops.iter().enumerate() {
         m.capture_before = Some(stop);
@@ -239,9 +241,16 @@ pub fn run_capture_multi<S: Shadow + Clone>(
         }
     }
     diode_obs::count(CAPTURE_STEPS, m.steps);
-    let shared: Arc<[BranchObs<S::CondTag>]> = Arc::from(std::mem::take(&mut m.branches));
+    let shared = branch_runs(std::mem::take(&mut m.branches));
+    // Snapshots come in boundary order: count each one's runs in one walk.
+    let (mut runs, mut observed) = (0, 0);
     for snapshot in out.iter_mut().flatten() {
+        while observed < snapshot.branches_len {
+            observed += shared[runs].count as usize;
+            runs += 1;
+        }
         snapshot.branches = Arc::clone(&shared);
+        snapshot.branch_runs = runs;
     }
     out.resize_with(stops.len(), || None);
     out
@@ -681,19 +690,15 @@ impl<'a, S: Shadow> Machine<'a, S> {
         cond: impl Fn(&U::CondTag) -> S::CondTag,
     ) -> Machine<'a, S> {
         let recording = config.record_branches;
-        let branches = if recording {
-            snapshot
-                .branch_prefix()
-                .iter()
-                .map(|b| BranchObs {
-                    label: b.label,
-                    taken: b.taken,
-                    constraint: cond(&b.constraint),
-                })
-                .collect()
-        } else {
-            Vec::new()
-        };
+        let mut branches = Vec::new();
+        if recording {
+            branches.reserve_exact(snapshot.branches_len);
+            branches.extend(snapshot.branch_prefix().map(|b| BranchObs {
+                label: b.label,
+                taken: b.taken,
+                constraint: cond(&b.constraint),
+            }));
+        }
         let allocs = snapshot
             .allocs
             .iter()
@@ -820,10 +825,10 @@ impl<'a, S: Shadow> Machine<'a, S> {
     /// Freezes the current state (capture mode only): the read log so far
     /// becomes the snapshot's validation log, and logging stops unless
     /// `keep_logging`. The snapshot's branch prefix is the first
-    /// `self.branches.len()` entries of `branches`, a placeholder that
-    /// [`run_capture_multi`] replaces with the pass's log once the pass
-    /// ends.
-    fn capture(&mut self, keep_logging: bool, branches: Arc<[BranchObs<S::CondTag>]>) -> Snapshot<S>
+    /// `self.branches.len()` observations of `branches`, a placeholder
+    /// that [`run_capture_multi`] replaces with the pass's run-length log
+    /// (and the prefix's run count) once the pass ends.
+    fn capture(&mut self, keep_logging: bool, branches: Arc<[BranchRun<S::CondTag>]>) -> Snapshot<S>
     where
         S: Clone,
     {
@@ -841,6 +846,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
             frames: self.frames.iter().map(Machine::<S>::frame_image).collect(),
             branches,
             branches_len: self.branches.len(),
+            branch_runs: 0,
             allocs: self.allocs.clone(),
             warnings: self.warnings.clone(),
             reads,
@@ -1786,6 +1792,35 @@ mod tests {
             let scratch = run(&p, &cand, Concrete, &cfg);
             assert_eq!(image(&resumed), image(&scratch), "input {cand:02x?}");
             assert_eq!(resumed.steps, scratch.steps);
+        }
+    }
+
+    #[test]
+    fn a_prefix_loop_is_a_few_branch_runs_and_resumes_identically() {
+        // A 1,000-iteration loop before the site's field is read: its
+        // while-head observations are one run, however many iterations.
+        let p = parse(
+            r#"fn main() {
+                n = zext32(in[0]) << 8 | zext32(in[1]);
+                i = 0;
+                while i < n { i = i + 1; }
+                b = zext32(in[2]);
+                if b > 200 { error("too big"); }
+                buf = alloc("t@1", b * 16);
+            }"#,
+        )
+        .unwrap();
+        let seed = [0x03, 0xE8, 5];
+        let cfg = MachineConfig::default();
+        let step = first_read(&p, &seed, Concrete, &cfg, &[2]).unwrap();
+        let snap = capture_at(&p, &seed, Concrete, &cfg, step).expect("capture point reached");
+        assert_eq!(snap.branches_len, 1001, "1,000 iterations and the exit");
+        assert_eq!((snap.branches.len(), snap.branch_runs), (2, 2));
+        let full = run(&p, &seed, Concrete, &cfg);
+        assert!(snap.approx_bytes() < 24 * full.branches.len() as u64);
+        for cand in [seed.to_vec(), vec![0x03, 0xE8, 201], vec![0x03, 0xE8, 7]] {
+            let resumed = run_from(&p, &cand, &snap, &cfg).expect("prefix agrees");
+            assert_eq!(image(&resumed), image(&run(&p, &cand, Concrete, &cfg)));
         }
     }
 

@@ -30,7 +30,7 @@ pub trait Shadow: sealed::InputTags {
     /// Tag carried by every value and memory cell.
     type Tag: Clone + Default;
     /// Tag carried by every recorded branch observation.
-    type CondTag: Clone;
+    type CondTag: Clone + sealed::SameTag;
 
     /// Tag for one byte of program input (the taint source).
     fn input_byte(&mut self, offset: u32) -> Self::Tag;
@@ -71,6 +71,36 @@ pub(crate) mod sealed {
         /// True when [`input_byte`](super::Shadow::input_byte) gives
         /// `offset` a non-default tag.
         fn tags_input(&self, offset: u32) -> bool;
+    }
+
+    /// Which condition tags are equal without comparing their contents:
+    /// the observations a snapshot's run-length branch log may merge.
+    pub trait SameTag {
+        /// True only when `self` and `other` are the same tag, so that
+        /// cloning either yields the other.
+        fn same_tag(&self, other: &Self) -> bool;
+    }
+
+    impl SameTag for () {
+        fn same_tag(&self, _other: &()) -> bool {
+            true
+        }
+    }
+
+    impl SameTag for super::LabelSet {
+        fn same_tag(&self, other: &Self) -> bool {
+            match (&self.0, &other.0) {
+                (None, None) => true,
+                (Some(a), Some(b)) => std::sync::Arc::ptr_eq(a, b),
+                _ => false,
+            }
+        }
+    }
+
+    impl SameTag for Option<diode_symbolic::SymBool> {
+        fn same_tag(&self, other: &Self) -> bool {
+            self.is_none() && other.is_none()
+        }
     }
 }
 

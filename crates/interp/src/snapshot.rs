@@ -10,7 +10,9 @@
 //! payloads), shadow policy state, call frames with their environments
 //! and control stacks, the recorded branch/allocation/warning prefixes,
 //! and the step counter. The branch prefix is a length into an `Arc`'d
-//! log, so the snapshots of one capture pass share a single log.
+//! log, so the snapshots of one capture pass share a single log, and the
+//! log is run-length encoded: a prefix loop's thousands of iterations
+//! are one run of equal observations.
 //!
 //! Soundness does not rest on the caller choosing the snapshot point
 //! well: the capture run logs **every input observation of the prefix**
@@ -42,6 +44,7 @@ use diode_lang::{ProcId, Symbol};
 
 use crate::heap::Heap;
 use crate::machine::{AllocRecord, BranchObs};
+use crate::shadow::sealed::SameTag;
 use crate::shadow::Shadow;
 use crate::value::Value;
 
@@ -101,6 +104,34 @@ pub(crate) struct ReadLog {
     pub inlen: Option<u64>,
 }
 
+/// `count` consecutive branch observations equal to `obs`, condition
+/// tag included (see [`SameTag`](crate::shadow::sealed::SameTag)).
+#[derive(Debug, Clone)]
+pub(crate) struct BranchRun<C> {
+    pub obs: BranchObs<C>,
+    pub count: u32,
+}
+
+/// Run-length encodes a branch log: consecutive observations with the
+/// same label, direction and condition tag become one run.
+pub(crate) fn branch_runs<C: Clone + SameTag>(log: Vec<BranchObs<C>>) -> Arc<[BranchRun<C>]> {
+    let mut runs: Vec<BranchRun<C>> = Vec::new();
+    for obs in log {
+        match runs.last_mut() {
+            Some(run)
+                if run.count < u32::MAX
+                    && run.obs.label == obs.label
+                    && run.obs.taken == obs.taken
+                    && run.obs.constraint.same_tag(&obs.constraint) =>
+            {
+                run.count += 1;
+            }
+            _ => runs.push(BranchRun { obs, count: 1 }),
+        }
+    }
+    Arc::from(runs)
+}
+
 /// A frozen machine state at a statement boundary, resumable on any input
 /// that [`validates`](Snapshot::validates).
 pub struct Snapshot<S: Shadow> {
@@ -108,10 +139,13 @@ pub struct Snapshot<S: Shadow> {
     pub(crate) steps: u64,
     pub(crate) heap: Heap<S::Tag>,
     pub(crate) frames: Vec<FrameImage<S::Tag>>,
-    /// The branch log of the capture pass, shared by every snapshot it
-    /// took; this snapshot's prefix is its first `branches_len` entries.
-    pub(crate) branches: Arc<[BranchObs<S::CondTag>]>,
+    /// The run-length branch log of the capture pass, shared by every
+    /// snapshot it took; this snapshot's prefix is its first
+    /// `branches_len` observations, which lie in its first `branch_runs`
+    /// runs.
+    pub(crate) branches: Arc<[BranchRun<S::CondTag>]>,
     pub(crate) branches_len: usize,
+    pub(crate) branch_runs: usize,
     pub(crate) allocs: Vec<AllocRecord<S::Tag>>,
     pub(crate) warnings: Vec<String>,
     /// Sorted `(offset, byte)` log of every prefix input read.
@@ -171,18 +205,21 @@ impl<S: Shadow> Snapshot<S> {
         self.reads.len()
     }
 
-    /// The branch observations recorded before the boundary (empty when
-    /// the capture did not record branches).
-    pub(crate) fn branch_prefix(&self) -> &[BranchObs<S::CondTag>] {
-        &self.branches[..self.branches_len]
+    /// The branch observations recorded before the boundary (none when
+    /// the capture did not record branches), expanded from their runs.
+    pub(crate) fn branch_prefix(&self) -> impl Iterator<Item = &BranchObs<S::CondTag>> {
+        self.branches
+            .iter()
+            .flat_map(|run| std::iter::repeat_n(&run.obs, run.count as usize))
+            .take(self.branches_len)
     }
 
     /// Approximate bytes this snapshot keeps resident: the frozen
     /// heap's accounted payload bytes plus the validation log, frames
     /// (per bound variable, not per environment slot), and recorded
-    /// prefixes. A pinning estimate for cache gauges, not
-    /// an allocator measurement — COW payloads and the branch log shared
-    /// with other snapshots are charged to each holder.
+    /// prefixes (the branch prefix per run). A pinning estimate for cache
+    /// gauges, not an allocator measurement — COW payloads and the branch
+    /// log shared with other snapshots are charged to each holder.
     #[must_use]
     pub fn approx_bytes(&self) -> u64 {
         let frames: u64 = self
@@ -197,7 +234,7 @@ impl<S: Shadow> Snapshot<S> {
             + frames
             + 10 * self.reads.len() as u64
             + 33 * self.crcs.len() as u64
-            + 24 * self.branches_len as u64
+            + 24 * self.branch_runs as u64
             + 48 * self.allocs.len() as u64
             + self
                 .warnings

@@ -352,9 +352,12 @@ impl ProfileReport {
             };
             let _ = writeln!(
                 out,
-                "solver: {queries} queries, {} cache hits, {conflicts} conflicts, {} propagations, {per_conflict} us solve self per conflict",
+                "solver: {queries} queries, {} cache hits, {conflicts} conflicts, {} propagations, {per_conflict} us solve self per conflict; {} CNF vars, {} clauses, {} prefix replays",
                 counter("solver.cache_hits"),
                 counter("solver.propagations"),
+                counter("solver.cnf_vars"),
+                counter("solver.cnf_clauses"),
+                counter("solver.prefix_replays"),
             );
         }
         let steps = [
@@ -916,6 +919,9 @@ mod tests {
             ("solver.cache_hits", 4),
             ("solver.conflicts", 8),
             ("solver.propagations", 900),
+            ("solver.cnf_vars", 5000),
+            ("solver.cnf_clauses", 17000),
+            ("solver.prefix_replays", 3),
         ] {
             trace.counters.insert(name.into(), value);
         }
@@ -928,7 +934,7 @@ mod tests {
             .expect("solve row")
             .self_ns;
         let line = format!(
-            "solver: 12 queries, 4 cache hits, 8 conflicts, 900 propagations, {:.1} us solve self per conflict",
+            "solver: 12 queries, 4 cache hits, 8 conflicts, 900 propagations, {:.1} us solve self per conflict; 5000 CNF vars, 17000 clauses, 3 prefix replays",
             solve_self_ns as f64 / 1e3 / 8.0
         );
         assert!(report.render().contains(&line), "{}", report.render());

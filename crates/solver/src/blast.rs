@@ -20,14 +20,31 @@
 //! | `OvfShl` | `lshr(shl(a,k),k) ≠ a` |
 //! | `OvfNeg` | `a ≠ 0` |
 //! | `OvfShrink(w')` | OR of the dropped bits |
+//!
+//! Gate clauses go through `Sat::add_gate_clause`, which skips the
+//! general clause normaliser when a clause needs none.
+//!
+//! # Recorded prefixes
+//!
+//! The enforcement loop solves φ′∧β after every enforced branch, and
+//! `encode_bool` encodes an `And`'s right operand first, so each such
+//! query starts by encoding the same β. `Blaster::record` keeps the
+//! state right after a query's right-hand conjunct is encoded (the
+//! solver's, see [`crate::sat`], plus this encoder's node→literals map,
+//! input-byte bits and the conjunct's literal) as a `Prefix`, and
+//! `Blaster::replay` restores it for a later query whose right-hand
+//! conjunct is the same node, which then encodes only its left-hand
+//! conjunct and the final AND gate (`Blaster::assert_and`). A replayed
+//! query's CNF is clause for clause the one a fresh encoding builds.
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::sync::Arc;
 
 use diode_lang::{BinOp, Bv, CastKind, CmpOp, UnOp};
 use diode_symbolic::{OvfKind, Sym, SymBool, SymExpr};
 
-use crate::sat::{Lit, Sat};
+use crate::sat::{Lit, Sat, SatConfig, SatPrefix};
 
 /// Hashes a node address with one multiply (Fibonacci hashing). The
 /// keys are addresses of live nodes, not outside input, so SipHash's
@@ -57,15 +74,56 @@ impl Hasher for AddrHasher {
     }
 }
 
+/// Encoded expressions keyed by DAG node identity. Each entry holds a
+/// clone of its expression so the address stays valid for the map's
+/// lifetime.
+type ExprCache = HashMap<usize, (SymExpr, Vec<Lit>), BuildHasherDefault<AddrHasher>>;
+
 /// Encodes expressions/conditions into a [`Sat`] instance.
 pub struct Blaster<'s> {
     sat: &'s mut Sat,
     lit_true: Lit,
-    /// Cache keyed by expression DAG node identity. Holds a clone of the
-    /// expression so the pointer stays valid for the cache's lifetime.
-    expr_cache: HashMap<usize, (SymExpr, Vec<Lit>), BuildHasherDefault<AddrHasher>>,
+    expr_cache: ExprCache,
     /// Eight literals per input byte, LSB first.
     byte_bits: BTreeMap<u32, Vec<Lit>>,
+}
+
+/// One query's right-hand conjunct, encoded: the state
+/// [`Blaster::replay`] restores for a later query whose right-hand
+/// conjunct is the same node.
+pub(crate) struct Prefix {
+    /// The conjunct. It is the lookup key, compared by variant and child
+    /// identity, and its clone keeps every node address used as a key
+    /// (its children's and the map's) alive, so none can be reused while
+    /// the prefix lives.
+    conjunct: SymBool,
+    lit: Lit,
+    lit_true: Lit,
+    sat: SatPrefix,
+    expr_cache: ExprCache,
+    byte_bits: BTreeMap<u32, Vec<Lit>>,
+}
+
+impl Prefix {
+    /// True when `conjunct` is the recorded conjunct's node: the same
+    /// variant over the same (immutable) children.
+    pub(crate) fn encodes(&self, conjunct: &SymBool) -> bool {
+        match (&self.conjunct, conjunct) {
+            (SymBool::Const(a), SymBool::Const(b)) => a == b,
+            (SymBool::Cmp(o1, a1, b1), SymBool::Cmp(o2, a2, b2)) => {
+                o1 == o2 && a1.node_id() == a2.node_id() && b1.node_id() == b2.node_id()
+            }
+            (SymBool::Ovf(k1, a1, b1), SymBool::Ovf(k2, a2, b2)) => {
+                k1 == k2 && a1.node_id() == a2.node_id() && b1.node_id() == b2.node_id()
+            }
+            (SymBool::Not(a), SymBool::Not(b)) => Arc::ptr_eq(a, b),
+            (SymBool::And(a1, b1), SymBool::And(a2, b2))
+            | (SymBool::Or(a1, b1), SymBool::Or(a2, b2)) => {
+                Arc::ptr_eq(a1, a2) && Arc::ptr_eq(b1, b2)
+            }
+            _ => false,
+        }
+    }
 }
 
 impl<'s> Blaster<'s> {
@@ -124,6 +182,49 @@ impl<'s> Blaster<'s> {
         self.sat.add_clause(&[!l]);
     }
 
+    /// Asserts `left ∧ right` (just `right` without `left`), where
+    /// `right`, a conjunct already encoded first, has literal `right`:
+    /// the clauses [`Blaster::assert_cond`] adds for the conjunction,
+    /// because `encode_bool` encodes an `And`'s right operand first and
+    /// gates `(left, right)`.
+    pub(crate) fn assert_and(&mut self, left: Option<&SymBool>, right: Lit) {
+        let lit = match left {
+            Some(left) => {
+                let l = self.encode_bool(left);
+                self.gate_and(l, right)
+            }
+            None => right,
+        };
+        self.sat.add_clause(&[lit]);
+    }
+
+    /// Records the state right after `conjunct`, the first thing encoded
+    /// on a fresh solver, was encoded to `lit`; `None` when the solver's
+    /// state cannot be replayed (see [`Sat::record_prefix`]).
+    pub(crate) fn record(&self, conjunct: &SymBool, lit: Lit) -> Option<Prefix> {
+        Some(Prefix {
+            sat: self.sat.record_prefix()?,
+            conjunct: conjunct.clone(),
+            lit,
+            lit_true: self.lit_true,
+            expr_cache: self.expr_cache.clone(),
+            byte_bits: self.byte_bits.clone(),
+        })
+    }
+
+    /// A blaster over `sat`, reset under `config` into `prefix`'s
+    /// recorded state, and the recorded conjunct's literal.
+    pub(crate) fn replay(sat: &'s mut Sat, config: SatConfig, prefix: &Prefix) -> (Self, Lit) {
+        sat.replay_prefix(config, &prefix.sat);
+        let blaster = Blaster {
+            sat,
+            lit_true: prefix.lit_true,
+            expr_cache: prefix.expr_cache.clone(),
+            byte_bits: prefix.byte_bits.clone(),
+        };
+        (blaster, prefix.lit)
+    }
+
     /// Reads the model value of an input byte after a satisfiable solve.
     /// Bytes never encoded are unconstrained and absent.
     #[must_use]
@@ -167,9 +268,9 @@ impl<'s> Blaster<'s> {
             return self.lit_false();
         }
         let g = Lit::pos(self.sat.new_var());
-        self.sat.add_clause(&[!g, a]);
-        self.sat.add_clause(&[!g, b]);
-        self.sat.add_clause(&[g, !a, !b]);
+        self.sat.add_gate_clause([!g, a]);
+        self.sat.add_gate_clause([!g, b]);
+        self.sat.add_gate_clause([g, !a, !b]);
         g
     }
 
@@ -197,10 +298,10 @@ impl<'s> Blaster<'s> {
             return self.lit_true;
         }
         let g = Lit::pos(self.sat.new_var());
-        self.sat.add_clause(&[!g, a, b]);
-        self.sat.add_clause(&[!g, !a, !b]);
-        self.sat.add_clause(&[g, !a, b]);
-        self.sat.add_clause(&[g, a, !b]);
+        self.sat.add_gate_clause([!g, a, b]);
+        self.sat.add_gate_clause([!g, !a, !b]);
+        self.sat.add_gate_clause([g, !a, b]);
+        self.sat.add_gate_clause([g, a, !b]);
         g
     }
 
@@ -215,13 +316,13 @@ impl<'s> Blaster<'s> {
             return t;
         }
         let g = Lit::pos(self.sat.new_var());
-        self.sat.add_clause(&[!c, !t, g]);
-        self.sat.add_clause(&[!c, t, !g]);
-        self.sat.add_clause(&[c, !e, g]);
-        self.sat.add_clause(&[c, e, !g]);
+        self.sat.add_gate_clause([!c, !t, g]);
+        self.sat.add_gate_clause([!c, t, !g]);
+        self.sat.add_gate_clause([c, !e, g]);
+        self.sat.add_gate_clause([c, e, !g]);
         // Redundant but strengthens propagation.
-        self.sat.add_clause(&[!t, !e, g]);
-        self.sat.add_clause(&[t, e, !g]);
+        self.sat.add_gate_clause([!t, !e, g]);
+        self.sat.add_gate_clause([t, e, !g]);
         g
     }
 
@@ -382,9 +483,9 @@ impl<'s> Blaster<'s> {
 
         // d == 0 → q = ~0, r = n (SMT-LIB).
         for i in 0..w {
-            self.sat.add_clause(&[d_nonzero, q[i]]);
+            self.sat.add_gate_clause([d_nonzero, q[i]]);
             let riff = self.gate_iff(r[i], n[i]);
-            self.sat.add_clause(&[d_nonzero, riff]);
+            self.sat.add_gate_clause([d_nonzero, riff]);
         }
 
         // d != 0 → n == q*d + r (2w bits, no wrap) ∧ r < d.
@@ -396,8 +497,8 @@ impl<'s> Blaster<'s> {
         n2.resize(2 * w, self.lit_false());
         let eq = self.equal(&sum, &n2);
         let rlt = self.ult(&r, d);
-        self.sat.add_clause(&[!d_nonzero, eq]);
-        self.sat.add_clause(&[!d_nonzero, rlt]);
+        self.sat.add_gate_clause([!d_nonzero, eq]);
+        self.sat.add_gate_clause([!d_nonzero, rlt]);
         (q, r)
     }
 

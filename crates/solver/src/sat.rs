@@ -20,11 +20,20 @@
 //!
 //! # Memory layout
 //!
-//! Every clause's literals live in one flat arena (`Vec<Lit>`); a clause
-//! is a header (start, length, flags, activity, LBD) over its slice, and
-//! clause references are header indices in creation order. Clause
-//! normalisation and conflict analysis work in buffers the solver keeps,
-//! so the search itself allocates only when a buffer or the arena grows.
+//! Every clause lives in one flat arena of 32-bit words: one header word
+//! (its creation index, marked by the top bit, which no literal sets)
+//! followed by its literals, and one end word closes the arena. A
+//! clause's length is where the next header starts, and a clause
+//! reference is the arena offset of its header. Clause activities sit in
+//! a side table by creation index, problem clauses included (a problem
+//! clause's bump can trigger the activity rescale); long learnt clauses
+//! also keep their LBD in a side list in creation order. A watcher of a
+//! binary clause is tagged, and its blocker is the clause's other
+//! literal, so propagating through a binary clause reads neither its
+//! header nor the arena. Clause normalisation and conflict analysis work
+//! in buffers the solver keeps, and gate clauses from the bit-blaster
+//! (`Sat::add_gate_clause`) skip normalisation when they need none, so
+//! the search itself allocates only when a buffer or the arena grows.
 //!
 //! # The per-thread workspace
 //!
@@ -33,11 +42,22 @@
 //! reset clears every vector but keeps its capacity, watch lists
 //! included, so a thread's queries after the first reuse the memory of
 //! the largest one before them. A query that allocates more than
-//! `WORKSPACE_MAX_VARS` (8,192) variables drops the workspace when it
+//! `WORKSPACE_MAX_VARS` (8,192) variables drops the solver when it
 //! ends, so a thread does not hold the buffers of a rare huge query (the
 //! paper apps reach about 18k variables) for the rest of its life. Engine
 //! workers are scoped threads, so their workspaces end with the
 //! campaign.
+//!
+//! The workspace also keeps at most one recorded prefix
+//! ([`crate::blast`]): the solver's level-0 state right after encoding
+//! a query's right-hand conjunct, which for the enforcement loop's
+//! φ′∧β queries is β. `Sat::record_prefix` keeps the variable count,
+//! the clause words in creation order, the trail and the propagation
+//! count; `Sat::replay_prefix` rebuilds that state on a reset solver,
+//! attaching watchers in creation order. That reproduces every watch
+//! list only because no watcher moved while the prefix was encoded, so a
+//! prefix whose encoding propagated a unit after its first, or that is
+//! unsatisfiable or larger than `WORKSPACE_MAX_VARS`, is not recorded.
 //!
 //! # Search identity
 //!
@@ -46,9 +66,15 @@
 //! and model, query after query and whatever the previous query did
 //! (`tests/solver_golden.rs` pins this over the queries the enforcement
 //! loop issues, and replays them in reverse order with budget-exhausted
-//! solves in between). The memory layout above is not allowed to change
-//! the search either: any change that moves a model or a work counter
-//! changes outcome fingerprints and witness bytes downstream.
+//! solves in between). So is a solver that replayed a recorded prefix
+//! and encoded the rest of the query (the same test checks replayed
+//! queries against fresh-thread solves). The memory layout above is not
+//! allowed to change the search either: any change that moves a model or
+//! a work counter changes outcome fingerprints and witness bytes
+//! downstream. Hence the binary fast path orders a conflicting pair in
+//! the arena exactly as the general path does, and conflict analysis
+//! skips a reason's implied literal by value, not by position, since a
+//! binary reason is not reordered when it propagates.
 
 use std::cell::RefCell;
 use std::fmt;
@@ -139,27 +165,31 @@ pub enum SatOutcome {
     Unknown,
 }
 
-/// A clause header: its literals are `arena[start..start + len]`.
-#[derive(Debug, Clone, Copy)]
-struct Clause {
-    start: u32,
-    len: u32,
-    learnt: bool,
-    deleted: bool,
-    activity: f64,
-    lbd: u32,
-}
+/// Marks an arena word as a clause header. Literals never set it:
+/// variables stay below 2^30.
+const HEADER: u32 = 1 << 31;
+/// A header bit: the clause was deleted by `reduce_db`.
+const DELETED: u32 = 1 << 30;
+/// A header's creation index bits.
+const ID_MASK: u32 = DELETED - 1;
+/// The word that closes the arena: a header no clause owns.
+const END: u32 = u32::MAX;
+/// Tags a watcher's clause reference when the clause is binary.
+const BINARY: u32 = 1 << 31;
 
-impl Clause {
-    fn range(&self) -> std::ops::Range<usize> {
-        self.start as usize..(self.start + self.len) as usize
-    }
-}
-
+/// A watch-list entry: the clause's arena offset (tagged [`BINARY`] for a
+/// binary clause) and a literal of the clause whose truth satisfies it.
 #[derive(Debug, Clone, Copy)]
 struct Watcher {
     cref: u32,
     blocker: Lit,
+}
+
+/// A long learnt clause: its arena offset and literal-block distance.
+#[derive(Debug, Clone, Copy)]
+struct Learnt {
+    cref: u32,
+    lbd: u32,
 }
 
 /// Solver configuration.
@@ -201,16 +231,21 @@ impl Default for SatConfig {
 /// The CDCL solver.
 pub struct Sat {
     config: SatConfig,
-    /// Clause headers, indexed by clause reference.
-    clauses: Vec<Clause>,
-    /// Every clause's literals, back to back.
-    arena: Vec<Lit>,
+    /// Every clause, back to back: a header word and its literals; the
+    /// [`END`] word closes the arena.
+    arena: Vec<u32>,
+    /// Activity by clause creation index.
+    clause_act: Vec<f64>,
+    /// Live learnt clauses longer than two literals, in creation order:
+    /// the clauses `reduce_db` may delete.
+    learnts: Vec<Learnt>,
     /// Watch lists by literal index. A reset keeps the lists (and their
     /// capacity) past `2 * n_vars()`; those are always empty.
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     phase: Vec<bool>,
     level: Vec<u32>,
+    /// Each implied variable's reason: the arena offset of its clause.
     reason: Vec<Option<u32>>,
     activity: Vec<f64>,
     heap: Vec<Var>,
@@ -225,9 +260,6 @@ pub struct Sat {
     n_propagations: u64,
     unsat: bool,
     seen: Vec<bool>,
-    /// Live learnt clauses longer than two literals: the clauses
-    /// `reduce_db` may delete.
-    n_long_learnts: usize,
     /// `add_clause`'s normalisation buffer.
     add_buf: Vec<Lit>,
     /// `analyze`'s learnt clause before minimisation.
@@ -245,32 +277,54 @@ impl Default for Sat {
     }
 }
 
-/// Variables above which a query's workspace is dropped when the query
-/// ends instead of being kept for the thread's next query.
-const WORKSPACE_MAX_VARS: usize = 8192;
+/// Variables above which a query's solver is dropped when the query ends
+/// instead of being kept for the thread's next query, and above which a
+/// prefix is not recorded.
+pub(crate) const WORKSPACE_MAX_VARS: usize = 8192;
 
-thread_local! {
-    static WORKSPACE: RefCell<Sat> = RefCell::new(Sat::default());
+/// One thread's solver state between queries.
+#[derive(Default)]
+pub(crate) struct Workspace {
+    /// The solver, reset (or replayed) by each query.
+    pub(crate) sat: Sat,
+    /// The last recorded prefix, if any.
+    pub(crate) prefix: Option<crate::blast::Prefix>,
 }
 
-/// Runs `f` on this thread's solver workspace, reset to a fresh solver
-/// under `config`. Returns `f`'s result; the workspace is dropped
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+/// Runs `f` on this thread's workspace; `f` resets (or replays) the
+/// solver before using it. Returns `f`'s result; the solver is dropped
 /// afterwards if `f` left more than `WORKSPACE_MAX_VARS` variables.
 ///
 /// # Panics
 ///
 /// Panics if `f` itself calls `with_workspace` (the workspace is
 /// borrowed for the whole call).
-pub(crate) fn with_workspace<R>(config: SatConfig, f: impl FnOnce(&mut Sat) -> R) -> R {
+pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
     WORKSPACE.with(|cell| {
-        let mut sat = cell.borrow_mut();
-        sat.reset(config);
-        let out = f(&mut sat);
-        if sat.n_vars() > WORKSPACE_MAX_VARS {
-            *sat = Sat::default();
+        let mut ws = cell.borrow_mut();
+        let out = f(&mut ws);
+        if ws.sat.n_vars() > WORKSPACE_MAX_VARS {
+            ws.sat = Sat::default();
         }
         out
     })
+}
+
+/// A solver's level-0 state, recorded by [`Sat::record_prefix`]: what
+/// [`Sat::replay_prefix`] needs to rebuild it, with no per-clause
+/// metadata (every recorded clause is a problem clause of activity 0).
+#[derive(Debug)]
+pub(crate) struct SatPrefix {
+    n_vars: usize,
+    /// The arena without its end word: each clause's header and literals.
+    words: Vec<u32>,
+    n_clauses: usize,
+    trail: Vec<Lit>,
+    propagations: u64,
 }
 
 impl Sat {
@@ -279,8 +333,9 @@ impl Sat {
     pub fn new(config: SatConfig) -> Self {
         Sat {
             config,
-            clauses: Vec::new(),
-            arena: Vec::new(),
+            arena: vec![END],
+            clause_act: Vec::new(),
+            learnts: Vec::new(),
             watches: Vec::new(),
             assigns: Vec::new(),
             phase: Vec::new(),
@@ -299,7 +354,6 @@ impl Sat {
             n_propagations: 0,
             unsat: false,
             seen: Vec::new(),
-            n_long_learnts: 0,
             add_buf: Vec::new(),
             analyze_buf: Vec::new(),
             learnt: Vec::new(),
@@ -310,13 +364,15 @@ impl Sat {
 
     /// Returns the solver to the state of `Sat::new(config)`, keeping the
     /// capacity of every buffer.
-    fn reset(&mut self, config: SatConfig) {
+    pub(crate) fn reset(&mut self, config: SatConfig) {
         self.config = config;
         for w in &mut self.watches[..2 * self.assigns.len()] {
             w.clear();
         }
-        self.clauses.clear();
         self.arena.clear();
+        self.arena.push(END);
+        self.clause_act.clear();
+        self.learnts.clear();
         self.assigns.clear();
         self.phase.clear();
         self.level.clear();
@@ -334,14 +390,80 @@ impl Sat {
         self.n_propagations = 0;
         self.unsat = false;
         self.seen.clear();
-        self.n_long_learnts = 0;
         self.lbd_stamp.clear();
         self.lbd_epoch = 0;
     }
 
+    /// Records this solver's level-0 state for [`Sat::replay_prefix`], or
+    /// `None` when a replay could not reproduce it: the formula is
+    /// already unsatisfiable, the solver has more than
+    /// `WORKSPACE_MAX_VARS` variables, or its trail holds more than one
+    /// literal (a unit propagated after the first may have moved
+    /// watchers). The caller guarantees that the first unit, if any, was
+    /// propagated before any clause existed, as [`crate::blast::Blaster`]
+    /// does with its constant-true literal.
+    pub(crate) fn record_prefix(&self) -> Option<SatPrefix> {
+        if self.unsat || self.trail.len() > 1 || self.n_vars() > WORKSPACE_MAX_VARS {
+            return None;
+        }
+        debug_assert!(self.trail_lim.is_empty() && self.learnts.is_empty());
+        debug_assert_eq!(self.qhead, self.trail.len());
+        Some(SatPrefix {
+            n_vars: self.n_vars(),
+            words: self.arena[..self.arena.len() - 1].to_vec(),
+            n_clauses: self.clause_act.len(),
+            trail: self.trail.clone(),
+            propagations: self.n_propagations,
+        })
+    }
+
+    /// Resets the solver under `config` and rebuilds `prefix`'s state:
+    /// its variables, its trail and propagation count, and its clauses
+    /// with their watchers attached in creation order, exactly the state
+    /// the recorded solver was in.
+    pub(crate) fn replay_prefix(&mut self, config: SatConfig, prefix: &SatPrefix) {
+        self.reset(config);
+        let n = prefix.n_vars;
+        assert!(n < 1 << 30, "too many variables");
+        // What `n` calls of `new_var` leave on a reset solver: with every
+        // activity 0, each inserted variable stays where it is pushed.
+        self.assigns.resize(n, LBool::UNDEF);
+        self.phase.resize(n, self.config.default_phase);
+        self.level.resize(n, 0);
+        self.reason.resize(n, None);
+        self.activity.resize(n, 0.0);
+        self.seen.resize(n, false);
+        self.heap.extend((0..n as u32).map(Var));
+        self.heap_pos.extend((0..n as u32).map(Some));
+        if self.watches.len() < 2 * n {
+            self.watches.resize_with(2 * n, Vec::new);
+        }
+        for &lit in &prefix.trail {
+            self.enqueue(lit, None);
+        }
+        self.qhead = self.trail.len();
+        self.n_propagations = prefix.propagations;
+        self.arena.clear();
+        self.arena.extend_from_slice(&prefix.words);
+        self.arena.push(END);
+        self.clause_act.resize(prefix.n_clauses, 0.0);
+        let mut cref = 0;
+        while cref + 1 < self.arena.len() {
+            let next = self.clause_end(cref);
+            self.watch_clause(cref, next - cref - 1);
+            cref = next;
+        }
+    }
+
     /// Allocates a fresh variable.
+    ///
+    /// # Panics
+    ///
+    /// Panics past 2^30 variables.
     pub fn new_var(&mut self) -> Var {
-        let v = Var(u32::try_from(self.assigns.len()).expect("too many variables"));
+        let n = self.assigns.len();
+        assert!(n < 1 << 30, "too many variables");
+        let v = Var(n as u32);
         self.assigns.push(LBool::UNDEF);
         self.phase.push(self.config.default_phase);
         self.level.push(0);
@@ -362,6 +484,12 @@ impl Sat {
     #[must_use]
     pub fn n_vars(&self) -> usize {
         self.assigns.len()
+    }
+
+    /// Number of clauses in the store (learnt and deleted ones included;
+    /// units are assignments, not clauses).
+    pub(crate) fn n_clauses(&self) -> usize {
+        self.clause_act.len()
     }
 
     /// Number of conflicts encountered so far.
@@ -414,8 +542,9 @@ impl Sat {
             return false;
         }
         // Normalise: sort, dedup, drop tautologies and false literals. The
-        // surviving literals go straight onto the arena's tail, which is
-        // truncated again unless they become a clause.
+        // surviving literals go straight onto the arena's tail, past the
+        // end word, which becomes their header if they become a clause;
+        // otherwise the tail is truncated again.
         let mut ls = std::mem::take(&mut self.add_buf);
         ls.clear();
         ls.extend_from_slice(lits);
@@ -434,7 +563,7 @@ impl Sat {
                 break;
             }
             if value.is_undef() {
-                self.arena.push(l);
+                self.arena.push(l.0);
             } // else drop the falsified literal
         }
         self.add_buf = ls;
@@ -448,7 +577,7 @@ impl Sat {
                 false
             }
             1 => {
-                let unit = self.arena[start];
+                let unit = Lit(self.arena[start]);
                 self.arena.truncate(start);
                 self.enqueue(unit, None);
                 if self.propagate().is_some() {
@@ -459,32 +588,95 @@ impl Sat {
                 }
             }
             _ => {
-                self.attach_clause(start, false);
+                self.attach_clause(start, None);
                 true
             }
         }
     }
 
-    /// Makes `arena[start..]` a clause and watches its first two
-    /// literals.
-    fn attach_clause(&mut self, start: usize, learnt: bool) -> u32 {
-        let cref = u32::try_from(self.clauses.len()).expect("too many clauses");
-        let len = self.arena.len() - start;
-        let (l0, l1) = (self.arena[start], self.arena[start + 1]);
-        self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-        self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
-        self.clauses.push(Clause {
-            start: u32::try_from(start).expect("clause arena overflow"),
-            len: len as u32,
-            learnt,
-            deleted: false,
-            activity: 0.0,
-            lbd: 0,
-        });
-        if learnt && len > 2 {
-            self.n_long_learnts += 1;
+    /// Adds a two- or three-literal clause of a gate encoding: exactly
+    /// [`Sat::add_clause`], at the same clause index with the same sorted
+    /// literals. When every literal is unassigned and on its own
+    /// variable, normalisation would change nothing but their order, so
+    /// the sorted literals go straight into the store; anything else
+    /// takes `add_clause`.
+    pub(crate) fn add_gate_clause<const N: usize>(&mut self, mut lits: [Lit; N]) -> bool {
+        debug_assert!(N == 2 || N == 3);
+        for i in 1..N {
+            for j in (1..=i).rev() {
+                if lits[j] < lits[j - 1] {
+                    lits.swap(j, j - 1);
+                }
+            }
         }
-        cref
+        let plain = !self.unsat
+            && self.trail_lim.is_empty()
+            && lits.windows(2).all(|w| w[0].var() != w[1].var())
+            && lits.iter().all(|&l| self.value(l).is_undef());
+        if !plain {
+            return self.add_clause(&lits);
+        }
+        let start = self.arena.len();
+        self.arena.extend(lits.iter().map(|l| l.0));
+        self.attach_clause(start, None);
+        true
+    }
+
+    /// Makes the literals `arena[start..]` a clause, whose header takes
+    /// the place of the end word just before them, and watches its first
+    /// two literals. `lbd` is `Some` for a learnt clause.
+    fn attach_clause(&mut self, start: usize, lbd: Option<u32>) -> u32 {
+        let cref = start - 1;
+        debug_assert_eq!(self.arena[cref], END);
+        let id = self.clause_act.len();
+        assert!(
+            id <= ID_MASK as usize && cref < BINARY as usize,
+            "clause store overflow"
+        );
+        self.arena[cref] = HEADER | id as u32;
+        let len = self.arena.len() - start;
+        self.arena.push(END);
+        self.clause_act.push(0.0);
+        self.watch_clause(cref, len);
+        if let Some(lbd) = lbd.filter(|_| len > 2) {
+            self.learnts.push(Learnt {
+                cref: cref as u32,
+                lbd,
+            });
+        }
+        cref as u32
+    }
+
+    /// Pushes the watchers of the `len`-literal clause at `cref` onto the
+    /// watch lists of its first two literals' negations.
+    fn watch_clause(&mut self, cref: usize, len: usize) {
+        let tagged = cref as u32 | if len == 2 { BINARY } else { 0 };
+        let (l0, l1) = (Lit(self.arena[cref + 1]), Lit(self.arena[cref + 2]));
+        self.watches[(!l0).index()].push(Watcher {
+            cref: tagged,
+            blocker: l1,
+        });
+        self.watches[(!l1).index()].push(Watcher {
+            cref: tagged,
+            blocker: l0,
+        });
+    }
+
+    /// The arena offset just past the clause at `cref`: the next header.
+    fn clause_end(&self, cref: usize) -> usize {
+        let mut k = cref + 1;
+        while self.arena[k] & HEADER == 0 {
+            k += 1;
+        }
+        k
+    }
+
+    /// The literals of the clause at `cref`, in arena order.
+    fn clause_lits(&self, cref: u32) -> impl Iterator<Item = Lit> + '_ {
+        self.arena[cref as usize + 1..]
+            .iter()
+            .take_while(|&&w| w & HEADER == 0)
+            .map(|&w| Lit(w))
     }
 
     fn value(&self, lit: Lit) -> LBool {
@@ -524,7 +716,9 @@ impl Sat {
             let p = self.trail[self.qhead];
             self.qhead += 1;
             self.n_propagations += 1;
-            let widx = p.index(); // watchers of ¬p are stored under p's index after negation below
+            // Watchers of clauses containing ¬p, now false.
+            let false_lit = (!p).0;
+            let widx = p.index();
             let mut ws = std::mem::take(&mut self.watches[widx]);
             let mut kept = 0usize;
             let mut conflict = None;
@@ -535,21 +729,42 @@ impl Sat {
                     kept += 1;
                     continue;
                 }
-                if self.value(w.blocker) == LBool::TRUE {
+                let blocker = self.value(w.blocker);
+                if blocker == LBool::TRUE {
                     ws[kept] = w;
                     kept += 1;
                     continue;
                 }
-                let clause = self.clauses[w.cref as usize];
-                if clause.deleted {
-                    continue; // drop watcher of deleted clause
+                let cref = (w.cref & !BINARY) as usize;
+                if w.cref & BINARY != 0 {
+                    // The blocker is the other literal: the clause is unit
+                    // or conflicting, and keeps its watcher either way.
+                    ws[kept] = w;
+                    kept += 1;
+                    if blocker == LBool::FALSE {
+                        // Conflict analysis reads the clause in arena
+                        // order: put ¬p second, as the general path does.
+                        if self.arena[cref + 1] == false_lit {
+                            self.arena.swap(cref + 1, cref + 2);
+                        }
+                        conflict = Some(cref as u32);
+                        self.qhead = self.trail.len();
+                    } else {
+                        self.enqueue(w.blocker, Some(cref as u32));
+                    }
+                    continue;
                 }
-                let (start, len) = (clause.start as usize, clause.len as usize);
+                debug_assert_eq!(
+                    self.arena[cref] & DELETED,
+                    0,
+                    "reduce_db drops the watchers of deleted clauses"
+                );
                 // Make sure the false literal (¬p) is at position 1.
-                if self.arena[start] == !p {
-                    self.arena.swap(start, start + 1);
+                let (first_at, second_at) = (cref + 1, cref + 2);
+                if self.arena[first_at] == false_lit {
+                    self.arena.swap(first_at, second_at);
                 }
-                let first = self.arena[start];
+                let first = Lit(self.arena[first_at]);
                 if first != w.blocker && self.value(first) == LBool::TRUE {
                     ws[kept] = Watcher {
                         cref: w.cref,
@@ -559,16 +774,22 @@ impl Sat {
                     continue;
                 }
                 // Look for a new literal to watch.
-                for k in start + 2..start + len {
-                    let lk = self.arena[k];
+                let mut k = cref + 3;
+                loop {
+                    let word = self.arena[k];
+                    if word & HEADER != 0 {
+                        break;
+                    }
+                    let lk = Lit(word);
                     if self.value(lk) != LBool::FALSE {
-                        self.arena.swap(start + 1, k);
+                        self.arena.swap(second_at, k);
                         self.watches[(!lk).index()].push(Watcher {
                             cref: w.cref,
                             blocker: first,
                         });
                         continue 'watchers;
                     }
+                    k += 1;
                 }
                 // No new watch: clause is unit or conflicting.
                 ws[kept] = Watcher {
@@ -577,10 +798,10 @@ impl Sat {
                 };
                 kept += 1;
                 if self.value(first) == LBool::FALSE {
-                    conflict = Some(w.cref);
+                    conflict = Some(cref as u32);
                     self.qhead = self.trail.len();
                 } else {
-                    self.enqueue(first, Some(w.cref));
+                    self.enqueue(first, Some(cref as u32));
                 }
             }
             ws.truncate(kept);
@@ -606,11 +827,12 @@ impl Sat {
     }
 
     fn bump_clause(&mut self, cref: u32) {
-        let c = &mut self.clauses[cref as usize];
-        c.activity += self.clause_inc;
-        if c.activity > 1e20 {
-            for cl in &mut self.clauses {
-                cl.activity *= 1e-20;
+        let id = (self.arena[cref as usize] & ID_MASK) as usize;
+        let a = &mut self.clause_act[id];
+        *a += self.clause_inc;
+        if *a > 1e20 {
+            for act in &mut self.clause_act {
+                *act *= 1e-20;
             }
             self.clause_inc *= 1e-20;
         }
@@ -629,10 +851,17 @@ impl Sat {
 
         loop {
             self.bump_clause(confl);
-            let range = self.clauses[confl as usize].range();
-            let start = range.start + usize::from(p.is_some());
-            for k in start..range.end {
-                let q = self.arena[k];
+            let mut k = confl as usize + 1;
+            loop {
+                let word = self.arena[k];
+                if word & HEADER != 0 {
+                    break;
+                }
+                k += 1;
+                let q = Lit(word);
+                if Some(q) == p {
+                    continue; // the literal this reason implied
+                }
                 let v = q.var().0 as usize;
                 if !self.seen[v] && self.level[v] > 0 {
                     self.seen[v] = true;
@@ -675,15 +904,13 @@ impl Sat {
         minimised.push(learnt[0]);
         for &l in &learnt[1..] {
             let redundant = match self.reason[l.var().0 as usize] {
-                Some(r) => self.arena[self.clauses[r as usize].range()]
-                    .iter()
-                    .all(|q| {
-                        let v = q.var();
-                        v == l.var()
-                            || v == uip
-                            || self.seen[v.0 as usize]
-                            || self.level[v.0 as usize] == 0
-                    }),
+                Some(r) => self.clause_lits(r).all(|q| {
+                    let v = q.var();
+                    v == l.var()
+                        || v == uip
+                        || self.seen[v.0 as usize]
+                        || self.level[v.0 as usize] == 0
+                }),
                 None => false,
             };
             if !redundant {
@@ -774,51 +1001,44 @@ impl Sat {
     }
 
     fn reduce_db(&mut self) {
-        if self.n_long_learnts < self.config.max_learnts {
+        if self.learnts.len() < self.config.max_learnts {
             return;
         }
-        let mut learnt_refs: Vec<u32> = (0..self.clauses.len() as u32)
-            .filter(|&i| {
-                let c = &self.clauses[i as usize];
-                c.learnt && !c.deleted && c.len > 2
-            })
-            .collect();
-        debug_assert_eq!(learnt_refs.len(), self.n_long_learnts);
         // Keep the more useful half: low LBD, then high activity. The sort
-        // is stable, so ties keep creation order.
-        learnt_refs.sort_by(|&a, &b| {
-            let (ca, cb) = (&self.clauses[a as usize], &self.clauses[b as usize]);
-            ca.lbd.cmp(&cb.lbd).then(
-                cb.activity
-                    .partial_cmp(&ca.activity)
+        // is stable over creation order, so ties keep creation order.
+        let act = |l: &Learnt| self.clause_act[(self.arena[l.cref as usize] & ID_MASK) as usize];
+        let mut ranked = self.learnts.clone();
+        ranked.sort_by(|a, b| {
+            a.lbd.cmp(&b.lbd).then(
+                act(b)
+                    .partial_cmp(&act(a))
                     .unwrap_or(std::cmp::Ordering::Equal),
             )
         });
-        let mut locked = vec![false; self.clauses.len()];
+        let mut locked = vec![false; self.clause_act.len()];
         for &r in self.reason.iter().flatten() {
-            locked[r as usize] = true;
+            locked[(self.arena[r as usize] & ID_MASK) as usize] = true;
         }
-        for &cref in &learnt_refs[learnt_refs.len() / 2..] {
-            if !locked[cref as usize] {
-                self.clauses[cref as usize].deleted = true;
-                self.n_long_learnts -= 1;
+        for l in &ranked[ranked.len() / 2..] {
+            let header = &mut self.arena[l.cref as usize];
+            if !locked[(*header & ID_MASK) as usize] {
+                *header |= DELETED;
             }
         }
+        let arena = &self.arena;
+        self.learnts
+            .retain(|l| arena[l.cref as usize] & DELETED == 0);
         // Rebuild watches without deleted clauses.
         for w in &mut self.watches {
             w.clear();
         }
-        for (i, c) in self.clauses.iter().enumerate() {
-            if c.deleted {
-                continue;
+        let mut cref = 0;
+        while cref + 1 < self.arena.len() {
+            let next = self.clause_end(cref);
+            if self.arena[cref] & DELETED == 0 {
+                self.watch_clause(cref, next - cref - 1);
             }
-            let cref = i as u32;
-            let (l0, l1) = (
-                self.arena[c.start as usize],
-                self.arena[c.start as usize + 1],
-            );
-            self.watches[(!l0).index()].push(Watcher { cref, blocker: l1 });
-            self.watches[(!l1).index()].push(Watcher { cref, blocker: l0 });
+            cref = next;
         }
     }
 
@@ -862,9 +1082,8 @@ impl Sat {
                 } else {
                     let lbd = self.learnt_lbd();
                     let start = self.arena.len();
-                    self.arena.extend_from_slice(&self.learnt);
-                    let cref = self.attach_clause(start, true);
-                    self.clauses[cref as usize].lbd = lbd;
+                    self.arena.extend(self.learnt.iter().map(|l| l.0));
+                    let cref = self.attach_clause(start, Some(lbd));
                     self.bump_clause(cref);
                     self.enqueue(asserting, Some(cref));
                 }
@@ -1243,14 +1462,16 @@ mod tests {
 
     #[test]
     fn workspace_keeps_buffers_until_a_huge_query() {
-        let capacity = || WORKSPACE.with(|w| w.borrow().assigns.capacity());
-        with_workspace(SatConfig::default(), |s| {
-            vars(s, 100);
+        let capacity = || WORKSPACE.with(|w| w.borrow().sat.assigns.capacity());
+        with_workspace(|ws| {
+            ws.sat.reset(SatConfig::default());
+            vars(&mut ws.sat, 100);
         });
         assert!(capacity() >= 100);
-        with_workspace(SatConfig::default(), |s| {
-            assert_eq!(s.n_vars(), 0, "reset");
-            vars(s, WORKSPACE_MAX_VARS + 1);
+        with_workspace(|ws| {
+            ws.sat.reset(SatConfig::default());
+            assert_eq!(ws.sat.n_vars(), 0, "reset");
+            vars(&mut ws.sat, WORKSPACE_MAX_VARS + 1);
         });
         assert_eq!(capacity(), 0, "dropped");
     }

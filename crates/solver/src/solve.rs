@@ -18,7 +18,12 @@
 //! Every query is blasted and solved on the calling thread's SAT
 //! workspace (see [`crate::sat`]), reset to a fresh solver first, so a
 //! query's result and counters do not depend on what the thread solved
-//! before.
+//! before. A [`solve_with`] query without a diversity seed starts from
+//! the workspace's recorded prefix instead when its right-hand conjunct
+//! (the whole query if it is not an `And`) is the one the prefix
+//! encodes, and records its own otherwise (see [`crate::blast`]): the
+//! enforcement loop's φ′∧β queries then encode β once per site. The CNF
+//! and the search are the same either way.
 
 use std::collections::BTreeMap;
 
@@ -29,7 +34,7 @@ use diode_symbolic::SymBool;
 
 use crate::blast::Blaster;
 use crate::interval::{cond_range, Tri};
-use crate::sat::{with_workspace, Lit, SatConfig, SatOutcome};
+use crate::sat::{with_workspace, Lit, SatConfig, SatOutcome, Workspace};
 
 /// Configuration for the high-level solver.
 #[derive(Debug, Clone)]
@@ -139,16 +144,25 @@ pub struct SolveStats {
     pub vars: usize,
     /// True if the interval pre-analysis decided the query by itself.
     pub decided_by_interval: bool,
+    /// Clauses in the store when the search started.
+    clauses: usize,
+    /// True if the query started from a recorded prefix.
+    replayed: bool,
 }
 
 impl SolveStats {
-    /// Adds this query's search work to the current job scope's
-    /// `solver.conflicts`, `solver.decisions` and `solver.propagations`
-    /// counters (a no-op outside a job scope).
+    /// Adds this query's work to the current job scope's counters (a
+    /// no-op outside a job scope): the search's `solver.conflicts`,
+    /// `solver.decisions` and `solver.propagations`, the CNF's
+    /// `solver.cnf_vars` and `solver.cnf_clauses`, and
+    /// `solver.prefix_replays` when it started from a recorded prefix.
     pub fn count(&self) {
         diode_obs::count("solver.conflicts", self.conflicts);
         diode_obs::count("solver.decisions", self.decisions);
         diode_obs::count("solver.propagations", self.propagations);
+        diode_obs::count("solver.cnf_vars", self.vars as u64);
+        diode_obs::count("solver.cnf_clauses", self.clauses as u64);
+        diode_obs::count("solver.prefix_replays", u64::from(self.replayed));
     }
 }
 
@@ -172,24 +186,34 @@ pub fn solve_with(
         stats.decided_by_interval = true;
         return (SolveResult::Unsat, stats);
     }
-    with_workspace(sat_config(config), |sat| {
-        let mut blaster = Blaster::new(sat);
-        blaster.assert_cond(cond);
-        if let Some(seed) = diversity_seed {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let all_vars: Vec<_> = blaster
-                .byte_bits()
-                .values()
-                .flatten()
-                .map(|l| l.var())
-                .collect();
-            for v in all_vars {
-                let polarity: bool = rng.gen();
-                let bump: f64 = rng.gen::<f64>() * 0.5;
-                blaster.sat_mut().set_polarity(v, polarity);
-                blaster.sat_mut().bump_activity_seed(v, bump);
+    with_workspace(|ws| {
+        let mut blaster = match diversity_seed {
+            None => {
+                let (blaster, replayed) = encode_query(ws, cond, sat_config(config));
+                stats.replayed = replayed;
+                blaster
             }
-        }
+            Some(seed) => {
+                ws.sat.reset(sat_config(config));
+                let mut blaster = Blaster::new(&mut ws.sat);
+                blaster.assert_cond(cond);
+                let mut rng = StdRng::seed_from_u64(seed);
+                let all_vars: Vec<_> = blaster
+                    .byte_bits()
+                    .values()
+                    .flatten()
+                    .map(|l| l.var())
+                    .collect();
+                for v in all_vars {
+                    let polarity: bool = rng.gen();
+                    let bump: f64 = rng.gen::<f64>() * 0.5;
+                    blaster.sat_mut().set_polarity(v, polarity);
+                    blaster.sat_mut().bump_activity_seed(v, bump);
+                }
+                blaster
+            }
+        };
+        stats.clauses = blaster.sat_ref().n_clauses();
         let outcome = blaster.sat_mut().solve();
         let sat = blaster.sat_ref();
         stats.conflicts = sat.conflicts();
@@ -203,6 +227,40 @@ pub fn solve_with(
         };
         (result, stats)
     })
+}
+
+/// Encodes and asserts `cond` on `ws` under `config`, building the CNF
+/// [`Blaster::assert_cond`] builds. The right-hand conjunct of an `And`
+/// (the whole query otherwise) is encoded first: replayed from the
+/// workspace's prefix when that prefix encodes it, and encoded and
+/// recorded otherwise. Returns the blaster and whether it replayed.
+fn encode_query<'w>(
+    ws: &'w mut Workspace,
+    cond: &SymBool,
+    config: SatConfig,
+) -> (Blaster<'w>, bool) {
+    let (left, right) = match cond {
+        SymBool::And(left, right) => (Some(&**left), &**right),
+        _ => (None, cond),
+    };
+    let Workspace { sat, prefix } = ws;
+    let (mut blaster, lit, replayed) = match prefix.as_ref().filter(|p| p.encodes(right)) {
+        Some(recorded) => {
+            let (blaster, lit) = Blaster::replay(sat, config, recorded);
+            (blaster, lit, true)
+        }
+        None => {
+            sat.reset(config);
+            let mut blaster = Blaster::new(sat);
+            let lit = blaster.encode_bool(right);
+            if let Some(recorded) = blaster.record(right, lit) {
+                *prefix = Some(recorded);
+            }
+            (blaster, lit, false)
+        }
+    };
+    blaster.assert_and(left, lit);
+    (blaster, replayed)
 }
 
 /// The SAT configuration of one query under `config`.
@@ -259,8 +317,9 @@ pub fn enumerate(cond: &SymBool, limit: usize, config: &SolverConfig) -> Enumera
             complete: true,
         };
     }
-    with_workspace(sat_config(config), |sat| {
-        let mut blaster = Blaster::new(sat);
+    with_workspace(|ws| {
+        ws.sat.reset(sat_config(config));
+        let mut blaster = Blaster::new(&mut ws.sat);
         blaster.assert_cond(cond);
         let byte_lits: Vec<(u32, Vec<Lit>)> = blaster
             .byte_bits()

@@ -20,15 +20,22 @@
 //! order, with a budget-exhausted solve interleaved every ten queries,
 //! and must reproduce every per-query image: no solver state may leak
 //! from one query into the next.
+//!
+//! A φ′∧β query starts from β's encoding, recorded by an earlier query
+//! of its site (`diode_solver::blast`, "Recorded prefixes"). The second
+//! test checks that this replay fires where it should, that a replayed
+//! query's image equals a fresh thread's, and that a β whose encoding
+//! cannot be replayed is encoded afresh.
 
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use diode::core::{extract, generate_input, identify_target_sites, test_candidate, DiodeConfig};
 use diode::format::FormatDesc;
-use diode::lang::Program;
-use diode::obs::fnv64_hex;
+use diode::lang::{BinOp, Bv, CastKind, CmpOp, Program};
+use diode::obs::{fnv64_hex, job_scope, Recorder};
 use diode::solver::{enumerate, sample, solve_with, SolveResult, SolverConfig};
-use diode::symbolic::SymBool;
+use diode::symbolic::{OvfKind, Sym, SymBool, SymExpr};
 use diode::synth::{forge, SynthConfig};
 
 /// FNV-64 of every query's image, captured before the SAT core moved to
@@ -36,15 +43,47 @@ use diode::synth::{forge, SynthConfig};
 const PINNED: &str = "fnv64:4605634ff511d7af";
 
 /// One solved query: the constraint and the `Debug` image of its result
-/// and work counters.
+/// and work counters, with the β of its site and how it was solved.
 struct Query {
     cond: SymBool,
     conflicts: u64,
     image: String,
+    /// The site's β, and the site's index in the corpus.
+    beta: SymBool,
+    site: usize,
+    /// The interval pre-analysis decided it (no SAT encoding).
+    interval: bool,
+    /// It started from a recorded prefix.
+    replayed: bool,
+    /// CNF variables.
+    vars: usize,
 }
 
-fn solve_image(cond: &SymBool, config: &SolverConfig) -> (SolveResult, u64, String) {
-    let (result, stats) = solve_with(cond, config, None);
+/// What one solve reports: its result, conflicts and image, whether the
+/// interval pre-analysis decided it, and whether it replayed a prefix
+/// (read from the job scope's `solver.prefix_replays` counter).
+struct Solved {
+    result: SolveResult,
+    conflicts: u64,
+    image: String,
+    interval: bool,
+    replayed: bool,
+    vars: usize,
+}
+
+fn solve_image(cond: &SymBool, config: &SolverConfig) -> Solved {
+    let recorder = Arc::new(Recorder::new());
+    let (result, stats) = {
+        let _scope = job_scope(Some(&recorder), "golden", 0, None);
+        let (result, stats) = solve_with(cond, config, None);
+        stats.count();
+        (result, stats)
+    };
+    let replays = recorder
+        .trace()
+        .counters
+        .get("solver.prefix_replays")
+        .copied();
     let image = format!(
         "{:?}",
         (
@@ -55,7 +94,14 @@ fn solve_image(cond: &SymBool, config: &SolverConfig) -> (SolveResult, u64, Stri
             stats.decided_by_interval
         )
     );
-    (result, stats.conflicts, image)
+    Solved {
+        result,
+        conflicts: stats.conflicts,
+        image,
+        interval: stats.decided_by_interval,
+        replayed: replays == Some(1),
+        vars: stats.vars,
+    }
 }
 
 /// Replays the Figure 7 loop for every site of one unit, appending each
@@ -67,18 +113,24 @@ fn replay_unit(
     config: &DiodeConfig,
     out: &mut Vec<Query>,
 ) {
-    let mut solve = |cond: SymBool| {
-        let (result, conflicts, image) = solve_image(&cond, &config.solver);
-        out.push(Query {
-            cond,
-            conflicts,
-            image,
-        });
-        result
-    };
     for site in identify_target_sites(program, seed, &config.machine) {
         let Some(extraction) = extract(program, seed, &site, &config.machine) else {
             continue;
+        };
+        let site_index = out.last().map_or(0, |q| q.site + 1);
+        let mut solve = |cond: SymBool| {
+            let solved = solve_image(&cond, &config.solver);
+            out.push(Query {
+                cond,
+                conflicts: solved.conflicts,
+                image: solved.image,
+                beta: extraction.beta.clone(),
+                site: site_index,
+                interval: solved.interval,
+                replayed: solved.replayed,
+                vars: solved.vars,
+            });
+            solved.result
         };
         let SolveResult::Sat(model) = solve(extraction.beta.clone()) else {
             continue;
@@ -201,11 +253,168 @@ fn solver_search_matches_the_pinned_image() {
                 let (result, _) = solve_with(&hardest, &budget, None);
                 assert_eq!(result, SolveResult::Unknown, "budget must stop the search");
             }
-            let (_, _, image) = solve_image(&q.cond, &config);
+            let image = solve_image(&q.cond, &config).image;
             assert_eq!(image, q.image, "query {i} changed on the second pass");
         }
         assert_eq!(sampled_images(&betas), sampled, "sample/enumerate changed");
     })
     .join()
     .expect("second pass");
+}
+
+/// The conjunct a query encodes first: an `And`'s right operand, or the
+/// whole query.
+fn right_conjunct(cond: &SymBool) -> &SymBool {
+    match cond {
+        SymBool::And(_, right) => right,
+        _ => cond,
+    }
+}
+
+/// True when `a` and `b` are the same node: the same variant over the
+/// same children, compared by address.
+fn same_node(a: &SymBool, b: &SymBool) -> bool {
+    match (a, b) {
+        (SymBool::Const(x), SymBool::Const(y)) => x == y,
+        (SymBool::Cmp(o1, a1, b1), SymBool::Cmp(o2, a2, b2)) => {
+            o1 == o2 && a1.node_id() == a2.node_id() && b1.node_id() == b2.node_id()
+        }
+        (SymBool::Ovf(k1, a1, b1), SymBool::Ovf(k2, a2, b2)) => {
+            k1 == k2 && a1.node_id() == a2.node_id() && b1.node_id() == b2.node_id()
+        }
+        (SymBool::Not(x), SymBool::Not(y)) => Arc::ptr_eq(x, y),
+        (SymBool::And(a1, b1), SymBool::And(a2, b2))
+        | (SymBool::Or(a1, b1), SymBool::Or(a2, b2)) => Arc::ptr_eq(a1, a2) && Arc::ptr_eq(b1, b2),
+        _ => false,
+    }
+}
+
+/// True if `cond` divides by a constant. Encoding such a division
+/// asserts units (whether the divisor is zero is known), and a prefix
+/// whose encoding propagated a unit is not recorded.
+fn divides_by_constant(cond: &SymBool) -> bool {
+    fn expr(e: &SymExpr) -> bool {
+        match e.sym() {
+            Sym::Const(_) | Sym::InputByte(_) => false,
+            Sym::Un(_, a) | Sym::Cast(_, _, a) => expr(a),
+            Sym::Bin(op, a, b) => {
+                (matches!(op, BinOp::UDiv | BinOp::URem) && b.as_const().is_some())
+                    || expr(a)
+                    || expr(b)
+            }
+        }
+    }
+    match cond {
+        SymBool::Const(_) => false,
+        SymBool::Cmp(_, a, b) | SymBool::Ovf(_, a, b) => expr(a) || expr(b),
+        SymBool::Not(inner) => divides_by_constant(inner),
+        SymBool::And(a, b) | SymBool::Or(a, b) => divides_by_constant(a) || divides_by_constant(b),
+    }
+}
+
+fn byte32(off: u32) -> SymExpr {
+    SymExpr::input_byte(off).cast(CastKind::Zext, 32)
+}
+
+fn c32(v: u32) -> SymExpr {
+    SymExpr::constant(Bv::u32(v))
+}
+
+fn field32(base: u32) -> SymExpr {
+    let b0 = byte32(base).bin(BinOp::Shl, c32(24));
+    let b1 = byte32(base + 1).bin(BinOp::Shl, c32(16));
+    let b2 = byte32(base + 2).bin(BinOp::Shl, c32(8));
+    b0.bin(BinOp::Or, b1)
+        .bin(BinOp::Or, b2)
+        .bin(BinOp::Or, byte32(base + 3))
+}
+
+/// The image of `cond` solved on a new thread, whose workspace holds no
+/// prefix.
+fn fresh_image(cond: &SymBool) -> String {
+    let cond = cond.clone();
+    std::thread::spawn(move || solve_image(&cond, &SolverConfig::default()).image)
+        .join()
+        .expect("fresh solve")
+}
+
+/// Solves `beta` and then `sanity ∧ β` on a new thread (a site's β query
+/// and its first φ′∧β query), checks the second query's image against a
+/// fresh encoding's, and returns β's variable count and whether the
+/// second query replayed.
+fn beta_then_enforce(beta: &SymBool, sanity: &SymBool) -> (usize, bool) {
+    let query = sanity.and(beta);
+    let fresh = fresh_image(&query);
+    let beta = beta.clone();
+    let (vars, solved) = std::thread::spawn(move || {
+        let config = SolverConfig::default();
+        let vars = solve_image(&beta, &config).vars;
+        (vars, solve_image(&query, &config))
+    })
+    .join()
+    .expect("β, then φ′∧β");
+    assert_eq!(solved.image, fresh, "sanity ∧ β");
+    (vars, solved.replayed)
+}
+
+#[test]
+fn replayed_prefixes_solve_like_fresh_encodings() {
+    let (queries, _) = corpus();
+    // Each site's first query is its β alone: its variables are β's.
+    let mut beta_vars = vec![0; queries.last().map_or(0, |q| q.site + 1)];
+    for q in queries.iter().rev() {
+        beta_vars[q.site] = q.vars;
+    }
+    let (mut replays, mut refused) = (0, 0);
+    for (i, q) in queries.iter().enumerate() {
+        // β is this query's right-hand conjunct, and an earlier query of
+        // its site encoded β first on the SAT core: the site's β query
+        // when β is not an `And`, else its first φ′∧β query.
+        let after_beta = same_node(right_conjunct(&q.cond), &q.beta)
+            && queries[..i]
+                .iter()
+                .rev()
+                .take_while(|p| p.site == q.site)
+                .any(|p| !p.interval && same_node(right_conjunct(&p.cond), &q.beta));
+        if q.replayed {
+            replays += 1;
+            assert!(after_beta, "query {i} replayed a prefix it did not record");
+            assert_eq!(fresh_image(&q.cond), q.image, "replayed query {i}");
+        } else if after_beta && !q.interval {
+            // Only a refused prefix is not replayed.
+            assert!(
+                divides_by_constant(&q.beta) || beta_vars[q.site] > 8192,
+                "query {i} did not replay its site's β"
+            );
+            refused += 1;
+        }
+    }
+    assert!(
+        replays > 0,
+        "no query replayed a prefix ({refused} refused)"
+    );
+
+    // Refused prefixes: a β dividing by a constant zero propagates units
+    // while it is encoded, and a β over 8,192 variables is too large to
+    // keep. Each leaves the next φ′∧β query to encode β afresh, while a
+    // β that can be kept is replayed.
+    let sanity = SymBool::cmp(CmpOp::Ult, field32(0), c32(1000));
+    let by_zero = SymBool::Ovf(OvfKind::Mul, field32(0), byte32(4).bin(BinOp::UDiv, c32(0)));
+    assert!(
+        !beta_then_enforce(&by_zero, &sanity).1,
+        "β / 0 was replayed"
+    );
+    let product = field32(0).bin(BinOp::Mul, field32(4));
+    let huge = SymBool::Ovf(OvfKind::Mul, product, field32(8));
+    let (vars, replayed) = beta_then_enforce(&huge, &sanity);
+    assert!(
+        vars > 8192 && !replayed,
+        "{vars} variables, replayed: {replayed}"
+    );
+    let small = SymBool::Ovf(OvfKind::Mul, field32(0), field32(4));
+    let (vars, replayed) = beta_then_enforce(&small, &sanity);
+    assert!(
+        vars <= 8192 && replayed,
+        "{vars} variables, replayed: {replayed}"
+    );
 }
