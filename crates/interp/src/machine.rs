@@ -692,12 +692,17 @@ impl<'a, S: Shadow> Machine<'a, S> {
         let recording = config.record_branches;
         let mut branches = Vec::new();
         if recording {
+            // A run's observations have the same tag, so one carried-over
+            // observation cloned `n` times is what mapping each would give.
             branches.reserve_exact(snapshot.branches_len);
-            branches.extend(snapshot.branch_prefix().map(|b| BranchObs {
-                label: b.label,
-                taken: b.taken,
-                constraint: cond(&b.constraint),
-            }));
+            for (b, n) in snapshot.branch_prefix() {
+                let obs = BranchObs {
+                    label: b.label,
+                    taken: b.taken,
+                    constraint: cond(&b.constraint),
+                };
+                branches.extend(std::iter::repeat_n(obs, n));
+            }
         }
         let allocs = snapshot
             .allocs

@@ -206,12 +206,15 @@ impl<S: Shadow> Snapshot<S> {
     }
 
     /// The branch observations recorded before the boundary (none when
-    /// the capture did not record branches), expanded from their runs.
-    pub(crate) fn branch_prefix(&self) -> impl Iterator<Item = &BranchObs<S::CondTag>> {
-        self.branches
-            .iter()
-            .flat_map(|run| std::iter::repeat_n(&run.obs, run.count as usize))
-            .take(self.branches_len)
+    /// the capture did not record branches), as runs: each observation
+    /// with how many times it repeats within the prefix.
+    pub(crate) fn branch_prefix(&self) -> impl Iterator<Item = (&BranchObs<S::CondTag>, usize)> {
+        let mut left = self.branches_len;
+        self.branches[..self.branch_runs].iter().map(move |run| {
+            let n = left.min(run.count as usize);
+            left -= n;
+            (&run.obs, n)
+        })
     }
 
     /// Approximate bytes this snapshot keeps resident: the frozen
