@@ -30,10 +30,12 @@
 //! also keep their LBD in a side list in creation order. A watcher of a
 //! binary clause is tagged, and its blocker is the clause's other
 //! literal, so propagating through a binary clause reads neither its
-//! header nor the arena. Clause normalisation and conflict analysis work
-//! in buffers the solver keeps, and gate clauses from the bit-blaster
-//! (`Sat::add_gate_clause`) skip normalisation when they need none, so
-//! the search itself allocates only when a buffer or the arena grows.
+//! header nor the arena. A variable's decision level and reason share
+//! one entry, which `enqueue` writes at once. Clause normalisation and
+//! conflict analysis work in buffers the solver keeps, and gate clauses
+//! from the bit-blaster (`Sat::add_gate_clause`) skip normalisation
+//! when they need none, so the search itself allocates only when a
+//! buffer or the arena grows.
 //!
 //! # The per-thread workspace
 //!
@@ -185,6 +187,20 @@ struct Watcher {
     blocker: Lit,
 }
 
+/// A variable's decision level and reason: the arena offset of the
+/// clause that implied it, or [`NO_REASON`].
+#[derive(Debug, Clone, Copy)]
+struct VarData {
+    level: u32,
+    reason: u32,
+}
+
+/// The reason of a decision, a unit, or an unassigned variable. No
+/// clause starts there: arena offsets stay below [`BINARY`].
+const NO_REASON: u32 = u32::MAX;
+/// The heap position of a variable outside the heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
+
 /// A long learnt clause: its arena offset and literal-block distance.
 #[derive(Debug, Clone, Copy)]
 struct Learnt {
@@ -244,12 +260,13 @@ pub struct Sat {
     watches: Vec<Vec<Watcher>>,
     assigns: Vec<LBool>,
     phase: Vec<bool>,
-    level: Vec<u32>,
-    /// Each implied variable's reason: the arena offset of its clause.
-    reason: Vec<Option<u32>>,
+    /// Each variable's decision level and reason, side by side because
+    /// `enqueue` writes both and conflict analysis reads both.
+    var_data: Vec<VarData>,
     activity: Vec<f64>,
     heap: Vec<Var>,
-    heap_pos: Vec<Option<u32>>,
+    /// Each variable's heap index, or [`NOT_IN_HEAP`].
+    heap_pos: Vec<u32>,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -339,8 +356,7 @@ impl Sat {
             watches: Vec::new(),
             assigns: Vec::new(),
             phase: Vec::new(),
-            level: Vec::new(),
-            reason: Vec::new(),
+            var_data: Vec::new(),
             activity: Vec::new(),
             heap: Vec::new(),
             heap_pos: Vec::new(),
@@ -375,8 +391,7 @@ impl Sat {
         self.learnts.clear();
         self.assigns.clear();
         self.phase.clear();
-        self.level.clear();
-        self.reason.clear();
+        self.var_data.clear();
         self.activity.clear();
         self.heap.clear();
         self.heap_pos.clear();
@@ -429,12 +444,17 @@ impl Sat {
         // activity 0, each inserted variable stays where it is pushed.
         self.assigns.resize(n, LBool::UNDEF);
         self.phase.resize(n, self.config.default_phase);
-        self.level.resize(n, 0);
-        self.reason.resize(n, None);
+        self.var_data.resize(
+            n,
+            VarData {
+                level: 0,
+                reason: NO_REASON,
+            },
+        );
         self.activity.resize(n, 0.0);
         self.seen.resize(n, false);
         self.heap.extend((0..n as u32).map(Var));
-        self.heap_pos.extend((0..n as u32).map(Some));
+        self.heap_pos.extend(0..n as u32);
         if self.watches.len() < 2 * n {
             self.watches.resize_with(2 * n, Vec::new);
         }
@@ -466,10 +486,12 @@ impl Sat {
         let v = Var(n as u32);
         self.assigns.push(LBool::UNDEF);
         self.phase.push(self.config.default_phase);
-        self.level.push(0);
-        self.reason.push(None);
+        self.var_data.push(VarData {
+            level: 0,
+            reason: NO_REASON,
+        });
         self.activity.push(0.0);
-        self.heap_pos.push(None);
+        self.heap_pos.push(NOT_IN_HEAP);
         self.seen.push(false);
         let watched = 2 * self.assigns.len();
         if self.watches.len() < watched {
@@ -705,8 +727,10 @@ impl Sat {
         debug_assert!(self.value(lit).is_undef());
         let v = lit.var().0 as usize;
         self.assigns[v] = LBool::from_bool(!lit.sign());
-        self.level[v] = self.decision_level();
-        self.reason[v] = reason;
+        self.var_data[v] = VarData {
+            level: self.decision_level(),
+            reason: reason.unwrap_or(NO_REASON),
+        };
         self.trail.push(lit);
     }
 
@@ -863,10 +887,11 @@ impl Sat {
                     continue; // the literal this reason implied
                 }
                 let v = q.var().0 as usize;
-                if !self.seen[v] && self.level[v] > 0 {
+                let level = self.var_data[v].level;
+                if !self.seen[v] && level > 0 {
                     self.seen[v] = true;
                     self.bump_var(q.var());
-                    if self.level[v] >= self.decision_level() {
+                    if level >= self.decision_level() {
                         counter += 1;
                     } else {
                         learnt.push(q);
@@ -888,7 +913,8 @@ impl Sat {
             if counter == 0 {
                 break;
             }
-            confl = self.reason[pv].expect("non-decision must have a reason");
+            confl = self.var_data[pv].reason;
+            debug_assert_ne!(confl, NO_REASON, "non-decision must have a reason");
         }
         let uip = p.expect("UIP literal").var();
         learnt[0] = !p.expect("UIP literal");
@@ -903,16 +929,15 @@ impl Sat {
         minimised.clear();
         minimised.push(learnt[0]);
         for &l in &learnt[1..] {
-            let redundant = match self.reason[l.var().0 as usize] {
-                Some(r) => self.clause_lits(r).all(|q| {
+            let r = self.var_data[l.var().0 as usize].reason;
+            let redundant = r != NO_REASON
+                && self.clause_lits(r).all(|q| {
                     let v = q.var();
                     v == l.var()
                         || v == uip
                         || self.seen[v.0 as usize]
-                        || self.level[v.0 as usize] == 0
-                }),
-                None => false,
-            };
+                        || self.var_data[v.0 as usize].level == 0
+                });
             if !redundant {
                 minimised.push(l);
             }
@@ -933,14 +958,14 @@ impl Sat {
             // two-watched-literal invariant after backjumping).
             let mut max_i = 1;
             for i in 2..minimised.len() {
-                if self.level[minimised[i].var().0 as usize]
-                    > self.level[minimised[max_i].var().0 as usize]
+                if self.var_data[minimised[i].var().0 as usize].level
+                    > self.var_data[minimised[max_i].var().0 as usize].level
                 {
                     max_i = i;
                 }
             }
             minimised.swap(1, max_i);
-            self.level[minimised[1].var().0 as usize]
+            self.var_data[minimised[1].var().0 as usize].level
         };
         self.learnt = minimised;
         backjump
@@ -956,7 +981,7 @@ impl Sat {
         }
         let mut distinct = 0;
         for l in &self.learnt {
-            let lv = self.level[l.var().0 as usize] as usize;
+            let lv = self.var_data[l.var().0 as usize].level as usize;
             if lv >= self.lbd_stamp.len() {
                 self.lbd_stamp.resize(lv + 1, 0);
             }
@@ -978,7 +1003,7 @@ impl Sat {
             let v = lit.var().0 as usize;
             self.phase[v] = !lit.sign(); // phase saving
             self.assigns[v] = LBool::UNDEF;
-            self.reason[v] = None;
+            self.var_data[v].reason = NO_REASON;
             self.heap_insert(lit.var());
         }
         self.trail.truncate(bound);
@@ -1016,8 +1041,8 @@ impl Sat {
             )
         });
         let mut locked = vec![false; self.clause_act.len()];
-        for &r in self.reason.iter().flatten() {
-            locked[(self.arena[r as usize] & ID_MASK) as usize] = true;
+        for d in self.var_data.iter().filter(|d| d.reason != NO_REASON) {
+            locked[(self.arena[d.reason as usize] & ID_MASK) as usize] = true;
         }
         for l in &ranked[ranked.len() / 2..] {
             let header = &mut self.arena[l.cref as usize];
@@ -1111,12 +1136,12 @@ impl Sat {
     }
 
     fn heap_insert(&mut self, v: Var) {
-        if self.heap_pos[v.0 as usize].is_some() {
+        if self.heap_pos[v.0 as usize] != NOT_IN_HEAP {
             return;
         }
         self.heap.push(v);
         let i = self.heap.len() - 1;
-        self.heap_pos[v.0 as usize] = Some(i as u32);
+        self.heap_pos[v.0 as usize] = i as u32;
         self.heap_sift_up(i);
     }
 
@@ -1125,18 +1150,19 @@ impl Sat {
             return None;
         }
         let top = self.heap[0];
-        self.heap_pos[top.0 as usize] = None;
+        self.heap_pos[top.0 as usize] = NOT_IN_HEAP;
         let last = self.heap.pop().expect("non-empty");
         if !self.heap.is_empty() {
             self.heap[0] = last;
-            self.heap_pos[last.0 as usize] = Some(0);
+            self.heap_pos[last.0 as usize] = 0;
             self.heap_sift_down(0);
         }
         Some(top)
     }
 
     fn heap_update(&mut self, v: Var) {
-        if let Some(i) = self.heap_pos[v.0 as usize] {
+        let i = self.heap_pos[v.0 as usize];
+        if i != NOT_IN_HEAP {
             self.heap_sift_up(i as usize);
         }
     }
@@ -1173,8 +1199,8 @@ impl Sat {
 
     fn heap_swap(&mut self, i: usize, j: usize) {
         self.heap.swap(i, j);
-        self.heap_pos[self.heap[i].0 as usize] = Some(i as u32);
-        self.heap_pos[self.heap[j].0 as usize] = Some(j as u32);
+        self.heap_pos[self.heap[i].0 as usize] = i as u32;
+        self.heap_pos[self.heap[j].0 as usize] = j as u32;
     }
 }
 
