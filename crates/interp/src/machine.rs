@@ -242,15 +242,8 @@ pub fn run_capture_multi<S: Shadow + Clone>(
     }
     diode_obs::count(CAPTURE_STEPS, m.steps);
     let shared = branch_runs(std::mem::take(&mut m.branches));
-    // Snapshots come in boundary order: count each one's runs in one walk.
-    let (mut runs, mut observed) = (0, 0);
     for snapshot in out.iter_mut().flatten() {
-        while observed < snapshot.branches_len {
-            observed += shared[runs].count as usize;
-            runs += 1;
-        }
         snapshot.branches = Arc::clone(&shared);
-        snapshot.branch_runs = runs;
     }
     out.resize_with(stops.len(), || None);
     out
@@ -832,7 +825,7 @@ impl<'a, S: Shadow> Machine<'a, S> {
     /// `keep_logging`. The snapshot's branch prefix is the first
     /// `self.branches.len()` observations of `branches`, a placeholder
     /// that [`run_capture_multi`] replaces with the pass's run-length log
-    /// (and the prefix's run count) once the pass ends.
+    /// once the pass ends.
     fn capture(&mut self, keep_logging: bool, branches: Arc<[BranchRun<S::CondTag>]>) -> Snapshot<S>
     where
         S: Clone,
@@ -851,7 +844,6 @@ impl<'a, S: Shadow> Machine<'a, S> {
             frames: self.frames.iter().map(Machine::<S>::frame_image).collect(),
             branches,
             branches_len: self.branches.len(),
-            branch_runs: 0,
             allocs: self.allocs.clone(),
             warnings: self.warnings.clone(),
             reads,
@@ -1820,7 +1812,8 @@ mod tests {
         let step = first_read(&p, &seed, Concrete, &cfg, &[2]).unwrap();
         let snap = capture_at(&p, &seed, Concrete, &cfg, step).expect("capture point reached");
         assert_eq!(snap.branches_len, 1001, "1,000 iterations and the exit");
-        assert_eq!((snap.branches.len(), snap.branch_runs), (2, 2));
+        assert_eq!(snap.branches.len(), 2);
+        assert_eq!(snap.branch_prefix().count(), 2);
         let full = run(&p, &seed, Concrete, &cfg);
         assert!(snap.approx_bytes() < 24 * full.branches.len() as u64);
         for cand in [seed.to_vec(), vec![0x03, 0xE8, 201], vec![0x03, 0xE8, 7]] {

@@ -141,11 +141,9 @@ pub struct Snapshot<S: Shadow> {
     pub(crate) frames: Vec<FrameImage<S::Tag>>,
     /// The run-length branch log of the capture pass, shared by every
     /// snapshot it took; this snapshot's prefix is its first
-    /// `branches_len` observations, which lie in its first `branch_runs`
-    /// runs.
+    /// `branches_len` observations.
     pub(crate) branches: Arc<[BranchRun<S::CondTag>]>,
     pub(crate) branches_len: usize,
-    pub(crate) branch_runs: usize,
     pub(crate) allocs: Vec<AllocRecord<S::Tag>>,
     pub(crate) warnings: Vec<String>,
     /// Sorted `(offset, byte)` log of every prefix input read.
@@ -210,10 +208,12 @@ impl<S: Shadow> Snapshot<S> {
     /// with how many times it repeats within the prefix.
     pub(crate) fn branch_prefix(&self) -> impl Iterator<Item = (&BranchObs<S::CondTag>, usize)> {
         let mut left = self.branches_len;
-        self.branches[..self.branch_runs].iter().map(move |run| {
-            let n = left.min(run.count as usize);
-            left -= n;
-            (&run.obs, n)
+        self.branches.iter().map_while(move |run| {
+            (left > 0).then(|| {
+                let n = left.min(run.count as usize);
+                left -= n;
+                (&run.obs, n)
+            })
         })
     }
 
@@ -237,7 +237,7 @@ impl<S: Shadow> Snapshot<S> {
             + frames
             + 10 * self.reads.len() as u64
             + 33 * self.crcs.len() as u64
-            + 24 * self.branch_runs as u64
+            + 24 * self.branch_prefix().count() as u64
             + 48 * self.allocs.len() as u64
             + self
                 .warnings

@@ -44,7 +44,7 @@ use std::sync::Arc;
 use diode_lang::{BinOp, Bv, CastKind, CmpOp, UnOp};
 use diode_symbolic::{OvfKind, Sym, SymBool, SymExpr};
 
-use crate::sat::{Lit, Sat, SatConfig, SatPrefix};
+use crate::sat::{Lit, Sat, SatPrefix};
 
 /// Hashes a node address with one multiply (Fibonacci hashing). The
 /// keys are addresses of live nodes, not outside input, so SipHash's
@@ -212,10 +212,10 @@ impl<'s> Blaster<'s> {
         })
     }
 
-    /// A blaster over `sat`, reset under `config` into `prefix`'s
+    /// A blaster over the freshly reset `sat`, rebuilt into `prefix`'s
     /// recorded state, and the recorded conjunct's literal.
-    pub(crate) fn replay(sat: &'s mut Sat, config: SatConfig, prefix: &Prefix) -> (Self, Lit) {
-        sat.replay_prefix(config, &prefix.sat);
+    pub(crate) fn replay(sat: &'s mut Sat, prefix: &Prefix) -> (Self, Lit) {
+        sat.replay_prefix(&prefix.sat);
         let blaster = Blaster {
             sat,
             lit_true: prefix.lit_true,

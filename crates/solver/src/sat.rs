@@ -302,7 +302,7 @@ pub(crate) const WORKSPACE_MAX_VARS: usize = 8192;
 /// One thread's solver state between queries.
 #[derive(Default)]
 pub(crate) struct Workspace {
-    /// The solver, reset (or replayed) by each query.
+    /// The solver, reset before each query.
     pub(crate) sat: Sat,
     /// The last recorded prefix, if any.
     pub(crate) prefix: Option<crate::blast::Prefix>,
@@ -312,17 +312,19 @@ thread_local! {
     static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
 }
 
-/// Runs `f` on this thread's workspace; `f` resets (or replays) the
-/// solver before using it. Returns `f`'s result; the solver is dropped
-/// afterwards if `f` left more than `WORKSPACE_MAX_VARS` variables.
+/// Runs `f` on this thread's workspace, its solver reset to a fresh
+/// solver under `config` (the recorded prefix is kept). Returns `f`'s
+/// result; the solver is dropped afterwards if `f` left more than
+/// `WORKSPACE_MAX_VARS` variables.
 ///
 /// # Panics
 ///
 /// Panics if `f` itself calls `with_workspace` (the workspace is
 /// borrowed for the whole call).
-pub(crate) fn with_workspace<R>(f: impl FnOnce(&mut Workspace) -> R) -> R {
+pub(crate) fn with_workspace<R>(config: SatConfig, f: impl FnOnce(&mut Workspace) -> R) -> R {
     WORKSPACE.with(|cell| {
         let mut ws = cell.borrow_mut();
+        ws.sat.reset(config);
         let out = f(&mut ws);
         if ws.sat.n_vars() > WORKSPACE_MAX_VARS {
             ws.sat = Sat::default();
@@ -432,12 +434,15 @@ impl Sat {
         })
     }
 
-    /// Resets the solver under `config` and rebuilds `prefix`'s state:
-    /// its variables, its trail and propagation count, and its clauses
-    /// with their watchers attached in creation order, exactly the state
-    /// the recorded solver was in.
-    pub(crate) fn replay_prefix(&mut self, config: SatConfig, prefix: &SatPrefix) {
-        self.reset(config);
+    /// Rebuilds `prefix`'s state on this freshly reset solver: its
+    /// variables, its trail and propagation count, and its clauses with
+    /// their watchers attached in creation order, exactly the state the
+    /// recorded solver was in.
+    pub(crate) fn replay_prefix(&mut self, prefix: &SatPrefix) {
+        debug_assert!(
+            self.n_vars() == 0 && self.arena.len() == 1 && self.n_conflicts == 0,
+            "replay needs a reset solver"
+        );
         let n = prefix.n_vars;
         assert!(n < 1 << 30, "too many variables");
         // What `n` calls of `new_var` leave on a reset solver: with every
@@ -1489,13 +1494,11 @@ mod tests {
     #[test]
     fn workspace_keeps_buffers_until_a_huge_query() {
         let capacity = || WORKSPACE.with(|w| w.borrow().sat.assigns.capacity());
-        with_workspace(|ws| {
-            ws.sat.reset(SatConfig::default());
+        with_workspace(SatConfig::default(), |ws| {
             vars(&mut ws.sat, 100);
         });
         assert!(capacity() >= 100);
-        with_workspace(|ws| {
-            ws.sat.reset(SatConfig::default());
+        with_workspace(SatConfig::default(), |ws| {
             assert_eq!(ws.sat.n_vars(), 0, "reset");
             vars(&mut ws.sat, WORKSPACE_MAX_VARS + 1);
         });

@@ -15,15 +15,17 @@
 //!   which, for CVE-2008-2430's `x + 2` target expression, proves there
 //!   are exactly two overflowing inputs (§5.5).
 //!
-//! Every query is blasted and solved on the calling thread's SAT
-//! workspace (see [`crate::sat`]), reset to a fresh solver first, so a
-//! query's result and counters do not depend on what the thread solved
-//! before. A [`solve_with`] query without a diversity seed starts from
-//! the workspace's recorded prefix instead when its right-hand conjunct
-//! (the whole query if it is not an `And`) is the one the prefix
-//! encodes, and records its own otherwise (see [`crate::blast`]): the
-//! enforcement loop's φ′∧β queries then encode β once per site. The CNF
-//! and the search are the same either way.
+//! Every query is blasted by one function (`encode_query`) and solved on
+//! the calling thread's SAT workspace (see [`crate::sat`]), reset to a
+//! fresh solver first, so a query's result and counters do not depend on
+//! what the thread solved before. A [`solve_with`] query without a
+//! diversity seed starts from the workspace's recorded prefix when its
+//! right-hand conjunct (the whole query if it is not an `And`) is the
+//! one the prefix encodes, and records its own otherwise (see
+//! [`crate::blast`]): the enforcement loop's φ′∧β queries then encode β
+//! once per site. [`sample`]'s seeded solves and [`enumerate`] build the
+//! same CNF but neither read nor replace the prefix, so they cannot
+//! evict a site's β. The CNF and the search are the same either way.
 
 use std::collections::BTreeMap;
 
@@ -186,33 +188,24 @@ pub fn solve_with(
         stats.decided_by_interval = true;
         return (SolveResult::Unsat, stats);
     }
-    with_workspace(|ws| {
-        let mut blaster = match diversity_seed {
-            None => {
-                let (blaster, replayed) = encode_query(ws, cond, sat_config(config));
-                stats.replayed = replayed;
-                blaster
+    with_workspace(sat_config(config), |ws| {
+        let (mut blaster, replayed) = encode_query(ws, cond, diversity_seed.is_none());
+        stats.replayed = replayed;
+        if let Some(seed) = diversity_seed {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let all_vars: Vec<_> = blaster
+                .byte_bits()
+                .values()
+                .flatten()
+                .map(|l| l.var())
+                .collect();
+            for v in all_vars {
+                let polarity: bool = rng.gen();
+                let bump: f64 = rng.gen::<f64>() * 0.5;
+                blaster.sat_mut().set_polarity(v, polarity);
+                blaster.sat_mut().bump_activity_seed(v, bump);
             }
-            Some(seed) => {
-                ws.sat.reset(sat_config(config));
-                let mut blaster = Blaster::new(&mut ws.sat);
-                blaster.assert_cond(cond);
-                let mut rng = StdRng::seed_from_u64(seed);
-                let all_vars: Vec<_> = blaster
-                    .byte_bits()
-                    .values()
-                    .flatten()
-                    .map(|l| l.var())
-                    .collect();
-                for v in all_vars {
-                    let polarity: bool = rng.gen();
-                    let bump: f64 = rng.gen::<f64>() * 0.5;
-                    blaster.sat_mut().set_polarity(v, polarity);
-                    blaster.sat_mut().bump_activity_seed(v, bump);
-                }
-                blaster
-            }
-        };
+        }
         stats.clauses = blaster.sat_ref().n_clauses();
         let outcome = blaster.sat_mut().solve();
         let sat = blaster.sat_ref();
@@ -229,32 +222,30 @@ pub fn solve_with(
     })
 }
 
-/// Encodes and asserts `cond` on `ws` under `config`, building the CNF
+/// Encodes and asserts `cond` on `ws`'s reset solver, building the CNF
 /// [`Blaster::assert_cond`] builds. The right-hand conjunct of an `And`
-/// (the whole query otherwise) is encoded first: replayed from the
-/// workspace's prefix when that prefix encodes it, and encoded and
-/// recorded otherwise. Returns the blaster and whether it replayed.
-fn encode_query<'w>(
-    ws: &'w mut Workspace,
-    cond: &SymBool,
-    config: SatConfig,
-) -> (Blaster<'w>, bool) {
+/// (the whole query otherwise) is encoded first. With `reuse`, it is
+/// replayed from the workspace's prefix when that prefix encodes it, and
+/// recorded as the new prefix otherwise; without, the prefix is neither
+/// read nor replaced. Returns the blaster and whether it replayed.
+fn encode_query<'w>(ws: &'w mut Workspace, cond: &SymBool, reuse: bool) -> (Blaster<'w>, bool) {
     let (left, right) = match cond {
         SymBool::And(left, right) => (Some(&**left), &**right),
         _ => (None, cond),
     };
     let Workspace { sat, prefix } = ws;
-    let (mut blaster, lit, replayed) = match prefix.as_ref().filter(|p| p.encodes(right)) {
+    let (mut blaster, lit, replayed) = match prefix.as_ref().filter(|p| reuse && p.encodes(right)) {
         Some(recorded) => {
-            let (blaster, lit) = Blaster::replay(sat, config, recorded);
+            let (blaster, lit) = Blaster::replay(sat, recorded);
             (blaster, lit, true)
         }
         None => {
-            sat.reset(config);
             let mut blaster = Blaster::new(sat);
             let lit = blaster.encode_bool(right);
-            if let Some(recorded) = blaster.record(right, lit) {
-                *prefix = Some(recorded);
+            if reuse {
+                if let Some(recorded) = blaster.record(right, lit) {
+                    *prefix = Some(recorded);
+                }
             }
             (blaster, lit, false)
         }
@@ -317,10 +308,8 @@ pub fn enumerate(cond: &SymBool, limit: usize, config: &SolverConfig) -> Enumera
             complete: true,
         };
     }
-    with_workspace(|ws| {
-        ws.sat.reset(sat_config(config));
-        let mut blaster = Blaster::new(&mut ws.sat);
-        blaster.assert_cond(cond);
+    with_workspace(sat_config(config), |ws| {
+        let (mut blaster, _) = encode_query(ws, cond, false);
         let byte_lits: Vec<(u32, Vec<Lit>)> = blaster
             .byte_bits()
             .iter()
